@@ -26,7 +26,8 @@ PYTHONPATH=tools python -m repro_lint src/ --json repro_lint_findings.json \
 if python -c "import mypy" > /dev/null 2>&1; then
     echo "== mypy (typed islands)"
     python -m mypy src/repro/graph/__init__.py src/repro/graph/topology.py \
-        src/repro/simulation/records.py || status=1
+        src/repro/simulation/records.py src/repro/algorithms/gossip.py \
+        || status=1
 else
     echo "== mypy not installed; skipping (CI runs it)"
 fi

@@ -10,44 +10,39 @@ links ~2/3 of the time in the Fig. 2 example.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from repro.algorithms.base import DecentralizedTrainer
+from repro.algorithms.gossip import GossipTrainer
 from repro.ml.optim import SGDState
 
 __all__ = ["ADPSGDTrainer"]
 
 
-class ADPSGDTrainer(DecentralizedTrainer):
+class ADPSGDTrainer(GossipTrainer):
     """Asynchronous decentralized PSGD with uniform neighbor selection.
 
     Extra args:
         mixing_weight: weight on the pulled model in the averaging step
             (AD-PSGD uses 1/2; GoSGD-style variants use other values).
-        overlap: overlap compute and communication (default True).
 
-    Under churn, selection renormalizes over the currently active neighbors;
-    a worker whose neighbors are all departed runs compute-only iterations
-    (local SGD, no gossip) until a peer returns, and a departed worker's own
-    loop parks until its rejoin.
+    The worker loop (``overlap`` included) is
+    :class:`~repro.algorithms.gossip.GossipTrainer`'s. Under churn,
+    selection renormalizes over the currently active neighbors; a worker
+    whose neighbors are all departed runs compute-only iterations (local
+    SGD, no gossip) until a peer returns.
     """
 
     name = "adpsgd"
-    supports_churn = True
-    supports_dynamic_edges = True
-    # The batched sweep engine mirrors this trainer's gossip loop (and, by
-    # inheritance, SAPS's -- it only repoints the neighbor cache) on
-    # churn-free, static-edge cells; the bit-identity suite pins the claim.
+    # The batched sweep engine mirrors this trainer's gossip iteration (and,
+    # by inheritance, SAPS's -- it only repoints the neighbor cache) for
+    # vectorizable cells; the bit-identity suite pins the claim.
     supports_batched = True
 
-    def __init__(self, *args, mixing_weight: float = 0.5, overlap: bool = True, **kwargs):
+    def __init__(self, *args, mixing_weight: float = 0.5, **kwargs):
         super().__init__(*args, **kwargs)
         if not 0.0 < mixing_weight < 1.0:
             raise ValueError(f"mixing_weight must be in (0, 1), got {mixing_weight}")
         self.mixing_weight = float(mixing_weight)
-        self.overlap = overlap
         self._optimizers = [
             SGDState(self.config.sgd, task.model.dim) for task in self.tasks
         ]
@@ -83,83 +78,28 @@ class ADPSGDTrainer(DecentralizedTrainer):
             return live[self._selection_rngs[worker].integers(len(live))]
         return int(neighbors[self._selection_rngs[worker].integers(neighbors.size)])
 
-    def _setup(self) -> None:
-        for i in range(self.num_workers):
-            self._start_iteration(i)
+    def _select_peer(self, worker: int) -> tuple[int, float]:
+        return self._choose_peer(worker), self.mixing_weight
 
-    def _on_worker_join(self, worker: int) -> None:
-        # The rejoined worker resumes from its frozen model state; its loop
-        # restarts here. Any pre-departure continuation still in flight was
-        # invalidated by the epoch bump at the leave, so this is the only
-        # live loop for the worker.
-        self._start_iteration(worker)
-
-    def _start_iteration(self, worker: int) -> None:
-        if not self._active[worker]:
-            return
-        epoch = self._churn_epoch[worker]
-        peer = self._choose_peer(worker)
-        compute = self.compute_time(worker)
-        if peer == worker:
-            self.sim.schedule_in(
-                compute,
-                partial(self._complete_iteration, worker, peer, compute, compute, epoch),
-            )
-        elif self.overlap:
-            network = self.start_transfer(worker, peer)
-            self.sim.schedule_in(network, partial(self.comm.end_transfer, worker, peer))
-            duration = max(compute, network)
-            self.sim.schedule_in(
-                duration,
-                partial(self._complete_iteration, worker, peer, compute, duration, epoch),
-            )
-        else:
-            self.sim.schedule_in(
-                compute, partial(self._serial_pull, worker, peer, compute, epoch)
-            )
-
-    def _serial_pull(self, worker: int, peer: int, compute: float, epoch: int) -> None:
-        if epoch != self._churn_epoch[worker]:
-            return  # the worker departed during the computation: stale loop
-        if not self._active[peer] or not self._edge_adjacency[worker, peer]:
-            # The chosen peer departed -- or the edge to it failed -- during
-            # the gradient computation; fall back to a compute-only
-            # completion rather than pull over a dead link.
-            self._complete_iteration(worker, worker, compute, compute, epoch)
-            return
-        network = self.start_transfer(worker, peer)
-        self.sim.schedule_in(network, partial(self.comm.end_transfer, worker, peer))
-        duration = compute + network
-        self.sim.schedule_in(
-            network,
-            partial(self._complete_iteration, worker, peer, compute, duration, epoch),
-        )
-
-    def _complete_iteration(
-        self, worker: int, peer: int, compute: float, duration: float, epoch: int = 0
+    def _apply_update(
+        self,
+        worker: int,
+        peer: int,
+        weight: float,
+        grad: np.ndarray,
+        lr: float,
+        duration: float,
     ) -> None:
-        if epoch != self._churn_epoch[worker]:
-            # Scheduled before the worker's departure: the work is discarded
-            # and the loop is NOT rescheduled -- the rejoin (with a fresh
-            # epoch) owns the one live loop.
-            return
         model = self.tasks[worker].model
-        lr = self.current_lr()
-        _, grad = self.tasks[worker].sample_loss_and_grad()
-        if peer != worker and self._active[peer] and self._edge_adjacency[worker, peer]:
+        if peer != worker:
             # Average with the pulled model, then apply the local gradient --
             # AD-PSGD computes the gradient at the pre-averaging parameters.
-            # (A peer that departed mid-flight -- or whose edge failed while
-            # the transfer was in the air -- is skipped: updates never
-            # incorporate state delivered over a dead endpoint or link.)
             # pulled_params is the compression accuracy hook; without a
             # lossy op it is exactly the peer's parameters.
             base = (
-                (1.0 - self.mixing_weight) * model.get_params()
-                + self.mixing_weight * self.pulled_params(worker, peer)
+                (1.0 - weight) * model.get_params()
+                + weight * self.pulled_params(worker, peer)
             )
         else:
             base = model.get_params()
         model.set_params(self._optimizers[worker].step(base, grad, lr))
-        self.record_iteration(worker, compute, duration)
-        self._start_iteration(worker)

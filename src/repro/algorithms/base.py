@@ -201,13 +201,13 @@ class DecentralizedTrainer(abc.ABC):
     # reject dynamic topologies explicitly rather than silently ignoring
     # the schedule.
     supports_dynamic_edges = False
-    # Whether the batched sweep backend (repro.simulation.batched) knows how
-    # to advance this trainer in lockstep with other cells of a sweep grid.
-    # Opt-in per algorithm: the batched engine mirrors the trainer's event
-    # loop structure-of-arrays style, so it must replicate the hot path's
-    # exact operation and RNG-draw order -- a trainer the engine has not
-    # been taught (and whose bit-identity is not pinned by tests) must not
-    # advertise the capability.
+    # Whether the batched sweep backend (repro.simulation.batched) accepts
+    # this trainer. Opt-in per algorithm: for the cells it vectorizes, the
+    # engine mirrors the trainer's gossip iteration structure-of-arrays
+    # style, so it must replicate the hot path's exact operation and
+    # RNG-draw order (cells it does not vectorize run through their own
+    # run()) -- a trainer the engine has not been taught (and whose
+    # bit-identity is not pinned by tests) must not advertise the capability.
     supports_batched = False
 
     def __init__(

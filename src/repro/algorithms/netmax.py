@@ -16,11 +16,9 @@ The two ablation switches of Fig. 7 are first-class:
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from repro.algorithms.base import DecentralizedTrainer
+from repro.algorithms.gossip import GossipTrainer
 from repro.core.consensus import ConsensusWorker
 from repro.core.monitor import NetworkMonitor
 from repro.core.policy import PolicyCache
@@ -28,12 +26,12 @@ from repro.core.policy import PolicyCache
 __all__ = ["NetMaxTrainer"]
 
 
-class NetMaxTrainer(DecentralizedTrainer):
+class NetMaxTrainer(GossipTrainer):
     """Full NetMax (Section III).
 
-    Extra args beyond the base trainer:
+    Extra args beyond :class:`~repro.algorithms.gossip.GossipTrainer`
+    (which owns the worker loop and ``overlap``):
         adaptive: use the Network Monitor's policies (default True).
-        overlap: overlap compute and communication (default True).
         monitor_period_s: the monitor's schedule period ``Ts``
             (paper: 120 s; scale with your simulated run length).
         ema_beta: smoothing factor of the iteration-time EMA (line 21).
@@ -45,38 +43,30 @@ class NetMaxTrainer(DecentralizedTrainer):
             to the slowest unprobed link (a coupon-collector tail measured in
             slow-link round trips), leaving whole runs stuck on the uniform
             fallback; the monitor's conservative gap-filling covers the rest.
-        initial_rho: consensus weight before the first policy arrives;
-            defaults to ``1 / (4 * alpha_0 * max_degree)``, which keeps the
-            pull coefficient ``alpha rho / p_im`` at most 1/4 under the
-            uniform starting policy.
-        policy_cache: cache Algorithm 3 results keyed on the (live-subgraph
-            signature, quantized time matrix) pair, warm-starting cold
-            solves from the previous vertex (default True). On a
-            time-varying topology the monitor re-solves on every edge-set
-            change, and recurring subgraphs make the cache the difference
-            between O(flips) and O(distinct regimes) LP grids.
-        policy_time_digits: significant digits the cache quantizes time
-            matrices to (see :func:`repro.core.policy.quantize_times`).
+
+    Until the first policy arrives the consensus weight is
+    ``1 / (4 * alpha_0 * max_degree)``, which keeps the pull coefficient
+    ``alpha rho / p_im`` at most 1/4 under the uniform starting policy.
+    The monitor solves Algorithm 3 through a
+    :class:`~repro.core.policy.PolicyCache` keyed on the (live-subgraph
+    signature, quantized time matrix) pair, warm-starting cold solves from
+    the previous vertex: on a time-varying topology it re-solves on every
+    edge-set change, and recurring subgraphs make the cache the difference
+    between O(flips) and O(distinct regimes) LP grids.
     """
 
     name = "netmax"
-    supports_churn = True
-    supports_dynamic_edges = True
 
     def __init__(
         self,
         *args,
         adaptive: bool = True,
-        overlap: bool = True,
         monitor_period_s: float = 60.0,
         ema_beta: float = 0.8,
         policy_outer_rounds: int = 8,
         policy_inner_rounds: int = 8,
         policy_epsilon: float = 1e-2,
         monitor_min_coverage: float = 0.9,
-        initial_rho: float | None = None,
-        policy_cache: bool = True,
-        policy_time_digits: int = 3,
         policy_scope: str = "global",
         policy_local_hops: int = 2,
         monitor_unprobed: str = "pessimistic",
@@ -86,12 +76,10 @@ class NetMaxTrainer(DecentralizedTrainer):
         if monitor_period_s <= 0:
             raise ValueError("monitor_period_s must be positive")
         self.adaptive = adaptive
-        self.overlap = overlap
         self.monitor_period_s = float(monitor_period_s)
         max_degree = max(self.topology.degree(i) for i in range(self.num_workers))
         alpha0 = self.config.lr_schedule.lr(0.0)
-        if initial_rho is None:
-            initial_rho = 1.0 / (4.0 * alpha0 * max_degree)
+        initial_rho = 1.0 / (4.0 * alpha0 * max_degree)
         self.workers = [
             ConsensusWorker(
                 worker_id=i,
@@ -115,11 +103,7 @@ class NetMaxTrainer(DecentralizedTrainer):
             inner_rounds=policy_inner_rounds,
             epsilon=policy_epsilon,
             min_coverage=monitor_min_coverage,
-            policy_cache=(
-                PolicyCache(time_digits=policy_time_digits)
-                if policy_cache
-                else None
-            ),
+            policy_cache=PolicyCache(),
             policy_scope=policy_scope,
             local_hops=policy_local_hops,
             unprobed=monitor_unprobed,
@@ -129,8 +113,7 @@ class NetMaxTrainer(DecentralizedTrainer):
     # -- event wiring -----------------------------------------------------------
 
     def _setup(self) -> None:
-        for i in range(self.num_workers):
-            self._start_iteration(i)
+        super()._setup()
         if self.adaptive:
             self.sim.schedule_in(self.monitor_period_s, self._monitor_tick)
 
@@ -148,10 +131,7 @@ class NetMaxTrainer(DecentralizedTrainer):
 
     def _on_worker_join(self, worker: int) -> None:
         self._apply_active_mask()
-        # Resume from the frozen model state; any pre-departure continuation
-        # still in flight was invalidated by the epoch bump at the leave, so
-        # this restart owns the worker's one live loop.
-        self._start_iteration(worker)
+        super()._on_worker_join(worker)
 
     # -- time-varying edges -----------------------------------------------------
 
@@ -173,10 +153,9 @@ class NetMaxTrainer(DecentralizedTrainer):
         if self.adaptive:
             self._run_monitor()
 
-    def _start_iteration(self, worker: int) -> None:
-        if not self._active[worker]:
-            return
-        epoch = self._churn_epoch[worker]
+    # -- the two gossip hooks ---------------------------------------------------
+
+    def _select_peer(self, worker: int) -> tuple[int, float]:
         state = self.workers[worker]
         if state.adopt_pending_policy():
             self.policies_adopted += 1
@@ -184,84 +163,24 @@ class NetMaxTrainer(DecentralizedTrainer):
         # The selection-time probability is the right 1/p_im debias weight
         # for the pull; reading it again at completion would be wrong if a
         # churn transition re-renormalized the row mid-flight.
-        p_selected = float(state.effective_probabilities[peer])
-        compute = self.compute_time(worker)
-        if peer == worker:
-            # Self-selection (probability p_ii): a compute-only iteration.
-            self.sim.schedule_in(
-                compute,
-                partial(self._complete_iteration, worker, peer, compute, compute,
-                        p_selected, epoch),
-            )
-        elif self.overlap:
-            network = self.start_transfer(worker, peer)
-            self.sim.schedule_in(network, partial(self.comm.end_transfer, worker, peer))
-            duration = max(compute, network)
-            self.sim.schedule_in(
-                duration,
-                partial(self._complete_iteration, worker, peer, compute, duration,
-                        p_selected, epoch),
-            )
-        else:
-            # Serial ablation (Fig. 7): the pull starts only after the
-            # gradient computation finishes.
-            self.sim.schedule_in(
-                compute,
-                partial(self._serial_pull, worker, peer, compute, p_selected, epoch),
-            )
+        return peer, float(state.effective_probabilities[peer])
 
-    def _serial_pull(
-        self, worker: int, peer: int, compute: float, p_selected: float, epoch: int
-    ) -> None:
-        if epoch != self._churn_epoch[worker]:
-            return  # the worker departed during the computation: stale loop
-        if not self._active[peer] or not self._edge_adjacency[worker, peer]:
-            # The chosen peer departed -- or the edge to it failed -- during
-            # the gradient computation; fall back to a compute-only
-            # completion rather than pull over a dead link.
-            self._complete_iteration(worker, worker, compute, compute, p_selected, epoch)
-            return
-        network = self.start_transfer(worker, peer)
-        self.sim.schedule_in(network, partial(self.comm.end_transfer, worker, peer))
-        duration = compute + network
-        self.sim.schedule_in(
-            network,
-            partial(self._complete_iteration, worker, peer, compute, duration,
-                    p_selected, epoch),
-        )
-
-    def _complete_iteration(
+    def _apply_update(
         self,
         worker: int,
         peer: int,
-        compute: float,
+        weight: float,
+        grad: np.ndarray,
+        lr: float,
         duration: float,
-        p_selected: float = 1.0,
-        epoch: int = 0,
     ) -> None:
-        if epoch != self._churn_epoch[worker]:
-            # Scheduled before the worker's departure: discard; the rejoin
-            # (with a fresh epoch) owns the one live loop.
-            return
         state = self.workers[worker]
-        lr = self.current_lr()
-        _, grad = self.tasks[worker].sample_loss_and_grad()
         state.local_gradient_step(grad, lr)  # first update (line 11)
-        if peer != worker and (
-            not self._active[peer] or not self._edge_adjacency[worker, peer]
-        ):
-            # Peer departed -- or its edge failed -- mid-flight: drop the
-            # stale pull and book the iteration as compute-only (updates
-            # never incorporate state delivered over a dead endpoint or
-            # link).
-            peer = worker
         if peer != worker:
             # Second update (lines 13-15), debiased by the selection-time
             # probability.
-            self._apply_pull(worker, peer, lr, p_selected)
+            self._apply_pull(worker, peer, lr, weight)
         state.record_time(peer, duration)
-        self.record_iteration(worker, compute, duration)
-        self._start_iteration(worker)
 
     def _apply_pull(self, worker: int, peer: int, lr: float, p_selected: float) -> None:
         """NetMax's weighted pull; the AD-PSGD+Monitor extension overrides it.
@@ -310,9 +229,8 @@ class NetMaxTrainer(DecentralizedTrainer):
             "monitor_stats": self.monitor.stats,
             "policies_adopted": self.policies_adopted,
             "clip_events": int(sum(w.clip_events for w in self.workers)),
+            "policy_cache_stats": self.monitor.policy_cache.stats,
         }
-        if self.monitor.policy_cache is not None:
-            extras["policy_cache_stats"] = self.monitor.policy_cache.stats
         if self.monitor.last_result is not None:
             extras["final_policy"] = self.monitor.last_result.policy
             extras["final_rho"] = self.monitor.last_result.rho

@@ -82,7 +82,7 @@ import tempfile
 import threading
 import time
 import uuid
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -301,6 +301,21 @@ class SweepExecutor(abc.ABC):
         if self._result_listener is not None:
             self._result_listener(index, execution)
 
+    def _execute_in_turn(
+        self,
+        cells: Sequence[SweepCell],
+        cache_dir: str | None,
+        indexes: Iterable[int],
+    ) -> list[CellExecution]:
+        """Execute ``cells[i]`` for each ``i`` of ``indexes`` in this
+        process, one after another, announcing each as it lands."""
+        executions = []
+        for index in indexes:
+            execution = _execute_one(cells[index], cache_dir)
+            self._notify(index, execution)
+            executions.append(execution)
+        return executions
+
     @abc.abstractmethod
     def run(
         self, cells: Sequence[SweepCell], cache_dir: str | None
@@ -316,12 +331,7 @@ class InlineExecutor(SweepExecutor):
     def run(
         self, cells: Sequence[SweepCell], cache_dir: str | None
     ) -> list[CellExecution]:
-        executions = []
-        for index, cell in enumerate(cells):
-            execution = _execute_one(cell, cache_dir)
-            self._notify(index, execution)
-            executions.append(execution)
-        return executions
+        return self._execute_in_turn(cells, cache_dir, range(len(cells)))
 
 
 class ProcessExecutor(SweepExecutor):
@@ -337,14 +347,9 @@ class ProcessExecutor(SweepExecutor):
     def run(
         self, cells: Sequence[SweepCell], cache_dir: str | None
     ) -> list[CellExecution]:
+        if self.max_workers <= 1 or len(cells) <= 1:
+            return self._execute_in_turn(cells, cache_dir, range(len(cells)))
         payloads = [(cell, cache_dir) for cell in cells]
-        if self.max_workers <= 1 or len(payloads) <= 1:
-            executions = []
-            for index, payload in enumerate(payloads):
-                execution = _execute_payload(payload)
-                self._notify(index, execution)
-                executions.append(execution)
-            return executions
         executions = []
         with ProcessPoolExecutor(
             max_workers=min(self.max_workers, len(payloads))
@@ -426,17 +431,19 @@ def partition_batchable(
 
 
 class BatchedExecutor(SweepExecutor):
-    """Advance compatible cells in lockstep through one SoA engine.
+    """Hand compatible cells to one SoA engine, batch by batch.
 
     Cells are partitioned by :func:`partition_batchable`; each batch is
     built trainer-by-trainer through the same
     :meth:`~repro.experiments.sweeps.SweepCell.build_trainer` path the
-    other backends use, then stepped together by
-    :class:`~repro.simulation.batched.BatchedSimulator`. Incompatible
-    cells (and singleton compatibility classes) fall through to the
-    ordinary per-cell path, so any grid accepted by the other backends is
-    accepted here -- and produces bit-identical results (the engine's
-    determinism contract, pinned by the bit-identity suite).
+    other backends use, then run by
+    :class:`~repro.simulation.batched.BatchedSimulator`, which steps the
+    cells it can vectorize together and runs the rest (every MLP cell)
+    through their own per-event loop. Incompatible cells (and singleton
+    compatibility classes) fall through to the ordinary per-cell path, so
+    any grid accepted by the other backends is accepted here -- and
+    produces bit-identical results (the engine's determinism contract,
+    pinned by the bit-identity suite).
 
     A batch's wall-clock is shared work, so its runtime telemetry is split
     evenly across the batch's cells: per-cell ``runtime_s`` stays additive
@@ -466,9 +473,10 @@ class BatchedExecutor(SweepExecutor):
                     result=result, runtime_s=share, worker=_worker_id()
                 )
                 self._notify(index, executions[index])
-        for index in singles:
-            executions[index] = _execute_one(cells[index], cache_dir)
-            self._notify(index, executions[index])
+        for index, execution in zip(
+            singles, self._execute_in_turn(cells, cache_dir, singles)
+        ):
+            executions[index] = execution
         return executions  # type: ignore[return-value]
 
 
@@ -1409,6 +1417,7 @@ def run_queue_worker(
     max_cells: int | None = None,
     progress: Callable[[str], None] | None = None,
     lease_batch: int | None = None,
+    coordinator_run: str | None = None,
 ) -> WorkerSummary:
     """Join a queue directory and execute cells until it drains.
 
@@ -1430,6 +1439,11 @@ def run_queue_worker(
     different coordinators land in their own cache directories. A worker
     that starts *before* any coordinator simply polls until the config
     appears or the drain timeout expires.
+
+    ``coordinator_run`` is for :class:`QueueExecutor` alone: the run id of
+    the coordinator that spawned this worker, whose STOP marker is live
+    even when it is already on disk at startup (any other marker found at
+    startup is a previous sweep's leftover and is ignored).
     """
     queue = WorkQueue(queue_dir)
     summary = WorkerSummary(worker=_worker_id())
@@ -1444,7 +1458,13 @@ def run_queue_worker(
     # queue directory). Only a marker that appears -- or changes run_id --
     # during this worker's lifetime ends it; a worker joining ahead of the
     # next coordinator just polls until tasks appear or it drains out.
+    # The exception is the marker of the coordinator that spawned this
+    # worker: that coordinator cleared STOP before it started, so its marker
+    # is live however early it lands (a fully cached or very short sweep
+    # writes it before the worker process is up).
     startup_stop = queue.stop_marker_id()
+    if startup_stop == coordinator_run:
+        startup_stop = None
     registry.update(status="idle")
     try:
         while True:
@@ -1559,7 +1579,9 @@ def run_queue_worker(
     return summary
 
 
-def _local_worker_entry(queue_dir: str, poll_interval_s: float) -> None:
+def _local_worker_entry(
+    queue_dir: str, poll_interval_s: float, run_id: str
+) -> None:
     """Top-level target for coordinator-spawned local worker processes."""
     # Local workers live as long as the coordinator keeps the queue open:
     # the coordinator's STOP marker, not a drain timeout, ends them.
@@ -1567,6 +1589,7 @@ def _local_worker_entry(queue_dir: str, poll_interval_s: float) -> None:
         queue_dir,
         poll_interval_s=poll_interval_s,
         drain_timeout_s=float("inf"),
+        coordinator_run=run_id,
     )
 
 
@@ -1659,7 +1682,7 @@ class QueueExecutor(SweepExecutor):
         workers = [
             multiprocessing.Process(
                 target=_local_worker_entry,
-                args=(self.queue_dir, self.poll_interval_s),
+                args=(self.queue_dir, self.poll_interval_s, run_id),
                 daemon=True,
             )
             for _ in range(self.num_workers)

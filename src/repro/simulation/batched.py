@@ -4,10 +4,10 @@ The sweep grids behind the paper's figures are embarrassingly parallel at
 the *cell* level -- every (algorithm, scenario, seed) cell is an
 independent discrete-event simulation -- but the per-cell event loop pays
 Python dispatch for every simulated event. This module advances many
-compatible cells through **one** structure-of-arrays engine: each round
-pops exactly one earliest event per live cell, and the per-event trainer
-math (gradient, progress bookkeeping, mixing, SGD step) is applied across
-the whole batch with vectorized numpy wherever the cells' models allow it.
+*vectorizable* cells through **one** structure-of-arrays engine: each
+round pops exactly one earliest event per live cell, and the per-event
+trainer math (gradient, progress bookkeeping, mixing, SGD step) is applied
+across the whole batch with vectorized numpy.
 
 Why one-pop-per-round is safe: cells never interact, so *any* cross-cell
 interleaving of events is valid; and within a cell, one pop per round
@@ -16,25 +16,24 @@ sequence)`` with sequence assigned in the same order the inline trainer
 would have scheduled them -- so every cell replays its inline run event
 for event.
 
-Two regimes coexist in one batch:
-
-- **fast** -- every task is a sampler-less diagonal
-  :class:`~repro.ml.problems.QuadraticProblem` and the compute model is
-  jitter-free. Parameters, velocities, targets, curvatures, and all
-  progress/cost counters live in ``[cells, workers, dim]`` /
-  ``[cells, workers]`` arrays, and one round's completions are processed
-  with a handful of vectorized operations.
-- **general** -- anything else (MLP tasks, noisy or non-diagonal
-  quadratics, jittered compute). These cells still share the event engine
-  (and its peer-draw prefetching stays off: selection goes through the
-  trainer's own ``_choose_peer``), but each completion calls the real
-  trainer methods, which is trivially bit-identical.
+A cell is vectorizable when every task is a sampler-less diagonal
+:class:`~repro.ml.problems.QuadraticProblem`, the compute model is
+jitter-free, and its model dimension is the batch's. Parameters,
+velocities, targets, curvatures, and all progress/cost counters then live
+in ``[cells, workers, dim]`` / ``[cells, workers]`` arrays, and one round's
+completions are processed with a handful of vectorized operations. Any
+other accepted cell (MLP tasks, sampler-backed or non-diagonal quadratics,
+jittered compute) is not mirrored at all: once the lockstep cells are done,
+:meth:`BatchedSimulator.run` calls that cell's own ``trainer.run()``, so it
+equals the inline run by construction and at per-event speed. The engine
+mirrors only what it vectorizes.
 
 Determinism contract (pinned by the bit-identity suite):
 
 - every random stream is the *trainer's own* per-cell, per-worker stream;
-  the engine creates no generators of its own;
-- fast-regime peer selection prefetches draws in blocks of
+  the engine creates no generators of its own, and touches none that
+  belongs to a cell it will not vectorize;
+- lockstep peer selection prefetches draws in blocks of
   ``rng.integers(n, size=B)``, which consumes the PCG64 stream identically
   to ``B`` scalar ``rng.integers(n)`` calls, so the drawn peer sequence is
   bit-for-bit the inline one (the block tail may leave a selection stream
@@ -43,11 +42,12 @@ Determinism contract (pinned by the bit-identity suite):
   order on float64, so results are bitwise equal, not approximately equal.
 
 The engine deliberately reaches into trainer internals (``_optimizers``,
-``_progress``, cost-tracker buffers): it is a co-implementation of the
-gossip hot path, versioned together with it, not an external consumer.
-Trainers advertise compatibility with
-``DecentralizedTrainer.supports_batched``; cells with churn or
-time-varying edges are rejected and must run inline.
+``_progress``, cost-tracker buffers): it is the structure-of-arrays mirror
+of :class:`~repro.algorithms.gossip.GossipTrainer`'s iteration under
+AD-PSGD's two hooks, versioned together with them, not an external
+consumer. Trainers advertise compatibility with
+``DecentralizedTrainer.supports_batched``; cells with churn, time-varying
+edges or a compression op are rejected and must run inline.
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ _END_TRANSFER = 1
 _COMPLETION = 2
 _SERIAL_PULL = 3
 
-# Fast-regime peer draws are prefetched per (cell, worker) selection stream
+# Peer draws are prefetched per (cell, worker) selection stream
 # in blocks of this many variates (see the determinism contract above).
 _PEER_BLOCK = 512
 
 # Schedules whose lr() ignores the epoch argument between evaluations, so
-# the fast path may cache the rate per cell and refresh it only after each
+# the engine may cache the rate per cell and refresh it only after each
 # evaluation (exact classes, not isinstance: a subclass could override).
 _EPOCH_FREE_SCHEDULES = (ConstantLR, PlateauDecayLR)
 
@@ -168,26 +168,22 @@ def _make_pair_times(links, num_workers, nbytes):
 
 
 class _Cell:
-    """One training run's event heap plus the engine-side mirror state."""
+    """One lockstep run's event heap plus the engine-side mirror state."""
 
     __slots__ = (
         "trainer",
-        "fast",
         "row",
         "heap",
         "seq",
         "now",
         "executed",
-        "finished",
         "result",
         "until",
         "max_events",
-        "max_epochs",
         "stop_flag",
         "eval_interval",
         "workers",
         "overlap",
-        # -- fast-regime only --
         "flow_sharing",
         "models",
         "schedule",
@@ -206,20 +202,17 @@ class _Cell:
         "outbound",
     )
 
-    def __init__(self, trainer):
+    def __init__(self, trainer, row):
         config = trainer.config
         self.trainer = trainer
-        self.fast = False
-        self.row = -1
+        self.row = row
         self.heap = []
         self.seq = 0
         self.now = 0.0
         self.executed = 0
-        self.finished = False
         self.result = None
         self.until = config.max_sim_time
         self.max_events = config.max_events
-        self.max_epochs = config.max_epochs
         # The stop condition only changes when an iteration completes, so
         # it is cached here (and refreshed after each completion) rather
         # than recomputed before every event pop.
@@ -231,27 +224,9 @@ class _Cell:
         self.workers = trainer.num_workers
         self.overlap = trainer.overlap
         self.flow_sharing = trainer.comm.flow_sharing
-        self.models = None
+        self.models = [task.model for task in trainer.tasks]
         self.schedule = config.lr_schedule
         self.lr_static = type(config.lr_schedule) in _EPOCH_FREE_SCHEDULES
-        self.neighbors = None
-        self.neighbor_sizes = None
-        self.selection_rngs = None
-        self.peer_buffers = None
-        self.peer_positions = None
-        self.compute_times = None
-        self.pair_times = None
-        self.static_tables = False
-        self.pair_latency = None
-        self.pair_serial = None
-        self.inbound = None
-        self.outbound = None
-
-    def enter_fast_regime(self, row):
-        trainer = self.trainer
-        self.fast = True
-        self.row = row
-        self.models = [task.model for task in trainer.tasks]
         self.neighbors = [
             [int(n) for n in cached] for cached in trainer._neighbor_cache
         ]
@@ -267,18 +242,21 @@ class _Cell:
         self.pair_times = _make_pair_times(
             trainer.comm.links, self.workers, trainer.message_bytes
         )
-        if isinstance(self.pair_times, _StaticPairTimes):
-            # Hot-path shortcut: index the tables directly instead of
-            # going through a method call per transfer.
-            self.static_tables = True
+        # Hot-path shortcut: index a static model's tables directly instead
+        # of going through a method call per transfer.
+        self.static_tables = isinstance(self.pair_times, _StaticPairTimes)
+        if self.static_tables:
             self.pair_latency = self.pair_times._latency
             self.pair_serial = self.pair_times._serial
+        else:
+            self.pair_latency = None
+            self.pair_serial = None
         self.inbound = [0] * self.workers
         self.outbound = [0] * self.workers
 
 
-class _FastState:
-    """Structure-of-arrays mirror of every fast-regime cell's hot state."""
+class _BatchState:
+    """Structure-of-arrays mirror of every lockstep cell's hot state."""
 
     __slots__ = (
         "params",
@@ -387,7 +365,7 @@ class _FastState:
 
 
 class BatchedSimulator:
-    """Advance many compatible gossip trainers in lockstep.
+    """Advance many compatible gossip trainers, vectorizable ones in lockstep.
 
     Args:
         trainers: constructed-but-not-run trainers (see
@@ -397,7 +375,9 @@ class BatchedSimulator:
 
     ``run()`` executes every cell to its own stopping criterion and
     returns one :class:`~repro.simulation.records.TrainingResult` per
-    trainer, in input order, bit-identical to ``trainer.run()``.
+    trainer, in input order, bit-identical to ``trainer.run()``. Until
+    then a trainer that is not vectorizable is only inspected, never
+    advanced: its random streams and simulator stay untouched.
     """
 
     def __init__(self, trainers):
@@ -412,26 +392,26 @@ class BatchedSimulator:
                 f"all batched trainers must share a worker count, got {sorted(workers)}"
             )
         self._workers = workers.pop()
-        self._cells = [_Cell(trainer) for trainer in trainers]
-        # Fast-regime rows must share a model dimension to live in one
-        # array; candidates with a different dimension than the first one
-        # seen simply stay on the (always-correct) general path.
-        fast_cells = []
-        fast_dim = None
-        for cell in self._cells:
-            if not self._fast_eligible(cell.trainer):
-                continue
-            dim = cell.trainer.tasks[0].model.dim
-            if fast_dim is None:
-                fast_dim = dim
-            if dim != fast_dim:
-                continue
-            cell.enter_fast_regime(len(fast_cells))
-            fast_cells.append(cell)
-        self._fast = _FastState(fast_cells) if fast_cells else None
+        # Lockstep rows must share a model dimension to live in one array;
+        # a vectorizable trainer with a different dimension than the first
+        # one seen runs per-event like any non-vectorizable one (no cell).
+        self._slots = []  # (trainer, its lockstep cell or None), input order
+        self._cells = []
+        batch_dim = None
+        for trainer in trainers:
+            cell = None
+            if self._vectorizable(trainer):
+                dim = trainer.tasks[0].model.dim
+                if batch_dim is None:
+                    batch_dim = dim
+                if dim == batch_dim:
+                    cell = _Cell(trainer, len(self._cells))
+                    self._cells.append(cell)
+            self._slots.append((trainer, cell))
+        self._state = _BatchState(self._cells) if self._cells else None
         self._self_loops = any(
             worker in cell.neighbors[worker]
-            for cell in fast_cells
+            for cell in self._cells
             for worker in range(cell.workers)
         )
         self._ran = False
@@ -482,7 +462,7 @@ class BatchedSimulator:
             raise ValueError("batched trainers must be freshly constructed, not run")
 
     @staticmethod
-    def _fast_eligible(trainer):
+    def _vectorizable(trainer):
         if trainer.compute_model.jitter_std:
             return False
         for task in trainer.tasks:
@@ -499,8 +479,6 @@ class BatchedSimulator:
 
     def _begin(self, cell, worker, peer, now):
         """Mirror of ``CommunicationModel.begin_transfer`` on cell counters."""
-        if not cell.fast:
-            return cell.trainer.start_transfer(worker, peer)
         latency, base = cell.pair_times.pair(worker, peer, now)
         inbound = cell.inbound
         outbound = cell.outbound
@@ -514,67 +492,25 @@ class BatchedSimulator:
         return latency + (base - latency) * share
 
     def _start_iteration(self, cell, worker, now):
-        """Mirror of ``ADPSGDTrainer._start_iteration`` into the cell heap.
+        """Mirror of ``GossipTrainer._start_iteration`` into the cell heap.
 
-        The fast-regime overlap case -- the hot path, once per completed
-        iteration -- is fully inlined: peer draw from the prefetched block,
-        ``begin_transfer`` on the cell's counters, two pushes.
+        The overlap case -- the hot path, once per completed iteration --
+        is fully inlined: peer draw from the prefetched block, ``_begin``
+        on the cell's counters, two pushes.
         """
-        if cell.fast:
-            position = cell.peer_positions[worker]
-            buffer = cell.peer_buffers[worker]
-            if position >= len(buffer):
-                buffer = (
-                    cell.selection_rngs[worker]
-                    .integers(cell.neighbor_sizes[worker], size=_PEER_BLOCK)
-                    .tolist()
-                )
-                cell.peer_buffers[worker] = buffer
-                position = 0
-            cell.peer_positions[worker] = position + 1
-            peer = cell.neighbors[worker][buffer[position]]
-            compute = cell.compute_times[worker]
-            if cell.overlap and peer != worker:
-                if cell.static_tables:
-                    latency = cell.pair_latency[worker][peer]
-                    base = cell.pair_serial[worker][peer]
-                else:
-                    latency, base = cell.pair_times.pair(worker, peer, now)
-                inbound = cell.inbound
-                outbound = cell.outbound
-                inbound[worker] += 1
-                outbound[peer] += 1
-                if cell.flow_sharing:
-                    share = inbound[worker]
-                    if outbound[peer] > share:
-                        share = outbound[peer]
-                    network = latency + (base - latency) * share
-                else:
-                    network = base
-                seq = cell.seq
-                heap = cell.heap
-                heapq.heappush(
-                    heap, (now + network, seq, _END_TRANSFER, worker, peer, 0.0, 0.0)
-                )
-                duration = compute if compute >= network else network
-                heapq.heappush(
-                    heap,
-                    (
-                        now + duration,
-                        seq + 1,
-                        _COMPLETION,
-                        worker,
-                        peer,
-                        compute,
-                        duration,
-                    ),
-                )
-                cell.seq = seq + 2
-                return
-        else:
-            trainer = cell.trainer
-            peer = trainer._choose_peer(worker)
-            compute = trainer.compute_time(worker)
+        position = cell.peer_positions[worker]
+        buffer = cell.peer_buffers[worker]
+        if position >= len(buffer):
+            buffer = (
+                cell.selection_rngs[worker]
+                .integers(cell.neighbor_sizes[worker], size=_PEER_BLOCK)
+                .tolist()
+            )
+            cell.peer_buffers[worker] = buffer
+            position = 0
+        cell.peer_positions[worker] = position + 1
+        peer = cell.neighbors[worker][buffer[position]]
+        compute = cell.compute_times[worker]
         heap = cell.heap
         seq = cell.seq
         if peer == worker:
@@ -583,7 +519,22 @@ class BatchedSimulator:
             )
             cell.seq = seq + 1
         elif cell.overlap:
-            network = self._begin(cell, worker, peer, now)
+            if cell.static_tables:
+                latency = cell.pair_latency[worker][peer]
+                base = cell.pair_serial[worker][peer]
+            else:
+                latency, base = cell.pair_times.pair(worker, peer, now)
+            inbound = cell.inbound
+            outbound = cell.outbound
+            inbound[worker] += 1
+            outbound[peer] += 1
+            if cell.flow_sharing:
+                share = inbound[worker]
+                if outbound[peer] > share:
+                    share = outbound[peer]
+                network = latency + (base - latency) * share
+            else:
+                network = base
             heapq.heappush(
                 heap, (now + network, seq, _END_TRANSFER, worker, peer, 0.0, 0.0)
             )
@@ -600,7 +551,7 @@ class BatchedSimulator:
             cell.seq = seq + 1
 
     def _serial_pull(self, cell, worker, peer, compute, now):
-        """Mirror of ``ADPSGDTrainer._serial_pull`` (churn-free branch)."""
+        """Mirror of ``GossipTrainer._serial_pull`` (churn-free branch)."""
         network = self._begin(cell, worker, peer, now)
         seq = cell.seq
         heapq.heappush(
@@ -622,33 +573,17 @@ class BatchedSimulator:
 
     # -- completions -----------------------------------------------------------
 
-    def _general_completion(self, cell, worker, peer, compute, duration, now):
-        """Mirror of ``ADPSGDTrainer._complete_iteration`` via real methods."""
-        trainer = cell.trainer
-        model = trainer.tasks[worker].model
-        lr = trainer.current_lr()
-        _, grad = trainer.tasks[worker].sample_loss_and_grad()
-        if peer != worker:
-            base = (
-                (1.0 - trainer.mixing_weight) * model.get_params()
-                + trainer.mixing_weight * trainer.tasks[peer].model.get_params()
-            )
-        else:
-            base = model.get_params()
-        model.set_params(trainer._optimizers[worker].step(base, grad, lr))
-        trainer.record_iteration(worker, compute, duration)
-        self._start_iteration(cell, worker, now)
-        if cell.max_epochs is not None:
-            cell.stop_flag = trainer.mean_epoch() >= cell.max_epochs
+    def _completions(self, batch):
+        """One round's completions, vectorized across the batch.
 
-    def _fast_completions(self, batch):
-        """One round's fast-regime completions, vectorized across the batch.
+        Mirror of ``GossipTrainer._complete_iteration`` (churn-free branch)
+        with ``ADPSGDTrainer._apply_update`` on a diagonal quadratic.
 
         ``batch`` holds at most one entry per cell (one pop per cell per
         round), so every fancy index below is duplicate-free and in-place
         scatter updates are safe.
         """
-        st = self._fast
+        st = self._state
         count = len(batch)
         cells = [entry[0] for entry in batch]
         events = [entry[1] for entry in batch]
@@ -761,7 +696,7 @@ class BatchedSimulator:
 
     def _sync_eval_state(self, cell):
         """Push the mirrored state a real ``evaluate()`` reads back in."""
-        st = self._fast
+        st = self._state
         trainer = cell.trainer
         params = st.params[cell.row]
         for worker, task in enumerate(trainer.tasks):
@@ -771,7 +706,7 @@ class BatchedSimulator:
 
     def _sync_full_state(self, cell):
         """Write every mirrored buffer back into the trainer at shutdown."""
-        st = self._fast
+        st = self._state
         trainer = cell.trainer
         row = cell.row
         self._sync_eval_state(cell)
@@ -798,31 +733,29 @@ class BatchedSimulator:
     def _evaluation(self, cell, now):
         """Mirror of ``DecentralizedTrainer._evaluation_event``."""
         trainer = cell.trainer
-        if cell.fast:
-            self._sync_eval_state(cell)
+        self._sync_eval_state(cell)
         trainer.sim.advance_to(now)
         trainer.evaluate()
-        if cell.fast and cell.lr_static:
+        if cell.lr_static:
             # observe_loss may have decayed a plateau schedule.
-            self._fast.lr_cache[cell.row] = trainer.current_lr()
+            self._state.lr_cache[cell.row] = trainer.current_lr()
         next_time = now + cell.eval_interval
         if next_time < cell.until:
             heapq.heappush(cell.heap, (next_time, cell.seq, _EVAL, 0, 0, 0.0, 0.0))
             cell.seq += 1
 
     def _finish(self, cell):
-        if cell.fast:
-            self._sync_full_state(cell)
+        self._sync_full_state(cell)
         trainer = cell.trainer
         trainer.sim.advance_to(cell.now, events=cell.executed)
         cell.result = trainer._finalize_result()
-        cell.finished = True
 
     # -- the run ---------------------------------------------------------------
 
     @property
     def events_processed(self) -> int:
-        """Total events executed across all cells so far."""
+        """Events the lockstep loop has executed across its cells so far
+        (a per-event cell counts on its own ``trainer.sim``)."""
         return sum(cell.executed for cell in self._cells)
 
     def run(self) -> list[TrainingResult]:
@@ -831,12 +764,11 @@ class BatchedSimulator:
             raise RuntimeError("BatchedSimulator.run() may only be called once")
         self._ran = True
         heappop = heapq.heappop
-        live = list(self._cells)
+        live = self._cells
         while live:
             still_live = []
             keep = still_live.append
-            fast_batch = []
-            general_batch = []
+            completions = []
             evaluations = []
             for cell in live:
                 # Stop checks in Simulator.run()'s exact order (and with its
@@ -870,17 +802,11 @@ class BatchedSimulator:
                     cell.executed += 1
                     kind = event[2]
                     if kind == _END_TRANSFER:
-                        if cell.fast:
-                            cell.inbound[event[3]] -= 1
-                            cell.outbound[event[4]] -= 1
-                        else:
-                            cell.trainer.comm.end_transfer(event[3], event[4])
+                        cell.inbound[event[3]] -= 1
+                        cell.outbound[event[4]] -= 1
                         continue
                     if kind == _COMPLETION:
-                        if cell.fast:
-                            fast_batch.append((cell, event))
-                        else:
-                            general_batch.append((cell, event))
+                        completions.append((cell, event))
                     elif kind == _SERIAL_PULL:
                         self._serial_pull(cell, event[3], event[4], event[5], event[0])
                     else:
@@ -888,13 +814,14 @@ class BatchedSimulator:
                     break
                 if not finished:
                     keep(cell)
-            if fast_batch:
-                self._fast_completions(fast_batch)
-            for cell, event in general_batch:
-                self._general_completion(
-                    cell, event[3], event[4], event[5], event[6], event[0]
-                )
+            if completions:
+                self._completions(completions)
             for cell, time in evaluations:
                 self._evaluation(cell, time)
             live = still_live
-        return [cell.result for cell in self._cells]
+        # Everything the engine does not vectorize runs through its own
+        # per-event loop: bit-identical to inline because it *is* inline.
+        return [
+            trainer.run() if cell is None else cell.result
+            for trainer, cell in self._slots
+        ]

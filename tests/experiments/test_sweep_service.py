@@ -27,6 +27,7 @@ from repro.experiments.executors import (
     WorkQueue,
     _append_heartbeat_byte,
     _LeaseHeartbeat,
+    _local_worker_entry,
     _poll_delay,
     _poll_jitter,
     _TaskName,
@@ -307,6 +308,65 @@ class TestRunLiveness:
             "worker ignored STOP while a dead coordinator's run stayed active"
         )
         assert done and done[0].executed == 0
+
+
+class TestLocalWorkerStartupStop:
+    """Regression for the cached-re-run stall: a coordinator whose grid is
+    fully cached (or very short) writes STOP before the local workers it
+    spawned are up. Such a worker used to take the marker for a previous
+    sweep's leftover and poll until the coordinator's 30 s join timeout;
+    a bare ``repro sweep-worker`` (test_executors.py,
+    test_stale_stop_marker_from_previous_sweep_is_ignored) keeps that rule."""
+
+    def finished_run(self, tmp_path, run_id):
+        queue = make_queue(tmp_path)
+        queue.write_config(
+            cache_dir=queue.default_results_dir(), max_attempts=3,
+            lease_timeout_s=5.0, run_id=run_id,
+        )
+        queue.signal_stop(run_id)  # the coordinator is already done
+        return queue
+
+    def test_worker_spawned_after_its_coordinators_stop_exits_at_once(
+        self, tmp_path
+    ):
+        queue = self.finished_run(tmp_path, "run-r")
+        worker = threading.Thread(
+            target=_local_worker_entry, args=(queue.queue_dir, 0.02, "run-r"),
+            daemon=True,  # a regression must fail the test, not hang pytest
+        )
+        start = time.monotonic()
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), (
+            "local worker treated its own coordinator's STOP as stale"
+        )
+        assert time.monotonic() - start < 2.0  # a few poll intervals
+
+    def test_another_runs_leftover_marker_is_still_stale(self, tmp_path):
+        """Only the spawning coordinator's marker is live at startup: with
+        some other run's STOP on disk the worker waits for its own."""
+        queue = self.finished_run(tmp_path, "earlier-run")
+        worker = threading.Thread(
+            target=_local_worker_entry, args=(queue.queue_dir, 0.02, "run-r"),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=0.5)
+        assert worker.is_alive()
+        queue.signal_stop("run-r")
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+
+    def test_ten_cached_queue_reruns_stay_fast(self, tmp_path):
+        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
+        executor = QueueExecutor(str(tmp_path / "queue"), num_workers=2, **FAST)
+        run_sweep(spec, executor=executor)
+        for _ in range(10):
+            start = time.monotonic()
+            rerun = run_sweep(spec, executor=executor)
+            assert time.monotonic() - start < 5.0
+            assert rerun.cells_from_cache == len(spec.cells())
 
 
 class TestClearStopPruning:

@@ -5,11 +5,11 @@ gossip hot path (ADPSGD/SAPS) as vectorized lockstep rounds; its one
 correctness claim is ``batched == inline`` **bit for bit** -- same
 evaluation history, same per-worker cost counters, same final parameters,
 same event count -- for every trainer that opts in via
-``supports_batched``. These tests pin that claim across both engine
-regimes (the numpy fast path for sampler-less diagonal quadratics, and
-the general path that calls the real trainer methods per cell), mixed
-batches, and every scheduling variant (overlap, serial pull, dynamic
-links, epoch-capped stops, non-constant LR schedules).
+``supports_batched``. These tests pin that claim for the cells the engine
+vectorizes (sampler-less diagonal quadratics), for the cells it hands
+back to their own per-event ``trainer.run()`` (everything else, e.g.
+MLPs), mixed batches, and every scheduling variant (overlap, serial pull,
+dynamic links, epoch-capped stops, non-constant LR schedules).
 """
 
 import numpy as np
@@ -68,8 +68,8 @@ def quadratic_trainer(
     config=None,
     **trainer_kwargs,
 ):
-    """A fresh gossip trainer on the synthetic quadratic workload (the
-    engine's numpy fast path when ``noise_std == 0`` and links are static)."""
+    """A fresh gossip trainer on the synthetic quadratic workload (a cell
+    the engine vectorizes)."""
     scenario = heterogeneous_scenario(
         num_workers=num_workers,
         dynamic=dynamic,
@@ -107,7 +107,8 @@ def mlp_workload():
 
 
 def mlp_trainer(mlp_workload, algorithm, topology=None):
-    """A fresh golden-scenario trainer (sampler-backed: the general path)."""
+    """A fresh golden-scenario trainer (sampler-backed: not vectorizable,
+    so the engine runs it per event)."""
     params = {} if topology is None else {"topology": topology}
     scenario = build_scenario("heterogeneous", 4, seed=0, **params)
     config = TrainerConfig(max_sim_time=10.0, eval_interval_s=5.0, seed=0)
@@ -131,7 +132,7 @@ def run_both(build, labels):
 
 
 class TestFastPathBitIdentity:
-    """Cells the engine advances through the vectorized numpy regime."""
+    """Cells the engine advances in vectorized lockstep."""
 
     def test_static_links_noise_free(self):
         run_both(
@@ -185,7 +186,7 @@ class TestFastPathBitIdentity:
 
 
 class TestGeneralPathBitIdentity:
-    """Sampler-backed MLP cells: the engine calls real trainer methods."""
+    """Sampler-backed MLP cells: the engine calls their own ``run()``."""
 
     def test_golden_scenario_adpsgd_and_saps(self, mlp_workload):
         run_both(
@@ -200,8 +201,8 @@ class TestGeneralPathBitIdentity:
         )
 
     def test_mixed_fast_and_general_batch(self, mlp_workload):
-        """One engine, both regimes at once: a quadratic fast cell and a
-        sampler-backed general cell advance in the same lockstep rounds."""
+        """One engine, one vectorized quadratic cell and one per-event
+        sampler-backed cell: results come back in input order."""
         builders = [
             lambda: quadratic_trainer("adpsgd", 4),
             lambda: mlp_trainer(mlp_workload, "adpsgd"),
@@ -210,6 +211,38 @@ class TestGeneralPathBitIdentity:
             lambda i: builders[i](),
             ["mixed fast cell", "mixed general cell"],
         )
+
+    def test_construction_leaves_a_per_event_cell_untouched(self, mlp_workload):
+        """The engine mirrors only what it vectorizes: until ``run()``, an
+        MLP trainer's selection streams, samplers and simulator are exactly
+        as constructed (nothing drawn, nothing scheduled, nothing begun)."""
+
+        def stream_states(trainer):
+            return [
+                rng.bit_generator.state
+                for rng in (
+                    trainer.rng,
+                    *trainer._selection_rngs,
+                    *(task.sampler._rng for task in trainer.tasks),
+                )
+            ]
+
+        trainer = mlp_trainer(mlp_workload, "adpsgd")
+        before = stream_states(trainer)
+        quadratic = quadratic_trainer("adpsgd", 4)
+        engine = BatchedSimulator([quadratic, trainer])
+        assert stream_states(trainer) == before
+        assert trainer.sim.pending == 0
+        assert trainer.sim.events_processed == 0
+        assert trainer.sim.now == 0.0
+        assert not any(trainer.comm._inbound) and not any(trainer.comm._outbound)
+        assert all(task.iterations == 0 for task in trainer.tasks)
+        inline = mlp_trainer(mlp_workload, "adpsgd").run()
+        assert_bit_identical(inline, engine.run()[1], "untouched until run()")
+        # The lockstep loop counted only the quadratic cell's events; the
+        # per-event cell reports through its own simulator.
+        assert trainer.sim.events_processed > 0
+        assert engine.events_processed == quadratic.sim.events_processed
 
 
 class TestValidation:
