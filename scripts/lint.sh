@@ -27,6 +27,7 @@ if python -c "import mypy" > /dev/null 2>&1; then
     echo "== mypy (typed islands)"
     python -m mypy src/repro/graph/__init__.py src/repro/graph/topology.py \
         src/repro/simulation/records.py src/repro/algorithms/gossip.py \
+        src/repro/experiments/cache.py \
         || status=1
 else
     echo "== mypy not installed; skipping (CI runs it)"

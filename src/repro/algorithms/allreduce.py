@@ -12,38 +12,23 @@ classic ring-allreduce cost, bottlenecked by the slowest link -- exactly why
 the paper finds Allreduce-SGD suffers on heterogeneous networks (Fig. 5)
 while staying competitive on homogeneous ones (Fig. 6).
 
-Under churn the algorithm degrades round by round
-(:meth:`~repro.algorithms.base.DecentralizedTrainer.round_participants`):
-membership is the active set at round start, the ring and the gradient mean
-renormalize over the members, departed replicas freeze, and a rejoiner is
-re-admitted at its next round -- where it first syncs to the group model
-(bulk-synchronous training keeps one logical model; gradients are always
-taken at the shared parameters).
+The round itself (and how it degrades under churn: membership is the
+active set at round start, so the ring renormalizes over the members) is
+:class:`~repro.algorithms.bulksync.BulkSynchronousTrainer`'s; this trainer
+prices the exchange.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.algorithms.base import DecentralizedTrainer
-from repro.ml.optim import SGDState
+from repro.algorithms.bulksync import BulkSynchronousTrainer
 
 __all__ = ["AllreduceTrainer"]
 
 
-class AllreduceTrainer(DecentralizedTrainer):
+class AllreduceTrainer(BulkSynchronousTrainer):
     """Bulk-synchronous data parallelism with ring all-reduce."""
 
     name = "allreduce"
-    supports_churn = True
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # One logical global model (replicated onto every member each round);
-        # a single optimizer keeps momentum attached to it rather than to
-        # any worker, so churned rounds cannot fork the momentum state.
-        self._optimizer = SGDState(self.config.sgd, self.tasks[0].model.dim)
-        self._global_params = self.tasks[0].model.get_params()
 
     def ring_allreduce_time(self, time: float, members: list[int] | None = None) -> float:
         """Duration of one ring all-reduce over ``members`` starting at ``time``."""
@@ -59,31 +44,4 @@ class AllreduceTrainer(DecentralizedTrainer):
         steps = 2 * (m - 1)
         return steps * (chunk / min(bandwidths) + max(latencies))
 
-    def _setup(self) -> None:
-        self.sim.schedule_at(0.0, self._round)
-
-    def _round(self) -> None:
-        members = self.round_participants()
-        lr = self.current_lr()
-        computes = [self.compute_time(i) for i in members]
-        duration = max(computes) + self.ring_allreduce_time(self.sim.now, members)
-
-        grads = []
-        for i in members:
-            if self.churn is not None:
-                # Re-admitted rejoiners sync to the group model before
-                # computing; without churn every replica already holds it
-                # (skipping the per-member parameter copy on the hot path).
-                self.tasks[i].model.set_params(self._global_params)
-            _, grad = self.tasks[i].sample_loss_and_grad()
-            grads.append(grad)
-        mean_grad = np.mean(grads, axis=0)
-        self._global_params = self._optimizer.step(self._global_params, mean_grad, lr)
-        for i in members:
-            self.tasks[i].model.set_params(self._global_params)
-        for i, compute in zip(members, computes):
-            self.record_iteration(i, compute, duration)
-
-        next_time = self.sim.now + duration
-        if next_time < self.config.max_sim_time:
-            self.sim.schedule_at(next_time, self._round)
+    _exchange_time = ring_allreduce_time

@@ -30,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from repro.algorithms.base import DecentralizedTrainer
+from repro.algorithms.bulksync import BulkSynchronousTrainer
 from repro.ml.optim import SGDState
 
 __all__ = ["PSSynTrainer", "PSAsynTrainer"]
@@ -58,19 +59,10 @@ class _ParameterServerMixin:
         return max(self.ps_bandwidth(w, time) for w in range(self.num_workers))
 
 
-class PSSynTrainer(_ParameterServerMixin, DecentralizedTrainer):
+class PSSynTrainer(_ParameterServerMixin, BulkSynchronousTrainer):
     """Synchronous parameter server."""
 
     name = "ps-syn"
-    supports_churn = True
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._ps_optimizer = SGDState(self.config.sgd, self.tasks[0].model.dim)
-        # The PS's own copy of the global model: under churn the anchor
-        # worker's replica may be frozen mid-run, so the PS state cannot
-        # live in any worker task.
-        self._ps_params = self.tasks[0].model.get_params()
 
     def exchange_time(self, time: float, members: list[int] | None = None) -> float:
         """One full push-gradients + pull-model synchronous exchange."""
@@ -86,34 +78,7 @@ class PSSynTrainer(_ParameterServerMixin, DecentralizedTrainer):
         # serialization at the PS NIC and the slowest individual link.
         return 2.0 * max(incast, slowest)
 
-    def _setup(self) -> None:
-        self.sim.schedule_at(0.0, self._round)
-
-    def _round(self) -> None:
-        members = self.round_participants()
-        lr = self.current_lr()
-        computes = [self.compute_time(i) for i in members]
-        duration = max(computes) + self.exchange_time(self.sim.now, members)
-
-        grads = []
-        for i in members:
-            if self.churn is not None:
-                # Re-admitted rejoiners pull the current global model before
-                # computing; without churn every replica already holds it
-                # (skipping the per-member parameter copy on the hot path).
-                self.tasks[i].model.set_params(self._ps_params)
-            _, grad = self.tasks[i].sample_loss_and_grad()
-            grads.append(grad)
-        mean_grad = np.mean(grads, axis=0)
-        self._ps_params = self._ps_optimizer.step(self._ps_params, mean_grad, lr)
-        for i in members:
-            self.tasks[i].model.set_params(self._ps_params)
-        for i, compute in zip(members, computes):
-            self.record_iteration(i, compute, duration)
-
-        next_time = self.sim.now + duration
-        if next_time < self.config.max_sim_time:
-            self.sim.schedule_at(next_time, self._round)
+    _exchange_time = exchange_time
 
 
 class PSAsynTrainer(_ParameterServerMixin, DecentralizedTrainer):

@@ -60,6 +60,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import itertools
 import json
@@ -568,7 +569,7 @@ def _run_sweep_worker(args: argparse.Namespace) -> int:
     print(f"worker {summary.worker}: {summary.executed} cell(s) executed, "
           f"{summary.skipped} already done, {summary.failed} failed "
           f"attempt(s), {summary.reclaimed} stale lease(s) reclaimed")
-    _write_json_summary(args.json_summary, summary.as_dict())
+    _write_json_summary(args.json_summary, dataclasses.asdict(summary))
     # Nonzero on any failed attempt so orchestration (cron, job arrays)
     # can spot an unhealthy worker host without watching the coordinator.
     return 1 if summary.failed else 0

@@ -308,7 +308,7 @@ class TestStaleLeaseReclaim:
             lease_timeout_s=0.2,
             run_id="test-run",
         )
-        assert queue.enqueue(cell)
+        assert queue.enqueue(cell, run="t")
         claim = queue.claim()  # "worker" claims, then dies: no heartbeat
         assert claim is not None and queue.pending_tasks() == []
 
@@ -334,7 +334,7 @@ class TestStaleLeaseReclaim:
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         (cell,) = spec.cells()
         queue = WorkQueue(str(tmp_path / "queue"))
-        assert queue.enqueue(cell, attempt=3)
+        assert queue.enqueue(cell, run="t", attempt=3)
         assert queue.claim() is not None
         assert queue.reclaim_stale(lease_timeout_s=0.2, max_attempts=3) == 0
         time.sleep(0.3)
@@ -362,7 +362,7 @@ class TestStaleLeaseReclaim:
             lease_timeout_s=0.5,
             run_id="test-run",
         )
-        assert queue.enqueue(cell)
+        assert queue.enqueue(cell, run="t")
 
         worker = multiprocessing.Process(
             target=run_queue_worker, args=(queue_dir,), daemon=True
@@ -409,7 +409,7 @@ class TestStaleLeaseReclaim:
             lease_timeout_s=0.2,
             run_id="test-run",
         )
-        queue.enqueue(cell)
+        queue.enqueue(cell, run="t")
         claim = queue.claim()  # dead peer: claims, then never heartbeats
         assert claim is not None
 
@@ -542,11 +542,11 @@ class TestWorkQueuePrimitives:
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         (cell,) = spec.cells()
         queue = WorkQueue(str(tmp_path / "queue"))
-        assert queue.enqueue(cell)
-        assert not queue.enqueue(cell)  # already queued: dedup
+        assert queue.enqueue(cell, run="t")
+        assert not queue.enqueue(cell, run="t")  # already queued: dedup
         assert queue.claim() is not None
         assert queue.claim() is None  # second claimant loses
-        assert not queue.enqueue(cell)  # leased: still dedup
+        assert not queue.enqueue(cell, run="t")  # leased: still dedup
 
     def test_unreadable_task_spec_fails_terminally_not_the_worker(self, tmp_path):
         """Garbage bytes in tasks/ must become a failed/ record -- never an
@@ -556,7 +556,7 @@ class TestWorkQueuePrimitives:
             cache_dir=queue.default_results_dir(),
             max_attempts=3, lease_timeout_s=30.0, run_id="test-run",
         )
-        bad = os.path.join(queue.tasks_dir, "deadbeef" * 8 + ".a1.task")
+        bad = os.path.join(queue.tasks_dir, "deadbeef" * 8 + ".p00000000.rtest-run.a1.task")
         with open(bad, "wb") as handle:
             handle.write(b"\x80\x04 not a sweep cell")
         summary = run_queue_worker(
@@ -602,7 +602,7 @@ class TestWorkQueuePrimitives:
         ResultCache(queue.default_results_dir()).store(
             cell.cache_key(), cell.execute()
         )
-        queue.enqueue(cell)
+        queue.enqueue(cell, run="t")
         summary = run_queue_worker(
             str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2
         )
@@ -651,7 +651,7 @@ class TestWorkQueuePrimitives:
             cache_dir=queue.default_results_dir(),
             max_attempts=3, lease_timeout_s=30.0, run_id="next-run",
         )
-        queue.enqueue(cell)
+        queue.enqueue(cell, run="t")
         summary = run_queue_worker(
             str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2
         )

@@ -13,26 +13,30 @@ aggregation.
 import json
 import os
 import pickle
+import string
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.experiments.broker import _TaskName
 from repro.experiments.executors import (
     MIN_LEASE_TIMEOUT_S,
     InlineExecutor,
     QueueExecutor,
     ResultCache,
     WorkQueue,
+    make_executor,
+    run_queue_worker,
+)
+from repro.experiments.worker import (
     _append_heartbeat_byte,
     _LeaseHeartbeat,
     _local_worker_entry,
     _poll_delay,
     _poll_jitter,
-    _TaskName,
-    make_executor,
-    run_queue_worker,
 )
 from repro.experiments.harness import estimate_cell_cost
 from repro.experiments.reporting import format_worker_health
@@ -71,7 +75,7 @@ def single_cell_claim(tmp_path):
     spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
     (cell,) = spec.cells()
     queue = make_queue(tmp_path)
-    assert queue.enqueue(cell)
+    assert queue.enqueue(cell, run="t")
     claim = queue.claim()
     assert claim is not None
     return queue, claim
@@ -121,7 +125,7 @@ class TestCounterStaleness:
         path = str(tmp_path / "gone.lease")
         with open(path, "wb") as handle:
             handle.write(b"payload")
-        with _LeaseHeartbeat(path, interval_s=0.05):
+        with _LeaseHeartbeat([path], interval_s=0.05):
             deadline = time.monotonic() + 5.0
             while (os.path.getsize(path) == len(b"payload")
                    and time.monotonic() < deadline):
@@ -436,11 +440,38 @@ class TestTaskNames:
         assert name.stem() == "ab" * 32 + ".p00000005.rdeadbeef.a2"
         assert _TaskName.parse(name.stem() + ".task") == name
 
-    def test_pre_service_format_still_parses(self):
-        """PR 5 queue directories survive a coordinator upgrade."""
-        old = _TaskName.parse("cd" * 32 + ".a3.task")
-        assert old == _TaskName(key="cd" * 32, attempt=3, run="", priority=0)
-        assert old.stem() == "cd" * 32 + ".a3"  # run-less stays old-format
+    def test_pre_service_format_does_not_parse(self):
+        """The run-less PR 5 name is gone: one task-name generation."""
+        assert _TaskName.parse("cd" * 32 + ".a3.task") is None
+
+    @given(
+        key=st.text("0123456789abcdef", min_size=1, max_size=64),
+        run=st.text(string.ascii_letters + string.digits + "_-", min_size=1,
+                    max_size=40),
+        attempt=st.integers(1, 10**6),
+        priority=st.integers(0, _TaskName.MAX_PRIORITY),
+    )
+    def test_every_valid_run_id_roundtrips(self, key, run, attempt, priority):
+        name = _TaskName(key=key, attempt=attempt, run=run, priority=priority)
+        assert _TaskName.parse(name.stem() + ".task") == name
+        assert _TaskName.parse(name.stem() + ".lease") == name
+
+    @pytest.mark.parametrize("run", ["x.r1", "team/one", "", "a b", "r\n"])
+    def test_run_ids_outside_the_alphabet_are_rejected(self, tmp_path, run):
+        """``x.r1`` would parse back as another (key, run) pair and strand
+        its result under a garbage key; ``team/one`` leaves the directory."""
+        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
+        (cell,) = spec.cells()
+        queue = make_queue(tmp_path)
+        with pytest.raises(ValueError, match="run id"):
+            queue.enqueue(cell, run=run)
+        with pytest.raises(ValueError, match="run id"):
+            queue.write_config(
+                cache_dir=queue.default_results_dir(), max_attempts=3,
+                lease_timeout_s=5.0, run_id=run,
+            )
+        assert queue.pending_tasks() == [] and queue.list_runs() == []
+        assert queue.read_config() is None
 
     def test_priority_is_clamped(self, tmp_path):
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
@@ -633,9 +664,9 @@ class TestStatusSnapshot:
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         (cell,) = spec.cells()
         queue = make_queue(tmp_path)
-        queue.enqueue(cell)  # run-less, PR 5 style
+        queue.enqueue(cell, run="t")  # a run nobody registered
         (run,) = queue.status_snapshot()["runs"]
-        assert run == {"run_id": "", "active": None, "coordinator": None,
+        assert run == {"run_id": "t", "active": None, "coordinator": None,
                        "pending": 1, "leased": 0}
 
     def test_stop_deactivates_only_its_run(self, tmp_path):

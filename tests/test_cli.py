@@ -193,7 +193,7 @@ class TestCommands:
             cache_dir=queue.default_results_dir(),
             max_attempts=3, lease_timeout_s=30.0, run_id="test-run",
         )
-        queue.enqueue(cell)
+        queue.enqueue(cell, run="t")
         summary_path = tmp_path / "worker.json"
         code = main([
             "sweep-worker", "--queue-dir", str(tmp_path / "q"),

@@ -1,6 +1,7 @@
 """Swallowed-exception detection (RPL040).
 
-The broker's lease/retry paths (``executors.py``) turn worker crashes into
+The broker's lease/retry paths (``experiments/broker.py``, driven by
+``worker.py`` and ``executors.py``) turn worker crashes into
 recorded, retryable failures; a broad ``except`` that silently discards the
 error would instead turn them into hung sweeps and missing cells. A broad
 handler is fine when it *re-raises* or *reports* (binds the exception and
