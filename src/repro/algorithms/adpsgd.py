@@ -61,22 +61,19 @@ class ADPSGDTrainer(GossipTrainer):
     def _choose_peer(self, worker: int) -> int:
         """Sample a gossip partner; ``worker`` itself means "no live peer".
 
+        Uniform over the cached neighbors ``worker`` can reach right now.
         With every worker up and every edge live (always true on static
-        graphs without churn, and most of the time otherwise) this is the
-        O(1) hot path: indexing with rng.integers draws the same stream as
-        rng.choice on the cached neighbor array, without choice()'s per-call
-        setup. The filtered path -- some worker departed (churn) or some
-        edge currently failed (time-varying topology) -- draws the same
-        stream too whenever the live list coincides with the cache.
+        graphs without churn, and most of the time otherwise) that is the
+        cache itself, the O(1) hot path: indexing with rng.integers draws
+        the same stream as rng.choice on the cached neighbor array, without
+        choice()'s per-call setup. The filtered list -- some worker departed
+        (churn) or some edge currently failed (time-varying topology) --
+        draws the same stream too whenever it coincides with the cache.
         """
-        neighbors = self._neighbor_cache[worker]
-        if not (self._all_active and self._edges_all_up):
-            edges = self._edge_adjacency[worker]
-            live = [int(n) for n in neighbors if self._active[n] and edges[n]]
-            if not live:
-                return worker  # compute-only iteration until a peer returns
-            return live[self._selection_rngs[worker].integers(len(live))]
-        return int(neighbors[self._selection_rngs[worker].integers(neighbors.size)])
+        peers = self.reachable_peers(worker, self._neighbor_cache[worker])
+        if not len(peers):
+            return worker  # compute-only iteration until a peer returns
+        return int(peers[self._selection_rngs[worker].integers(len(peers))])
 
     def _select_peer(self, worker: int) -> tuple[int, float]:
         return self._choose_peer(worker), self.mixing_weight

@@ -9,6 +9,13 @@ events for synchronous ones) and call :meth:`record_iteration` for every
 local iteration so the epoch-cost decomposition of Figs. 5-6 is maintained
 uniformly.
 
+The trainer also owns the run's network state -- which workers are up
+(churn) and which edges are live (a time-varying topology, kept as the one
+frozen :class:`~repro.graph.Topology` of the current segment, never a dense
+matrix) -- and answers the only question gossip asks of it in one place:
+:meth:`DecentralizedTrainer.reachable` (peer active and edge live) and its
+row form :meth:`DecentralizedTrainer.reachable_peers`.
+
 Evaluation happens on the virtual clock too: every ``eval_interval_s``
 simulated seconds, the mean training loss across workers (each on a fixed
 probe of its own shard) and the test accuracy of the parameter-averaged
@@ -156,7 +163,6 @@ class DecentralizedTrainer(abc.ABC):
         profile: paper-scale cost profile (message bytes, compute time).
         config: run-wide configuration.
         test_data: optional ``(features, labels)`` for accuracy evaluation.
-        compute_model: override the default homogeneous compute model.
         flow_sharing: model NIC contention between concurrent transfers
             (default True; disable for idealized-network ablations).
         churn: optional :class:`~repro.simulation.churn.ChurnSchedule` of
@@ -194,9 +200,9 @@ class DecentralizedTrainer(abc.ABC):
     # ignores would fake churn-robustness.
     supports_churn = False
     # Whether this algorithm knows how to gossip over a time-varying edge
-    # set (a DynamicTopology). Gossip trainers compose the live-edge mask
-    # with the churn activity mask in peer selection and never start a
-    # transfer on a failed edge; the synchronous baselines treat the link
+    # set (a DynamicTopology). Gossip trainers select peers through
+    # reachable() (peer active and edge live) and never start a transfer
+    # on a failed edge; the synchronous baselines treat the link
     # model as a routed underlay and have no per-edge semantics, so they
     # reject dynamic topologies explicitly rather than silently ignoring
     # the schedule.
@@ -218,7 +224,6 @@ class DecentralizedTrainer(abc.ABC):
         profile: ModelCostProfile,
         config: TrainerConfig,
         test_data: tuple[np.ndarray, np.ndarray] | None = None,
-        compute_model: ComputeModel | None = None,
         flow_sharing: bool = True,
         churn: ChurnSchedule | None = None,
         compression: "CompressionOp | None" = None,
@@ -275,7 +280,7 @@ class DecentralizedTrainer(abc.ABC):
             ]
         else:
             self._compression_rngs = None
-        self.compute_model = compute_model or ComputeModel(profile, len(tasks))
+        self.compute_model = ComputeModel(profile, len(tasks))
         self.rng = np.random.default_rng(config.seed)
         self.sim = Simulator()
         self.history = TrainingHistory()
@@ -302,16 +307,12 @@ class DecentralizedTrainer(abc.ABC):
         self.churn = churn
         self._active = [True] * len(tasks)
         self._all_active = True
-        # Time-varying topology state: the currently live adjacency (every
-        # edge schedule starts with all base edges up) plus a fast-path flag.
-        # For a static topology both are constant for the whole run, and the
-        # "adjacency" is a CSR-backed view answering the same [a, b] /
-        # [a][b] lookups without materializing the O(N^2) dense matrix.
+        # Time-varying topology state: the frozen Topology of the edges live
+        # right now (the CSR segment a DynamicTopology precomputed; a static
+        # topology is its own live graph for the whole run) plus a fast-path
+        # flag -- every edge schedule starts with all base edges up.
         self._edges_dynamic = bool(topology.is_dynamic)
-        if self._edges_dynamic:
-            self._edge_adjacency = topology.adjacency_at(0.0)
-        else:
-            self._edge_adjacency = topology.adjacency_view()
+        self._live = topology.topology_at(0.0)
         self._edges_all_up = True
         # (time, a, b, kind) edge transitions actually executed, for
         # diagnostics and the dynamic-edge correctness tests.
@@ -372,16 +373,36 @@ class DecentralizedTrainer(abc.ABC):
         """Wire bytes per model transfer (compressed when an op is set)."""
         return self._message_bytes
 
-    def worker_batch_size(self, worker: int) -> int:
-        return self._worker_batches[worker]
-
     def compute_time(self, worker: int) -> float:
         """Local gradient computation time ``C_i`` for one iteration."""
         return self.compute_model.compute_time(worker, self._worker_batches[worker])
 
-    def is_active(self, worker: int) -> bool:
-        """Whether ``worker`` is currently part of the run (churn-aware)."""
-        return self._active[worker]
+    def reachable(self, worker: int, peer: int) -> bool:
+        """Whether ``worker`` can gossip with its neighbor ``peer`` right now.
+
+        The run's one liveness rule: ``peer`` is active and the edge
+        ``(worker, peer)`` is live. ``peer`` must be a base-graph neighbor
+        of ``worker`` (every caller draws it from a neighbor cache), so
+        while every edge is up the graph is not consulted at all.
+        """
+        return self._active[peer] and (
+            self._edges_all_up or self._live.has_edge(worker, peer)
+        )
+
+    def reachable_peers(
+        self, worker: int, neighbors: np.ndarray
+    ) -> np.ndarray | list[int]:
+        """``neighbors`` filtered, in order, by :meth:`reachable`.
+
+        ``neighbors`` is any subset of ``worker``'s base-graph neighbors;
+        with every worker up and every edge live (always, on a static graph
+        without churn) it is returned as is. Otherwise one pass intersects
+        it with the live CSR row: O(deg), no per-neighbor binary search.
+        """
+        if self._all_active and self._edges_all_up:
+            return neighbors
+        live = set(self._live.neighbors(worker).tolist())
+        return [n for n in neighbors.tolist() if self._active[n] and n in live]
 
     def active_workers(self) -> list[int]:
         """Indices of the currently active workers."""
@@ -431,7 +452,7 @@ class DecentralizedTrainer(abc.ABC):
                 f"transfer {sender} -> {receiver} at t={self.sim.now:.3f} "
                 "targets a departed worker"
             )
-        if self._edges_dynamic and not self._edge_adjacency[receiver, sender]:
+        if self._edges_dynamic and not self._live.has_edge(receiver, sender):
             raise RuntimeError(
                 f"transfer {sender} -> {receiver} at t={self.sim.now:.3f} "
                 "crosses a currently-failed edge"
@@ -519,19 +540,20 @@ class DecentralizedTrainer(abc.ABC):
                 self.sim.schedule_at(time, self._edge_flip_event)
 
     def _edge_flip_event(self) -> None:
-        old = self._edge_adjacency
-        new = self.topology.adjacency_at(self.sim.now)
-        rows, cols = np.nonzero(np.triu(old != new, k=1))
-        for a, b in zip(rows.tolist(), cols.tolist()):
-            kind = "repair" if new[a, b] else "fail"
+        new = self.topology.topology_at(self.sim.now)
+        # Edge lists, not matrices: a flip costs O(E), and the sorted
+        # symmetric difference is the (a, b)-ascending order of the log.
+        for a, b in sorted(set(self._live.edges()) ^ set(new.edges())):
+            kind = "repair" if new.has_edge(a, b) else "fail"
             self.edge_log.append((self.sim.now, a, b, kind))
-        self._edge_adjacency = new
-        self._edges_all_up = bool(np.array_equal(new, self.topology.adjacency))
+        self._live = new
+        # The live graph is a subgraph of the base: equal counts, equal sets.
+        self._edges_all_up = new.num_edges() == self.topology.num_edges()
         self._on_edges_changed()
 
     def _on_edges_changed(self) -> None:
         """Hook: the live edge set just changed (subclasses re-derive their
-        selection state from ``self._edge_adjacency``)."""
+        selection state through :meth:`reachable`)."""
 
     def round_participants(self) -> list[int]:
         """Membership of a synchronous round starting now: the active set.

@@ -16,10 +16,17 @@ A concrete trainer supplies two hooks and nothing else about the loop:
 - :meth:`GossipTrainer._apply_update` -- what one finished iteration does
   to the worker's model.
 
-Per worker, the loop draws randomness in a fixed order (peer selection,
-then compute jitter) and issues its simulator ``schedule_*`` calls in a
-fixed order (sequence numbers are the event queue's tie-breaks); the
-golden-regression suite pins both.
+Hooks and loop alike learn whether a peer can be gossiped with through the
+base class's :meth:`~repro.algorithms.base.DecentralizedTrainer.reachable`
+(peer active and edge live) or its row form ``reachable_peers``, never from
+the graph itself: a selector must return a peer that is reachable at
+selection time (or the worker), and the loop asks again before it starts a
+serial pull or mixes in one that was in flight across a churn transition
+or an edge flip.
+
+Per worker, the loop draws randomness only in peer selection and issues its
+simulator ``schedule_*`` calls in a fixed order (sequence numbers are the
+event queue's tie-breaks); the golden-regression suite pins both.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ class GossipTrainer(DecentralizedTrainer):
     ) -> None:
         if epoch != self._churn_epoch[worker]:
             return  # the worker departed during the computation: stale loop
-        if not self._active[peer] or not self._edge_adjacency[worker, peer]:
+        if not self.reachable(worker, peer):
             # The chosen peer departed -- or the edge to it failed -- during
             # the gradient computation; fall back to a compute-only
             # completion rather than pull over a dead link.
@@ -170,9 +177,7 @@ class GossipTrainer(DecentralizedTrainer):
             return
         lr = self.current_lr()
         _, grad = self.tasks[worker].sample_loss_and_grad()
-        if peer != worker and not (
-            self._active[peer] and self._edge_adjacency[worker, peer]
-        ):
+        if peer != worker and not self.reachable(worker, peer):
             # Peer departed -- or its edge failed -- while the transfer was
             # in the air: drop the pull and book the iteration as
             # compute-only (updates never incorporate state delivered over

@@ -36,7 +36,6 @@ class NetMaxTrainer(GossipTrainer):
             (paper: 120 s; scale with your simulated run length).
         ema_beta: smoothing factor of the iteration-time EMA (line 21).
         policy_outer_rounds / policy_inner_rounds: Algorithm 3's ``K``/``R``.
-        policy_epsilon: accuracy target in the convergence-time prediction.
         monitor_min_coverage: fraction of neighbor pairs that must have a
             time measurement before the monitor publishes. Strictly below 1:
             waiting for *every* directed pair makes the first policy hostage
@@ -65,7 +64,6 @@ class NetMaxTrainer(GossipTrainer):
         ema_beta: float = 0.8,
         policy_outer_rounds: int = 8,
         policy_inner_rounds: int = 8,
-        policy_epsilon: float = 1e-2,
         monitor_min_coverage: float = 0.9,
         policy_scope: str = "global",
         policy_local_hops: int = 2,
@@ -101,7 +99,6 @@ class NetMaxTrainer(GossipTrainer):
             self.topology,
             outer_rounds=policy_outer_rounds,
             inner_rounds=policy_inner_rounds,
-            epsilon=policy_epsilon,
             min_coverage=monitor_min_coverage,
             policy_cache=PolicyCache(),
             policy_scope=policy_scope,
@@ -117,26 +114,29 @@ class NetMaxTrainer(GossipTrainer):
         if self.adaptive:
             self.sim.schedule_in(self.monitor_period_s, self._monitor_tick)
 
-    # -- churn ------------------------------------------------------------------
+    # -- churn and time-varying edges -------------------------------------------
 
-    def _apply_active_mask(self) -> None:
-        """Push the cluster's activity mask into every consensus worker, so
-        neighbor selection renormalizes the policy row over live peers."""
-        mask = None if all(self._active) else np.asarray(self._active, dtype=bool)
-        for state in self.workers:
-            state.set_active_mask(mask)
+    def _push_reachability(self) -> None:
+        """Hand every consensus worker the mask of peers it can reach (active
+        and over a live edge; ``None`` while that is everyone), so neighbor
+        selection renormalizes the policy row over them."""
+        everyone = self._all_active and self._edges_all_up
+        for i, state in enumerate(self.workers):
+            mask = None
+            if not everyone:
+                mask = np.zeros(self.num_workers, dtype=bool)
+                mask[self.reachable_peers(i, state.neighbors)] = True
+            state.set_reachable(mask)
 
     def _on_worker_leave(self, worker: int) -> None:
-        self._apply_active_mask()
+        self._push_reachability()
 
     def _on_worker_join(self, worker: int) -> None:
-        self._apply_active_mask()
+        self._push_reachability()
         super()._on_worker_join(worker)
 
-    # -- time-varying edges -----------------------------------------------------
-
     def _on_edges_changed(self) -> None:
-        """Push per-worker live-edge rows into selection, then re-plan.
+        """Re-mask selection, then re-plan.
 
         The monitor re-solves immediately when the edge-set signature
         changes (rather than waiting out the period): the policy in force
@@ -144,12 +144,7 @@ class NetMaxTrainer(GossipTrainer):
         cache attached, a flap back to a previously seen subgraph re-stages
         the cached policy without paying the LP grid again.
         """
-        if self._edges_all_up:
-            for state in self.workers:
-                state.set_edge_mask(None)
-        else:
-            for i, state in enumerate(self.workers):
-                state.set_edge_mask(self._edge_adjacency[i])
+        self._push_reachability()
         if self.adaptive:
             self._run_monitor()
 
@@ -204,8 +199,12 @@ class NetMaxTrainer(GossipTrainer):
         stage the policy at the workers. Called by the periodic tick and,
         on a time-varying topology, by every edge-set change."""
         raw_times = np.stack([state.time_vector() for state in self.workers])
-        active = None if all(self._active) else np.asarray(self._active, dtype=bool)
-        adjacency = None if self._edges_all_up else self._edge_adjacency
+        active = None if self._all_active else np.asarray(self._active, dtype=bool)
+        # The LP wants the whole d_im table: the one dense read of the live
+        # graph (gossip itself only ever asks reachable()).
+        adjacency = (
+            None if self._edges_all_up else self.topology.adjacency_at(self.sim.now)
+        )
         result = self.monitor.tick(
             raw_times, self.current_lr(), active=active, adjacency=adjacency
         )

@@ -43,7 +43,8 @@ class PragueTrainer(DecentralizedTrainer):
     """Randomized partial-allreduce training.
 
     Extra args:
-        group_size: workers per partial-allreduce group (>= 2).
+        group_size: workers per partial-allreduce group (>= 2; clamped to
+            the active-worker count when fewer are up).
         contention_factor: each additional concurrently-running group
             inflates communication time by this fraction.
     """
@@ -55,8 +56,6 @@ class PragueTrainer(DecentralizedTrainer):
         super().__init__(*args, **kwargs)
         if group_size < 2:
             raise ValueError(f"group_size must be >= 2, got {group_size}")
-        if group_size > self.num_workers:
-            raise ValueError("group_size cannot exceed the worker count")
         if contention_factor < 0:
             raise ValueError("contention_factor must be >= 0")
         self.group_size = int(group_size)

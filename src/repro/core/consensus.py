@@ -15,6 +15,12 @@ trainer drives it through the iteration protocol:
    ``x <- x - alpha * rho/2 * (d_im + d_mi)/p_im * (x - x_m)``;
 5. :meth:`record_time` -- line 16 / procedure UPDATETIMEVECTOR.
 
+The worker knows nothing about the network's state: whoever owns it (the
+trainer: churn's active set and the live edge set) composes one boolean
+mask of the peers this worker can currently reach and installs it with
+:meth:`ConsensusWorker.set_reachable`; selection renormalizes the policy
+row over that mask.
+
 Peers selected with low probability get a proportionally *larger* pull
 weight (the ``1/p_im`` factor), which is how NetMax retains information from
 slow-link neighbors it rarely contacts (Section V-F discussion).
@@ -81,17 +87,12 @@ class ConsensusWorker:
         if probabilities is None:
             probabilities = np.zeros(num_workers)
             probabilities[neighbors] = 1.0 / neighbors.size
-        # Churn support: boolean activity mask over all workers (None =
-        # everyone up). Selection renormalizes the policy row over the active
-        # neighbors; the staged policy itself is left untouched so a rejoin
-        # restores the original probabilities.
-        self._active_mask: np.ndarray | None = None
-        # Time-varying topology support: boolean row of peers this worker
-        # currently has a live edge to (None = every base edge up). Composed
-        # with the activity mask the same way -- the policy row keeps its
-        # mass, selection renormalizes over peers that are both active and
-        # reachable, and an edge repair restores the original probabilities.
-        self._edge_mask: np.ndarray | None = None
+        # Churn / time-varying topology support: boolean mask over all
+        # workers of the peers this worker can currently reach (None =
+        # everyone). Selection renormalizes the policy row over them; the
+        # staged policy itself is left untouched, so a rejoin or an edge
+        # repair restores the original probabilities.
+        self._reachable: np.ndarray | None = None
         self.probabilities = self._validate_row(probabilities)
         self._refresh_cdf()
         self._pending: tuple[np.ndarray, float] | None = None
@@ -120,23 +121,17 @@ class ConsensusWorker:
     def _refresh_cdf(self) -> None:
         """Cache the selection CDF over the *effective* probability row.
 
-        Rebuilt only when the policy row, activity mask, or edge mask
-        changes, so choose_peer is one uniform draw + searchsorted per
-        iteration (the same stream rng.choice(p=row) would consume). With no
-        masks the effective row IS the policy row; with departed peers or
-        failed edges their mass is renormalized over the remaining reachable
-        active neighbors (plus self), and a worker with no live peers left
-        degenerates to all-self (compute-only iterations).
+        Rebuilt only when the policy row or the reachability mask changes,
+        so choose_peer is one uniform draw + searchsorted per iteration (the
+        same stream rng.choice(p=row) would consume). With no mask the
+        effective row IS the policy row; with unreachable peers their mass
+        is renormalized over the remaining reachable neighbors (plus self),
+        and a worker with no reachable peer left degenerates to all-self
+        (compute-only iterations).
         """
         row = self.probabilities
-        if self._active_mask is not None or self._edge_mask is not None:
-            allowed = np.ones(self.num_workers, dtype=bool)
-            if self._active_mask is not None:
-                allowed &= self._active_mask
-            if self._edge_mask is not None:
-                allowed &= self._edge_mask
-            allowed[self.worker_id] = True
-            row = np.where(allowed, row, 0.0)
+        if self._reachable is not None:
+            row = np.where(self._reachable, row, 0.0)
             total = row.sum()
             if total <= 0.0:
                 row = np.zeros(self.num_workers)
@@ -148,24 +143,21 @@ class ConsensusWorker:
         cdf /= cdf[-1]
         self._cdf = cdf
 
-    def set_active_mask(self, mask: np.ndarray | None) -> None:
-        """Install the cluster's activity mask (churn) and re-derive the CDF."""
-        self._active_mask = self._checked_mask(mask)
-        self._refresh_cdf()
+    def set_reachable(self, mask: np.ndarray | None) -> None:
+        """Install the mask of currently reachable peers; re-derive the CDF.
 
-    def set_edge_mask(self, mask: np.ndarray | None) -> None:
-        """Install the live-edge row (time-varying topology); re-derive CDF."""
-        self._edge_mask = self._checked_mask(mask)
-        self._refresh_cdf()
-
-    def _checked_mask(self, mask: np.ndarray | None) -> np.ndarray | None:
+        The caller owns network state and composes the mask (the trainer:
+        peer active and edge live); the worker itself always stays allowed.
+        """
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
+            mask = np.array(mask, dtype=bool)
             if mask.shape != (self.num_workers,):
                 raise ValueError(
                     f"mask must have shape ({self.num_workers},), got {mask.shape}"
                 )
-        return mask
+            mask[self.worker_id] = True
+        self._reachable = mask
+        self._refresh_cdf()
 
     # -- policy management (Algorithm 2, lines 5-8) ---------------------------
 
@@ -252,7 +244,3 @@ class ConsensusWorker:
     def has_measured_all_neighbors(self) -> bool:
         """True once every neighbor has at least one time sample."""
         return all(self._times[int(n)].count > 0 for n in self.neighbors)
-
-    def reset_momentum(self) -> None:
-        """Clear the SGD velocity (after hard parameter overwrites)."""
-        self._sgd_state.reset()

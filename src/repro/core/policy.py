@@ -373,7 +373,12 @@ def generate_policy(
 # -- the signature-keyed policy cache ------------------------------------------
 
 
-def quantize_times(times: np.ndarray, digits: int = 3) -> np.ndarray:
+# Significant digits the cache keeps of every measured time (see
+# :func:`quantize_times`, whose default it is).
+_TIME_DIGITS = 3
+
+
+def quantize_times(times: np.ndarray, digits: int = _TIME_DIGITS) -> np.ndarray:
     """Round every positive entry to ``digits`` significant digits.
 
     The cache's canonical form for a time matrix: EMA-smoothed measurements
@@ -426,11 +431,10 @@ class PolicyCache:
     freshly solved policies are identical by construction for equal keys.
     """
 
-    def __init__(self, max_entries: int = 256, time_digits: int = 3):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self.time_digits = int(time_digits)
         self.stats = PolicyCacheStats()
         self._entries: OrderedDict[bytes, PolicyResult | None] = OrderedDict()
         # Warm-start sources: the most recent result per graph signature.
@@ -481,7 +485,7 @@ class PolicyCache:
         indicator = np.asarray(indicator, dtype=np.float64)
         if signature is None:
             signature = np.packbits(indicator > 0).tobytes()
-        quantized = quantize_times(times, self.time_digits)
+        quantized = quantize_times(times)
         key = self._key(
             signature, quantized, alpha, outer_rounds, inner_rounds, epsilon
         )

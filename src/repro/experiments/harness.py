@@ -37,15 +37,16 @@ __all__ = [
     "time_to_loss_speedups",
 ]
 
-# Rough relative per-event cost of each trainer family, for scheduling
-# only. Synchronous baselines pay a barrier per round; netmax's monitor
-# adds Algorithm 3 bookkeeping on top of the gossip path. The absolute
-# scale is arbitrary -- only the ordering of estimates matters.
+# Rough relative per-event cost of each trainer, for scheduling only, keyed
+# by registry name (any other trainer weighs 1.0, the gossip path).
+# Synchronous baselines pay a barrier per round; netmax's monitor adds
+# Algorithm 3 bookkeeping on top of the gossip path. The absolute scale is
+# arbitrary -- only the ordering of estimates matters.
 _RELATIVE_ALGORITHM_COST = {
     "allreduce": 1.5,
-    "ps": 1.5,
+    "ps-syn": 1.5,
+    "ps-asyn": 1.5,
     "adpsgd": 1.0,
-    "gossip": 1.0,
     "netmax": 2.0,
 }
 

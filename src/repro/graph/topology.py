@@ -11,9 +11,9 @@ Internally a :class:`Topology` stores the graph as CSR-style neighbor lists
 O(N·deg) for the sparse structured families (ring, torus, hypercube,
 expander, small-world) rather than O(N²); the dense boolean ``adjacency``
 matrix is materialized lazily, only for the callers that still want the full
-``d_im`` table (the policy LP, the NetMax monitor). Consumers that only need
-membership queries should use :meth:`Topology.adjacency_view`, which answers
-``view[a, b]`` / ``view[a][b]`` straight from the neighbor lists.
+``d_im`` table (the policy LP, the NetMax monitor). Membership queries
+(:meth:`Topology.has_edge`) and row reads (:meth:`Topology.neighbors`) are
+answered straight from the neighbor lists.
 
 Beyond the frozen graphs, this module hosts the *time-varying* topology
 substrate: an :class:`EdgeSchedule` scripts edge fail/repair transitions on
@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "Topology",
-    "AdjacencyView",
     "EdgeFlipEvent",
     "EdgeSchedule",
     "DynamicTopology",
@@ -74,48 +73,6 @@ def _csr_from_pairs(
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
-
-
-class _AdjacencyRow:
-    """One worker's boolean adjacency row, answered from its neighbor list."""
-
-    __slots__ = ("_neighbors",)
-
-    def __init__(self, neighbors: np.ndarray) -> None:
-        self._neighbors = neighbors
-
-    def __getitem__(self, peer: int) -> bool:
-        position = int(np.searchsorted(self._neighbors, peer))
-        return bool(
-            position < self._neighbors.size and self._neighbors[position] == peer
-        )
-
-
-class AdjacencyView:
-    """Read-only boolean edge lookups backed by the CSR neighbor lists.
-
-    Supports the two access patterns trainers use on a dense adjacency
-    matrix -- ``view[a, b]`` and ``row = view[a]; row[b]`` -- without
-    materializing the O(N²) matrix, so gossip peer selection on sparse
-    graphs stays O(deg) in both time and memory.
-    """
-
-    __slots__ = ("_indptr", "_indices")
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self._indptr = indptr
-        self._indices = indices
-
-    def _row(self, worker: int) -> np.ndarray:
-        return self._indices[self._indptr[worker]:self._indptr[worker + 1]]
-
-    def __getitem__(self, key: int | tuple[int, int]) -> bool | _AdjacencyRow:
-        if isinstance(key, tuple):
-            a, b = key
-            row = self._row(int(a))
-            position = int(np.searchsorted(row, b))
-            return bool(position < row.size and row[position] == b)
-        return _AdjacencyRow(self._row(int(key)))
 
 
 class Topology:
@@ -455,8 +412,8 @@ class Topology:
         """Read-only boolean adjacency matrix (the ``d_im`` indicators).
 
         Materialized lazily from the neighbor lists and cached; callers
-        that only need membership queries should prefer
-        :meth:`adjacency_view` / :meth:`has_edge`, which stay O(deg).
+        that only need membership queries should prefer :meth:`has_edge`,
+        which stays O(deg).
         """
         if self._dense is None:
             dense = np.zeros((self._num_workers, self._num_workers), dtype=bool)
@@ -467,11 +424,6 @@ class Topology:
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
-
-    def adjacency_view(self) -> AdjacencyView:
-        """O(deg) boolean edge lookups (``view[a, b]``, ``view[a][b]``)
-        without materializing the dense matrix."""
-        return AdjacencyView(self._indptr, self._indices)
 
     def indicator(self) -> np.ndarray:
         """``d_im`` as a float matrix, convenient for the policy math."""

@@ -219,49 +219,20 @@ class CommunicationModel:
 class ComputeModel:
     """Per-worker local computation time ``C_i`` for a given model profile.
 
-    ``C_i = profile.compute_time_s * (batch / reference_batch) * speed_factor_i``
-    with optional multiplicative log-normal jitter. Each worker draws its
-    jitter from its own ``default_rng([seed, worker])`` stream, so a worker's
-    sequence of compute times is a pure function of ``(seed, worker)`` no
-    matter how the simulator interleaves events across workers.
-    ``speed_factor_i`` models heterogeneous accelerators (all 1.0 by default:
-    the paper's GPUs are identical RTX 2080 Ti).
+    ``C_i = profile.compute_time_s * (batch / reference_batch)``: workers
+    differ only in their batch size (the paper's GPUs are identical
+    RTX 2080 Ti), and a compute time is a pure function of it -- no
+    randomness is consumed.
     """
 
-    def __init__(
-        self,
-        profile: ModelCostProfile,
-        num_workers: int,
-        speed_factors: np.ndarray | None = None,
-        jitter_std: float = 0.0,
-        seed: int = 0,
-    ):
+    def __init__(self, profile: ModelCostProfile, num_workers: int):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if jitter_std < 0:
-            raise ValueError("jitter_std must be >= 0")
         self.profile = profile
         self.num_workers = num_workers
-        if speed_factors is None:
-            speed_factors = np.ones(num_workers)
-        speed_factors = np.asarray(speed_factors, dtype=np.float64)
-        if speed_factors.shape != (num_workers,):
-            raise ValueError(
-                f"speed_factors must have shape ({num_workers},), got {speed_factors.shape}"
-            )
-        if np.any(speed_factors <= 0):
-            raise ValueError("speed factors must be positive")
-        self.speed_factors = speed_factors
-        self.jitter_std = float(jitter_std)
-        self._rngs = [
-            np.random.default_rng([seed, worker]) for worker in range(num_workers)
-        ]
-        # Per-worker seconds-per-sample, precomputed once: compute_time sits
-        # on the simulator's per-iteration hot path.
-        self._per_sample = [
-            float(profile.compute_time_s * factor / profile.reference_batch)
-            for factor in speed_factors
-        ]
+        # Seconds per sample, precomputed once: compute_time sits on the
+        # simulator's per-iteration hot path.
+        self._per_sample = profile.compute_time_s / profile.reference_batch
 
     def compute_time(self, worker: int, batch_size: int) -> float:
         """Duration of one gradient computation on ``worker``."""
@@ -269,7 +240,4 @@ class ComputeModel:
             raise ValueError(f"worker {worker} out of range")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        base = self._per_sample[worker] * batch_size
-        if self.jitter_std:
-            base *= float(np.exp(self._rngs[worker].normal(0.0, self.jitter_std)))
-        return base
+        return self._per_sample * batch_size

@@ -17,16 +17,15 @@ would have scheduled them -- so every cell replays its inline run event
 for event.
 
 A cell is vectorizable when every task is a sampler-less diagonal
-:class:`~repro.ml.problems.QuadraticProblem`, the compute model is
-jitter-free, and its model dimension is the batch's. Parameters,
-velocities, targets, curvatures, and all progress/cost counters then live
-in ``[cells, workers, dim]`` / ``[cells, workers]`` arrays, and one round's
-completions are processed with a handful of vectorized operations. Any
-other accepted cell (MLP tasks, sampler-backed or non-diagonal quadratics,
-jittered compute) is not mirrored at all: once the lockstep cells are done,
-:meth:`BatchedSimulator.run` calls that cell's own ``trainer.run()``, so it
-equals the inline run by construction and at per-event speed. The engine
-mirrors only what it vectorizes.
+:class:`~repro.ml.problems.QuadraticProblem` and its model dimension is the
+batch's. Parameters, velocities, targets, curvatures, and all progress/cost
+counters then live in ``[cells, workers, dim]`` / ``[cells, workers]``
+arrays, and one round's completions are processed with a handful of
+vectorized operations. Any other accepted cell (MLP tasks, sampler-backed
+or non-diagonal quadratics) is not mirrored at all: once the lockstep cells
+are done, :meth:`BatchedSimulator.run` calls that cell's own
+``trainer.run()``, so it equals the inline run by construction and at
+per-event speed. The engine mirrors only what it vectorizes.
 
 Determinism contract (pinned by the bit-identity suite):
 
@@ -234,8 +233,8 @@ class _Cell:
         self.selection_rngs = trainer._selection_rngs
         self.peer_buffers = [[] for _ in range(self.workers)]
         self.peer_positions = [0] * self.workers
-        # Jitter-free compute times are constant per worker; precompute the
-        # exact per-call value (no RNG is consumed when jitter_std == 0).
+        # Compute times are constant per worker (a pure function of the
+        # batch size); precompute the exact per-call value.
         self.compute_times = [
             trainer.compute_time(w) for w in range(self.workers)
         ]
@@ -463,8 +462,6 @@ class BatchedSimulator:
 
     @staticmethod
     def _vectorizable(trainer):
-        if trainer.compute_model.jitter_std:
-            return False
         for task in trainer.tasks:
             if task.sampler is not None:
                 return False

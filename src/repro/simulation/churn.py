@@ -25,8 +25,9 @@ Whole-worker churn has a per-edge sibling: *link* failures and repairs are
 scripted by :class:`repro.graph.topology.EdgeSchedule` and replayed through
 :class:`repro.graph.topology.DynamicTopology` with the same conventions
 (transitions apply at their exact timestamp, deterministic tie order,
-dedicated seed stream). The two compose: a trainer intersects the churn
-active-mask with the live-edge set when selecting gossip peers.
+dedicated seed stream). The two compose in one place: a peer is reachable
+when it is active and the edge to it is live
+(:meth:`repro.algorithms.base.DecentralizedTrainer.reachable`).
 """
 
 from __future__ import annotations

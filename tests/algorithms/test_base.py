@@ -1,10 +1,15 @@
 """Unit tests for the trainer base machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.algorithms.base import DecentralizedTrainer, TrainerConfig, WorkerTask
-from repro.graph import Topology
+from repro.algorithms.registry import create_trainer
+from repro.experiments.figures_scaling import scalability_scenario
+from repro.experiments.scenarios import make_quadratic_workload
+from repro.graph import DynamicTopology, EdgeSchedule, Topology
 from repro.ml.data import BatchSampler, Dataset
 from repro.ml.models import SoftmaxRegression
 from repro.ml.optim import PlateauDecayLR
@@ -176,3 +181,32 @@ class TestTrainerQueries:
             task.sample_loss_and_grad()
             trainer.record_iteration(0, 0.1, 0.2)
         assert trainer.costs.epochs_completed[0] == 1
+
+
+class TestEdgeFlipCost:
+    def test_flip_allocates_no_dense_matrix(self):
+        """A flip diffs two CSR edge lists: on the 1024-worker scaling
+        expander it stays under one dense 1024 x 1024 bool matrix (1 MB),
+        where diffing adjacency matrices took four."""
+        n = 1024
+        base, links = scalability_scenario(n)
+        a, b = base.edges()[0]
+        schedule = EdgeSchedule.flapping(n, (a, b), period_s=4.0, horizon_s=5.0)
+        tasks, _, profile = make_quadratic_workload(n, dim=2)
+        trainer = create_trainer(
+            "adpsgd", tasks, DynamicTopology(base, schedule), links, profile,
+            TrainerConfig(max_sim_time=5.0),
+        )
+        peaks = []
+        for event in schedule.events:
+            trainer.sim._now = event.time
+            tracemalloc.start()
+            try:
+                trainer._edge_flip_event()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert trainer._edges_all_up == (event.kind == "repair")
+            assert trainer.reachable(a, b) == (event.kind == "repair")
+        assert max(peaks) < n * n
+        assert trainer.edge_log == [(2.0, a, b, "fail"), (4.0, a, b, "repair")]

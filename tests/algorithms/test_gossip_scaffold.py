@@ -9,13 +9,19 @@ Two claims:
 2. **The scaffold is the only loop.** The four gossip trainers resolve
    ``_start_iteration`` / ``_serial_pull`` / ``_complete_iteration`` to
    :class:`GossipTrainer`'s.
+3. **Liveness has one spelling.** The loop and the uniform selector learn
+   "peer active and edge live" only through the base class's ``reachable``
+   / ``reachable_peers``; the dense-or-view twin they used to index is gone
+   from ``src/`` altogether.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms.adpsgd import ADPSGDTrainer
 from repro.algorithms.adpsgd_monitor import ADPSGDMonitorTrainer
 from repro.algorithms.base import TrainerConfig
@@ -45,7 +51,7 @@ class RoundRobinGossip(GossipTrainer):
         self.turn[worker] += 1
         reachable = [
             int(n) for n in self.topology.neighbors(worker)
-            if self._active[n] and self._edge_adjacency[worker, n]
+            if self.reachable(worker, n)
         ]
         peer = reachable[self.turn[worker] % len(reachable)] if reachable else worker
         self.selected[worker].append(peer)
@@ -208,3 +214,24 @@ class TestOneLoopOnly:
         for hook in ("_select_peer", "_apply_update"):
             assert getattr(trainer_cls, hook) is not getattr(GossipTrainer, hook)
         assert trainer_cls.supports_churn and trainer_cls.supports_dynamic_edges
+
+
+class TestOneLivenessRule:
+    SRC = Path(repro.__file__).parent
+
+    def test_the_dense_or_view_twin_is_gone(self):
+        retired = (
+            "_edge_adjacency", "adjacency_view", "AdjacencyView",
+            "set_edge_mask", "set_active_mask",
+        )
+        for path in sorted(self.SRC.rglob("*.py")):
+            source = path.read_text()
+            for name in retired:
+                assert name not in source, f"{path.relative_to(self.SRC)}: {name}"
+
+    @pytest.mark.parametrize("module", ["gossip.py", "adpsgd.py"])
+    def test_gossip_reads_liveness_only_through_reachable(self, module):
+        source = (self.SRC / "algorithms" / module).read_text()
+        assert "self.reachable" in source
+        for name in ("adjacency", "has_edge", "_live"):
+            assert name not in source, f"{module} reads {name}"

@@ -172,7 +172,7 @@ class TestActiveMask:
 
     def test_all_true_mask_matches_policy_row(self):
         worker = make_worker()
-        worker.set_active_mask(np.ones(4, dtype=bool))
+        worker.set_reachable(np.ones(4, dtype=bool))
         np.testing.assert_allclose(
             worker.effective_probabilities, worker.probabilities
         )
@@ -182,30 +182,30 @@ class TestActiveMask:
         worker.stage_policy(np.array([0.1, 0.6, 0.2, 0.1]), rho=0.5)
         worker.adopt_pending_policy()
         mask = np.array([True, False, True, True])  # peer 1 departed
-        worker.set_active_mask(mask)
+        worker.set_reachable(mask)
         effective = worker.effective_probabilities
         assert effective[1] == 0.0
         np.testing.assert_allclose(effective.sum(), 1.0)
         np.testing.assert_allclose(effective[[0, 2, 3]], [0.25, 0.5, 0.25])
         # The underlying policy row is untouched (restored on rejoin).
         np.testing.assert_allclose(worker.probabilities, [0.1, 0.6, 0.2, 0.1])
-        worker.set_active_mask(None)
+        worker.set_reachable(None)
         np.testing.assert_allclose(worker.effective_probabilities, worker.probabilities)
 
     def test_departed_peers_never_selected(self):
         worker = make_worker()
-        worker.set_active_mask(np.array([True, False, True, False]))
+        worker.set_reachable(np.array([True, False, True, False]))
         picks = {worker.choose_peer() for _ in range(200)}
         assert 1 not in picks and 3 not in picks
 
     def test_all_peers_departed_degenerates_to_self(self):
         worker = make_worker()
-        worker.set_active_mask(np.array([True, False, False, False]))
+        worker.set_reachable(np.array([True, False, False, False]))
         assert all(worker.choose_peer() == 0 for _ in range(20))
 
     def test_pull_weight_uses_effective_probability(self):
         worker = make_worker(rho=0.1)
-        worker.set_active_mask(np.array([True, True, True, False]))
+        worker.set_reachable(np.array([True, True, True, False]))
         before = worker.model.get_params().copy()
         peer_params = np.array([0.0, 0.0])
         worker.pull_update(1, peer_params, lr=0.1)
@@ -215,33 +215,34 @@ class TestActiveMask:
 
     def test_pull_from_masked_peer_rejected(self):
         worker = make_worker()
-        worker.set_active_mask(np.array([True, False, True, True]))
+        worker.set_reachable(np.array([True, False, True, True]))
         with pytest.raises(ValueError, match="zero probability"):
             worker.pull_update(1, np.zeros(2), lr=0.1)
 
     def test_bad_mask_shape_rejected(self):
         worker = make_worker()
         with pytest.raises(ValueError, match="shape"):
-            worker.set_active_mask(np.ones(3, dtype=bool))
+            worker.set_reachable(np.ones(3, dtype=bool))
 
     def test_edge_mask_renormalizes_like_active_mask(self):
         worker = make_worker()
         worker.stage_policy(np.array([0.1, 0.6, 0.2, 0.1]), rho=0.5)
         worker.adopt_pending_policy()
-        worker.set_edge_mask(np.array([True, False, True, True]))  # edge 0-1 down
+        worker.set_reachable(np.array([True, False, True, True]))  # edge 0-1 down
         effective = worker.effective_probabilities
         assert effective[1] == 0.0
         np.testing.assert_allclose(effective[[0, 2, 3]], [0.25, 0.5, 0.25])
         # The policy row is untouched: an edge repair restores it.
-        worker.set_edge_mask(None)
+        worker.set_reachable(None)
         np.testing.assert_allclose(
             worker.effective_probabilities, worker.probabilities
         )
 
     def test_edge_and_active_masks_compose(self):
         worker = make_worker()
-        worker.set_active_mask(np.array([True, False, True, True]))  # 1 departed
-        worker.set_edge_mask(np.array([True, True, True, False]))  # edge 0-3 down
+        active = np.array([True, False, True, True])  # 1 departed
+        edges = np.array([True, True, True, False])  # edge 0-3 down
+        worker.set_reachable(active & edges)  # the trainer composes the two
         effective = worker.effective_probabilities
         assert effective[1] == 0.0 and effective[3] == 0.0
         np.testing.assert_allclose(effective[2], 1.0)
@@ -250,22 +251,29 @@ class TestActiveMask:
 
     def test_all_edges_down_degenerates_to_self(self):
         worker = make_worker()
-        worker.set_edge_mask(np.array([True, False, False, False]))
+        worker.set_reachable(np.array([True, False, False, False]))
         assert all(worker.choose_peer() == 0 for _ in range(20))
 
     def test_bad_edge_mask_shape_rejected(self):
         worker = make_worker()
         with pytest.raises(ValueError, match="shape"):
-            worker.set_edge_mask(np.ones(3, dtype=bool))
+            worker.set_reachable(np.ones(3, dtype=bool))
+
+    def test_self_stays_allowed_and_callers_mask_is_untouched(self):
+        worker = make_worker()
+        mask = np.zeros(4, dtype=bool)  # nobody reachable, self slot unset
+        worker.set_reachable(mask)
+        assert not mask.any()
+        np.testing.assert_array_equal(worker.effective_probabilities, [1, 0, 0, 0])
 
     def test_pull_update_honors_selection_time_probability(self):
         """A churn transition between selection and pull completion must not
         change the 1/p debias weight: the caller passes the probability the
         peer was actually drawn with."""
         worker = make_worker(rho=0.1)
-        worker.set_active_mask(np.array([True, True, True, False]))
+        worker.set_reachable(np.array([True, True, True, False]))
         p_selected = float(worker.effective_probabilities[1])  # 0.5
-        worker.set_active_mask(None)  # mid-flight rejoin: row reverts to 1/3
+        worker.set_reachable(None)  # mid-flight rejoin: row reverts to 1/3
         before = worker.model.get_params().copy()
         worker.pull_update(1, np.zeros(2), lr=0.1, p_im=p_selected)
         expected = before - (0.1 * 0.1 / 0.5) * before

@@ -38,7 +38,8 @@ from repro.experiments.worker import (
     _poll_delay,
     _poll_jitter,
 )
-from repro.experiments.harness import estimate_cell_cost
+from repro.algorithms.registry import trainer_names
+from repro.experiments.harness import _RELATIVE_ALGORITHM_COST, estimate_cell_cost
 from repro.experiments.reporting import format_worker_health
 from repro.experiments.sweeps import (
     SweepProgress,
@@ -564,6 +565,16 @@ class TestPriorityScheduling:
         assert estimate_cell_cost(
             "mystery", num_workers=8, max_sim_time=100.0
         ) == estimate_cell_cost("adpsgd", num_workers=8, max_sim_time=100.0)
+
+    def test_cost_table_is_keyed_by_registry_names(self):
+        """A weight under a name no trainer has is never looked up ("ps"
+        used to leave ps-syn / ps-asyn at the default weight)."""
+        assert set(_RELATIVE_ALGORITHM_COST) <= set(trainer_names())
+        kwargs = dict(num_workers=8, max_sim_time=100.0)
+        for name in ("ps-syn", "ps-asyn"):
+            assert estimate_cell_cost(name, **kwargs) == estimate_cell_cost(
+                "allreduce", **kwargs
+            )
 
 
 class TestFairShare:

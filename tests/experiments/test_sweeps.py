@@ -6,6 +6,7 @@ import pytest
 import hashlib
 import json
 
+from repro.algorithms.registry import trainer_names
 from repro.experiments.sweeps import (
     CACHE_VERSION,
     ResultCache,
@@ -91,6 +92,23 @@ class TestSpecs:
         assert cell.cache_key() != other.cache_key()
         other_run = tiny_spec(run=RunSpec(max_sim_time=11.0)).cells()[0]
         assert cell.cache_key() != other_run.cache_key()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("algorithm", trainer_names())
+    def test_a_spec_that_constructs_executes(self, algorithm, workers):
+        """The dry-run contract: what ``--dry-run`` lists must run. (Prague
+        used to reject its default ``group_size=3`` on a 2-worker cell only
+        once the cell executed.)"""
+        spec = tiny_spec(
+            algorithms=(algorithm,),
+            seeds=(0,),
+            scenarios=(ScenarioSpec("heterogeneous-static", workers),),
+            run=RunSpec(max_sim_time=2.0, eval_interval_s=1.0),
+        )
+        result = run_sweep(spec)
+        assert result.cells_executed == 1
+        (outcome,) = result.outcomes
+        assert outcome.result.global_steps > 0
 
 
 class TestParallelMap:

@@ -7,8 +7,7 @@ caching of results) depends on:
 - repeated runs are bit-identical;
 - evaluation setup (test data present or absent, larger or smaller) never
   perturbs training randomness;
-- the flow-sharing flag draws no randomness of its own;
-- per-worker compute jitter streams do not depend on event interleaving.
+- the flow-sharing flag draws no randomness of its own.
 """
 
 import numpy as np

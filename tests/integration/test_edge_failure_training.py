@@ -134,8 +134,7 @@ class TestConservation:
                 fail_time, a, b = event.time, event.a, event.b
                 break
         trainer.sim._now = fail_time  # place the clock inside the outage
-        trainer._edge_adjacency = scenario.topology.adjacency_at(fail_time)
-        trainer._edges_all_up = False
+        trainer._live = scenario.topology.topology_at(fail_time)
         with pytest.raises(RuntimeError, match="failed edge"):
             trainer.start_transfer(a, b)
 

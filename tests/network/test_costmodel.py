@@ -1,6 +1,5 @@
 """Unit tests for repro.network.costmodel."""
 
-import numpy as np
 import pytest
 
 from repro.network.cluster import ClusterSpec
@@ -124,34 +123,6 @@ class TestComputeModel:
             profile.compute_time_s
         )
 
-    def test_speed_factors(self):
-        model = ComputeModel(
-            get_cost_profile("resnet18"), 2, speed_factors=np.array([1.0, 2.0])
-        )
-        assert model.compute_time(1, 128) == pytest.approx(2 * model.compute_time(0, 128))
-
-    def test_jitter_reproducible(self):
-        a = ComputeModel(get_cost_profile("resnet18"), 1, jitter_std=0.2, seed=5)
-        b = ComputeModel(get_cost_profile("resnet18"), 1, jitter_std=0.2, seed=5)
-        assert a.compute_time(0, 128) == b.compute_time(0, 128)
-
-    def test_jitter_streams_independent_of_interleaving(self):
-        """Regression: a worker's jitter sequence is a pure function of
-        (seed, worker), not of the order workers happen to be queried in --
-        with a shared generator, event interleaving leaked across workers."""
-        profile = get_cost_profile("resnet18")
-        interleaved = ComputeModel(profile, 2, jitter_std=0.3, seed=9)
-        grouped = ComputeModel(profile, 2, jitter_std=0.3, seed=9)
-        a = [interleaved.compute_time(w, 128) for w in (0, 1, 0, 1, 0, 1)]
-        b0 = [grouped.compute_time(0, 128) for _ in range(3)]
-        b1 = [grouped.compute_time(1, 128) for _ in range(3)]
-        assert a[0::2] == b0
-        assert a[1::2] == b1
-
-    def test_jitter_streams_differ_across_workers(self):
-        model = ComputeModel(get_cost_profile("resnet18"), 2, jitter_std=0.3, seed=9)
-        assert model.compute_time(0, 128) != model.compute_time(1, 128)
-
     def test_invalid_worker(self):
         model = ComputeModel(get_cost_profile("resnet18"), 2)
         with pytest.raises(ValueError, match="out of range"):
@@ -161,7 +132,3 @@ class TestComputeModel:
         model = ComputeModel(get_cost_profile("resnet18"), 2)
         with pytest.raises(ValueError, match="batch_size"):
             model.compute_time(0, 0)
-
-    def test_bad_speed_factors_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            ComputeModel(get_cost_profile("resnet18"), 2, speed_factors=np.array([1.0, 0.0]))
