@@ -1,9 +1,10 @@
 """Shared benchmark fixtures.
 
-Every benchmark regenerates one of the paper's tables or figures at reduced
-scale (small synthetic datasets, minutes of virtual time) and prints the
-same rows/series the paper reports. ``benchmark.pedantic(..., rounds=1)``
-is used throughout: these are macro-benchmarks of whole experiments, not
+``bench_paper.py`` regenerates each of the paper's tables and figures at
+reduced scale (small synthetic datasets, minutes of virtual time), prints
+the same rows/series the paper reports and asserts their shape; the other
+modules measure throughput. ``benchmark.pedantic(..., rounds=1)`` is used
+throughout: these are macro-benchmarks of whole experiments, not
 micro-benchmarks to be repeated.
 
 Run with:  pytest benchmarks/ --benchmark-only

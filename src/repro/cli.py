@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -103,34 +104,20 @@ from repro.graph import Topology
 
 __all__ = ["main", "build_parser"]
 
-# Registry name -> regeneration callable (all accept scale kwargs).
+# Registry name -> regeneration callable (all but fig3 accept scale kwargs).
+# The paper's figures and tables are declarations run by `regenerate`.
 FIGURE_FUNCTIONS = {
     "fig3": experiments.figure3_iteration_time,
-    "fig5": experiments.figure5_epoch_time_heterogeneous,
-    "fig6": experiments.figure6_epoch_time_homogeneous,
-    "fig7": experiments.figure7_ablation,
-    "fig8": experiments.figure8_loss_vs_time_heterogeneous,
-    "fig9": experiments.figure9_loss_vs_time_homogeneous,
-    "fig10": experiments.figure10_scalability_heterogeneous,
-    "fig11": experiments.figure11_scalability_homogeneous,
-    "fig12": experiments.figure12_cifar100_nonuniform,
-    "fig13": experiments.figure13_imagenet_nonuniform,
-    "fig14": experiments.figure14_mobilenet_cifar100,
-    "fig15": experiments.figure15_adpsgd_monitor,
-    "fig16": experiments.figure16_cifar10_nonuniform,
-    "fig17": experiments.figure17_tinyimagenet_nonuniform,
-    "fig18": experiments.figure18_mnist_noniid,
-    "fig19": experiments.figure19_multicloud,
+    **{
+        name: functools.partial(experiments.regenerate, name)
+        for name in experiments.PAPER_EXPERIMENTS
+    },
     "dyn-traces": experiments.figure_dynamics_traces,
     "dyn-churn": experiments.figure_dynamics_churn,
     "dyn-topology": experiments.figure_dynamics_topology,
     "dyn-edges": experiments.figure_dynamics_edges,
     "compression": experiments.figure_compression,
     "scalability": experiments.figure_scalability,
-    "table2": experiments.table2_accuracy_heterogeneous,
-    "table3": experiments.table3_accuracy_homogeneous,
-    "table5": experiments.table5_accuracy_nonuniform,
-    "table6": experiments.table6_mobilenet_accuracy,
 }
 
 
@@ -424,7 +411,13 @@ def _run_figure(args: argparse.Namespace) -> int:
                   "running sequentially", file=sys.stderr)
     if args.name == "fig3":  # takes no scale arguments
         kwargs = {}
-    output = function(**kwargs)
+    try:
+        output = function(**kwargs)
+    except ValueError as error:
+        # e.g. --samples below the dataset's class count: a figure's grids
+        # are specs, and a spec that cannot run fails at construction.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(output.render())
     return 0
 

@@ -1,8 +1,9 @@
-"""Experiment harness: scenario builders, comparison runner, and the
-regeneration functions for every table and figure in the paper's evaluation
-(Section V and Appendices F-G). Each ``figure_*``/``table_*`` function runs
-at a configurable scale and returns structured rows; the benchmarks in
-``benchmarks/`` call them at small scale and print the paper-shaped output.
+"""Experiment harness: scenario builders, the comparison runner, the sweep
+engine, and the paper's evaluation (Section V and Appendices F-G) declared
+on top of it. ``regenerate("fig5", ...)`` runs any of Figs. 5-19 /
+Tables II-VI at a configurable scale and returns structured rows
+(:mod:`repro.experiments.paper`); ``benchmarks/bench_paper.py`` calls it at
+small scale and asserts the paper-shaped output.
 """
 
 from repro.experiments.scenarios import (
@@ -23,7 +24,6 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.harness import (
     run_trainer,
-    run_trainer_jobs,
     run_comparison,
     time_to_loss_speedups,
 )
@@ -45,29 +45,13 @@ from repro.experiments.sweeps import (
     ResultCache,
     run_sweep,
     aggregate_sweep,
-    parallel_map,
 )
 from repro.experiments.reporting import render_table, format_seconds
 from repro.experiments.common import ExperimentOutput, Series
-from repro.experiments.figures_cluster import (
+from repro.experiments.paper import (
+    PAPER_EXPERIMENTS,
     figure3_iteration_time,
-    figure5_epoch_time_heterogeneous,
-    figure6_epoch_time_homogeneous,
-    figure7_ablation,
-    figure8_loss_vs_time_heterogeneous,
-    figure9_loss_vs_time_homogeneous,
-    figure10_scalability_heterogeneous,
-    figure11_scalability_homogeneous,
-)
-from repro.experiments.figures_noniid import (
-    figure12_cifar100_nonuniform,
-    figure13_imagenet_nonuniform,
-    figure14_mobilenet_cifar100,
-    figure15_adpsgd_monitor,
-    figure16_cifar10_nonuniform,
-    figure17_tinyimagenet_nonuniform,
-    figure18_mnist_noniid,
-    figure19_multicloud,
+    regenerate,
 )
 from repro.experiments.figures_dynamics import (
     figure_dynamics_traces,
@@ -80,12 +64,6 @@ from repro.experiments.figures_scaling import (
     figure_scalability,
     run_scalability_cell,
     scalability_scenario,
-)
-from repro.experiments.tables import (
-    table2_accuracy_heterogeneous,
-    table3_accuracy_homogeneous,
-    table5_accuracy_nonuniform,
-    table6_mobilenet_accuracy,
 )
 
 __all__ = [
@@ -104,7 +82,6 @@ __all__ = [
     "make_workload",
     "make_quadratic_workload",
     "run_trainer",
-    "run_trainer_jobs",
     "run_comparison",
     "time_to_loss_speedups",
     "ScenarioSpec",
@@ -115,7 +92,6 @@ __all__ = [
     "ResultCache",
     "run_sweep",
     "aggregate_sweep",
-    "parallel_map",
     "SweepExecutor",
     "InlineExecutor",
     "ProcessExecutor",
@@ -127,22 +103,9 @@ __all__ = [
     "format_seconds",
     "ExperimentOutput",
     "Series",
+    "PAPER_EXPERIMENTS",
+    "regenerate",
     "figure3_iteration_time",
-    "figure5_epoch_time_heterogeneous",
-    "figure6_epoch_time_homogeneous",
-    "figure7_ablation",
-    "figure8_loss_vs_time_heterogeneous",
-    "figure9_loss_vs_time_homogeneous",
-    "figure10_scalability_heterogeneous",
-    "figure11_scalability_homogeneous",
-    "figure12_cifar100_nonuniform",
-    "figure13_imagenet_nonuniform",
-    "figure14_mobilenet_cifar100",
-    "figure15_adpsgd_monitor",
-    "figure16_cifar10_nonuniform",
-    "figure17_tinyimagenet_nonuniform",
-    "figure18_mnist_noniid",
-    "figure19_multicloud",
     "figure_dynamics_traces",
     "figure_dynamics_churn",
     "figure_dynamics_topology",
@@ -151,8 +114,4 @@ __all__ = [
     "figure_scalability",
     "run_scalability_cell",
     "scalability_scenario",
-    "table2_accuracy_heterogeneous",
-    "table3_accuracy_homogeneous",
-    "table5_accuracy_nonuniform",
-    "table6_mobilenet_accuracy",
 ]

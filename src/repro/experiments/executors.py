@@ -69,7 +69,6 @@ __all__ = [
     "WorkQueue",
     "WorkerSummary",
     "make_executor",
-    "parallel_map",
     "partition_batchable",
     "run_queue_worker",
 ]
@@ -92,17 +91,6 @@ def _in_turn_or_pool(fn: Callable, items: Sequence, parallel: int) -> Iterator:
     else:
         with ProcessPoolExecutor(max_workers=min(parallel, len(items))) as pool:
             yield from pool.map(fn, items)
-
-
-def parallel_map(fn: Callable, items: Sequence, parallel: int = 0) -> list:
-    """``[fn(x) for x in items]``, optionally fanned out across processes.
-
-    ``parallel <= 1`` runs in-process (no pool overhead, easiest to debug);
-    larger values use a :class:`ProcessPoolExecutor`. ``fn`` and every item
-    must be picklable for the parallel path. Result order always matches
-    input order, so both paths are interchangeable.
-    """
-    return list(_in_turn_or_pool(fn, list(items), parallel))
 
 
 # -- executor interface --------------------------------------------------------

@@ -3,18 +3,17 @@
 The central entry points:
 
 - :func:`run_trainer` -- one algorithm, one scenario, one workload;
-- :func:`run_comparison` -- several algorithms on identical copies of the
-  same problem (fresh model clones + reseeded samplers per run, so runs are
-  independent but start from the same ``x^0``), optionally in parallel
-  across processes;
-- :func:`run_trainer_jobs` -- many independent training jobs through one
-  executor (the figure functions' parallel backend);
+- :func:`run_comparison` -- several algorithms, one after another, on
+  identical copies of the same problem (fresh model clones + reseeded
+  samplers per run, so runs are independent but start from the same
+  ``x^0``);
 - :func:`time_to_loss_speedups` -- the paper's headline metric: the ratio
   of times at which each algorithm first reaches a target training loss.
 
 Every run is a pure function of its (scenario, workload, config, seed)
-inputs, which is what makes the parallel paths bit-identical to the
-sequential ones.
+inputs. Grids of runs -- many seeds, processes, a result cache -- are
+:mod:`repro.experiments.sweeps`' job, which builds each cell through
+:func:`build_trainer`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "build_trainer",
     "estimate_cell_cost",
     "run_trainer",
-    "run_trainer_jobs",
     "run_comparison",
     "time_to_loss_speedups",
 ]
@@ -135,58 +133,34 @@ def run_trainer(
     return trainer.run()
 
 
-def _run_trainer_job(
-    job: tuple[str, Scenario, Workload, TrainerConfig, int, dict],
-) -> TrainingResult:
-    """Top-level unpacker so jobs can cross a process boundary."""
-    name, scenario, workload, config, seed_offset, kwargs = job
-    return run_trainer(
-        name, scenario, workload, config, seed_offset=seed_offset, **kwargs
-    )
-
-
-def run_trainer_jobs(
-    jobs: Sequence[tuple[str, Scenario, Workload, TrainerConfig, int, dict]],
-    parallel: int = 0,
-) -> list[TrainingResult]:
-    """Run independent ``(algorithm, scenario, workload, config, seed_offset,
-    kwargs)`` jobs, optionally across processes.
-
-    Results come back in job order and are identical for any ``parallel``
-    value: each job reseeds everything from its own config.
-    """
-    from repro.experiments.sweeps import parallel_map
-
-    return parallel_map(_run_trainer_job, list(jobs), parallel)
-
-
 def run_comparison(
     algorithms: Sequence[str],
     scenario: Scenario,
     workload: Workload,
     config: TrainerConfig,
     trainer_kwargs: dict[str, dict] | None = None,
-    parallel: int = 0,
 ) -> dict[str, TrainingResult]:
     """Run each algorithm on an identical copy of the problem.
+
+    The k-th algorithm draws its mini-batches from sampler streams
+    ``[seed, k, i]``, so the runs are independent.
 
     Args:
         algorithms: registry names, e.g. ``["netmax", "adpsgd"]``.
         trainer_kwargs: optional per-algorithm constructor extras, keyed by
             registry name.
-        parallel: number of worker processes (``<= 1`` = in-process). The
-            results are identical either way.
 
     Returns:
         ``{name: TrainingResult}`` in input order.
     """
     trainer_kwargs = trainer_kwargs or {}
-    jobs = [
-        (name, scenario, workload, config, offset, trainer_kwargs.get(name, {}))
+    return {
+        name: run_trainer(
+            name, scenario, workload, config, seed_offset=offset,
+            **trainer_kwargs.get(name, {}),
+        )
         for offset, name in enumerate(algorithms)
-    ]
-    results = run_trainer_jobs(jobs, parallel=parallel)
-    return dict(zip(algorithms, results))
+    }
 
 
 def time_to_loss_speedups(

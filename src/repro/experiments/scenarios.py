@@ -41,7 +41,7 @@ model transfer (see :mod:`repro.network.compression`).
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +99,7 @@ __all__ = [
     "get_scenario_family",
     "build_scenario",
     "Workload",
+    "check_partition",
     "make_workload",
     "make_quadratic_workload",
 ]
@@ -728,6 +729,23 @@ class Workload:
         return tasks
 
 
+def check_partition(
+    partition: str, segments_per_worker: object, lost_labels: object
+) -> None:
+    """Reject an unknown partition name, or one without the argument it
+    needs -- at :class:`~repro.experiments.sweeps.WorkloadSpec` construction
+    and again in :func:`make_workload`."""
+    if partition not in ("uniform", "segments", "drop-labels"):
+        raise ValueError(
+            f"unknown partition {partition!r}; "
+            "valid: 'uniform', 'segments', 'drop-labels'"
+        )
+    if partition == "segments" and segments_per_worker is None:
+        raise ValueError("partition='segments' needs segments_per_worker")
+    if partition == "drop-labels" and lost_labels is None:
+        raise ValueError("partition='drop-labels' needs lost_labels")
+
+
 def make_workload(
     model: str = "resnet18",
     dataset: str = "cifar10",
@@ -735,8 +753,8 @@ def make_workload(
     partition: str = "uniform",
     batch_size: int = 32,
     num_samples: int | None = None,
-    segments_per_worker: list[int] | None = None,
-    lost_labels: list[tuple[int, ...]] | None = None,
+    segments_per_worker: Sequence[int] | None = None,
+    lost_labels: Sequence[Sequence[int]] | None = None,
     test_fraction: float = 0.2,
     seed: int = 0,
 ) -> Workload:
@@ -757,6 +775,7 @@ def make_workload(
         test_fraction: held-out fraction for accuracy evaluation.
         seed: root seed for data generation, split, partition, and init.
     """
+    check_partition(partition, segments_per_worker, lost_labels)
     rng = np.random.default_rng(seed)
     full = load_dataset(dataset, rng, num_samples)
     train, test = train_test_split(full, test_fraction, rng)
@@ -765,24 +784,15 @@ def make_workload(
         shards = partition_uniform(train, num_workers, rng)
         batch_sizes = [batch_size] * num_workers
     elif partition == "segments":
-        if segments_per_worker is None:
-            raise ValueError("partition='segments' needs segments_per_worker")
         if len(segments_per_worker) != num_workers:
             raise ValueError("segments_per_worker length must equal num_workers")
         shards = partition_segments(train, segments_per_worker, rng)
         batch_sizes = [batch_size * s for s in segments_per_worker]
-    elif partition == "drop-labels":
-        if lost_labels is None:
-            raise ValueError("partition='drop-labels' needs lost_labels")
+    else:
         if len(lost_labels) != num_workers:
             raise ValueError("lost_labels length must equal num_workers")
         shards = partition_drop_labels(train, lost_labels)
         batch_sizes = [batch_size] * num_workers
-    else:
-        raise ValueError(
-            f"unknown partition {partition!r}; "
-            "valid: 'uniform', 'segments', 'drop-labels'"
-        )
 
     init_model = build_model(
         model, train.num_features, train.num_classes,

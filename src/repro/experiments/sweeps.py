@@ -1,8 +1,9 @@
 """Declarative experiment sweeps: grids of (algorithm x seed x scenario).
 
-The figure/table functions each run a handful of trainers; credible
-comparisons across many seeds, topologies, and network regimes need orders
-of magnitude more. This module provides the scale-out layer:
+One comparison runs a handful of trainers; credible comparisons across many
+seeds, topologies, and network regimes need orders of magnitude more. This
+module provides the scale-out layer, and every figure and table of the
+paper (:mod:`repro.experiments.paper`) is declared in its spec types:
 
 - :class:`SweepSpec` describes a grid declaratively (plain strings and
   numbers, so every cell is hashable and picklable);
@@ -19,10 +20,7 @@ of magnitude more. This module provides the scale-out layer:
   reporting helpers render, including per-cell wall-clock telemetry.
 
 The execution backends themselves live in
-:mod:`repro.experiments.executors`; ``parallel_map`` (re-exported) is also
-the execution backend for the harness's ``run_comparison(..., parallel=N)``
-and the figure functions' ``parallel`` knob, so full artifact regeneration
-shares the same machinery.
+:mod:`repro.experiments.executors`.
 """
 
 from __future__ import annotations
@@ -37,13 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import TrainerConfig
+from repro.datasets.synthetic import DATASET_REGISTRY
 from repro.experiments.common import ExperimentOutput
 from repro.experiments.executors import (
     InlineExecutor,
     ProcessExecutor,
     ResultCache,
     SweepExecutor,
-    parallel_map,
 )
 from repro.experiments.reporting import mean_std
 from repro.graph.topology import RANDOMIZED_TOPOLOGY_KINDS
@@ -51,11 +49,13 @@ from repro.experiments.scenarios import (
     Scenario,
     Workload,
     build_scenario,
+    check_partition,
     get_scenario_family,
     make_workload,
     scenario_names,
 )
 from repro.ml.optim import ConstantLR, LRSchedule, PlateauDecayLR, StepDecayLR
+from repro.network.costmodel import MODEL_ZOO
 from repro.simulation.records import TrainingResult
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "run_sweep",
     "aggregate_outcomes",
     "aggregate_sweep",
-    "parallel_map",
 ]
 
 # Folded into every cache key; bump whenever trainer numerics change so
@@ -204,6 +203,26 @@ class WorkloadSpec:
     lost_labels: tuple[tuple[int, ...], ...] | None = None
     test_fraction: float = 0.2
 
+    def __post_init__(self) -> None:
+        # Fail at spec construction, not cell execution, on everything that
+        # is knowable without a worker count: a workload that cannot be
+        # built should never survive a dry run.
+        dataset = DATASET_REGISTRY.get(self.dataset.lower().removesuffix("-syn"))
+        if dataset is None:
+            raise ValueError(
+                f"unknown dataset {self.dataset!r}; valid: {sorted(DATASET_REGISTRY)}"
+            )
+        if self.model.lower() not in MODEL_ZOO:
+            raise ValueError(
+                f"unknown model {self.model!r}; valid: {sorted(MODEL_ZOO)}"
+            )
+        if self.num_samples is not None and self.num_samples < dataset.num_classes:
+            raise ValueError(
+                f"num_samples ({self.num_samples}) must be >= the "
+                f"{dataset.num_classes} classes of {dataset.name}"
+            )
+        check_partition(self.partition, self.segments_per_worker, self.lost_labels)
+
     def build(self, num_workers: int, seed: int) -> Workload:
         return make_workload(
             self.model,
@@ -212,16 +231,8 @@ class WorkloadSpec:
             partition=self.partition,
             batch_size=self.batch_size,
             num_samples=self.num_samples,
-            segments_per_worker=(
-                list(self.segments_per_worker)
-                if self.segments_per_worker is not None
-                else None
-            ),
-            lost_labels=(
-                [tuple(labels) for labels in self.lost_labels]
-                if self.lost_labels is not None
-                else None
-            ),
+            segments_per_worker=self.segments_per_worker,
+            lost_labels=self.lost_labels,
             test_fraction=self.test_fraction,
             seed=seed,
         )

@@ -23,7 +23,6 @@ from repro.experiments.executors import (
     ResultCache,
     WorkQueue,
     make_executor,
-    parallel_map,
     partition_batchable,
     run_queue_worker,
 )
@@ -682,15 +681,6 @@ class TestProgressWiring:
         executor = queue_executor(tmp_path, progress=messages.append)
         run_sweep(spec, executor=executor)
         assert any("enqueued" in message for message in messages)
-
-
-def test_parallel_map_reexported():
-    """Harness + figures import parallel_map from sweeps; it must keep
-    working from both homes after the executor split."""
-    from repro.experiments.sweeps import parallel_map as from_sweeps
-
-    assert from_sweeps is parallel_map
-    assert parallel_map(str, [1, 2], parallel=0) == ["1", "2"]
 
 
 def test_cell_time_columns_share_the_nan_renderer():

@@ -1,21 +1,12 @@
-"""Smoke tests for the figure/table regeneration functions at tiny scale.
-
-Each experiment function must run end-to-end, produce the paper's row
-structure, and (where cheap to check) exhibit the paper's qualitative shape.
-The full-scale versions live in benchmarks/.
+"""The figure result containers, the analytic Fig. 3 and the worker-axis
+scalability figure. The paper's trained figures and tables are declarations
+(tests/experiments/test_paper.py).
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    figure3_iteration_time,
-    figure5_epoch_time_heterogeneous,
-    figure7_ablation,
-    figure8_loss_vs_time_heterogeneous,
-    figure18_mnist_noniid,
-    table6_mobilenet_accuracy,
-)
+from repro.experiments import figure3_iteration_time
 from repro.experiments.common import ExperimentOutput, Series
 
 
@@ -44,72 +35,6 @@ class TestFigure3:
     def test_vgg_ratio_larger_than_resnet(self):
         rows = figure3_iteration_time().row_dict()
         assert rows["vgg19"][3] > rows["resnet18"][3]
-
-
-class TestFigure5:
-    @pytest.mark.slow
-    def test_structure_and_shape(self):
-        out = figure5_epoch_time_heterogeneous(
-            models=("resnet18",), num_samples=768, max_sim_time=60.0
-        )
-        assert len(out.rows) == 4
-        by_algo = {row[1]: row for row in out.rows}
-        # Computation cost roughly equal across algorithms (same model/GPU).
-        comps = [row[2] for row in out.rows]
-        assert max(comps) / min(comps) < 1.5
-        # Decomposition sums.
-        for row in out.rows:
-            assert row[4] == pytest.approx(row[2] + row[3], rel=1e-6)
-        assert by_algo["netmax"][3] >= 0
-
-
-class TestFigure7:
-    @pytest.mark.slow
-    def test_four_settings_per_model(self):
-        out = figure7_ablation(models=("resnet18",), num_samples=768, max_sim_time=60.0)
-        assert len(out.rows) == 4
-        settings = {row[1] for row in out.rows}
-        assert settings == {
-            "serial+uniform", "parallel+uniform", "serial+adaptive", "parallel+adaptive"
-        }
-
-
-class TestFigure8:
-    @pytest.mark.slow
-    def test_series_present_for_each_algorithm(self):
-        out = figure8_loss_vs_time_heterogeneous(num_samples=768, max_sim_time=60.0)
-        labels = {s.label for s in out.series}
-        assert labels == {"prague", "allreduce", "adpsgd", "netmax"}
-        for series in out.series:
-            assert series.y[-1] < series.y[0]  # loss decreased
-
-
-class TestFigure18:
-    @pytest.mark.slow
-    def test_rows_and_accuracy(self):
-        out = figure18_mnist_noniid(num_samples=768, max_sim_time=40.0)
-        assert len(out.rows) == 4
-        for row in out.rows:
-            assert 0.0 <= row[2] <= 1.0  # test accuracy column
-
-
-class TestScalabilityGuard:
-    def test_requires_allreduce_baseline(self):
-        from repro.experiments import figure10_scalability_heterogeneous
-
-        with pytest.raises(ValueError, match="allreduce"):
-            figure10_scalability_heterogeneous(
-                worker_counts=(4,), algorithms=("netmax", "adpsgd")
-            )
-
-
-class TestTable6:
-    @pytest.mark.slow
-    def test_six_algorithms(self):
-        out = table6_mobilenet_accuracy(num_samples=1024, max_sim_time=60.0)
-        assert len(out.rows) == 6
-        names = {row[0] for row in out.rows}
-        assert "ps-syn" in names and "ps-asyn" in names
 
 
 class TestFigureScalability:

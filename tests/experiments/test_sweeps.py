@@ -7,6 +7,7 @@ import hashlib
 import json
 
 from repro.algorithms.registry import trainer_names
+from repro.experiments.executors import _in_turn_or_pool
 from repro.experiments.sweeps import (
     CACHE_VERSION,
     ResultCache,
@@ -15,7 +16,6 @@ from repro.experiments.sweeps import (
     SweepSpec,
     WorkloadSpec,
     aggregate_sweep,
-    parallel_map,
     run_sweep,
 )
 
@@ -110,17 +110,37 @@ class TestSpecs:
         (outcome,) = result.outcomes
         assert outcome.result.global_steps > 0
 
+    @pytest.mark.parametrize("workload, message", [
+        (dict(dataset="imagenet", num_samples=512), "1000 classes"),
+        (dict(dataset="foo"), "unknown dataset 'foo'"),
+        (dict(model="foo"), "unknown model 'foo'"),
+        (dict(partition="shards"), "unknown partition"),
+        (dict(partition="segments"), "needs segments_per_worker"),
+        (dict(partition="drop-labels"), "needs lost_labels"),
+    ])
+    def test_a_workload_that_cannot_execute_does_not_construct(
+        self, workload, message
+    ):
+        """The same contract from the workload side: these used to list
+        their cells under ``--dry-run`` and die in ``make_workload``."""
+        with pytest.raises(ValueError, match=message):
+            WorkloadSpec(**workload)
+
+    def test_syn_suffix_the_loader_tolerates_constructs_and_builds(self):
+        workload = WorkloadSpec(dataset="MNIST-syn", num_samples=64).build(2, 0)
+        assert workload.num_workers == 2
+
 
 class TestParallelMap:
     def test_sequential_path(self):
-        assert parallel_map(str, [1, 2, 3], parallel=0) == ["1", "2", "3"]
+        assert list(_in_turn_or_pool(str, [1, 2, 3], 0)) == ["1", "2", "3"]
 
     def test_parallel_path_preserves_order(self):
-        assert parallel_map(abs, [-3, 2, -1], parallel=2) == [3, 2, 1]
+        assert list(_in_turn_or_pool(abs, [-3, 2, -1], 2)) == [3, 2, 1]
 
     def test_single_item_stays_in_process(self):
         calls = []
-        assert parallel_map(calls.append, [1], parallel=4) == [None]
+        assert list(_in_turn_or_pool(calls.append, [1], 4)) == [None]
         assert calls == [1]  # ran in this process, not a pool
 
 

@@ -65,6 +65,37 @@ class TestCommands:
         assert "resnet18" in out
         assert "[fig3]" in out
 
+    def test_figure_table_runs_in_parallel(self, capsys):
+        """fig12/13/16/17 and the four tables used to ignore --parallel."""
+        code = main(["figure", "table6", "--parallel", "2",
+                     "--sim-time", "20", "--samples", "512"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "[table6]" in captured.out
+        assert "does not support --parallel" not in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--algorithms", "adpsgd", "--seeds", "0", "--workers", "4",
+          "--sim-time", "2", "--dataset", "imagenet", "--samples", "512"],
+         "1000 classes"),
+        (["sweep", "--algorithms", "adpsgd", "--seeds", "0", "--workers", "4",
+          "--sim-time", "2", "--dataset", "foo", "--samples", "512"],
+         "unknown dataset 'foo'"),
+        (["sweep", "--algorithms", "adpsgd", "--seeds", "0", "--workers", "4",
+          "--sim-time", "2", "--model", "foo", "--samples", "512"],
+         "unknown model 'foo'"),
+        (["figure", "fig13", "--samples", "512"], "1000 classes"),
+    ])
+    def test_unbuildable_workload_is_a_one_line_error(self, capsys, argv, message):
+        """What cannot run must not pass --dry-run, nor die in a traceback."""
+        dry_runs = [argv, argv + ["--dry-run"]] if argv[0] == "sweep" else [argv]
+        for spelled in dry_runs:
+            assert main(spelled) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ") and message in line
+
     def test_compare_tiny(self, capsys):
         code = main([
             "compare", "--algorithms", "adpsgd", "allreduce",
