@@ -48,10 +48,9 @@ class NetMaxTrainer(GossipTrainer):
     ``alpha rho / p_im`` at most 1/4 under the uniform starting policy.
     The monitor solves Algorithm 3 through a
     :class:`~repro.core.policy.PolicyCache` keyed on the (live-subgraph
-    signature, quantized time matrix) pair, warm-starting cold solves from
-    the previous vertex: on a time-varying topology it re-solves on every
-    edge-set change, and recurring subgraphs make the cache the difference
-    between O(flips) and O(distinct regimes) LP grids.
+    signature, quantized time matrix) pair: on a time-varying topology it
+    re-solves on every edge-set change, and recurring subgraphs make the
+    cache the difference between O(flips) and O(distinct regimes) LP grids.
     """
 
     name = "netmax"

@@ -468,6 +468,28 @@ def _make_stream(args: argparse.Namespace):
     return stream
 
 
+def _sweep_monitor_period(algorithms, sim_time):
+    """``(monitored, period)``: the swept algorithms that run a Network
+    Monitor and the ``monitor_period_s`` the sweep gives them -- a quarter of
+    a horizon under four of the monitor's default periods, else nobody.
+
+    A policy staged by a tick is adopted at each worker's next iteration, so
+    a cell whose only tick lands on the horizon (``--sim-time 60`` against
+    the 60 s default) would report NetMax on its uniform fallback.
+    """
+    from repro.algorithms.netmax import NetMaxTrainer
+    from repro.algorithms.registry import TRAINER_REGISTRY
+
+    default = inspect.signature(NetMaxTrainer).parameters["monitor_period_s"].default
+    if sim_time >= 4 * default:
+        return [], default
+    monitored = [
+        name for name in algorithms
+        if issubclass(TRAINER_REGISTRY[name.lower()], NetMaxTrainer)
+    ]
+    return monitored, sim_time / 4
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.algorithms.registry import trainer_names
 
@@ -483,6 +505,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if backend == "queue" and args.queue_dir is None:
         print("error: --backend queue requires --queue-dir", file=sys.stderr)
         return 2
+    monitored, period = _sweep_monitor_period(args.algorithms, args.sim_time)
+    if monitored:
+        print(
+            f"note: --sim-time {args.sim_time:g} is under four monitor periods; "
+            f"{', '.join(monitored)} run with monitor_period_s = {period:g}",
+            file=sys.stderr,
+        )
     try:
         spec = SweepSpec(
             algorithms=tuple(args.algorithms),
@@ -497,6 +526,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 num_samples=args.samples,
             ),
             run=RunSpec(max_sim_time=args.sim_time, max_epochs=args.max_epochs),
+            trainer_kwargs=tuple(
+                (name, (("monitor_period_s", period),)) for name in monitored
+            ),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

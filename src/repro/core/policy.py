@@ -15,7 +15,8 @@ The nested grid search of Algorithm 3 is implemented verbatim:
 - for each ``(rho, t)`` an LP (Eq. 14) minimizing ``sum_i p_ii`` subject to
   the feasibility constraints Eq. (10)-(13). Because neither the objective
   nor any constraint couples rows of ``P``, the LP decomposes into one small
-  LP per worker, which is how we solve it (scipy HiGHS).
+  LP per worker. Each has two equality rows and box bounds, so its optimum
+  is read off a convex envelope (:func:`solve_policy_lp`) -- no solver runs.
 
 A feasible policy forces every worker's mean iteration time to ``M * t``,
 hence uniform global-step probabilities ``p_i = 1/M`` (Lemma 1), under
@@ -29,7 +30,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.convergence import convergence_time
 from repro.core.mixing import expected_mixing_matrix, second_largest_eigenvalue
@@ -51,11 +51,9 @@ __all__ = [
 # keeping Y_P's neighbor entries strictly positive (Lemma 2 needs it).
 _STRICT_MARGIN = 1e-6
 
-# Tolerance of the warm-start vertex certificate (see solve_policy_lp): a
-# previous vertex is reused only when it is primal-feasible and provably
-# optimal for the new LP within this tolerance. Tight enough that a reused
-# vertex can only come from a bit-for-bit repeated worker LP in practice.
-_WARM_TOL = 1e-10
+# Relative tolerance of solve_policy_lp's feasibility test: a budget within
+# this of either end of a worker's feasible range is clamped onto it.
+_FEASIBILITY_TOL = 1e-9
 
 
 class PolicyGenerationError(RuntimeError):
@@ -129,56 +127,14 @@ def t_interval(
     return lower, upper
 
 
-def _certified_optimal_vertex(
-    x: np.ndarray,
-    cost: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> bool:
-    """LP-duality certificate: is ``x`` an optimal vertex of this LP?
-
-    For ``min c.x  s.t.  A_eq x = b_eq, l <= x <= u`` a feasible ``x`` is
-    optimal iff dual multipliers ``y`` exist with reduced costs
-    ``r = c - A_eq^T y`` satisfying ``r_j >= 0`` at lower bounds,
-    ``r_j <= 0`` at upper bounds, and ``r_j = 0`` on free variables. With
-    two equality rows, a non-degenerate vertex has exactly two free
-    variables, so ``y`` is the solution of a 2x2 system and the sign check
-    is O(n). Degenerate bases (any other free count, or a singular basis)
-    are conservatively not certified -- the caller falls back to the solver.
-    """
-    if np.any(x < lower - _WARM_TOL) or np.any(x > upper + _WARM_TOL):
-        return False
-    scale = max(1.0, float(np.max(np.abs(b_eq))))
-    if np.max(np.abs(a_eq @ x - b_eq)) > _WARM_TOL * scale:
-        return False
-    at_lower = x <= lower + _WARM_TOL
-    at_upper = x >= upper - _WARM_TOL
-    free = ~(at_lower | at_upper)
-    if int(free.sum()) != 2:
-        return False
-    basis = a_eq[:, free]
-    if abs(np.linalg.det(basis)) < 1e-12:
-        return False
-    y = np.linalg.solve(basis.T, cost[free])
-    reduced = cost - a_eq.T @ y
-    if np.any(reduced[at_lower & ~at_upper] < -_WARM_TOL):
-        return False
-    if np.any(reduced[at_upper & ~at_lower] > _WARM_TOL):
-        return False
-    return True
-
-
 def solve_policy_lp(
     times: np.ndarray,
     indicator: np.ndarray,
     alpha: float,
     rho: float,
     t_bar: float,
-    warm_start: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """The LP of Eq. (14) for a fixed ``(rho, t_bar)``.
+    """The LP of Eq. (14) for a fixed ``(rho, t_bar)``, in closed form.
 
     Decomposes into one LP per worker ``i`` over variables
     ``{p_ii} + {p_im : d_im = 1}``:
@@ -190,23 +146,39 @@ def solve_policy_lp(
              p_ii >= 0
 
     **Degeneracy tie-break.** Whenever the time budget admits full neighbor
-    mass (``p_ii = 0``), the paper's objective has a whole face of optima
-    and a vertex solver may return a slow-link-heavy one. Any linear cost in
-    ``t_im * p_im`` is constant on that face (the budget is an equality
-    constraint), so we add a tiny ``t_im^2`` cost: among allocations with a
+    mass (``p_ii = 0``), the paper's objective has a whole face of optima.
+    Any linear cost in ``t_im * p_im`` is constant on that face (the budget
+    is an equality constraint), so the objective carries a tiny ``t_im^2``
+    cost, ``c_im = 1e-3 (t_im / max_m t_im)^2``: among allocations with a
     fixed time budget it concentrates probability on the *fast* links --
     the paper's stated intent ("neighbors with high-speed links are selected
-    with high probability"). The weight is small enough never to trade
-    against the primary ``p_ii`` objective.
+    with high probability") -- and is far too small to trade against the
+    primary ``p_ii`` objective.
 
-    **Warm start.** ``warm_start`` is a previous ``(M, M)`` policy (usually
-    the last solution for the same adjacency signature). Per worker, the
-    previous vertex is reused *without* calling the solver when an LP-duality
-    certificate proves it is still optimal for the new constraints
-    (:func:`_certified_optimal_vertex`); otherwise the solver runs as usual.
-    The certificate tolerance is tight enough that reuse effectively only
-    fires on bit-for-bit repeated worker LPs, so warm-started and cold
-    solves produce identical policies.
+    **Closed form.** Put every neighbor at its Eq. (11) floor; what is left
+    is a mass ``S = 1 - sum floors`` to spread at mean time ``tau = B / S``,
+    ``B = M t_bar - sum t_im floor_im`` (the upper bounds ``p <= 1`` are then
+    implied). With two equality rows the optimum is the lower convex envelope
+    of the points ``(0, 1)`` for ``p_ii`` and ``(t_im, c_im)`` for the
+    neighbors, read at ``tau``. The neighbor points sit on a convex parabola
+    and the chord from ``(0, 1)`` is steepest to the fastest neighbor
+    (``(c - 1) / t`` increases in ``t``), so the envelope's vertices are
+    ``p_ii`` followed by the distinct neighbor times in increasing order: the
+    mass splits linearly between the two vertices that bracket ``tau`` --
+    ``p_ii`` and the fastest neighbor when ``tau`` is below every time -- and
+    no other entry leaves its floor.
+
+    **Ties.** Mass landing on a time shared by several neighbors is split
+    equally among them, so permuting a worker's neighbors permutes its row
+    and all-equal times give a uniform row.
+
+    **Feasibility.** A worker is infeasible iff ``S < 0``, ``B < 0`` or
+    ``B > S max_m t_im``, each decided with the relative tolerance
+    ``_FEASIBILITY_TOL`` (of 1 for ``S``, of ``M t_bar`` for ``B``) and then
+    clamped: a degree-1 worker at ``t_bar = U`` is feasible whichever way
+    its budget rounds, and the last ``rho`` step of :func:`generate_policy`
+    (``L == U``, the floors' strict margin overdrawing the budget by a
+    relative ``1e-6``) is infeasible on every platform.
 
     Returns the assembled ``(M, M)`` policy, or ``None`` if any worker's LP
     is infeasible (non-neighbor entries are zero, honoring Eq. 12).
@@ -216,50 +188,37 @@ def solve_policy_lp(
     m = times.shape[0]
     if t_bar <= 0:
         raise ValueError(f"t_bar must be positive, got {t_bar}")
-    policy = np.zeros((m, m))
-    for i in range(m):
-        neighbors = np.flatnonzero(indicator[i] > 0)
-        if neighbors.size == 0:
-            return None  # isolated worker: no feasible communication at all
-        floors = alpha * rho * (indicator[i, neighbors] + indicator[neighbors, i])
-        floors = floors * (1.0 + _STRICT_MARGIN)
-        # Variables: [p_ii, p_im for m in neighbors]
-        num_vars = 1 + neighbors.size
-        cost = np.zeros(num_vars)
-        cost[0] = 1.0  # minimize p_ii
-        # Tie-break among p_ii-optimal vertices: prefer fast links. The
-        # quadratic-in-t weights are scaled so their total contribution
-        # stays far below 1 (one unit of the primary objective).
-        t_max = float(times[i, neighbors].max())
-        if t_max > 0:
-            cost[1:] = 1e-3 * (times[i, neighbors] / t_max) ** 2
-        a_eq = np.zeros((2, num_vars))
-        a_eq[0, 1:] = times[i, neighbors]  # Eq. (10)
-        a_eq[1, :] = 1.0  # Eq. (13)
-        b_eq = np.array([m * t_bar, 1.0])
-        lower = np.concatenate(([0.0], floors))
-        upper = np.ones(num_vars)
-        if warm_start is not None:
-            previous = np.concatenate(
-                ([warm_start[i, i]], warm_start[i, neighbors])
-            )
-            if _certified_optimal_vertex(previous, cost, a_eq, b_eq, lower, upper):
-                # The reused row is a previous solve's *renormalized* output;
-                # it passes through untouched (no second renormalization), so
-                # a warm-started solve of a bit-identical worker LP returns
-                # bit-identical rows.
-                policy[i, i] = previous[0]
-                policy[i, neighbors] = previous[1:]
-                continue
-        bounds = list(zip(lower.tolist(), upper.tolist()))
-        solution = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if not solution.success:
-            return None
-        # Clean tiny negative round-off and renormalize the row exactly.
-        row = np.clip(solution.x, 0.0, None)
-        row /= row.sum()
-        policy[i, i] = row[0]
-        policy[i, neighbors] = row[1:]
+    neighbors = indicator > 0
+    if not neighbors.any(axis=1).all():
+        return None  # isolated worker: no feasible communication at all
+    times = np.where(neighbors, times, 0.0)
+    floor = alpha * rho * (1.0 + _STRICT_MARGIN)
+    policy = np.where(neighbors, floor * (indicator + indicator.T), 0.0)
+    budget = m * t_bar
+    mass = 1.0 - policy.sum(axis=1, keepdims=True)
+    time_left = budget - (times * policy).sum(axis=1, keepdims=True)
+    slowest = times.max(axis=1, keepdims=True)
+    slack = _FEASIBILITY_TOL * budget
+    if mass.min() < -_FEASIBILITY_TOL or time_left.min() < -slack:
+        return None
+    mass = np.maximum(mass, 0.0)
+    if np.any(time_left > mass * slowest + slack):
+        return None
+    time_left = np.clip(time_left, 0.0, mass * slowest)
+    tau = np.divide(time_left, mass, out=np.zeros_like(mass), where=mass > 0)
+    # The envelope vertices bracketing tau; time 0 is p_ii's vertex.
+    below = neighbors & (times <= tau)
+    t_low = np.where(below, times, 0.0).max(axis=1, keepdims=True)
+    t_high = np.where(neighbors & ~below, times, np.inf).min(axis=1, keepdims=True)
+    on_high = np.clip((time_left - mass * t_low) / (t_high - t_low), 0.0, mass)
+    on_low = mass - on_high
+    at_low = below & (times == t_low)
+    at_high = times == t_high
+    shared_low = at_low.sum(axis=1, keepdims=True)
+    shared_high = at_high.sum(axis=1, keepdims=True)
+    policy += np.where(at_low, on_low / np.maximum(shared_low, 1), 0.0)
+    policy += np.where(at_high, on_high / np.maximum(shared_high, 1), 0.0)
+    policy[np.diag_indices(m)] = np.where(shared_low == 0, on_low, 0.0)[:, 0]
     return policy
 
 
@@ -270,7 +229,6 @@ def generate_policy(
     outer_rounds: int = 10,
     inner_rounds: int = 10,
     epsilon: float = 1e-2,
-    warm_start: np.ndarray | None = None,
 ) -> PolicyResult:
     """Algorithm 3: nested grid search for the best feasible policy.
 
@@ -283,9 +241,6 @@ def generate_policy(
         inner_rounds: ``R``, number of ``t`` values per ``rho``.
         epsilon: accuracy target in the convergence-time prediction
             (Eq. 9's ``lambda^k <= eps``).
-        warm_start: optional previous policy (same graph signature) handed
-            to every grid point's :func:`solve_policy_lp`; certified-optimal
-            vertices are reused without invoking the solver.
 
     Returns:
         The best :class:`PolicyResult` over the grid.
@@ -331,9 +286,7 @@ def generate_policy(
         delta_t = (upper_t - lower_t) / inner_rounds
         for r in range(1, inner_rounds + 1):
             t_bar = lower_t + r * delta_t
-            policy = solve_policy_lp(
-                times, indicator, alpha, rho, t_bar, warm_start=warm_start
-            )
+            policy = solve_policy_lp(times, indicator, alpha, rho, t_bar)
             if policy is None:
                 infeasible += 1
                 continue
@@ -426,9 +379,8 @@ class PolicyCache:
     ``max_entries``. Infeasible grids are cached too (a recurring hopeless
     subgraph should not re-pay the full grid search to fail again).
 
-    Misses run :func:`generate_policy` on the *quantized* matrix, warm
-    started from the previous result for the same signature, so cached and
-    freshly solved policies are identical by construction for equal keys.
+    Misses run :func:`generate_policy` on the *quantized* matrix, so cached
+    and freshly solved policies are identical by construction for equal keys.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -437,12 +389,6 @@ class PolicyCache:
         self.max_entries = int(max_entries)
         self.stats = PolicyCacheStats()
         self._entries: OrderedDict[bytes, PolicyResult | None] = OrderedDict()
-        # Warm-start sources: the most recent result per graph signature.
-        # LRU-bounded like the result entries -- under combined churn and
-        # edge flips a long run can see many distinct (active-subset, live
-        # edge-set) signatures, and an unbounded map would outlive the
-        # max_entries budget it is supposed to respect.
-        self._last_by_signature: OrderedDict[bytes, PolicyResult] = OrderedDict()
 
     def _key(
         self,
@@ -499,7 +445,6 @@ class PolicyCache:
                 )
             self.stats.hits += 1
             return entry
-        warm = self._last_by_signature.get(signature)
         self.stats.cold_solves += 1
         try:
             result = generate_policy(
@@ -509,17 +454,12 @@ class PolicyCache:
                 outer_rounds=outer_rounds,
                 inner_rounds=inner_rounds,
                 epsilon=epsilon,
-                warm_start=warm.policy if warm is not None else None,
             )
         except PolicyGenerationError:
             self._store(key, None)
             raise
         result.policy.setflags(write=False)  # shared across cache hits
         self._store(key, result)
-        self._last_by_signature[signature] = result
-        self._last_by_signature.move_to_end(signature)
-        while len(self._last_by_signature) > self.max_entries:
-            self._last_by_signature.popitem(last=False)
         return result
 
     def _store(self, key: bytes, entry: PolicyResult | None) -> None:

@@ -89,7 +89,11 @@ __all__ = [
 # `default_rng(seed + 1)` to the named `[seed, _MODEL_INIT_STREAM]` stream
 # (repro-lint RPL004), shifting every workload's initial parameters, so v4
 # entries must never be reused.
-CACHE_VERSION = 5
+# Version 6: Algorithm 3's per-worker LP is solved in closed form instead of
+# by HiGHS (`solve_policy_lp`): same optimum where it was unique, but tied
+# link times now share their mass equally and the fast-link tie-break is
+# exact, so netmax/adpsgd-monitor policies can differ from v5's.
+CACHE_VERSION = 6
 
 
 def _scenario_kinds() -> tuple[str, ...]:

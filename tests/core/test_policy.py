@@ -12,6 +12,7 @@ from repro.core.policy import (
     uniform_policy,
 )
 from repro.graph import Topology
+from repro.graph.topology import make_topology
 
 
 class TestIntervals:
@@ -91,6 +92,35 @@ class TestSolvePolicyLP:
         slow_neighbors = [2, 3, 4]
         assert policy[0, 1] > max(policy[0, m] for m in slow_neighbors)
 
+    @pytest.mark.parametrize("topology", [Topology.star(5), Topology.fully_connected(2)])
+    def test_degree_one_worker_at_upper_t_is_feasible(self, topology, rng):
+        """At ``t_bar = U`` a degree-1 worker's only feasible row is its one
+        neighbor with probability 1 -- the budget sits exactly on the end of
+        its range, and must not round out of it."""
+        m = topology.num_workers
+        indicator = topology.indicator()
+        times = rng.uniform(0.1, 2.0, (m, m))
+        times = (times + times.T) / 2
+        alpha, rho = 0.1, 0.05
+        _, upper = t_interval(times, indicator, alpha, rho)
+        policy = solve_policy_lp(times, indicator, alpha, rho, upper)
+        assert policy is not None
+        # The degree-1 worker whose link sets U = t / M.
+        binding = np.argmin(np.where(indicator.sum(axis=1) == 1,
+                                     (times * indicator).max(axis=1), np.inf))
+        assert policy[binding].max() == pytest.approx(1.0, abs=1e-9)
+
+    def test_tied_times_share_mass_equally(self, full5):
+        """The homogeneous cluster: a symmetric LP gets the symmetric answer,
+        not a vertex that lumps the residual mass on one arbitrary neighbor."""
+        times = np.full((5, 5), 0.3)
+        indicator = full5.indicator()
+        lower, upper = t_interval(times, indicator, 0.1, 0.5)
+        policy = solve_policy_lp(times, indicator, 0.1, 0.5, (lower + upper) / 2)
+        off = indicator > 0
+        np.testing.assert_allclose(policy[off], policy[0, 1], rtol=1e-12)
+        assert policy[0, 0] > 0  # a budget under t: the rest stays home
+
 
 class TestGeneratePolicy:
     def test_finds_feasible_policy(self, full5, hetero_times5):
@@ -159,6 +189,29 @@ class TestGeneratePolicy:
         monkeypatch.setattr(policy_module, "solve_policy_lp", lambda *a, **k: None)
         with pytest.raises(PolicyGenerationError, match="no feasible policy"):
             generate_policy(hetero_times5, full5.indicator(), 0.1)
+
+    @pytest.mark.parametrize("kind", ["full", "ring", "star", "random", "expander"])
+    def test_grid_winner_matches_highs_backed_search(
+        self, kind, highs_policy_lp, monkeypatch
+    ):
+        """With distinct link times every grid point's optimum is unique, so
+        Algorithm 3 over the closed form and over the solver it replaced
+        pick the same ``(rho, t_bar)``."""
+        import repro.core.policy as policy_module
+
+        m = 9
+        indicator = make_topology(kind, m, edge_probability=0.4, seed=3).indicator()
+        times = np.random.default_rng(3).uniform(0.1, 3.0, (m, m))
+        times = (times + times.T) / 2
+        ours = generate_policy(times, indicator, 0.1, outer_rounds=6, inner_rounds=6)
+        monkeypatch.setattr(policy_module, "solve_policy_lp", highs_policy_lp)
+        reference = generate_policy(
+            times, indicator, 0.1, outer_rounds=6, inner_rounds=6
+        )
+        assert (ours.rho, ours.t_bar) == (reference.rho, reference.t_bar)
+        assert ours.candidates_evaluated == reference.candidates_evaluated
+        np.testing.assert_allclose(ours.policy, reference.policy, atol=1e-9)
+        assert ours.lambda2 == pytest.approx(reference.lambda2, abs=1e-9)
 
     def test_rejects_zero_neighbor_times(self, full5):
         times = np.zeros((5, 5))

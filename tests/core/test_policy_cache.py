@@ -1,6 +1,6 @@
-"""The signature-keyed policy-LP cache and the warm-start vertex reuse.
+"""The signature-keyed policy-LP cache.
 
-Three promises, all load-bearing for the dynamic-topology monitor loop:
+Two promises, both load-bearing for the dynamic-topology monitor loop:
 
 1. **Hits are exact** -- a cache hit returns the identical PolicyResult the
    cold solve produced, and cold solves run on the *quantized* matrix, so
@@ -8,8 +8,6 @@ Three promises, all load-bearing for the dynamic-topology monitor loop:
 2. **Keys discriminate** -- different graph signatures, materially
    different times, and different alphas/grids never share an entry, while
    sub-quantization measurement jitter maps onto one key.
-3. **Warm start is invisible** -- reusing a certified previous vertex skips
-   linprog calls but returns bit-identical policies.
 """
 
 import numpy as np
@@ -21,7 +19,6 @@ from repro.core.policy import (
     PolicyGenerationError,
     generate_policy,
     quantize_times,
-    solve_policy_lp,
 )
 from repro.graph import Topology
 
@@ -139,77 +136,8 @@ class TestPolicyCache:
         cache.generate(times5, _indicator(), 0.1)  # evicted: cold again
         assert cache.stats.cold_solves == 4
 
-    def test_warm_start_sources_bounded_like_entries(self, times5):
-        """max_entries bounds total retention: the per-signature warm-start
-        map must not outlive the result entries it feeds."""
-        cache = PolicyCache(max_entries=2)
-        for index in range(4):
-            cache.generate(
-                times5, _indicator(), 0.1, signature=b"sig-%d" % index
-            )
-        assert len(cache._last_by_signature) <= 2
-
     def test_cached_policy_is_frozen(self, times5):
         cache = PolicyCache()
         result = cache.generate(times5, _indicator(), 0.1)
         with pytest.raises(ValueError):
             result.policy[0, 0] = 0.5
-
-
-class TestWarmStart:
-    def _count_linprogs(self, monkeypatch):
-        calls = []
-        original = policy_module.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(policy_module, "linprog", counting)
-        return calls
-
-    @staticmethod
-    def _feasible_point(times, indicator, alpha=0.1):
-        """A (rho, t_bar) with a feasible LP: Algorithm 3's own winner."""
-        result = generate_policy(times, indicator, alpha)
-        return result.rho, result.t_bar
-
-    def test_certified_reuse_skips_linprog_bitwise(self, times5, monkeypatch):
-        """Re-solving the identical LP from its own solution is solver-free
-        and returns the bit-identical policy."""
-        indicator = _indicator()
-        rho, t_bar = self._feasible_point(times5, indicator)
-        cold = solve_policy_lp(times5, indicator, 0.1, rho, t_bar)
-        assert cold is not None
-        calls = self._count_linprogs(monkeypatch)
-        warm = solve_policy_lp(times5, indicator, 0.1, rho, t_bar, warm_start=cold)
-        assert not calls, "warm start should certify every row without linprog"
-        np.testing.assert_array_equal(warm, cold)
-
-    def test_changed_budget_falls_back_to_solver(self, times5, monkeypatch):
-        indicator = _indicator()
-        rho, t_bar = self._feasible_point(times5, indicator)
-        cold = solve_policy_lp(times5, indicator, 0.1, rho, t_bar)
-        calls = self._count_linprogs(monkeypatch)
-        other = solve_policy_lp(
-            times5, indicator, 0.1, rho, t_bar * 1.05, warm_start=cold
-        )
-        assert calls, "a different t_bar budget must not certify"
-        fresh = solve_policy_lp(times5, indicator, 0.1, rho, t_bar * 1.05)
-        np.testing.assert_array_equal(other, fresh)
-
-    def test_generate_policy_warm_start_identical(self, times5):
-        indicator = _indicator()
-        cold = generate_policy(times5, indicator, 0.1)
-        warm = generate_policy(times5, indicator, 0.1, warm_start=cold.policy)
-        np.testing.assert_array_equal(warm.policy, cold.policy)
-        assert warm.rho == cold.rho
-
-    def test_cache_threads_warm_start_across_keys(self, times5, monkeypatch):
-        """A same-signature re-solve with a changed alpha reuses certified
-        rows where possible but stays bit-identical to a fresh solve."""
-        cache = PolicyCache()
-        cache.generate(times5, _indicator(), 0.1, signature=b"S")
-        warm_result = cache.generate(times5, _indicator(), 0.2, signature=b"S")
-        fresh = generate_policy(quantize_times(times5), _indicator(), 0.2)
-        np.testing.assert_array_equal(warm_result.policy, fresh.policy)

@@ -442,15 +442,15 @@ class TestScenarioParams:
             ScenarioSpec("heterogeneous", 4, params=(("topology", "mesh"),))
 
     def test_cache_version_bump_invalidates_stale_entries(self):
-        """Model init moved to the named [seed, _MODEL_INIT_STREAM] stream
-        at CACHE_VERSION 5: a key computed under any older version must
-        never collide with a current key, so stale v2/v3/v4 cache entries
-        can never be served as fresh results."""
-        assert CACHE_VERSION == 5
+        """Algorithm 3's LP went closed-form at CACHE_VERSION 6: a key
+        computed under any older version must never collide with a current
+        key, so stale v2..v5 cache entries can never be served as fresh
+        results."""
+        assert CACHE_VERSION == 6
         cell = tiny_spec().cells()[0]
         payload = cell.describe()
         assert payload["cache_version"] == CACHE_VERSION
-        for stale_version in (1, 2, 3, 4):
+        for stale_version in (1, 2, 3, 4, 5):
             stale_payload = dict(payload, cache_version=stale_version)
             stale_key = hashlib.sha256(
                 json.dumps(stale_payload, sort_keys=True, default=str).encode()

@@ -62,11 +62,12 @@ GOLDEN_CHURN = {
 # The time-varying topology subsystem (edge fail/repair on a ring): pins the
 # edge-flip event ordering, the [seed, _EDGE_FLIP_STREAM] schedule stream,
 # and -- for the monitor-driven trainers -- the flip-triggered re-solve path
-# through the quantized policy cache.
+# through the quantized policy cache. The netmax entry was regenerated for
+# CACHE_VERSION 6 (closed-form Algorithm-3 LP; it moved in the last digits).
 GOLDEN_EDGE_FAILURES = {
     "adpsgd": (0.0005023846464405539, 440, 3),
     "adpsgd-monitor": (0.0007387127981043338, 625, 3),
-    "netmax": (0.0007615917956034159, 625, 3),
+    "netmax": (0.0007615917956034148, 625, 3),
     "saps": (0.00019061864292507959, 849, 3),
 }
 

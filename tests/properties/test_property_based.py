@@ -6,6 +6,9 @@ These cover the load-bearing mathematical properties:
   non-negative, lambda_2 < 1) for *arbitrary* feasible policies, not just
   the ones Algorithm 3 happens to output;
 - LP feasibility: every solution of Eq. (14) satisfies Eq. (10)-(13);
+- the closed-form Eq. (14) solve against scipy's HiGHS as the oracle:
+  constraints to round-off, objective never worse, feasibility agreed,
+  permutation-equivariant, uniform on tied times;
 - partitioners: exact cover / label exclusion for random datasets;
 - EMA: output stays within observed bounds;
 - event engine: execution order is sorted by time regardless of insertion.
@@ -13,17 +16,23 @@ These cover the load-bearing mathematical properties:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.mixing import (
     expected_mixing_matrix,
     is_doubly_stochastic,
     second_largest_eigenvalue,
 )
-from repro.core.policy import solve_policy_lp, t_interval
+from repro.core.policy import (
+    _STRICT_MARGIN,
+    quantize_times,
+    solve_policy_lp,
+    t_interval,
+)
 from repro.datasets.partition import partition_drop_labels, partition_uniform
 from repro.datasets.synthetic import make_classification
 from repro.graph import Topology
+from repro.graph.topology import make_topology
 from repro.ml.metrics import ExponentialMovingAverage
 from repro.simulation.engine import Simulator
 
@@ -92,6 +101,137 @@ class TestMixingProperties:
         assert np.all(policy[off] >= 2 * alpha * rho - 1e-9)
         mean_times = np.sum(times * policy * indicator, axis=1)
         assert np.allclose(mean_times, m * t_bar, rtol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form Eq. (14) solve against the HiGHS oracle
+# ---------------------------------------------------------------------------
+
+
+lp_draws = st.tuples(
+    st.sampled_from(["full", "ring", "star", "random", "expander"]),
+    st.integers(min_value=2, max_value=24),  # workers
+    seeds,
+    st.sampled_from([1.0, 3.0, 10.0, 100.0]),  # slowest / fastest link
+    st.booleans(),  # round times to one significant digit, so neighbors tie
+    st.sampled_from([0.01, 0.1, 0.3]),  # alpha
+    st.floats(0.05, 1.0),  # rho, as a fraction of generate_policy's cap
+    st.floats(-0.1, 1.1),  # t_bar's place in [L, U]; infeasible past the ends
+)
+
+
+def lp_case(kind, m, seed, spread, coarse, alpha, rho_fraction, t_fraction):
+    """``(times, indicator, alpha, rho, t_bar)`` from one ``lp_draws`` draw."""
+    try:
+        topology = make_topology(kind, m, edge_probability=0.4, seed=seed)
+    except ValueError:
+        topology = Topology.fully_connected(m)  # e.g. a ring on 2 workers
+    indicator = topology.indicator()
+    rng = np.random.default_rng(seed)
+    times = 0.05 * np.exp(rng.uniform(0.0, np.log(spread), (m, m)))
+    times = (times + times.T) / 2
+    if coarse:
+        times = quantize_times(times, digits=1)
+    # generate_policy's own cap on rho: L(rho) <= U.
+    floor_cost = np.max(alpha / m * np.sum(times * 2 * indicator, axis=1))
+    upper_t = np.min(np.max(times * indicator, axis=1) / m)
+    rho = rho_fraction * min(0.5 / alpha, upper_t / floor_cost)
+    lower, upper = t_interval(times, indicator, alpha, rho)
+    t_bar = lower + t_fraction * (upper - lower)
+    assume(t_bar > 0)
+    return times, indicator, alpha, rho, t_bar
+
+
+def _residuals(times, indicator, alpha, rho, t_bar):
+    """Per worker: the Eq. (11) floors, and how far inside its feasible
+    range ``[0, S max_m t_im]`` the time budget left after paying them sits
+    (negative outside), in units of ``max(1, M t_bar)`` -- HiGHS's own
+    feasibility tolerance is absolute."""
+    m = times.shape[0]
+    floors = alpha * rho * (1.0 + _STRICT_MARGIN) * 2 * indicator
+    mass = 1.0 - floors.sum(axis=1)
+    time_left = m * t_bar - (times * floors).sum(axis=1)
+    slowest = (times * indicator).max(axis=1)
+    inside = np.minimum(time_left, mass * slowest - time_left) / max(1.0, m * t_bar)
+    return floors, np.minimum(inside, mass)
+
+
+def _row_objectives(times, indicator, policy):
+    """``p_ii + sum_m c_im p_im`` with the documented tie-break weights."""
+    neighbor_times = times * indicator
+    cost = 1e-3 * (neighbor_times / neighbor_times.max(axis=1, keepdims=True)) ** 2
+    return np.diag(policy) + (cost * policy).sum(axis=1)
+
+
+class TestClosedFormPolicyLP:
+    @given(draw=lp_draws)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_highs_oracle(self, draw, highs_policy_lp):
+        times, indicator, alpha, rho, t_bar = lp_case(*draw)
+        m = times.shape[0]
+        policy = solve_policy_lp(times, indicator, alpha, rho, t_bar)
+        oracle = highs_policy_lp(times, indicator, alpha, rho, t_bar)
+        floors, inside = _residuals(times, indicator, alpha, rho, t_bar)
+        # Feasibility is agreed wherever the budget is not on a boundary.
+        if inside.min() > 1e-6:
+            assert policy is not None and oracle is not None
+        elif inside.min() < -1e-6:
+            assert policy is None and oracle is None
+        if policy is None:
+            return
+        edges = indicator > 0
+        # Eq. 13, Eq. 12, Eq. 11, Eq. 10 in turn -- to round-off off the
+        # boundary, to the clamp's tolerance on it.
+        tol = 1e-12 if inside.min() > 1e-6 else 1e-8
+        np.testing.assert_allclose(policy.sum(axis=1), 1.0, rtol=0, atol=tol)
+        assert np.all(policy[~edges & ~np.eye(m, dtype=bool)] == 0.0)
+        assert np.all(policy[edges] >= floors[edges]) and np.all(np.diag(policy) >= 0)
+        np.testing.assert_allclose(
+            (times * indicator * policy).sum(axis=1), m * t_bar, rtol=tol
+        )
+        # At most two entries leave their floor (one of them may be p_ii)
+        # wherever a worker's neighbor times are distinct.
+        raised = (policy > floors * (1 + 1e-9) + 1e-15) & edges
+        for i in range(m):
+            row_times = times[i, edges[i]]
+            if np.unique(row_times).size == row_times.size:
+                assert raised[i].sum() + (policy[i, i] > 1e-15) <= 2
+        # Never worse than HiGHS; HiGHS is within its own tolerances of us.
+        if oracle is not None and inside.min() > 1e-6:
+            objective = _row_objectives(times, indicator, policy)
+            reference = _row_objectives(times, indicator, oracle)
+            assert np.all(objective <= reference + 1e-12)
+            assert np.all(objective >= reference - 1e-6)
+
+    @given(draw=lp_draws, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_relabeling_workers_permutes_the_policy(self, draw, seed):
+        times, indicator, alpha, rho, t_bar = lp_case(*draw)
+        policy = solve_policy_lp(times, indicator, alpha, rho, t_bar)
+        order = np.random.default_rng(seed).permutation(times.shape[0])
+        shuffle = np.ix_(order, order)
+        shuffled = solve_policy_lp(
+            times[shuffle], indicator[shuffle], alpha, rho, t_bar
+        )
+        if policy is None or shuffled is None:
+            # Only a budget on the boundary may round either way.
+            _, inside = _residuals(times, indicator, alpha, rho, t_bar)
+            assert (policy is None and shuffled is None) or abs(inside.min()) < 1e-6
+            return
+        np.testing.assert_allclose(shuffled, policy[shuffle], rtol=0, atol=1e-12)
+
+    @given(draw=lp_draws)
+    @settings(max_examples=40, deadline=None)
+    def test_tied_times_give_uniform_rows(self, draw):
+        kind, m, seed, _, _, alpha, rho_fraction, _ = draw
+        times, indicator, alpha, rho, t_bar = lp_case(
+            kind, m, seed, 1.0, False, alpha, 0.9 * rho_fraction, 0.5
+        )
+        policy = solve_policy_lp(times, indicator, alpha, rho, t_bar)
+        assert policy is not None
+        for i in range(times.shape[0]):
+            row = policy[i, indicator[i] > 0]
+            np.testing.assert_allclose(row, row[0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,35 @@ class TestCommands:
         second = json.loads(summary_path.read_text())
         assert second["executed"] == 0 and second["cached"] == 1
 
+    def test_default_sweep_cell_adopts_a_policy(self, monkeypatch, capsys):
+        """`repro sweep` at its default --sim-time (60 = NetMax's default
+        monitor period) must not compare NetMax on its uniform fallback: the
+        sweep path scales the period to the horizon and says so."""
+        import repro.cli as cli
+
+        sweeps = []
+        real_run_sweep = cli.run_sweep
+
+        def capturing(*args, **kwargs):
+            sweeps.append(real_run_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(cli, "run_sweep", capturing)
+        assert main([
+            "sweep", "--algorithms", "netmax", "adpsgd-monitor", "adpsgd",
+            "--seeds", "0", "--samples", "256",
+        ]) == 0
+        assert "monitor_period_s = 15" in capsys.readouterr().err
+        adopted = {
+            outcome.cell.algorithm: outcome.result.extras.get("policies_adopted")
+            for outcome in sweeps[0].outcomes
+        }
+        assert adopted["netmax"] >= 1 and adopted["adpsgd-monitor"] >= 1
+        assert adopted["adpsgd"] is None
+        # Four or more default periods fit: the library default stands.
+        assert main(["sweep", "--sim-time", "240", "--dry-run"]) == 0
+        assert "monitor_period_s" not in capsys.readouterr().err
+
     def test_sweep_queue_backend_requires_queue_dir(self, capsys):
         code = main([
             "sweep", "--algorithms", "adpsgd", "--seeds", "0",

@@ -1,5 +1,8 @@
 """The public API surface promised by the README stays importable and sane."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,12 @@ class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
+
+    def test_importing_the_cli_does_not_import_scipy(self):
+        """scipy is the tests' LP oracle only; on the import path it costs
+        every `repro` command ~0.3 s and ~30 MB."""
+        probe = "import sys, repro.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
 
     def test_trainer_names(self):
         names = repro.trainer_names()
