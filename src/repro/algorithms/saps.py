@@ -13,7 +13,6 @@ edges until a target mean degree is reached.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.algorithms.adpsgd import ADPSGDTrainer
@@ -36,22 +35,28 @@ def initially_fast_subgraph(
             (0 = pure spanning tree, SAPS's sparsest configuration).
     """
     bandwidth_matrix = np.asarray(bandwidth_matrix, dtype=np.float64)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(topology.num_workers))
-    for a, b in topology.edges():
-        graph.add_edge(a, b, bandwidth=float(bandwidth_matrix[a, b]))
-    tree = nx.maximum_spanning_tree(graph, weight="bandwidth")
-    chosen = set(frozenset(e) for e in tree.edges())
-    if extra_edges > 0:
-        remaining = sorted(
-            (e for e in graph.edges() if frozenset(e) not in chosen),
-            key=lambda e: graph.edges[e]["bandwidth"],
-            reverse=True,
-        )
-        for edge in remaining[:extra_edges]:
-            chosen.add(frozenset(edge))
+    # Kruskal, fastest edge first. The sort is stable, so equal bandwidths
+    # keep the edge list's (a, b) order -- both for which tied edge enters
+    # the tree and for which rejected edges come back as extras.
+    ranked = sorted(topology.edges(), key=lambda e: bandwidth_matrix[e], reverse=True)
+    root = list(range(topology.num_workers))
+
+    def find(worker: int) -> int:
+        while root[worker] != worker:
+            root[worker] = root[root[worker]]  # path halving
+            worker = root[worker]
+        return worker
+
+    tree, rejected = [], []
+    for a, b in ranked:
+        root_a, root_b = find(a), find(b)
+        if root_a == root_b:
+            rejected.append((a, b))
+        else:
+            root[root_a] = root_b
+            tree.append((a, b))
     return Topology.from_edges(
-        topology.num_workers, [tuple(sorted(e)) for e in chosen]
+        topology.num_workers, tree + rejected[: max(extra_edges, 0)]
     )
 
 

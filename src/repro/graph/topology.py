@@ -32,9 +32,12 @@ import hashlib
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # test/interop only: nothing under src/ imports networkx at module level
+    import networkx as nx
 
 __all__ = [
     "Topology",
@@ -460,8 +463,10 @@ class Topology:
         position = int(np.searchsorted(row, b))
         return bool(position < row.size and row[position] == b)
 
-    def to_networkx(self) -> nx.Graph:
-        """networkx view (used for spanning-subgraph selection)."""
+    def to_networkx(self) -> "nx.Graph":
+        """networkx view (interop, and the tests' oracle; imported on use)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_workers))
         graph.add_edges_from(self.edges())
@@ -485,6 +490,44 @@ class Topology:
             )
             frontier = hop[~seen[hop]]
         return bool(seen.all())
+
+    def bridges(self) -> set[tuple[int, int]]:
+        """Edges (``a < b``) whose removal disconnects their component.
+
+        Iterative Tarjan low-link search over the CSR rows, O(N + E): an
+        edge into a DFS child is a bridge iff nothing below the child
+        reaches back to the parent or above it.
+        """
+        indptr = self._indptr.tolist()
+        indices = self._indices.tolist()
+        order = [-1] * self._num_workers  # DFS discovery index
+        low = [0] * self._num_workers
+        found: set[tuple[int, int]] = set()
+        visited = 0
+        for root in range(self._num_workers):
+            if order[root] >= 0:
+                continue
+            order[root] = low[root] = visited
+            visited += 1
+            stack = [(root, -1, indptr[root])]  # (vertex, parent, next CSR slot)
+            while stack:
+                v, parent, slot = stack[-1]
+                if slot < indptr[v + 1]:
+                    stack[-1] = (v, parent, slot + 1)
+                    w = indices[slot]
+                    if order[w] < 0:
+                        order[w] = low[w] = visited
+                        visited += 1
+                        stack.append((w, v, indptr[w]))
+                    elif w != parent:
+                        low[v] = min(low[v], order[w])
+                    continue
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > order[parent]:
+                        found.add((parent, v) if parent < v else (v, parent))
+        return found
 
     def require_connected(self) -> "Topology":
         """Raise unless connected (Assumption 1); returns self for chaining."""
@@ -836,7 +879,7 @@ class EdgeSchedule:
                 f"downtime_s={downtime_s} does not fit {num_failures} "
                 f"failure window(s) of {window:.3g}s in horizon_s={horizon_s}"
             )
-        bridges = {tuple(sorted(edge)) for edge in nx.bridges(topology.to_networkx())}
+        bridges = topology.bridges()
         failable = [edge for edge in topology.edges() if edge not in bridges]
         if not failable:
             raise ValueError(

@@ -55,10 +55,15 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     n = logits.shape[0]
     if n == 0:
         raise ValueError("cannot compute cross-entropy of an empty batch")
-    logp = log_softmax(logits)
-    loss = float(-np.mean(logp[np.arange(n), labels]))
-    grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
+    # softmax and log_softmax share shift / exp / sum: computed once here,
+    # in their order, so both halves equal the two-call formula bit for bit.
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    grad = np.exp(shifted)
+    total = grad.sum(axis=-1, keepdims=True)
+    loss = float(-(shifted[rows, labels] - np.log(total)[:, 0]).mean())
+    grad /= total
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 

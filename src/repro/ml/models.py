@@ -21,6 +21,8 @@ models", Sec. V-G).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.ml.metrics import accuracy, softmax_cross_entropy
@@ -29,18 +31,47 @@ __all__ = ["Model", "SoftmaxRegression", "MLPClassifier", "build_model", "MODEL_
 
 
 class Model:
-    """Abstract classifier over flat parameter vectors."""
+    """Abstract classifier over flat parameter vectors.
+
+    A model owns exactly one flat float64 buffer, ``_params``; whatever
+    structure a subclass needs (per-layer weight matrices) is a reshaped
+    *view* into it, built by :meth:`_bind`. The flat vector the trainers
+    speak is therefore the storage itself: reading it is one copy, writing
+    it one validated copy into place, and nobody outside ever holds the buffer.
+    """
+
+    _params: np.ndarray
+    # Attribute names _bind assigns. Views do not survive pickling or
+    # deepcopy as views (numpy restores them as detached arrays), so they
+    # are dropped from the state and rebuilt onto the restored buffer.
+    _views: tuple[str, ...] = ()
+
+    def _bind(self) -> None:
+        """(Re)build the subclass's views into ``_params``."""
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._views}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     @property
     def dim(self) -> int:
         """Number of scalar parameters."""
-        raise NotImplementedError
+        return self._params.size
 
     def get_params(self) -> np.ndarray:
-        raise NotImplementedError
+        return self._params.copy()
 
     def set_params(self, params: np.ndarray) -> None:
-        raise NotImplementedError
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != self._params.shape:
+            raise ValueError(
+                f"expected flat parameter vector of shape {self._params.shape}, "
+                f"got {params.shape}"
+            )
+        self._params[...] = params
 
     def predict_logits(self, features: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -60,69 +91,23 @@ class Model:
         return accuracy(self.predict_logits(features), labels)
 
     def clone(self) -> "Model":
-        """Independent copy with identical parameters."""
-        raise NotImplementedError
-
-
-def _check_flat(params: np.ndarray, dim: int) -> np.ndarray:
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (dim,):
-        raise ValueError(f"expected flat parameter vector of shape ({dim},), got {params.shape}")
-    return params
-
-
-class SoftmaxRegression(Model):
-    """Multinomial logistic regression: a single dense layer plus softmax.
-
-    Convex in its parameters, which makes it the model of choice for tests
-    that want reliable, fast convergence signals.
-    """
-
-    def __init__(self, num_features: int, num_classes: int, rng: np.random.Generator | None = None):
-        if num_features < 1 or num_classes < 2:
-            raise ValueError("need num_features >= 1 and num_classes >= 2")
-        self.num_features = num_features
-        self.num_classes = num_classes
-        rng = rng if rng is not None else np.random.default_rng(0)
-        scale = 1.0 / np.sqrt(num_features)
-        self._w = rng.normal(0.0, scale, size=(num_features, num_classes))
-        self._b = np.zeros(num_classes)
-
-    @property
-    def dim(self) -> int:
-        return self.num_features * self.num_classes + self.num_classes
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self._w.ravel(), self._b])
-
-    def set_params(self, params: np.ndarray) -> None:
-        params = _check_flat(params, self.dim)
-        split = self.num_features * self.num_classes
-        self._w = params[:split].reshape(self.num_features, self.num_classes).copy()
-        self._b = params[split:].copy()
-
-    def predict_logits(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) @ self._w + self._b
-
-    def loss_and_grad(self, features: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        features = np.asarray(features, dtype=np.float64)
-        loss, dlogits = softmax_cross_entropy(features @ self._w + self._b, labels)
-        grad_w = features.T @ dlogits
-        grad_b = dlogits.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
-
-    def clone(self) -> "SoftmaxRegression":
-        copy = SoftmaxRegression(self.num_features, self.num_classes)
-        copy.set_params(self.get_params())
-        return copy
+        """Independent copy with identical parameters (on its own buffer)."""
+        twin = copy.copy(self)
+        twin._params = self._params.copy()
+        twin._bind()
+        return twin
 
 
 class MLPClassifier(Model):
     """Fully connected ReLU network with a softmax head.
 
-    Parameters are stored as a list of ``(W, b)`` per layer but exposed flat.
+    The flat buffer is laid out ``W_0, b_0, W_1, b_1, ...``; ``_weights`` and
+    ``_biases`` are views of it, and the backward pass writes each layer's
+    gradient straight into the same layout of a fresh flat vector.
     He initialization keeps gradients healthy at the depths used here.
     """
+
+    _views = ("_weights", "_biases")
 
     def __init__(
         self,
@@ -140,72 +125,76 @@ class MLPClassifier(Model):
         self.hidden = tuple(int(h) for h in hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         sizes = (num_features, *self.hidden, num_classes)
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self._weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
-        self._dim = sum(w.size for w in self._weights) + sum(b.size for b in self._biases)
+        self._params = np.zeros(
+            sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        )
+        self._bind()
+        for w in self._weights:
+            w[...] = rng.normal(0.0, self._init_scale(w.shape[0]), size=w.shape)
 
-    @property
-    def dim(self) -> int:
-        return self._dim
+    @staticmethod
+    def _init_scale(fan_in: int) -> float:
+        return np.sqrt(2.0 / fan_in)
 
-    def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self._weights, self._biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def set_params(self, params: np.ndarray) -> None:
-        params = _check_flat(params, self._dim)
+    def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer ``(W, b)`` views of a flat vector in parameter layout."""
+        sizes = (self.num_features, *self.hidden, self.num_classes)
+        weights, biases = [], []
         cursor = 0
-        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
-            self._weights[i] = params[cursor : cursor + w.size].reshape(w.shape).copy()
-            cursor += w.size
-            self._biases[i] = params[cursor : cursor + b.size].copy()
-            cursor += b.size
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            split = cursor + fan_in * fan_out
+            weights.append(flat[cursor:split].reshape(fan_in, fan_out))
+            cursor = split + fan_out
+            biases.append(flat[split:cursor])
+        return weights, biases
+
+    def _bind(self) -> None:
+        self._weights, self._biases = self._layer_views(self._params)
 
     def _forward(self, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Return logits and the post-activation of every hidden layer."""
-        activations: list[np.ndarray] = []
+        """Return logits and the input of every layer (features first)."""
         h = np.asarray(features, dtype=np.float64)
+        inputs = [h]
         for w, b in zip(self._weights[:-1], self._biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-            activations.append(h)
-        logits = h @ self._weights[-1] + self._biases[-1]
-        return logits, activations
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+            inputs.append(h)
+        logits = h @ self._weights[-1]
+        logits += self._biases[-1]
+        return logits, inputs
 
     def predict_logits(self, features: np.ndarray) -> np.ndarray:
         logits, _ = self._forward(features)
         return logits
 
     def loss_and_grad(self, features: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        features = np.asarray(features, dtype=np.float64)
-        logits, activations = self._forward(features)
+        logits, inputs = self._forward(features)
         loss, delta = softmax_cross_entropy(logits, labels)
-
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self._weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self._biases)
-        inputs = [features, *activations]
-        for layer in range(len(self._weights) - 1, -1, -1):
-            grads_w[layer] = inputs[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+        grad = np.empty_like(self._params)
+        grads_w, grads_b = self._layer_views(grad)
+        for layer in range(len(inputs) - 1, -1, -1):
+            np.matmul(inputs[layer].T, delta, out=grads_w[layer])
+            delta.sum(axis=0, out=grads_b[layer])
             if layer > 0:
-                delta = (delta @ self._weights[layer].T) * (inputs[layer] > 0)
+                delta = delta @ self._weights[layer].T
+                delta *= inputs[layer] > 0
+        return loss, grad
 
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
-            parts.append(gb)
-        return loss, np.concatenate(parts)
 
-    def clone(self) -> "MLPClassifier":
-        copy = MLPClassifier(self.num_features, self.num_classes, self.hidden)
-        copy.set_params(self.get_params())
-        return copy
+class SoftmaxRegression(MLPClassifier):
+    """Multinomial logistic regression: a single dense layer plus softmax.
+
+    Convex in its parameters, which makes it the model of choice for tests
+    that want reliable, fast convergence signals.
+    """
+
+    def __init__(self, num_features: int, num_classes: int, rng: np.random.Generator | None = None):
+        super().__init__(num_features, num_classes, hidden=(), rng=rng)
+
+    @staticmethod
+    def _init_scale(fan_in: int) -> float:
+        return 1.0 / np.sqrt(fan_in)
 
 
 # Paper architecture -> default hidden-layer stack for the numpy stand-in.

@@ -58,7 +58,7 @@ class QuadraticProblem(Model):
         self.matrix = matrix
         self.target = target
         self.noise_std = float(noise_std)
-        self._x = np.zeros_like(target)
+        self._params = np.zeros_like(target)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._mu = float(eigenvalues.min())
         self._lipschitz = float(eigenvalues.max())
@@ -81,19 +81,6 @@ class QuadraticProblem(Model):
 
     # -- Model interface -----------------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        return self.target.shape[0]
-
-    def get_params(self) -> np.ndarray:
-        return self._x.copy()
-
-    def set_params(self, params: np.ndarray) -> None:
-        params = np.asarray(params, dtype=np.float64)
-        if params.shape != self._x.shape:
-            raise ValueError(f"expected shape {self._x.shape}, got {params.shape}")
-        self._x = params.copy()
-
     def predict_logits(self, features: np.ndarray) -> np.ndarray:
         raise NotImplementedError("quadratic problems have no classification head")
 
@@ -102,7 +89,7 @@ class QuadraticProblem(Model):
 
         The batch arguments exist only for interface compatibility.
         """
-        diff = self._x - self.target
+        diff = self._params - self.target
         loss = 0.5 * float(diff @ self.matrix @ diff)
         grad = self.matrix @ diff
         if self.noise_std:
@@ -110,25 +97,20 @@ class QuadraticProblem(Model):
         return loss, grad
 
     def loss(self, features=None, labels=None) -> float:
-        diff = self._x - self.target
+        diff = self._params - self.target
         return 0.5 * float(diff @ self.matrix @ diff)
 
     def accuracy(self, features=None, labels=None) -> float:
         raise NotImplementedError("quadratic problems have no accuracy")
 
     def clone(self) -> "QuadraticProblem":
-        copy = QuadraticProblem(
-            self.matrix,
-            self.target,
-            noise_std=self.noise_std,
-            # repro-lint: allow[RPL004] -- clone inherits a child stream drawn
-            # from the parent problem's generator (documented clone contract,
-            # pinned by golden regressions; SeedSequence.spawn migration needs
-            # a CACHE_VERSION bump)
-            rng=np.random.default_rng(self._rng.integers(2**63)),
-        )
-        copy.set_params(self._x)
-        return copy
+        twin = super().clone()
+        # repro-lint: allow[RPL004] -- clone inherits a child stream drawn
+        # from the parent problem's generator (documented clone contract,
+        # pinned by golden regressions; SeedSequence.spawn migration needs
+        # a CACHE_VERSION bump)
+        twin._rng = np.random.default_rng(self._rng.integers(2**63))
+        return twin
 
 
 def make_consensus_quadratics(

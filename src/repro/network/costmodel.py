@@ -162,17 +162,25 @@ class CommunicationModel:
             return profile.message_bytes
         return self.compression.compressed_bytes(profile)
 
+    def _latency_and_total(
+        self, a: int, b: int, nbytes: float, time: float
+    ) -> tuple[float, float]:
+        """``(latency, latency + nbytes / bandwidth)`` of one uncontended
+        transfer ``b -> a``: one bandwidth and one latency query."""
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if a == b:
+            return 0.0, 0.0
+        bandwidth = self.links.bandwidth(a, b, time)
+        latency = self.links.latency(a, b, time)
+        return latency, latency + nbytes / bandwidth
+
     def comm_time(self, a: int, b: int, nbytes: float, time: float) -> float:
         """Seconds to move ``nbytes`` from ``b`` to ``a`` starting at ``time``.
 
         Contention-free figure; use :meth:`begin_transfer` for shared flows.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if a == b:
-            return 0.0
-        bandwidth = self.links.bandwidth(a, b, time)
-        return self.links.latency(a, b, time) + nbytes / bandwidth
+        return self._latency_and_total(a, b, nbytes, time)[1]
 
     def begin_transfer(self, receiver: int, sender: int, nbytes: float, time: float) -> float:
         """Register a transfer ``sender -> receiver``; return its duration.
@@ -185,13 +193,12 @@ class CommunicationModel:
         """
         if receiver == sender:
             return 0.0
-        base = self.comm_time(receiver, sender, nbytes, time)
+        latency, base = self._latency_and_total(receiver, sender, nbytes, time)
         self._inbound[receiver] += 1
         self._outbound[sender] += 1
         if not self.flow_sharing:
             return base
         share = max(self._inbound[receiver], self._outbound[sender])
-        latency = self.links.latency(receiver, sender, time)
         return latency + (base - latency) * share
 
     def end_transfer(self, receiver: int, sender: int) -> None:

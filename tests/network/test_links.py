@@ -101,6 +101,11 @@ class TestDynamicSlowdownLinks:
         with pytest.raises(ValueError, match="time"):
             dyn.bandwidth(0, 1, -1.0)
 
+    def test_out_of_range_pair_rejected_through_the_wrapper(self):
+        dyn = DynamicSlowdownLinks(make_static(4), period_s=10.0)
+        with pytest.raises(ValueError, match="out of range"):
+            dyn.bandwidth(0, 9, 0.0)
+
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError, match="slowdown_range"):
             DynamicSlowdownLinks(make_static(), slowdown_range=(0.5, 2.0))
@@ -108,6 +113,41 @@ class TestDynamicSlowdownLinks:
     def test_multiple_slow_links(self):
         dyn = DynamicSlowdownLinks(make_static(6), period_s=10.0, num_slow_links=3, seed=0)
         assert len(dyn.slowed_links(0.0)) == 3
+
+    def test_one_generator_per_change_of_interval(self, monkeypatch):
+        """The slowed-link dict is a pure function of (seed, interval); the
+        model remembers the last interval it was asked about, so a trainer
+        that queries the same interval thousands of times builds one
+        Generator, and asking out of order changes no answer."""
+        built = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        dyn = DynamicSlowdownLinks(make_static(6), period_s=10.0, num_slow_links=2, seed=4)
+        first = dyn.slowed_links(35.0)  # interval 3
+        for a, b in ((0, 1), (2, 5), (4, 3)):
+            dyn.bandwidth(a, b, 30.0)
+            dyn.bandwidth(a, b, 39.9)
+        dyn.bandwidth_row(2, 31.0)
+        assert len(built) == 1
+        other = dyn.slowed_links(5.0)  # interval 0
+        again = dyn.slowed_links(35.0)  # back to interval 3
+        assert len(built) == 3
+        assert again == first and other != first
+        fresh = DynamicSlowdownLinks(make_static(6), period_s=10.0, num_slow_links=2, seed=4)
+        assert fresh.slowed_links(35.0) == first and fresh.slowed_links(5.0) == other
+
+    def test_slowed_links_hands_out_a_copy(self):
+        dyn = DynamicSlowdownLinks(make_static(bandwidth=100.0), period_s=10.0,
+                                   slowdown_range=(4.0, 4.0), seed=3)
+        slowed = dyn.slowed_links(0.0)
+        (a, b), = slowed
+        slowed.clear()
+        assert dyn.bandwidth(a, b, 0.0) == pytest.approx(25.0)
 
 
 class TestTraceLinks:

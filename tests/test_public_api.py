@@ -17,11 +17,18 @@ class TestPublicSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
 
-    def test_importing_the_cli_does_not_import_scipy(self):
-        """scipy is the tests' LP oracle only; on the import path it costs
-        every `repro` command ~0.3 s and ~30 MB."""
-        probe = "import sys, repro.cli; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
+    def test_importing_the_cli_imports_neither_scipy_nor_networkx(self):
+        """Both are test-only oracles (the policy LP; the spanning tree and
+        bridge searches). On the import path scipy cost every `repro`
+        command ~0.3 s and ~30 MB, networkx ~0.1 s and ~20 MB."""
+        probe = (
+            "import sys, repro.cli; "
+            "sys.exit(', '.join(m for m in ('scipy', 'networkx') if m in sys.modules) or 0)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], timeout=60, capture_output=True, text=True
+        )
+        assert done.returncode == 0, f"import repro.cli pulled in: {done.stderr.strip()}"
 
     def test_trainer_names(self):
         names = repro.trainer_names()
