@@ -104,20 +104,12 @@ from repro.graph import Topology
 
 __all__ = ["main", "build_parser"]
 
-# Registry name -> regeneration callable (all but fig3 accept scale kwargs).
-# The paper's figures and tables are declarations run by `regenerate`.
-FIGURE_FUNCTIONS = {
-    "fig3": experiments.figure3_iteration_time,
-    **{
-        name: functools.partial(experiments.regenerate, name)
-        for name in experiments.PAPER_EXPERIMENTS
-    },
-    "dyn-traces": experiments.figure_dynamics_traces,
-    "dyn-churn": experiments.figure_dynamics_churn,
-    "dyn-topology": experiments.figure_dynamics_topology,
-    "dyn-edges": experiments.figure_dynamics_edges,
-    "compression": experiments.figure_compression,
-    "scalability": experiments.figure_scalability,
+# `repro figure` flag -> the keyword it sets.
+_FIGURE_FLAGS = {
+    "sim_time": "max_sim_time",
+    "samples": "num_samples",
+    "seed": "seed",
+    "parallel": "parallel",
 }
 
 
@@ -213,11 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=0)
 
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
-    figure.add_argument("name", choices=sorted(FIGURE_FUNCTIONS))
+    figure.add_argument(
+        "name", choices=sorted({*experiments.PAPER_EXPERIMENTS, "fig3", "scalability"})
+    )
     figure.add_argument("--sim-time", type=float, default=None)
     figure.add_argument("--samples", type=int, default=None)
-    figure.add_argument("--seed", type=int, default=0)
-    figure.add_argument("--parallel", type=int, default=0,
+    figure.add_argument("--seed", type=int, default=None, help="default 0")
+    figure.add_argument("--parallel", type=int, default=None,
                         help="worker processes for the figure's training runs")
 
     sweep = sub.add_parser(
@@ -397,20 +391,30 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    function = FIGURE_FUNCTIONS[args.name]
-    kwargs: dict = {"seed": args.seed}
-    if args.sim_time is not None:
-        kwargs["max_sim_time"] = args.sim_time
-    if args.samples is not None:
-        kwargs["num_samples"] = args.samples
-    if args.parallel > 1:
-        if "parallel" in inspect.signature(function).parameters:
-            kwargs["parallel"] = args.parallel
-        else:
-            print(f"note: {args.name} does not support --parallel; "
-                  "running sequentially", file=sys.stderr)
-    if args.name == "fig3":  # takes no scale arguments
-        kwargs = {}
+    """``regenerate`` a registry id; Fig. 3 (analytic) and the scalability
+    measurement are plain functions. A flag the figure does not read exits
+    2 before anything runs instead of being silently dropped."""
+    if args.name == "fig3":
+        function, reads = experiments.figure3_iteration_time, set()
+    elif args.name == "scalability":
+        function, reads = experiments.figure_scalability, {"max_sim_time", "seed"}
+    else:
+        function = functools.partial(experiments.regenerate, args.name)
+        reads = {"seed", "parallel", *experiments.PAPER_EXPERIMENTS[args.name].scale}
+    kwargs = {
+        keyword: getattr(args, flag)
+        for flag, keyword in _FIGURE_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
+    unread = [
+        "--" + flag.replace("_", "-")
+        for flag, keyword in _FIGURE_FLAGS.items()
+        if keyword in kwargs and keyword not in reads
+    ]
+    if unread:
+        print(f"error: {args.name} does not read {', '.join(unread)}",
+              file=sys.stderr)
+        return 2
     try:
         output = function(**kwargs)
     except ValueError as error:

@@ -1,9 +1,12 @@
 """Experiment harness: scenario builders, the comparison runner, the sweep
 engine, and the paper's evaluation (Section V and Appendices F-G) declared
 on top of it. ``regenerate("fig5", ...)`` runs any of Figs. 5-19 /
-Tables II-VI at a configurable scale and returns structured rows
-(:mod:`repro.experiments.paper`); ``benchmarks/bench_paper.py`` calls it at
-small scale and asserts the paper-shaped output.
+Tables II-VI, or a beyond-paper figure (``"dyn-traces"``, ``"dyn-churn"``,
+``"dyn-topology"``, ``"dyn-edges"``, ``"compression"``), at a configurable
+scale and returns structured rows (:mod:`repro.experiments.paper`);
+``benchmarks/bench_paper.py`` calls it at small scale and asserts the
+paper-shaped output. Fig. 3 (analytic) and the worker-axis scalability
+measurement are the two plain functions.
 """
 
 from repro.experiments.scenarios import (
@@ -53,13 +56,6 @@ from repro.experiments.paper import (
     figure3_iteration_time,
     regenerate,
 )
-from repro.experiments.figures_dynamics import (
-    figure_dynamics_traces,
-    figure_dynamics_churn,
-    figure_dynamics_topology,
-    figure_dynamics_edges,
-)
-from repro.experiments.figures_compression import figure_compression
 from repro.experiments.figures_scaling import (
     figure_scalability,
     run_scalability_cell,
@@ -106,11 +102,6 @@ __all__ = [
     "PAPER_EXPERIMENTS",
     "regenerate",
     "figure3_iteration_time",
-    "figure_dynamics_traces",
-    "figure_dynamics_churn",
-    "figure_dynamics_topology",
-    "figure_dynamics_edges",
-    "figure_compression",
     "figure_scalability",
     "run_scalability_cell",
     "scalability_scenario",

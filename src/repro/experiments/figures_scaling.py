@@ -130,15 +130,13 @@ def figure_scalability(
     worker_counts: tuple[int, ...] = SCALABILITY_WORKER_COUNTS,
     max_sim_time: float = 30.0,
     seed: int = 0,
-    num_samples: int | None = None,
 ) -> ExperimentOutput:
     """Throughput vs. worker count for adpsgd and netmax (local solves).
 
-    ``num_samples`` is accepted for CLI uniformity and ignored: the
-    workload is the sampler-less quadratic, there is no dataset to size.
-    The per-cell RNG seed is ``seed + 1`` so the default matches the bench.
+    The workload is the sampler-less quadratic, so there is no dataset to
+    size. The per-cell RNG seed is ``seed + 1`` so the default matches the
+    bench.
     """
-    del num_samples
     rows: list[list[object]] = []
     curves: dict[str, tuple[list[float], list[float]]] = {}
     for num_workers in worker_counts:

@@ -1,15 +1,20 @@
-"""The paper's evaluation (Section V, Appendices F-G) as data.
+"""The paper's evaluation (Section V, Appendices F-G), and the figures that
+test its claim beyond it, as data.
 
 Figs. 5-19 and Tables II-VI are one experiment shape -- the same four to
 six algorithms on a cluster x a workload, reduced to an epoch-time split, a
-loss curve with a time-to-loss speedup, or an accuracy row. Each artefact is
-a :class:`PaperExperiment`: ``grids`` declares its labelled
+loss curve with a time-to-loss speedup, or an accuracy row. The five
+beyond-paper figures (``dyn-traces``, ``dyn-churn``, ``dyn-topology``,
+``dyn-edges``, ``compression``) are a second: the gossip algorithms over two
+seeds across a scenario grid, reduced to mean +- std per (algorithm,
+scenario) with each scenario's winner. Each artefact is a
+:class:`PaperExperiment`: ``grids`` declares its labelled
 :class:`~repro.experiments.sweeps.SweepSpec` panels in spec types only,
-``reduce`` folds the panels' results into rows and series, and
+``reduce`` folds the panels' sweeps into rows and series, and
 :func:`regenerate` runs every panel through
-:func:`~repro.experiments.sweeps.run_sweep` -- so a paper figure gets the
+:func:`~repro.experiments.sweeps.run_sweep` -- so every figure gets the
 result cache and every execution backend a sweep has. docs/paper_experiments.md
-lists every artefact with the paper shape its bench entry asserts.
+lists every artefact with the shape its bench entry or smoke test asserts.
 
 A sweep cell seeds its samplers ``[seed, 0, i]`` for every algorithm (common
 random numbers across a comparison), where the harness's sequential
@@ -30,11 +35,14 @@ from repro.datasets.partition import (
 )
 from repro.experiments.common import ExperimentOutput, Series
 from repro.experiments.harness import time_to_loss_speedups
+from repro.experiments.reporting import format_mean_std
 from repro.experiments.sweeps import (
     RunSpec,
     ScenarioSpec,
+    SweepResult,
     SweepSpec,
     WorkloadSpec,
+    aggregate_sweep,
     run_sweep,
 )
 from repro.network.cluster import ClusterSpec
@@ -57,9 +65,9 @@ _PS_ALGORITHMS = ("prague", "allreduce", "adpsgd", "ps-syn", "ps-asyn", "netmax"
 _CLOUD_ALGORITHMS = ("ps-syn", "ps-asyn", "adpsgd", "netmax")
 
 # A panel is one grid labelled with what distinguishes it (``{"model":
-# "vgg19"}``); once run, its results keyed by algorithm.
+# "vgg19"}``); once run, its sweep.
 Panels = list[tuple[dict, SweepSpec]]
-PanelResults = list[tuple[dict, dict[str, TrainingResult]]]
+PanelResults = list[tuple[dict, SweepResult]]
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,7 @@ class PaperExperiment:
         scale: every settable key with its default.
         grids: ``(seed, **scale)`` -> labelled panels; builds specs, runs
             nothing.
-        reduce: ``(panel results, **scale)`` -> the ``headers`` / ``rows``
+        reduce: ``(panel sweeps, **scale)`` -> the ``headers`` / ``rows``
             (and optionally ``series`` / extra ``notes``) of the output.
         requires: algorithms every panel must include (a speedup reference,
             a scalability baseline).
@@ -121,13 +129,11 @@ def regenerate(
                 f"{sorted(missing)}; include it in `algorithms` "
                 f"(got {spec.algorithms})"
             )
-    results = []
-    for label, spec in panels:
-        sweep = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
-        results.append(
-            (label, {o.cell.algorithm: o.result for o in sweep.outcomes})
-        )
-    reduced = experiment.reduce(results, **scale)
+    sweeps = [
+        (label, run_sweep(spec, parallel=parallel, cache_dir=cache_dir))
+        for label, spec in panels
+    ]
+    reduced = experiment.reduce(sweeps, **scale)
     notes = experiment.notes + reduced.pop("notes", "")
     return ExperimentOutput(
         experiment_id, experiment.title.format(**scale), notes=notes, **reduced
@@ -271,7 +277,37 @@ def _multicloud_grids(seed, *, models, num_samples, max_sim_time) -> Panels:
     ]
 
 
+def _dynamics_grids(
+    seed, *, algorithms, scenarios, max_sim_time, num_samples
+) -> Panels:
+    """The single two-seed panel of a beyond-paper figure: ``scenarios``
+    maps the horizon to its ``(family, params)`` grid on 8 workers."""
+    return [({}, SweepSpec(
+        algorithms, (seed, seed + 1),
+        tuple(
+            ScenarioSpec(kind, 8, tuple(params.items()))
+            for kind, params in scenarios(max_sim_time)
+        ),
+        WorkloadSpec(num_samples=num_samples), RunSpec(max_sim_time),
+    ))]
+
+
+def _rotating(horizon, **params) -> tuple[str, dict]:
+    """The Section V-A cluster with its slow-link rotation scaled into the
+    horizon: at the paper's 300 s period a short run would never see one."""
+    return "heterogeneous", {"period_s": horizon / 4.0, **params}
+
+
 # -- reducers ------------------------------------------------------------------
+
+
+def _by_algorithm(panels: PanelResults) -> list[tuple[dict, dict[str, TrainingResult]]]:
+    """Each panel's results keyed by algorithm (one seed per panel)."""
+    return [
+        (label, {o.cell.algorithm: o.result for o in sweep.outcomes})
+        for label, sweep in panels
+    ]
+
 
 # Output column -> the number it reports for one run.
 _METRICS: dict[str, Callable[[TrainingResult], float]] = {
@@ -293,7 +329,7 @@ def _rows(panels: PanelResults, *, headers, series=(), speedup_vs=None, **scale)
     loss) or a ``_METRICS`` column. ``series`` lists the curves to keep per
     run as ``(label format, x column, y column)`` of the history arrays."""
     rows, curves = [], []
-    for label, results in panels:
+    for label, results in _by_algorithm(panels):
         if speedup_vs:
             speedups = time_to_loss_speedups(results, reference=speedup_vs)
         for name, result in results.items():
@@ -326,7 +362,7 @@ def _scalability_rows(
             if result.history.as_arrays()["epoch"][-1] >= target_epochs
             else math.nan
         )
-        for label, results in panels
+        for label, results in _by_algorithm(panels)
         for name, result in results.items()
     }
     baseline = times["allreduce", worker_counts[0]]
@@ -343,6 +379,7 @@ def _scalability_rows(
 
 def _accuracy_rows(panels: PanelResults, **scale) -> dict:
     """One row per panel: its label, then each algorithm's best accuracy."""
+    panels = _by_algorithm(panels)
     return {
         "headers": [*panels[0][0], *panels[0][1]],
         "rows": [
@@ -350,6 +387,26 @@ def _accuracy_rows(panels: PanelResults, **scale) -> dict:
             for label, results in panels
         ],
     }
+
+
+def _winners(panels: PanelResults, **scale) -> dict:
+    """The sweep's mean +- std table per (algorithm, scenario), and each
+    scenario's lowest mean final loss quoted with its std band -- so a gap
+    the size of the seed spread reads as one, not as a decisive ranking."""
+    ((_, sweep),) = panels
+    table = aggregate_sweep(sweep)
+    best: dict[str, tuple] = {}
+    for row in table.rows:
+        algorithm, scenario, loss, std = row[0], row[1], row[3], row[4]
+        if math.isfinite(loss) and (scenario not in best or loss < best[scenario][1]):
+            best[scenario] = (algorithm, loss, std)
+    notes = " " + table.notes
+    if best:
+        notes += " Lowest mean final loss per scenario -- " + "; ".join(
+            f"{scenario}: {algorithm} ({format_mean_std(loss, std)})"
+            for scenario, (algorithm, loss, std) in sorted(best.items())
+        ) + "."
+    return {"headers": table.headers, "rows": table.rows, "notes": notes}
 
 
 _LOSS_PER_EPOCH_AND_SECOND = (
@@ -490,6 +547,21 @@ def _accuracy_table(experiment_id, network, worker_counts) -> PaperExperiment:
     )
 
 
+_GOSSIP = ("netmax", "adpsgd", "saps")
+
+
+def _beyond(experiment_id, title, notes, algorithms, scenarios) -> PaperExperiment:
+    """A beyond-paper figure: the paper's one dynamic pattern is the
+    rotating slowed link; these sweep ``algorithms`` across richer dynamics,
+    every horizon-bound parameter scaled into ``max_sim_time``."""
+    return PaperExperiment(
+        experiment_id, title, notes,
+        scale=dict(max_sim_time=60.0, num_samples=512),
+        grids=partial(_dynamics_grids, algorithms=algorithms, scenarios=scenarios),
+        reduce=_winners,
+    )
+
+
 PAPER_EXPERIMENTS: dict[str, PaperExperiment] = {
     experiment.experiment_id: experiment
     for experiment in (
@@ -615,6 +687,78 @@ PAPER_EXPERIMENTS: dict[str, PaperExperiment] = {
                 algorithms=_PS_ALGORITHMS, evaluations=20,
             ),
             reduce=partial(_rows, headers=("algorithm", "accuracy")),
+        ),
+        _beyond(
+            "dyn-traces",
+            "Algorithm comparison across trace-driven link dynamics",
+            "Beyond the paper: SAPS's one-shot link measurement goes stale "
+            "under every trace family (20 segments per horizon), while NetMax "
+            "re-plans each monitor period.",
+            _GOSSIP,
+            lambda horizon: [_rotating(horizon)] + [
+                (family, {"duration_s": horizon, "step_s": horizon / 20.0})
+                for family in ("trace-diurnal", "trace-random-walk", "trace-burst")
+            ],
+        ),
+        _beyond(
+            "dyn-churn",
+            "Algorithm comparison under worker churn (downtime x departures)",
+            "Beyond the paper: how much each algorithm's consensus suffers "
+            "while the active set shrinks; rejoining workers resume from "
+            "their frozen replicas.",
+            _GOSSIP,
+            lambda horizon: [
+                ("churn", {
+                    "horizon_s": horizon, "downtime_s": share * horizon,
+                    "num_departures": count,
+                })
+                for share in (0.1, 0.25)
+                for count in (1, 3)
+            ],
+        ),
+        _beyond(
+            "dyn-topology",
+            "Algorithm comparison across communication-graph families",
+            "Beyond the paper: sparse graphs leave fewer routes around the "
+            "slowed link (a star none at all), which is where adaptive peer "
+            "selection should matter most.",
+            (*_GOSSIP, "allreduce"),
+            lambda horizon: [
+                _rotating(horizon, topology=kind, edge_probability=0.35)
+                for kind in ("full", "ring", "star", "random")
+            ],
+        ),
+        _beyond(
+            "dyn-edges",
+            "Algorithm comparison under time-varying edge failures",
+            "Beyond the paper: on a ring every failed edge removes a route. "
+            "SAPS's one-shot subgraph cannot route around an edge that later "
+            "fails; NetMax re-solves its policy on every edge-set change.",
+            _GOSSIP,
+            lambda horizon: [
+                _rotating(
+                    horizon, topology="ring", edge_failures=count,
+                    edge_horizon_s=horizon,
+                    edge_downtime_s=0.5 * horizon / max(count, 1),
+                )
+                for count in (0, 2, 5)
+            ],
+        ),
+        _beyond(
+            "compression",
+            "Compress vs. route vs. both across bandwidth regimes",
+            "Beyond the paper: the compress/route square -- AD-PSGD plain "
+            "(neither) or + top-k (compress), NetMax plain (route) or + top-k "
+            "(both) -- under a mild and the paper's 100x slowed link.",
+            ("adpsgd", "netmax"),
+            lambda horizon: [
+                _rotating(
+                    horizon, slowdown_high=slowdown, compression=op,
+                    compression_param=0.05,
+                )
+                for slowdown in (4.0, 100.0)
+                for op in ("none", "topk")
+            ],
         ),
     )
 }

@@ -1,4 +1,5 @@
-"""The paper's figures and tables as declarations run by ``regenerate``.
+"""The paper's figures and tables, and the beyond-paper figures, as
+declarations run by ``regenerate``.
 
 Each experiment must run end-to-end at tiny scale, produce the paper's row
 structure, and (where cheap to check) exhibit the paper's qualitative shape;
@@ -17,7 +18,7 @@ import pytest
 
 import repro
 from repro.algorithms.base import TrainerConfig
-from repro.cli import FIGURE_FUNCTIONS
+from repro.cli import build_parser
 from repro.datasets.partition import (
     PAPER_CLOUD_LOST_LABELS,
     PAPER_MNIST_LOST_LABELS,
@@ -292,15 +293,19 @@ class TestRegistry:
             regenerate("fig5", bogus=1)
 
     def test_cli_names_are_the_registry(self):
-        beyond_paper = {name for name in FIGURE_FUNCTIONS
+        figure = build_parser()._subparsers._group_actions[0].choices["figure"]
+        (names,) = [a.choices for a in figure._actions if a.dest == "name"]
+        assert set(names) == {*PAPER_EXPERIMENTS, "fig3", "scalability"}
+        beyond_paper = {name for name in PAPER_EXPERIMENTS
                         if not re.fullmatch(r"(fig|table)\d+", name)}
         assert beyond_paper == {"dyn-traces", "dyn-churn", "dyn-topology",
-                                "dyn-edges", "compression", "scalability"}
-        assert set(FIGURE_FUNCTIONS) - beyond_paper == {*PAPER_EXPERIMENTS, "fig3"}
+                                "dyn-edges", "compression"}
 
     def test_docs_table_lists_every_experiment(self):
         text = (DOCS / "paper_experiments.md").read_text()
-        listed = re.findall(r"^\| `((?:fig|table)\d+)` \|", text, flags=re.M)
+        listed = re.findall(
+            r"^\| `((?:fig|table)\d+|dyn-[a-z]+|compression)` \|", text, flags=re.M
+        )
         assert sorted(listed) == sorted([*PAPER_EXPERIMENTS, "fig3"])
 
     def test_a_workload_that_cannot_run_fails_before_training(self, monkeypatch):
@@ -341,6 +346,7 @@ class TestOnePath:
         gone = re.compile(
             r"run_trainer_jobs|_run_trainer_job|parallel_map|figures_cluster"
             r"|figures_noniid|experiments\.tables|experiments import tables"
+            r"|figures_dynamics|figures_compression|FIGURE_FUNCTIONS"
         )
         hits = [
             f"{path.relative_to(SRC)}:{number}"

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import FIGURE_FUNCTIONS, build_parser, main
+from repro import experiments
+from repro.cli import build_parser, main
+
+
+def figure_names():
+    """The names ``repro figure`` accepts."""
+    figure = build_parser()._subparsers._group_actions[0].choices["figure"]
+    (names,) = [action.choices for action in figure._actions if action.dest == "name"]
+    return set(names)
 
 
 class TestParser:
@@ -32,7 +40,7 @@ class TestParser:
         expected |= {"scalability"}
         # The compress-vs-route comparison (ROADMAP item 4).
         expected |= {"compression"}
-        assert set(FIGURE_FUNCTIONS) == expected
+        assert figure_names() == expected
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
@@ -72,7 +80,26 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 0
         assert "[table6]" in captured.out
-        assert "does not support --parallel" not in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig3", "--sim-time", "10"], "--sim-time"),
+        (["fig3", "--parallel", "2"], "--parallel"),
+        (["fig3", "--seed", "1"], "--seed"),
+        (["scalability", "--samples", "9"], "--samples"),
+        (["scalability", "--parallel", "2"], "--parallel"),
+    ])
+    def test_figure_flag_it_does_not_read_exits_2(
+        self, capsys, monkeypatch, argv, flag
+    ):
+        """fig3 reads no flag, scalability only --sim-time and --seed; both
+        used to exit 0 with the rest ignored."""
+        for name in ("figure3_iteration_time", "figure_scalability"):
+            monkeypatch.setattr(
+                experiments, name, lambda **_: pytest.fail("the figure ran")
+            )
+        assert main(["figure", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--algorithms", "adpsgd", "--seeds", "0", "--workers", "4",
@@ -496,28 +523,24 @@ class TestScenarioParamCLI:
         assert code == 2
         assert "--scenario" in capsys.readouterr().err
 
-    def test_figure_dynamics_smoke(self, capsys):
-        code = main(["figure", "dyn-churn", "--sim-time", "8", "--samples", "256"])
+    @pytest.mark.parametrize("name, markers", [
+        ("dyn-traces", ("trace-burst", "trace-diurnal", "heterogeneous-8w")),
+        ("dyn-churn", ("churn-8w", "downtime_s")),
+        # Sync trainers compete on sparse graphs too.
+        ("dyn-topology", ("topology=ring", "topology=star", "allreduce")),
+        # A sparse graph so failures matter; winners quote mean +- std.
+        ("dyn-edges", ("edge_failures=2", "edge_failures=5", "topology=ring", "+-")),
+        # All four quadrants of the compress/route square.
+        ("compression", ("adpsgd", "netmax", "compression=topk",
+                         "slowdown_high=4.0", "Lowest mean final loss")),
+    ])
+    def test_beyond_paper_figure_smoke(self, capsys, name, markers):
+        code = main(["figure", name, "--sim-time", "8", "--samples", "256"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "churn-8w" in out and "downtime_s" in out
-
-    def test_figure_dynamics_topology_smoke(self, capsys):
-        code = main(["figure", "dyn-topology", "--sim-time", "8",
-                     "--samples", "256"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "topology=ring" in out and "topology=star" in out
-        assert "allreduce" in out  # sync trainers compete on sparse graphs too
-
-    def test_figure_dynamics_edges_smoke(self, capsys):
-        code = main(["figure", "dyn-edges", "--sim-time", "8",
-                     "--samples", "256"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "edge_failures=2" in out and "edge_failures=5" in out
-        assert "topology=ring" in out  # sparse default so failures matter
-        assert "+-" in out  # winner notes quote the mean +- std band
+        assert f"[{name}]" in out
+        for marker in markers:
+            assert marker in out
 
     def test_sweep_trace_file_without_path_fails_dry_run(self, capsys):
         code = main([
@@ -594,17 +617,6 @@ class TestScenarioParamCLI:
         ])
         assert code == 2
         assert "targets family" in capsys.readouterr().err
-
-    def test_figure_compression_smoke(self, capsys):
-        code = main(["figure", "compression", "--sim-time", "8",
-                     "--samples", "256"])
-        assert code == 0
-        out = capsys.readouterr().out
-        # All four quadrants of the compress/route square show up.
-        assert "adpsgd" in out and "netmax" in out
-        assert "compression=topk" in out
-        assert "slowdown_high=4.0" in out
-        assert "Lowest mean final loss" in out
 
     def test_sweep_compression_axis_dry_run(self, capsys):
         """The compression axis cross-products per cell like any other
