@@ -597,7 +597,8 @@ def _run_sweep_worker(args: argparse.Namespace) -> int:
     )
     print(f"worker {summary.worker}: {summary.executed} cell(s) executed, "
           f"{summary.skipped} already done, {summary.failed} failed "
-          f"attempt(s), {summary.reclaimed} stale lease(s) reclaimed")
+          f"attempt(s), {summary.reclaimed} stale lease(s) reclaimed; "
+          f"{summary.busy_s:.2f}s busy, {summary.idle_s:.2f}s idle")
     _write_json_summary(args.json_summary, dataclasses.asdict(summary))
     # Nonzero on any failed attempt so orchestration (cron, job arrays)
     # can spot an unhealthy worker host without watching the coordinator.

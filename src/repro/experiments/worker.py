@@ -15,7 +15,11 @@ cell, reclaim dead peers' leases when idle. On top of the broker it adds:
   pid, current cell, cells completed, beat counter) that ``repro sweep``
   progress output and ``repro sweep-status`` surface;
 - **deterministic poll jitter and back-off** (:func:`_poll_jitter`,
-  :func:`_poll_delay`), so a fleet scans ``tasks/`` out of phase.
+  :func:`_poll_delay`), so a fleet rescans ``tasks/`` out of phase. The
+  back-off governs only that rescan (and ``reclaim_stale``): an idle
+  worker waits it out in slices of the base cadence and reads the ``STOP``
+  marker after each (:func:`_idle_wait`), so a drained sweep's workers see
+  ``STOP`` within one base interval, however far they have backed off.
 
 Imports :mod:`~repro.experiments.cache` and :mod:`~repro.experiments.broker`;
 the poll loop sleeps through the ``time`` module's ``sleep`` attribute.
@@ -28,7 +32,7 @@ import os
 import socket
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass
 
 from repro.experiments.broker import WorkQueue, _worker_id
@@ -53,17 +57,43 @@ def _poll_jitter(worker_id: str) -> float:
 def _poll_delay(
     base_s: float, jitter: float, idle_polls: int, *, empty_but_leased: bool
 ) -> float:
-    """How long an idle worker sleeps before rescanning the queue.
+    """How long an idle worker waits before rescanning the queue.
 
     ``base * (0.5 + jitter)`` de-synchronizes the fleet; consecutive idle
     polls back off exponentially (capped at 8x) so a drained-but-open
     queue is not rescanned at full rate forever. When the queue is
     *empty-but-leased* -- nothing claimable, peers still executing -- the
     cap applies immediately: rescans can only discover a reclaim or a
-    retry, both of which arrive on lease-timeout timescales.
+    retry, both of which arrive on lease-timeout timescales. The back-off
+    paces the rescan only; the ``STOP`` marker is read every base interval
+    throughout the wait (:func:`_idle_wait`).
     """
     backoff = 8 if empty_but_leased else min(2 ** max(0, idle_polls - 1), 8)
     return base_s * (0.5 + jitter) * backoff
+
+
+def _idle_wait(
+    queue: WorkQueue, delay_s: float, slice_s: float,
+    known_stops: Container[str | None],
+) -> str | None:
+    """Wait up to ``delay_s`` before the next rescan, reading the ``STOP``
+    marker after every ``slice_s``.
+
+    Returns early -- with the marker's run id -- only when the marker names
+    a run outside ``known_stops`` (no marker, the stale startup marker and
+    the marker the worker has already weighed), so the caller's exit test
+    runs as soon as a coordinator finishes instead of after an 8x back-off.
+    Returns ``None`` once the full delay has elapsed. At most
+    ``ceil(delay_s / slice_s)`` marker reads per wait: one small-file read
+    per base interval, never a busy spin.
+    """
+    deadline = time.monotonic() + delay_s
+    while (left := deadline - time.monotonic()) > 0:
+        time.sleep(min(slice_s, left))
+        marker = queue.stop_marker_id()
+        if marker not in known_stops:
+            return marker
+    return None
 
 
 def _append_heartbeat_byte(path: str) -> bool:
@@ -141,12 +171,14 @@ class _WorkerRegistry:
     """This worker's health record in ``registry/<worker_id>.json``.
 
     The record is the service's observability surface: host, pid, what
-    the worker is doing right now, how much it has done, and a beat
-    counter bumped by the lease heartbeat. Thread-safe because the
-    heartbeat thread calls :meth:`beat` while the worker's main thread
-    updates status. ``last_seen`` is a wall-clock timestamp for *human*
-    display only -- liveness decisions always use the ``beats`` counter
-    (same contract as lease staleness: counters, never clocks).
+    the worker is doing right now, how much it has done, where its
+    wall-clock went (``busy_s`` / ``idle_s``, refreshed at every status
+    change and on exit), and a beat counter bumped by the lease heartbeat.
+    Thread-safe because the heartbeat thread calls :meth:`beat` while the
+    worker's main thread updates status. ``last_seen`` is a wall-clock
+    timestamp for *human* display only -- liveness decisions always use
+    the ``beats`` counter (same contract as lease staleness: counters,
+    never clocks).
     """
 
     def __init__(self, queue: WorkQueue, worker: str):
@@ -161,6 +193,8 @@ class _WorkerRegistry:
             "current_cell": None,
             "cells_completed": 0,
             "cells_failed": 0,
+            "busy_s": 0.0,
+            "idle_s": 0.0,
             "beats": 0,
             "last_seen": None,
         }
@@ -193,13 +227,20 @@ class _WorkerRegistry:
 
 @dataclass
 class WorkerSummary:
-    """What one ``run_queue_worker`` invocation did."""
+    """What one ``run_queue_worker`` invocation did.
+
+    ``busy_s`` (inside ``cell.execute()``) and ``idle_s`` (in the idle
+    wait) are monotonic host-clock telemetry: they draw no random numbers
+    and feed no result or cache key.
+    """
 
     worker: str
     executed: int = 0
     skipped: int = 0
     failed: int = 0
     reclaimed: int = 0
+    busy_s: float = 0.0
+    idle_s: float = 0.0
 
 
 def run_queue_worker(
@@ -218,8 +259,9 @@ def run_queue_worker(
     already exists drop their lease (``skipped``); the rest execute
     sequentially under one lease heartbeat and complete or fail
     individually. With nothing claimable the worker reclaims stale
-    leases, then polls with deterministic per-worker jittered backoff; it
-    exits after ``drain_timeout_s`` with no claimable work, when the
+    leases, then rescans with deterministic per-worker jittered backoff,
+    reading the STOP marker every base interval in between; it exits
+    after ``drain_timeout_s`` with no claimable work, when the
     coordinator writes the ``STOP`` marker (and no registered run is
     still active), or after ``max_cells`` executions. Any number of these
     may run concurrently against the same directory, on any number of
@@ -242,6 +284,7 @@ def run_queue_worker(
     say = progress if progress is not None else (lambda message: None)
     registry = _WorkerRegistry(queue, summary.worker)
     jitter = _poll_jitter(summary.worker)
+    base_s = poll_interval_s * (0.5 + jitter)
     idle_since = time.monotonic()
     idle_polls = 0
     rotation: str | None = None  # run id this worker last claimed from
@@ -257,7 +300,20 @@ def run_queue_worker(
     startup_stop = queue.stop_marker_id()
     if startup_stop == coordinator_run:
         startup_stop = None
-    registry.update(status="idle")
+    seen_stop = startup_stop  # the newest marker the exit test has weighed
+
+    def idle_wait(delay_s: float) -> None:
+        nonlocal seen_stop
+        start = time.monotonic()
+        seen_stop = _idle_wait(queue, delay_s, base_s,
+                               (None, startup_stop, seen_stop)) or seen_stop
+        summary.idle_s += time.monotonic() - start
+
+    def set_status(status: str, **fields: object) -> None:
+        registry.update(status=status, busy_s=summary.busy_s,
+                        idle_s=summary.idle_s, **fields)
+
+    set_status("idle")
     try:
         while True:
             remaining = None
@@ -272,8 +328,8 @@ def run_queue_worker(
                 if time.monotonic() - idle_since > drain_timeout_s:
                     break
                 idle_polls += 1
-                time.sleep(_poll_delay(poll_interval_s, jitter, idle_polls,
-                                       empty_but_leased=False))
+                idle_wait(_poll_delay(poll_interval_s, jitter, idle_polls,
+                                      empty_but_leased=False))
                 continue
             limit = (lease_batch if lease_batch is not None
                      else int(config.get("lease_batch", 1)))
@@ -303,14 +359,14 @@ def run_queue_worker(
                 # concurrent coordinator's half-drained sweep. Liveness (not
                 # the raw active flag) keeps a coordinator that died without
                 # signal_stop from disabling STOP forever.
-                marker = queue.stop_marker_id()
+                marker = seen_stop = queue.stop_marker_id()
                 if (marker is not None and marker != startup_stop
                         and not queue.live_run_ids(config["lease_timeout_s"])):
                     break
                 if time.monotonic() - idle_since > drain_timeout_s:
                     break
                 idle_polls += 1
-                time.sleep(_poll_delay(
+                idle_wait(_poll_delay(
                     poll_interval_s, jitter, idle_polls,
                     empty_but_leased=bool(queue.active_leases()),
                 ))
@@ -344,12 +400,10 @@ def run_queue_worker(
                         continue
                     say(f"executing {claim.cell.label()} "
                         f"(attempt {claim.name.attempt}/{cfg['max_attempts']})")
-                    registry.update(status="executing",
-                                    current_cell=claim.cell.label())
+                    set_status("executing", current_cell=claim.cell.label())
+                    start = time.perf_counter()
                     try:
-                        start = time.perf_counter()
                         result = claim.cell.execute()
-                        runtime = time.perf_counter() - start
                     except Exception as error:
                         summary.failed += 1
                         retrying = queue.fail(
@@ -361,15 +415,18 @@ def run_queue_worker(
                             f"({'will retry' if retrying else 'retry budget exhausted'}): "
                             f"{error}")
                         continue
+                    finally:
+                        runtime = time.perf_counter() - start
+                        summary.busy_s += runtime
                     summary.executed += 1
                     queue.complete(claim, cache, result, runtime,
                                    seq=summary.executed)
                     registry.note_finished("cells_completed")
-            registry.update(status="idle", current_cell=None)
+            set_status("idle", current_cell=None)
     finally:
-        registry.update(status="exited", current_cell=None,
-                        cells_skipped=summary.skipped,
-                        cells_reclaimed=summary.reclaimed)
+        set_status("exited", current_cell=None,
+                   cells_skipped=summary.skipped,
+                   cells_reclaimed=summary.reclaimed)
     return summary
 
 

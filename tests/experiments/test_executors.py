@@ -614,28 +614,38 @@ class TestWorkQueuePrimitives:
         )
         assert summary.executed == 0
 
-    def test_stop_marker_ends_workers_immediately(self, tmp_path):
-        """A STOP that *appears during the worker's lifetime* ends it long
-        before the drain timeout (the local-worker shutdown path)."""
+    def test_stop_marker_ends_workers_immediately(self, tmp_path, monkeypatch):
+        """A STOP that *appears during the worker's lifetime* ends it within
+        a base poll interval, however far the worker has backed off (the
+        local-worker shutdown path)."""
         import threading
 
+        from repro.experiments import worker as worker_module
+
+        # base interval 0.1 s; by 1.7 s the back-off is at its 0.8 s cap
+        monkeypatch.setattr(worker_module, "_poll_jitter", lambda worker: 0.5)
         queue = WorkQueue(str(tmp_path / "queue"))
         queue.write_config(
             cache_dir=queue.default_results_dir(),
             max_attempts=3, lease_timeout_s=30.0, run_id="test-run",
         )
-        timer = threading.Timer(0.3, queue.signal_stop, args=("test-run",))
+        signalled = []
+
+        def stop():
+            queue.signal_stop("test-run")
+            signalled.append(time.monotonic())
+
+        timer = threading.Timer(1.7, stop)
         timer.start()
-        start = time.monotonic()
         try:
             summary = run_queue_worker(
-                str(tmp_path / "queue"), poll_interval_s=0.02,
+                str(tmp_path / "queue"), poll_interval_s=0.1,
                 drain_timeout_s=30.0,
             )
         finally:
             timer.cancel()
         assert summary.executed == 0
-        assert time.monotonic() - start < 5.0
+        assert time.monotonic() - signalled[0] < 0.4
 
     def test_stale_stop_marker_from_previous_sweep_is_ignored(self, tmp_path):
         """A reused queue directory keeps the previous sweep's STOP marker;

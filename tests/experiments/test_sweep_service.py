@@ -11,6 +11,7 @@ aggregation.
 """
 
 import json
+import math
 import os
 import pickle
 import string
@@ -31,8 +32,10 @@ from repro.experiments.executors import (
     make_executor,
     run_queue_worker,
 )
+from repro.experiments import worker as worker_module
 from repro.experiments.worker import (
     _append_heartbeat_byte,
+    _idle_wait,
     _LeaseHeartbeat,
     _local_worker_entry,
     _poll_delay,
@@ -435,6 +438,72 @@ class TestJitteredPolling:
         assert a != b
 
 
+class TestEventDrivenDrain:
+    """The drain-tail fix: back-off paces the ``tasks/`` rescan only; an
+    idle worker reads the STOP marker every base interval, so a drained
+    sweep ends within one base interval of its last cell."""
+
+    def test_backed_off_worker_sees_stop_within_one_base_interval(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: a worker idling while a peer holds a lease used to
+        sleep out the full 8x back-off (0.8 s here) before it looked at
+        STOP, and the coordinator's join waited for it."""
+        monkeypatch.setattr(worker_module, "_poll_jitter", lambda worker: 0.5)
+        base_s = 0.1  # poll_interval_s * (0.5 + jitter)
+        queue, claim = single_cell_claim(tmp_path)  # the peer's live lease
+        queue.write_config(
+            cache_dir=queue.default_results_dir(), max_attempts=3,
+            lease_timeout_s=30.0, run_id="run-1",
+        )
+        summaries = []
+        thread = threading.Thread(target=lambda: summaries.append(
+            run_queue_worker(str(tmp_path / "queue"), poll_interval_s=0.1,
+                             drain_timeout_s=30.0)))
+        thread.start()
+        time.sleep(0.3)  # the worker is now inside its 0.8 s back-off
+        cache = ResultCache(queue.default_results_dir())
+        queue.complete(claim, cache, claim.cell.execute(), 0.0, seq=1)
+        queue.signal_stop("run-1")
+        signalled = time.monotonic()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - signalled < 2.5 * base_s
+        assert summaries[0].executed == 0
+
+    @pytest.mark.parametrize("marker", ["startup-run", "seen-run"])
+    def test_idle_wait_ignores_known_markers(self, tmp_path, marker):
+        """The stale startup marker and a marker the exit test already
+        weighed never cut the wait short -- else a worker that must keep
+        serving a live run would rescan at full rate."""
+        queue = make_queue(tmp_path)
+        queue.signal_stop(marker)
+        start = time.monotonic()
+        assert _idle_wait(queue, 0.2, 0.05,
+                          (None, "startup-run", "seen-run")) is None
+        assert time.monotonic() - start >= 0.2
+
+    def test_idle_wait_returns_on_a_new_marker(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.signal_stop("new-run")
+        start = time.monotonic()
+        assert _idle_wait(queue, 5.0, 0.05, (None,)) == "new-run"
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("delay_s", [0.05, 0.12, 0.3])
+    def test_idle_wait_reads_the_marker_once_per_slice(
+        self, tmp_path, monkeypatch, delay_s
+    ):
+        """No busy spin: at most ceil(delay / base) + 1 marker reads."""
+        queue = make_queue(tmp_path)
+        reads = []
+        monkeypatch.setattr(queue, "stop_marker_id",
+                            lambda: reads.append(1))
+        slice_s = 0.05
+        assert _idle_wait(queue, delay_s, slice_s, (None,)) is None
+        assert 1 <= len(reads) <= math.ceil(delay_s / slice_s) + 1
+
+
 class TestTaskNames:
     def test_service_format_roundtrip(self):
         name = _TaskName(key="ab" * 32, attempt=2, run="deadbeef", priority=5)
@@ -631,6 +700,39 @@ class TestWorkerRegistry:
         assert record["cells_completed"] == 1
         assert record["cells_failed"] == 0
         assert record["cells_skipped"] == 0
+        assert record["busy_s"] == summary.busy_s > 0.0
+        assert record["idle_s"] == summary.idle_s > 0.0
+
+    def test_busy_and_idle_fit_in_the_worker_lifetime(self, tmp_path):
+        """busy_s / idle_s are disjoint slices of the worker's wall-clock."""
+        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0, 1))
+        queue = make_queue(tmp_path)
+        queue.write_config(
+            cache_dir=queue.default_results_dir(), max_attempts=3,
+            lease_timeout_s=5.0, run_id="run-1",
+        )
+        for cell in spec.cells():
+            queue.enqueue(cell, run="run-1")
+        start = time.monotonic()
+        summary = run_queue_worker(
+            str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2
+        )
+        lifetime = time.monotonic() - start
+        assert summary.executed == 2
+        assert summary.busy_s > 0.0 and summary.idle_s > 0.0
+        assert summary.busy_s + summary.idle_s <= lifetime
+
+    def test_drained_two_worker_sweep_reports_busy_and_idle(self, tmp_path):
+        run_sweep(
+            tiny_spec(),
+            executor=QueueExecutor(str(tmp_path / "queue"), num_workers=2,
+                                   **FAST),
+        )
+        records = make_queue(tmp_path).registry_records()
+        assert len(records) == 2
+        for record in records:
+            assert record["status"] == "exited"
+            assert record["busy_s"] >= 0.0 and record["idle_s"] >= 0.0
 
     def test_format_worker_health_renders_fleet(self):
         assert format_worker_health([]) == ""
