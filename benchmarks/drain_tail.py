@@ -6,7 +6,7 @@ Runs the ledger's ``sweep-service`` cold op -- 128 cells of ~5 ms through
 directory each time -- and reports, relative to the ``run_sweep`` call, the
 first result file's mtime, the last result file's mtime and the return.
 The *drain tail* (last result -> return) is the time the coordinator waits
-for its workers to see ``STOP`` and exit.
+for its workers to see its run record turn ``active: false`` and exit.
 
 Only public names are used, so the same file measures any checkout::
 

@@ -587,14 +587,19 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_sweep_worker(args: argparse.Namespace) -> int:
-    summary = run_queue_worker(
-        args.queue_dir,
-        poll_interval_s=args.poll_interval_s,
-        drain_timeout_s=args.drain_timeout_s,
-        max_cells=args.max_cells,
-        progress=lambda message: print(message, file=sys.stderr),
-        lease_batch=args.lease_batch,
-    )
+    try:
+        summary = run_queue_worker(
+            args.queue_dir,
+            poll_interval_s=args.poll_interval_s,
+            drain_timeout_s=args.drain_timeout_s,
+            max_cells=args.max_cells,
+            progress=lambda message: print(message, file=sys.stderr),
+            lease_batch=args.lease_batch,
+        )
+    except ValueError as error:
+        # e.g. a poll interval of 0, which would spin instead of polling.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"worker {summary.worker}: {summary.executed} cell(s) executed, "
           f"{summary.skipped} already done, {summary.failed} failed "
           f"attempt(s), {summary.reclaimed} stale lease(s) reclaimed; "
@@ -615,17 +620,16 @@ def _run_sweep_status(args: argparse.Namespace) -> int:
         return 0
     print(f"queue {snapshot['queue_dir']}: {snapshot['pending']} pending, "
           f"{snapshot['leased']} leased, {snapshot['completed']} completed, "
-          f"{len(snapshot['failed'])} failed")
+          f"{len(snapshot['failed'])} failed, {snapshot['reclaimed']} reclaimed")
     for run in snapshot["runs"]:
         state = ("active" if run["active"]
                  else "inactive" if run["active"] is not None else "unknown")
         print(f"  run {run['run_id'][:12]} [{state}]: "
-              f"{run['pending']} pending, {run['leased']} leased")
+              f"{run['pending']} pending, {run['leased']} leased, "
+              f"{run['retrying']} retrying, {run['quarantined']} quarantined")
     health = format_worker_health(snapshot["workers"])
     if health:
         print(f"  {health}")
-    if snapshot["stop"] is not None:
-        print(f"  STOP marker present (run {snapshot['stop'][:12]})")
     return 0
 
 

@@ -5,10 +5,9 @@ sockets, no lock files. Its one primitive is the atomic ``os.rename``, and
 the life of a cell is a walk through the directory layout (drawn in
 :class:`WorkQueue`) by these transitions, each written down once here:
 
-- **enqueue**: the coordinator writes each missing cell to
-  ``tasks/<key>.p<prio>.r<run>.a1.task`` (temp file + rename, so readers
-  never observe a partial spec) and broker settings to ``queue.json`` and
-  ``runs/<run>.json``;
+- **enqueue**: the coordinator registers its sweep in ``runs/<run>.json``,
+  then writes each missing cell to ``tasks/<key>.p<prio>.r<run>.a1.task``
+  (temp file + rename, so readers never observe a partial spec);
 - **claim**: a worker renames the task into ``leases/`` (same stem,
   ``.lease``); rename succeeds for exactly one claimant, which is the whole
   mutual-exclusion story. A worker claims up to ``lease_batch`` cells per
@@ -41,10 +40,11 @@ Scheduling and multi-tenancy ride on the task filename (:class:`_TaskName`):
 a priority (estimated cell cost -- slowest first, so stragglers start
 early) and a run id; a worker round-robins across the runs sharing the
 queue directory, so two coordinators' sweeps interleave instead of queueing
-behind each other, and their task files can never collide. Each coordinator
-registers its sweep in ``runs/<run_id>.json`` and deactivates it on exit, so
-one coordinator's STOP marker never turns away workers that another
-coordinator still needs.
+behind each other, and their task files can never collide. The run record
+``runs/<run_id>.json`` is the one on-disk state of a sweep: its settings
+(which govern that run's tasks only), its coordinator's liveness counter,
+and ``active`` -- the coordinator flips it to ``false`` on exit, which is
+how every worker learns that the sweep is over.
 
 Imports :mod:`repro.experiments.cache` only; the worker loop that drives
 these transitions is :mod:`repro.experiments.worker`, the coordinator is
@@ -216,14 +216,15 @@ class WorkQueue:
 
     Layout under ``queue_dir`` (see docs/distributed_sweeps.md)::
 
-        queue.json   broker settings (retry budget, lease timeout, results)
         tasks/       claimable cells:   <key>.p<prio>.r<run>.a<n>.task
         leases/      in-flight cells:   same stem, .lease (task bytes plus
                      one appended heartbeat byte per beat)
         failed/      exhausted cells:   <key>.err               (JSON)
         meta/        per-cell telemetry <key>.json              (JSON)
         runs/        one record per coordinator sweep: <run_id>.json with
-                     that sweep's settings and an ``active`` flag
+                     that sweep's settings (retry budget, lease timeout,
+                     results directory, lease batch), ``active`` and the
+                     coordinator's ``beats``
         registry/    worker health records: <worker_id>.json
         results/     default ResultCache directory (sha256-keyed pickles)
 
@@ -231,8 +232,6 @@ class WorkQueue:
     any number of hosts (sharing the directory, e.g. over NFS) coordinate
     without locks: exactly one claimant wins each task file.
     """
-
-    CONFIG_NAME = "queue.json"
 
     def __init__(self, queue_dir: str):
         self.queue_dir = str(queue_dir)
@@ -252,11 +251,7 @@ class WorkQueue:
         self._lease_watch = _FrozenCounters()
         self._run_watch = _FrozenCounters()
 
-    # -- configuration ---------------------------------------------------------
-
-    @property
-    def config_path(self) -> str:
-        return os.path.join(self.queue_dir, self.CONFIG_NAME)
+    # -- run records -----------------------------------------------------------
 
     def write_config(
         self,
@@ -267,35 +262,25 @@ class WorkQueue:
         run_id: str,
         lease_batch: int = 1,
     ) -> None:
-        """Publish broker settings so bare ``sweep-worker`` processes need
-        nothing beyond the queue directory itself. ``run_id`` (letters,
-        digits, ``_`` and ``-`` only) scopes the STOP marker to this sweep
-        generation, so a reused queue directory's leftover STOP can never
-        turn away newly joining workers.
+        """Register ``runs/<run_id>.json``: this sweep's settings plus
+        ``active: true``, so bare ``sweep-worker`` processes need nothing
+        beyond the queue directory itself. ``run_id`` is letters, digits,
+        ``_`` and ``-`` only.
 
-        Also registers ``runs/<run_id>.json`` (the same settings plus
-        ``active: true``): workers resolve per-task settings through the
-        task's run record, so two coordinators with different cache
-        directories or retry budgets coexist in one queue directory, and
-        the STOP marker only ends workers once *no* run is still active.
+        Each task is governed by its own run's record, so two coordinators
+        with different cache directories, retry budgets or lease batches
+        coexist in one queue directory.
         """
-        settings = {
+        self._atomic_write_json(self._run_path(_checked_run_id(run_id)), {
             "cache_dir": os.path.abspath(cache_dir),
             "max_attempts": int(max_attempts),
             "lease_timeout_s": float(lease_timeout_s),
             "lease_batch": int(lease_batch),
-            "run_id": _checked_run_id(run_id),
-        }
-        self._atomic_write_json(self.config_path, settings)
-        self._atomic_write_json(self._run_path(run_id), {
-            **settings,
+            "run_id": run_id,
             "active": True,
             "coordinator": _worker_id(),
             "beats": 0,
         })
-
-    def read_config(self) -> dict | None:
-        return _read_json(self.config_path)
 
     def _run_path(self, run_id: str) -> str:
         return os.path.join(self.runs_dir, f"{run_id}.json")
@@ -303,13 +288,6 @@ class WorkQueue:
     def run_settings(self, run_id: str) -> dict | None:
         """The settings record a coordinator registered for ``run_id``."""
         return _read_json(self._run_path(run_id))
-
-    def _settings_for(self, run_id: str, fallback: dict) -> dict:
-        """The settings that govern ``run_id``'s tasks -- lease timeout,
-        retry budget, cache directory: its run record, with ``fallback``
-        standing in for a run whose record is gone (a library caller may
-        enqueue under a run it never registered)."""
-        return {**fallback, **(self.run_settings(run_id) or {})}
 
     def list_runs(self) -> list[dict]:
         records = (self.run_settings(entry[:-len(".json")])
@@ -334,18 +312,17 @@ class WorkQueue:
             record["beats"] = int(record.get("beats", 0)) + 1
             self._atomic_write_json(self._run_path(run_id), record)
 
-    def live_run_ids(self, lease_timeout_s: float) -> list[str]:
+    def live_run_ids(self) -> list[str]:
         """Active runs whose coordinator still shows signs of life.
 
         A run counts as live while any of its tasks are pending or leased
         (someone must drain them regardless of the coordinator's fate), or
         while its ``beats`` counter keeps moving within the run's own
-        lease-timeout window on this observer's monotonic clock (the
-        :class:`_FrozenCounters` contract of :meth:`reclaim_stale`; the
-        passed timeout applies only to records without one). A coordinator
-        killed without :meth:`signal_stop` therefore stops blocking the
-        STOP marker one observation window after its sweep drains, instead
-        of pinning a shared fleet to the full drain timeout forever.
+        ``lease_timeout_s`` window on this observer's monotonic clock (the
+        :class:`_FrozenCounters` contract of :meth:`reclaim_stale`). A
+        coordinator killed without :meth:`signal_stop` therefore stops
+        holding workers one observation window after its sweep drains,
+        instead of pinning a shared fleet to the full drain timeout forever.
         """
         now = time.monotonic()
         tasked = self._tasked_runs()
@@ -365,7 +342,7 @@ class WorkQueue:
             frozen_for = self._run_watch.unchanged_for(
                 run_id, int(record.get("beats", 0)), now
             )
-            if frozen_for <= float(record.get("lease_timeout_s", lease_timeout_s)):
+            if frozen_for <= float(record["lease_timeout_s"]):
                 live.append(run_id)
         self._run_watch.retain(seen)
         return live
@@ -398,14 +375,17 @@ class WorkQueue:
         return self._stems(self.leases_dir, ".lease")
 
     def _tasked_runs(self) -> dict[str, dict[str, int]]:
-        """``run id -> {"pending": n, "leased": m}`` over every run that
-        still has a task file in either state."""
+        """``run id -> {"pending": n, "leased": m, "retrying": r}`` over
+        every run that still has a task file in either state; ``retrying``
+        counts those of either state past their first attempt."""
         depths: dict[str, dict[str, int]] = {}
         for state, names in (("pending", self.pending_tasks()),
                              ("leased", self.active_leases())):
             for name in names:
-                depths.setdefault(
-                    name.run, {"pending": 0, "leased": 0})[state] += 1
+                run = depths.setdefault(
+                    name.run, {"pending": 0, "leased": 0, "retrying": 0})
+                run[state] += 1
+                run["retrying"] += name.attempt > 1
         return depths
 
     def failed_keys(self) -> list[str]:
@@ -660,7 +640,8 @@ class WorkQueue:
         run_settings: dict[str, dict] = {}
         for name in self.active_leases():
             if name.run not in run_settings:
-                run_settings[name.run] = self._settings_for(name.run, fallback)
+                run_settings[name.run] = {
+                    **fallback, **(self.run_settings(name.run) or {})}
             timeout_s = float(run_settings[name.run]["lease_timeout_s"])
             attempt_budget = int(run_settings[name.run]["max_attempts"])
             stem = name.stem()
@@ -708,47 +689,28 @@ class WorkQueue:
 
     # -- shutdown --------------------------------------------------------------
 
-    @property
-    def stop_path(self) -> str:
-        return os.path.join(self.queue_dir, "STOP")
-
     def signal_stop(self, run_id: str) -> None:
-        """Tell every worker (local or remote) of this sweep generation to
-        drain and exit: workers honor the marker once nothing is claimable
-        *and no registered run is still active*, so in-flight and
-        still-queued cells finish first and one coordinator finishing can
-        never pull a shared fleet out from under another coordinator's
-        half-drained sweep. Deactivates this run's record first."""
+        """End this sweep: flip its run record to ``active: false``.
+
+        Workers leave once nothing is claimable and no run is still live
+        (:meth:`live_run_ids`), so in-flight and still-queued cells finish
+        first and one coordinator finishing can never pull a shared fleet
+        out from under another coordinator's half-drained sweep."""
         record = self.run_settings(run_id)
         if record is not None:
             record["active"] = False
             self._atomic_write_json(self._run_path(run_id), record)
-        self._atomic_write_json(
-            self.stop_path, {"run_id": run_id, "worker": _worker_id()}
-        )
 
-    def stop_marker_id(self) -> str | None:
-        """The run_id the STOP marker is tagged with (``None`` = no marker,
-        ``"<unreadable>"`` = a marker whose payload cannot be parsed)."""
-        marker = _read_json(self.stop_path, {"run_id": "<unreadable>"})
-        return None if marker is None else str(marker.get("run_id"))
+    def prune_retired(self) -> None:
+        """Garbage-collect retired records.
 
-    def clear_stop(self) -> None:
-        """Remove the STOP marker and garbage-collect retired records.
-
-        Called by every coordinator before it enqueues, so each sweep
-        generation starts clean: run records that are inactive *and* have
-        no pending or leased tasks left (their settings govern nothing
-        anymore), and registry records of exited workers, are pruned here
-        rather than accumulating forever in a long-lived queue directory.
-        Records of runs that still carry tasks -- a crashed sweep's
-        leftovers -- are kept, since workers resolve those tasks' settings
-        through them.
+        Called by every coordinator before it registers its run: run
+        records that are inactive *and* have no pending or leased tasks
+        left (their settings govern nothing anymore), and registry records
+        of exited workers, are pruned here rather than accumulating forever
+        in a long-lived queue directory. Records of runs that still carry
+        tasks are kept, since those tasks' settings live in them.
         """
-        try:
-            os.unlink(self.stop_path)
-        except FileNotFoundError:
-            pass
         tasked = self._tasked_runs()
         for record in self.list_runs():
             if record.get("active") or record["run_id"] in tasked:
@@ -786,30 +748,42 @@ class WorkQueue:
 
     def status_snapshot(self) -> dict:
         """One JSON-ready view of the whole service: queue depths per run,
-        registered runs, worker health, and the STOP marker. This is what
-        ``repro sweep-status`` prints."""
+        registered runs, worker health. This is what ``repro sweep-status``
+        prints.
+
+        Every count is read off files that already exist: per run,
+        ``retrying`` (tasks and leases past their first attempt, from the
+        task names) and ``quarantined`` (result files moved aside under
+        the run's ``<cache_dir>/quarantine/``); at the top, ``reclaimed``
+        (the ``cells_reclaimed`` exited workers recorded in ``registry/``).
+        """
         per_run = self._tasked_runs()
+        idle = {"pending": 0, "leased": 0, "retrying": 0}
         runs = []
         for record in self.list_runs():
-            depths = per_run.get(record["run_id"], {"pending": 0, "leased": 0})
+            quarantine = os.path.join(record["cache_dir"],
+                                      ResultCache.QUARANTINE_SUBDIR)
             runs.append({
                 "run_id": record["run_id"],
                 "active": bool(record.get("active")),
                 "coordinator": record.get("coordinator"),
-                **depths,
+                **per_run.get(record["run_id"], idle),
+                "quarantined": len(_names(quarantine, ".pkl")),
             })
         known = {run["run_id"] for run in runs}
         for run_id, depths in sorted(per_run.items()):
             if run_id not in known:  # enqueued under a run nobody registered
                 runs.append({"run_id": run_id, "active": None,
-                             "coordinator": None, **depths})
+                             "coordinator": None, **depths, "quarantined": 0})
+        workers = self.registry_records()
         return {
             "queue_dir": os.path.abspath(self.queue_dir),
             "pending": sum(depths["pending"] for depths in per_run.values()),
             "leased": sum(depths["leased"] for depths in per_run.values()),
             "completed": self.completed_count(),
             "failed": self.failed_keys(),
-            "stop": self.stop_marker_id(),
+            "reclaimed": sum(int(worker.get("cells_reclaimed", 0))
+                             for worker in workers),
             "runs": runs,
-            "workers": self.registry_records(),
+            "workers": workers,
         }

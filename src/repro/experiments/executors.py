@@ -361,6 +361,8 @@ class QueueExecutor(SweepExecutor):
             raise ValueError("max_attempts must be >= 1")
         if lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
+        if not poll_interval_s > 0:
+            raise ValueError("poll_interval_s must be > 0")
         self.queue_dir = str(queue_dir)
         self.num_workers = num_workers
         self.lease_timeout_s = lease_timeout_s
@@ -378,9 +380,9 @@ class QueueExecutor(SweepExecutor):
         if cache_dir is None:
             cache_dir = self.default_cache_dir()
         queue = WorkQueue(self.queue_dir)
-        queue.clear_stop()
+        queue.prune_retired()
         cache = ResultCache(cache_dir)
-        # repro-lint: allow[RPL020] -- broker run identity (stop markers must
+        # repro-lint: allow[RPL020] -- broker run identity (run records must
         # not collide across coordinator generations), not a simulation input
         run_id = uuid.uuid4().hex
         queue.write_config(

@@ -17,9 +17,16 @@ cell, reclaim dead peers' leases when idle. On top of the broker it adds:
 - **deterministic poll jitter and back-off** (:func:`_poll_jitter`,
   :func:`_poll_delay`), so a fleet rescans ``tasks/`` out of phase. The
   back-off governs only that rescan (and ``reclaim_stale``): an idle
-  worker waits it out in slices of the base cadence and reads the ``STOP``
-  marker after each (:func:`_idle_wait`), so a drained sweep's workers see
-  ``STOP`` within one base interval, however far they have backed off.
+  worker waits it out in slices of the base cadence and reads the set of
+  active run ids after each (:func:`_idle_wait`), so a drained sweep's
+  workers see its run record go inactive within one base interval, however
+  far they have backed off.
+
+Everything a worker knows about a sweep comes from its run record
+``runs/<run_id>.json``: each claimed task's settings, and whether the sweep
+is over. A worker leaves when nothing is claimable, no run is live
+(:meth:`~repro.experiments.broker.WorkQueue.live_run_ids`), and it has seen
+a run that was not already retired when it started.
 
 Imports :mod:`~repro.experiments.cache` and :mod:`~repro.experiments.broker`;
 the poll loop sleeps through the ``time`` module's ``sleep`` attribute.
@@ -32,10 +39,10 @@ import os
 import socket
 import threading
 import time
-from collections.abc import Callable, Container, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.experiments.broker import WorkQueue, _worker_id
+from repro.experiments.broker import MIN_LEASE_TIMEOUT_S, WorkQueue, _worker_id
 from repro.experiments.cache import ResultCache
 
 __all__ = ["WorkerSummary", "run_queue_worker"]
@@ -65,7 +72,7 @@ def _poll_delay(
     *empty-but-leased* -- nothing claimable, peers still executing -- the
     cap applies immediately: rescans can only discover a reclaim or a
     retry, both of which arrive on lease-timeout timescales. The back-off
-    paces the rescan only; the ``STOP`` marker is read every base interval
+    paces the rescan only; the active run ids are read every base interval
     throughout the wait (:func:`_idle_wait`).
     """
     backoff = 8 if empty_but_leased else min(2 ** max(0, idle_polls - 1), 8)
@@ -73,27 +80,24 @@ def _poll_delay(
 
 
 def _idle_wait(
-    queue: WorkQueue, delay_s: float, slice_s: float,
-    known_stops: Container[str | None],
-) -> str | None:
-    """Wait up to ``delay_s`` before the next rescan, reading the ``STOP``
-    marker after every ``slice_s``.
+    queue: WorkQueue, delay_s: float, slice_s: float, active: set[str]
+) -> bool:
+    """Wait up to ``delay_s`` before the next rescan, reading the active
+    run ids after every ``slice_s``.
 
-    Returns early -- with the marker's run id -- only when the marker names
-    a run outside ``known_stops`` (no marker, the stale startup marker and
-    the marker the worker has already weighed), so the caller's exit test
-    runs as soon as a coordinator finishes instead of after an 8x back-off.
-    Returns ``None`` once the full delay has elapsed. At most
-    ``ceil(delay_s / slice_s)`` marker reads per wait: one small-file read
-    per base interval, never a busy spin.
+    Returns ``True`` as soon as they differ from ``active`` (the set the
+    caller last scanned under) -- a sweep ended or a new one registered --
+    so the caller's rescan and exit test run within one base interval
+    instead of after an 8x back-off; ``False`` once the full delay has
+    elapsed. At most ``ceil(delay_s / slice_s)`` reads of ``runs/`` per
+    wait, never a busy spin.
     """
     deadline = time.monotonic() + delay_s
     while (left := deadline - time.monotonic()) > 0:
         time.sleep(min(slice_s, left))
-        marker = queue.stop_marker_id()
-        if marker not in known_stops:
-            return marker
-    return None
+        if set(queue.active_run_ids()) != active:
+            return True
+    return False
 
 
 def _append_heartbeat_byte(path: str) -> bool:
@@ -255,30 +259,34 @@ def run_queue_worker(
     """Join a queue directory and execute cells until it drains.
 
     The worker loop: claim up to ``lease_batch`` tasks in one scan
-    (default: the coordinator's published setting); cells whose result
-    already exists drop their lease (``skipped``); the rest execute
-    sequentially under one lease heartbeat and complete or fail
-    individually. With nothing claimable the worker reclaims stale
-    leases, then rescans with deterministic per-worker jittered backoff,
-    reading the STOP marker every base interval in between; it exits
-    after ``drain_timeout_s`` with no claimable work, when the
-    coordinator writes the ``STOP`` marker (and no registered run is
-    still active), or after ``max_cells`` executions. Any number of these
-    may run concurrently against the same directory, on any number of
-    hosts; each maintains a health record in ``registry/``.
+    (default: the smallest ``lease_batch`` among the active run records,
+    1 when there are none); cells whose result already exists drop their
+    lease (``skipped``); the rest execute sequentially under one lease
+    heartbeat and complete or fail individually. Each task's settings
+    (result-cache path, retry budget, lease timeout) come from its own
+    run's record, so tasks from different coordinators land in their own
+    cache directories; a task whose run has no record fails terminally.
+    With nothing claimable the worker reclaims stale leases, then rescans
+    with deterministic per-worker jittered backoff, reading the active run
+    ids every base interval in between. Any number of these may run
+    concurrently against the same directory, on any number of hosts; each
+    maintains a health record in ``registry/``.
 
-    Broker settings (result-cache path, retry budget, lease timeout) come
-    from ``queue.json``, written by the coordinator at enqueue time --
-    per-task, the task's own run record takes precedence, so tasks from
-    different coordinators land in their own cache directories. A worker
-    that starts *before* any coordinator simply polls until the config
-    appears or the drain timeout expires.
-
-    ``coordinator_run`` is for :class:`QueueExecutor` alone: the run id of
-    the coordinator that spawned this worker, whose STOP marker is live
-    even when it is already on disk at startup (any other marker found at
-    startup is a previous sweep's leftover and is ignored).
+    The worker exits after ``max_cells`` executions, after
+    ``drain_timeout_s`` with no claimable work, or as soon as nothing is
+    claimable, no run is live, and it has seen a run that was not already
+    retired when it started -- records retired before then belong to
+    earlier sweeps, so a worker that joins ahead of the next coordinator
+    waits for it. ``coordinator_run`` is for :class:`QueueExecutor` alone:
+    the run that spawned this worker counts as seen, however early it
+    ends (a fully cached sweep retires its run before its workers are up).
     """
+    if not poll_interval_s > 0:
+        raise ValueError(f"poll_interval_s must be > 0, got {poll_interval_s}")
+    if not drain_timeout_s >= 0:
+        raise ValueError(f"drain_timeout_s must be >= 0, got {drain_timeout_s}")
+    if lease_batch is not None and lease_batch < 1:
+        raise ValueError(f"lease_batch must be >= 1, got {lease_batch}")
     queue = WorkQueue(queue_dir)
     summary = WorkerSummary(worker=_worker_id())
     say = progress if progress is not None else (lambda message: None)
@@ -288,25 +296,13 @@ def run_queue_worker(
     idle_since = time.monotonic()
     idle_polls = 0
     rotation: str | None = None  # run id this worker last claimed from
-    # A STOP marker already present at startup is *stale* by definition: it
-    # belongs to a sweep that finished before this worker existed (reused
-    # queue directory). Only a marker that appears -- or changes run_id --
-    # during this worker's lifetime ends it; a worker joining ahead of the
-    # next coordinator just polls until tasks appear or it drains out.
-    # The exception is the marker of the coordinator that spawned this
-    # worker: that coordinator cleared STOP before it started, so its marker
-    # is live however early it lands (a fully cached or very short sweep
-    # writes it before the worker process is up).
-    startup_stop = queue.stop_marker_id()
-    if startup_stop == coordinator_run:
-        startup_stop = None
-    seen_stop = startup_stop  # the newest marker the exit test has weighed
+    retired_at_start = {record["run_id"] for record in queue.list_runs()
+                        if not record.get("active")}
+    seen_run = coordinator_run is not None
 
-    def idle_wait(delay_s: float) -> None:
-        nonlocal seen_stop
+    def idle_wait(delay_s: float, active: set[str]) -> None:
         start = time.monotonic()
-        seen_stop = _idle_wait(queue, delay_s, base_s,
-                               (None, startup_stop, seen_stop)) or seen_stop
+        _idle_wait(queue, delay_s, base_s, active)
         summary.idle_s += time.monotonic() - start
 
     def set_status(status: str, **fields: object) -> None:
@@ -321,28 +317,23 @@ def run_queue_worker(
                 remaining = max_cells - summary.executed
                 if remaining <= 0:
                     break
-            config = queue.read_config()
-            if config is None:
-                # Queue not published yet (worker raced ahead of the
-                # coordinator): wait for it like any other idle period.
-                if time.monotonic() - idle_since > drain_timeout_s:
-                    break
-                idle_polls += 1
-                idle_wait(_poll_delay(poll_interval_s, jitter, idle_polls,
-                                      empty_but_leased=False))
-                continue
-            limit = (lease_batch if lease_batch is not None
-                     else int(config.get("lease_batch", 1)))
-            limit = max(1, limit)
+            runs = queue.list_runs()
+            active = [record for record in runs if record.get("active")]
+            seen_run = seen_run or any(record["run_id"] not in retired_at_start
+                                       for record in runs)
+            limit = lease_batch if lease_batch is not None else min(
+                (int(record.get("lease_batch", 1)) for record in active),
+                default=1)
             if remaining is not None:
                 # Never claim more than this invocation may still execute:
                 # a capped worker must not strand a batch tail in leases.
                 limit = min(limit, remaining)
             claims = queue.claim_batch(limit, rotation=rotation)
             if not claims:
-                reclaimed = queue.reclaim_stale(
-                    config["lease_timeout_s"], config["max_attempts"]
-                )
+                # Each lease is judged by its own run's record; the passed
+                # settings reach only leases of a run without one, which no
+                # worker executes (see below), so they fail at the floor.
+                reclaimed = queue.reclaim_stale(MIN_LEASE_TIMEOUT_S, 1)
                 if reclaimed:
                     # A dead peer's cell just became claimable again: that is
                     # new work, not idleness -- never drain out on top of it.
@@ -350,18 +341,15 @@ def run_queue_worker(
                     idle_since = time.monotonic()
                     idle_polls = 0
                     continue
-                # STOP is a drain-then-exit signal, checked only with nothing
-                # claimable, only for markers newer than this worker (see
-                # startup_stop above), and only once no registered run is
-                # still *live*: in-flight and still-queued cells always
-                # finish first, a stale marker can never turn away a freshly
-                # joined worker, and one coordinator's exit never strands a
-                # concurrent coordinator's half-drained sweep. Liveness (not
-                # the raw active flag) keeps a coordinator that died without
-                # signal_stop from disabling STOP forever.
-                marker = seen_stop = queue.stop_marker_id()
-                if (marker is not None and marker != startup_stop
-                        and not queue.live_run_ids(config["lease_timeout_s"])):
+                # Drain, then exit -- checked only with nothing claimable and
+                # once no run is still *live*: in-flight and still-queued
+                # cells always finish first, a run retired before this worker
+                # started can never turn it away, and one coordinator's exit
+                # never strands a concurrent coordinator's half-drained
+                # sweep. Liveness (not the raw active flag) keeps a
+                # coordinator that died without signal_stop from holding
+                # workers forever.
+                if seen_run and not queue.live_run_ids():
                     break
                 if time.monotonic() - idle_since > drain_timeout_s:
                     break
@@ -369,28 +357,34 @@ def run_queue_worker(
                 idle_wait(_poll_delay(
                     poll_interval_s, jitter, idle_polls,
                     empty_but_leased=bool(queue.active_leases()),
-                ))
+                ), {record["run_id"] for record in active})
                 continue
             idle_since = time.monotonic()
             idle_polls = 0
             rotation = claims[-1].name.run
-            # Re-read the config after a successful claim: the claimed tasks
-            # may belong to a sweep generation newer than the snapshot above
-            # (coordinator replaces queue.json *before* enqueueing). Each
-            # task then resolves its own run's settings, falling back to the
-            # shared config for a run whose record is gone.
-            config = queue.read_config() or config
-            settings = [queue._settings_for(claim.name.run, config)
-                        for claim in claims]
-            heartbeat_interval = min(
-                cfg["lease_timeout_s"] for cfg in settings
-            ) / 3.0
+            settings = {run: queue.run_settings(run)
+                        for run in {claim.name.run for claim in claims}}
+            for claim in claims:
+                if settings[claim.name.run] is None:
+                    # No record, no cache directory to store into: fail the
+                    # task rather than run it under another run's settings.
+                    error = f"run {claim.name.run} has no record in runs/"
+                    queue.fail(claim, error, max_attempts=0)
+                    summary.failed += 1
+                    registry.note_finished("cells_failed")
+                    say(f"cell {claim.cell.label()} failed: {error}")
+            claims = [claim for claim in claims
+                      if settings[claim.name.run] is not None]
+            if not claims:
+                continue
             with _LeaseHeartbeat(
                 [claim.lease_path for claim in claims],
-                heartbeat_interval,
+                min(settings[claim.name.run]["lease_timeout_s"]
+                    for claim in claims) / 3.0,
                 on_beat=registry.beat,
             ):
-                for claim, cfg in zip(claims, settings):
+                for claim in claims:
+                    cfg = settings[claim.name.run]
                     cache = ResultCache(cfg["cache_dir"])
                     if cache.load(claim.name.key) is not None:
                         # Another worker finished the cell between enqueue
@@ -435,7 +429,7 @@ def _local_worker_entry(
 ) -> None:
     """Top-level target for coordinator-spawned local worker processes."""
     # Local workers live as long as the coordinator keeps the queue open:
-    # the coordinator's STOP marker, not a drain timeout, ends them.
+    # its run record going inactive, not a drain timeout, ends them.
     run_queue_worker(
         queue_dir,
         poll_interval_s=poll_interval_s,

@@ -15,6 +15,13 @@ The matrix discovers the call count of each transition by itself (it moves
 the crash point forward until the transition completes without reaching
 it), so a filesystem step added to a transition is covered without editing
 this file.
+
+Part two crashes the coordinator the same way: ``QueueExecutor.run`` dies
+at each filesystem call of ``write_config``, the enqueue loop and
+``signal_stop`` while a worker is already serving the directory. That
+worker must leave once the dead run ages out of ``live_run_ids`` (there is
+no other "sweep over" signal left to wait for), and a fresh ``run_sweep``
+plus a fresh worker must finish the grid bit-identically to inline.
 """
 
 import ast
@@ -27,6 +34,7 @@ import pytest
 
 from repro.experiments import broker, cache, executors, worker
 from repro.experiments.executors import ResultCache, WorkQueue, run_queue_worker
+from repro.experiments.sweeps import run_sweep
 # Same-directory import (pytest prepend mode; the test tree is not a
 # package): the sweep tests own the tiny-spec helpers.
 from test_sweeps import assert_results_identical, tiny_spec
@@ -49,10 +57,13 @@ class _DyingOs:
 
     COUNTED = ("rename", "replace", "unlink")
 
-    def __init__(self, crash_at):
+    def __init__(self, crash_at, scope=None):
         self.crash_at = crash_at
         self.calls = 0
         self.died = False
+        # With a scope, only calls made while the calling thread has
+        # ``scope.armed`` set count (other threads share the patched module).
+        self.scope = scope
 
     def __getattr__(self, name):
         real = getattr(os, name)
@@ -60,6 +71,8 @@ class _DyingOs:
             return real
 
         def counted(*args, **kwargs):
+            if self.scope is not None and not getattr(self.scope, "armed", False):
+                return real(*args, **kwargs)
             index = self.calls
             self.calls += 1
             if index == self.crash_at and not self.died:
@@ -208,6 +221,87 @@ def test_a_crash_at_any_filesystem_call_is_recovered(
             if meta is not None:  # absent: died between result and meta
                 assert meta["attempt"] <= 2, "the crash cost two attempts"
     assert crash_points == dying_os.calls >= 1
+
+
+#: The coordinator's filesystem steps under test.
+COORDINATOR_STEPS = ("write_config", "enqueue", "signal_stop")
+COORDINATOR = dict(num_workers=0, lease_timeout_s=executors.MIN_LEASE_TIMEOUT_S,
+                   poll_interval_s=0.02)
+
+
+def _serving_worker(queue_dir):
+    thread = threading.Thread(
+        target=run_queue_worker, args=(queue_dir,),
+        kwargs=dict(poll_interval_s=0.02, drain_timeout_s=60.0), daemon=True,
+    )
+    thread.start()
+    return thread
+
+
+def test_a_coordinator_crash_is_recovered(grid, tmp_path, monkeypatch):
+    cells, inline = grid
+    spec = tiny_spec(algorithms=("adpsgd",))
+    scope = threading.local()
+
+    def armed(method):
+        def call(*args, **kwargs):
+            scope.armed = True
+            try:
+                return method(*args, **kwargs)
+            finally:
+                scope.armed = False
+        return call
+
+    crash_points = 0
+    while True:
+        queue_dir = str(tmp_path / f"coordinator-crash-at-{crash_points}")
+        serving = _serving_worker(queue_dir)
+        dying_os = _DyingOs(crash_at=crash_points, scope=scope)
+        with monkeypatch.context() as patch:
+            patch.setattr(broker, "os", dying_os)
+            patch.setattr(cache, "os", dying_os)
+            for step in COORDINATOR_STEPS:
+                patch.setattr(WorkQueue, step,
+                              armed(getattr(WorkQueue, step)))
+            try:
+                executors.QueueExecutor(queue_dir, **COORDINATOR).run(
+                    spec.cells(), None)
+            except _Died:
+                pass
+        queue = WorkQueue(queue_dir)
+        if dying_os.died:
+            crash_points += 1
+            if queue.list_runs():
+                # The dead run stays active; once its tasks are drained and
+                # its beats sit frozen for a lease timeout it is no longer
+                # live, and the worker that was serving it leaves.
+                serving.join(timeout=15.0)
+                assert not serving.is_alive(), "worker outlived the dead run"
+            else:
+                # Died before registering: no run has been seen, so the
+                # worker waits for one -- and serves the fresh sweep below.
+                assert serving.is_alive()
+            fresh = _serving_worker(queue_dir)
+            sweep = run_sweep(spec, executor=executors.QueueExecutor(
+                queue_dir, **COORDINATOR))
+            fresh.join(timeout=15.0)
+            assert not fresh.is_alive()
+            for outcome in sweep.outcomes:
+                assert_results_identical(
+                    outcome.result, inline[outcome.cell.cache_key()])
+        serving.join(timeout=15.0)
+        assert not serving.is_alive()
+        assert os.listdir(queue.tasks_dir) == []
+        assert os.listdir(queue.leases_dir) == []
+        assert not {"queue.json", "STOP"} & set(os.listdir(queue_dir))
+        store = ResultCache(queue.default_results_dir())
+        for cell in spec.cells():
+            assert_results_identical(store.load(cell.cache_key()),
+                                     inline[cell.cache_key()])
+        if not dying_os.died:
+            break  # the coordinator ran to its end: every call was covered
+    # One record write, one task write per cell, one record rewrite.
+    assert crash_points == dying_os.calls == 1 + len(spec.cells()) + 1
 
 
 class TestOneCopy:

@@ -307,7 +307,7 @@ class TestStaleLeaseReclaim:
             lease_timeout_s=0.2,
             run_id="test-run",
         )
-        assert queue.enqueue(cell, run="t")
+        assert queue.enqueue(cell, run="test-run")
         claim = queue.claim()  # "worker" claims, then dies: no heartbeat
         assert claim is not None and queue.pending_tasks() == []
 
@@ -361,7 +361,7 @@ class TestStaleLeaseReclaim:
             lease_timeout_s=0.5,
             run_id="test-run",
         )
-        assert queue.enqueue(cell, run="t")
+        assert queue.enqueue(cell, run="test-run")
 
         worker = multiprocessing.Process(
             target=run_queue_worker, args=(queue_dir,), daemon=True
@@ -408,7 +408,7 @@ class TestStaleLeaseReclaim:
             lease_timeout_s=0.2,
             run_id="test-run",
         )
-        queue.enqueue(cell, run="t")
+        queue.enqueue(cell, run="test-run")
         claim = queue.claim()  # dead peer: claims, then never heartbeats
         assert claim is not None
 
@@ -601,23 +601,23 @@ class TestWorkQueuePrimitives:
         ResultCache(queue.default_results_dir()).store(
             cell.cache_key(), cell.execute()
         )
-        queue.enqueue(cell, run="t")
+        queue.enqueue(cell, run="test-run")
         summary = run_queue_worker(
             str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2
         )
         assert summary.executed == 0
         assert summary.skipped == 1
 
-    def test_worker_without_config_drains_out(self, tmp_path):
+    def test_worker_without_a_run_drains_out(self, tmp_path):
         summary = run_queue_worker(
             str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.1
         )
         assert summary.executed == 0
 
     def test_stop_marker_ends_workers_immediately(self, tmp_path, monkeypatch):
-        """A STOP that *appears during the worker's lifetime* ends it within
-        a base poll interval, however far the worker has backed off (the
-        local-worker shutdown path)."""
+        """A run that *ends during the worker's lifetime* (its record turns
+        ``active: false``) ends it within a base poll interval, however far
+        the worker has backed off (the local-worker shutdown path)."""
         import threading
 
         from repro.experiments import worker as worker_module
@@ -648,33 +648,52 @@ class TestWorkQueuePrimitives:
         assert time.monotonic() - signalled[0] < 0.4
 
     def test_stale_stop_marker_from_previous_sweep_is_ignored(self, tmp_path):
-        """A reused queue directory keeps the previous sweep's STOP marker;
-        a worker joining the *next* sweep generation must work through the
-        queue rather than exiting on the stale marker (regression: workers
-        that raced ahead of the coordinator used to quit instantly)."""
+        """A reused queue directory keeps the previous sweep's retired run
+        record; a worker joining ahead of the *next* sweep generation must
+        wait for it and work through its queue rather than exiting on the
+        stale record (regression: workers that raced ahead of the
+        coordinator used to quit instantly)."""
+        import threading
+
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         (cell,) = spec.cells()
         queue = WorkQueue(str(tmp_path / "queue"))
+        queue.write_config(
+            cache_dir=queue.default_results_dir(),
+            max_attempts=3, lease_timeout_s=30.0, run_id="previous-run",
+        )
         queue.signal_stop("previous-run")  # leftover from an earlier sweep
+        summaries = []
+        worker = threading.Thread(target=lambda: summaries.append(
+            run_queue_worker(str(tmp_path / "queue"), poll_interval_s=0.02,
+                             drain_timeout_s=30.0)))
+        worker.start()
+        worker.join(timeout=0.3)
+        assert worker.is_alive(), "worker quit on the previous sweep's run"
         queue.write_config(
             cache_dir=queue.default_results_dir(),
             max_attempts=3, lease_timeout_s=30.0, run_id="next-run",
         )
-        queue.enqueue(cell, run="t")
-        summary = run_queue_worker(
-            str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2
-        )
-        assert summary.executed == 1
-        # ...while the marker API reports the generation it stops.
+        queue.enqueue(cell, run="next-run")
+        cache = ResultCache(queue.default_results_dir())
+        deadline = time.monotonic() + 30.0
+        while cache.peek(cell.cache_key()) is None:
+            assert time.monotonic() < deadline, "the cell never ran"
+            time.sleep(0.02)
         queue.signal_stop("next-run")
-        assert queue.stop_marker_id() == "next-run"
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert summaries[0].executed == 1
 
     def test_coordinator_restart_clears_previous_stop(self, tmp_path):
         """End to end on a reused queue dir: the second sweep (new run_id)
-        completes with local workers despite the first sweep's STOP."""
+        completes with local workers despite the first sweep's retired run,
+        which it prunes; no other record of either sweep exists."""
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         first = run_sweep(spec, executor=queue_executor(tmp_path))
-        assert os.path.exists(WorkQueue(str(tmp_path / "queue")).stop_path)
+        queue = WorkQueue(str(tmp_path / "queue"))
+        (first_run,) = queue.list_runs()
+        assert first_run["active"] is False
         more = tiny_spec(algorithms=("adpsgd",), seeds=(1,))
         second = run_sweep(more, executor=queue_executor(tmp_path))
         assert second.cells_executed == 1
@@ -682,6 +701,10 @@ class TestWorkQueuePrimitives:
             second.outcomes[0].result, more.cells()[0].execute()
         )
         assert first.outcomes[0].cell != second.outcomes[0].cell
+        (second_run,) = queue.list_runs()
+        assert second_run["run_id"] != first_run["run_id"]
+        assert second_run["active"] is False
+        assert not {"queue.json", "STOP"} & set(os.listdir(queue.queue_dir))
 
 
 class TestProgressWiring:

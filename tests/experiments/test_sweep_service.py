@@ -4,7 +4,7 @@ The broker's PR 5 contract (claim/complete/fail/reclaim) lives in
 test_executors.py; this file covers the service features layered on top:
 counter-based lease staleness (the mtime bugfix), per-run reclaim
 settings (the multi-tenant reclaim bugfix), coordinator run liveness (the
-crashed-coordinator STOP lockout bugfix), deterministic jittered polling
+crashed-coordinator lockout bugfix), deterministic jittered polling
 (the thundering-herd bugfix), batch leases, priority + fair-share
 scheduling across concurrent sweeps, the worker registry, and streaming
 aggregation.
@@ -253,7 +253,7 @@ class TestPerRunReclaimSettings:
 
 
 class TestRunLiveness:
-    """Regression for the crashed-coordinator STOP lockout: a run whose
+    """Regression for the crashed-coordinator lockout: a run whose
     coordinator died without signal_stop must stop counting as live one
     observation window after its queue drains."""
 
@@ -267,9 +267,9 @@ class TestRunLiveness:
         queue = make_queue(tmp_path)
         self.register_run(queue, "dead-run")
         observer = WorkQueue(str(tmp_path / "queue"))
-        assert observer.live_run_ids(5.0) == ["dead-run"]  # first observation
+        assert observer.live_run_ids() == ["dead-run"]  # first observation
         time.sleep(0.15)  # beats counter frozen across the run's own window
-        assert observer.live_run_ids(5.0) == []
+        assert observer.live_run_ids() == []
         assert observer.active_run_ids() == ["dead-run"]  # raw flag untouched
 
     def test_heartbeats_keep_a_run_live(self, tmp_path):
@@ -277,10 +277,10 @@ class TestRunLiveness:
         self.register_run(queue, "live-run")
         observer = WorkQueue(str(tmp_path / "queue"))
         for _ in range(3):
-            assert observer.live_run_ids(5.0) == ["live-run"]
+            assert observer.live_run_ids() == ["live-run"]
             queue.heartbeat_run("live-run")
             time.sleep(0.15)
-        assert observer.live_run_ids(5.0) == ["live-run"]
+        assert observer.live_run_ids() == ["live-run"]
 
     def test_outstanding_tasks_keep_a_run_live_without_heartbeats(self, tmp_path):
         queue = make_queue(tmp_path)
@@ -289,16 +289,17 @@ class TestRunLiveness:
         (cell,) = spec.cells()
         queue.enqueue(cell, run="busy-run")
         observer = WorkQueue(str(tmp_path / "queue"))
-        assert observer.live_run_ids(5.0) == ["busy-run"]
+        assert observer.live_run_ids() == ["busy-run"]
         time.sleep(0.15)
-        assert observer.live_run_ids(5.0) == ["busy-run"]
+        assert observer.live_run_ids() == ["busy-run"]
 
     def test_worker_honors_stop_despite_a_crashed_coordinators_run(self, tmp_path):
         """End to end: one crashed coordinator's forever-active record used
-        to disable STOP for the whole directory, pinning every worker to
-        its full drain timeout."""
+        to hold every worker to its full drain timeout after the healthy
+        tenant's sweep ended."""
         queue = make_queue(tmp_path)
         self.register_run(queue, "crashed-run")  # never heartbeats again
+        self.register_run(queue, "other-run", lease_timeout_s=30.0)
         done: list[object] = []
 
         def drain() -> None:
@@ -320,10 +321,10 @@ class TestRunLiveness:
 
 class TestLocalWorkerStartupStop:
     """Regression for the cached-re-run stall: a coordinator whose grid is
-    fully cached (or very short) writes STOP before the local workers it
-    spawned are up. Such a worker used to take the marker for a previous
-    sweep's leftover and poll until the coordinator's 30 s join timeout;
-    a bare ``repro sweep-worker`` (test_executors.py,
+    fully cached (or very short) retires its run before the local workers
+    it spawned are up. Such a worker must not take the retired run for a
+    previous sweep's leftover and poll until the coordinator's 30 s join
+    timeout; a bare ``repro sweep-worker`` (test_executors.py,
     test_stale_stop_marker_from_previous_sweep_is_ignored) keeps that rule."""
 
     def finished_run(self, tmp_path, run_id):
@@ -347,21 +348,27 @@ class TestLocalWorkerStartupStop:
         worker.start()
         worker.join(timeout=5.0)
         assert not worker.is_alive(), (
-            "local worker treated its own coordinator's STOP as stale"
+            "local worker treated its own coordinator's ended run as stale"
         )
         assert time.monotonic() - start < 2.0  # a few poll intervals
 
     def test_another_runs_leftover_marker_is_still_stale(self, tmp_path):
-        """Only the spawning coordinator's marker is live at startup: with
-        some other run's STOP on disk the worker waits for its own."""
+        """A run retired before the worker started ends nothing: with only
+        that leftover on disk the worker waits for a run of its own, and
+        leaves once one has come and gone."""
         queue = self.finished_run(tmp_path, "earlier-run")
         worker = threading.Thread(
-            target=_local_worker_entry, args=(queue.queue_dir, 0.02, "run-r"),
+            target=run_queue_worker, args=(queue.queue_dir,),
+            kwargs=dict(poll_interval_s=0.02, drain_timeout_s=60.0),
             daemon=True,
         )
         worker.start()
         worker.join(timeout=0.5)
         assert worker.is_alive()
+        queue.write_config(
+            cache_dir=queue.default_results_dir(), max_attempts=3,
+            lease_timeout_s=5.0, run_id="run-r",
+        )
         queue.signal_stop("run-r")
         worker.join(timeout=5.0)
         assert not worker.is_alive()
@@ -377,8 +384,8 @@ class TestLocalWorkerStartupStop:
             assert rerun.cells_from_cache == len(spec.cells())
 
 
-class TestClearStopPruning:
-    def test_clear_stop_prunes_retired_records_only(self, tmp_path):
+class TestPruneRetired:
+    def test_prune_retired_removes_retired_records_only(self, tmp_path):
         """A new sweep generation garbage-collects what no longer governs
         anything: inactive task-less run records and exited workers. A
         crashed sweep's record (inactive but with tasks left) survives --
@@ -399,8 +406,7 @@ class TestClearStopPruning:
                 os.path.join(queue.registry_dir, f"{worker}.json"),
                 {"worker": worker, "status": status},
             )
-        queue.clear_stop()
-        assert queue.stop_marker_id() is None
+        queue.prune_retired()
         assert [run["run_id"] for run in queue.list_runs()] == ["leftover-run"]
         assert [w["worker"] for w in queue.registry_records()] == ["w-live"]
 
@@ -440,21 +446,21 @@ class TestJitteredPolling:
 
 class TestEventDrivenDrain:
     """The drain-tail fix: back-off paces the ``tasks/`` rescan only; an
-    idle worker reads the STOP marker every base interval, so a drained
+    idle worker reads the active run ids every base interval, so a drained
     sweep ends within one base interval of its last cell."""
 
     def test_backed_off_worker_sees_stop_within_one_base_interval(
         self, tmp_path, monkeypatch
     ):
         """Regression: a worker idling while a peer holds a lease used to
-        sleep out the full 8x back-off (0.8 s here) before it looked at
-        STOP, and the coordinator's join waited for it."""
+        sleep out the full 8x back-off (0.8 s here) before it looked for
+        the sweep's end, and the coordinator's join waited for it."""
         monkeypatch.setattr(worker_module, "_poll_jitter", lambda worker: 0.5)
         base_s = 0.1  # poll_interval_s * (0.5 + jitter)
         queue, claim = single_cell_claim(tmp_path)  # the peer's live lease
         queue.write_config(
             cache_dir=queue.default_results_dir(), max_attempts=3,
-            lease_timeout_s=30.0, run_id="run-1",
+            lease_timeout_s=30.0, run_id=claim.name.run,
         )
         summaries = []
         thread = threading.Thread(target=lambda: summaries.append(
@@ -464,43 +470,57 @@ class TestEventDrivenDrain:
         time.sleep(0.3)  # the worker is now inside its 0.8 s back-off
         cache = ResultCache(queue.default_results_dir())
         queue.complete(claim, cache, claim.cell.execute(), 0.0, seq=1)
-        queue.signal_stop("run-1")
+        queue.signal_stop(claim.name.run)
         signalled = time.monotonic()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert time.monotonic() - signalled < 2.5 * base_s
         assert summaries[0].executed == 0
 
-    @pytest.mark.parametrize("marker", ["startup-run", "seen-run"])
-    def test_idle_wait_ignores_known_markers(self, tmp_path, marker):
-        """The stale startup marker and a marker the exit test already
-        weighed never cut the wait short -- else a worker that must keep
-        serving a live run would rescan at full rate."""
+    @staticmethod
+    def runs(tmp_path, active, retired):
         queue = make_queue(tmp_path)
-        queue.signal_stop(marker)
+        for run_id in active + retired:
+            queue.write_config(
+                cache_dir=queue.default_results_dir(), max_attempts=3,
+                lease_timeout_s=5.0, run_id=run_id,
+            )
+        for run_id in retired:
+            queue.signal_stop(run_id)
+        return queue
+
+    @pytest.mark.parametrize("retired", [[], ["old-run"]])
+    def test_idle_wait_sleeps_out_an_unchanged_run_set(self, tmp_path, retired):
+        """Runs that stay active, and runs retired all along, never cut the
+        wait short -- else a worker that must keep serving a live run
+        would rescan at full rate."""
+        queue = self.runs(tmp_path, ["live-run"], retired)
         start = time.monotonic()
-        assert _idle_wait(queue, 0.2, 0.05,
-                          (None, "startup-run", "seen-run")) is None
+        assert _idle_wait(queue, 0.2, 0.05, {"live-run"}) is False
         assert time.monotonic() - start >= 0.2
 
-    def test_idle_wait_returns_on_a_new_marker(self, tmp_path):
-        queue = make_queue(tmp_path)
-        queue.signal_stop("new-run")
+    @pytest.mark.parametrize("scanned", [set(), {"live-run", "ended-run"}])
+    def test_idle_wait_returns_when_the_active_runs_change(
+        self, tmp_path, scanned
+    ):
+        """A run that registered or ended since the last scan ends the wait
+        within a slice."""
+        queue = self.runs(tmp_path, ["live-run"], ["ended-run"])
         start = time.monotonic()
-        assert _idle_wait(queue, 5.0, 0.05, (None,)) == "new-run"
+        assert _idle_wait(queue, 5.0, 0.05, scanned) is True
         assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("delay_s", [0.05, 0.12, 0.3])
-    def test_idle_wait_reads_the_marker_once_per_slice(
+    def test_idle_wait_reads_the_runs_once_per_slice(
         self, tmp_path, monkeypatch, delay_s
     ):
-        """No busy spin: at most ceil(delay / base) + 1 marker reads."""
+        """No busy spin: at most ceil(delay / base) + 1 reads of runs/."""
         queue = make_queue(tmp_path)
         reads = []
-        monkeypatch.setattr(queue, "stop_marker_id",
-                            lambda: reads.append(1))
+        monkeypatch.setattr(queue, "active_run_ids",
+                            lambda: reads.append(1) or [])
         slice_s = 0.05
-        assert _idle_wait(queue, delay_s, slice_s, (None,)) is None
+        assert _idle_wait(queue, delay_s, slice_s, set()) is False
         assert 1 <= len(reads) <= math.ceil(delay_s / slice_s) + 1
 
 
@@ -541,7 +561,6 @@ class TestTaskNames:
                 lease_timeout_s=5.0, run_id=run,
             )
         assert queue.pending_tasks() == [] and queue.list_runs() == []
-        assert queue.read_config() is None
 
     def test_priority_is_clamped(self, tmp_path):
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
@@ -596,6 +615,60 @@ class TestBatchLeases:
         assert summary.executed == 1
         assert queue.active_leases() == []
         assert len(queue.pending_tasks()) == 1
+
+    def test_default_batch_is_the_smallest_active_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: one tenant's lease_batch used to govern every
+        tenant's cells (the last coordinator to write the shared settings
+        won). With runs asking for 1 and 8, a worker without its own
+        lease_batch claims at most one cell per scan."""
+        queue = make_queue(tmp_path)
+        for run_id, batch in (("one-run", 1), ("eight-run", 8)):
+            queue.write_config(
+                cache_dir=queue.default_results_dir(), max_attempts=3,
+                lease_timeout_s=5.0, run_id=run_id, lease_batch=batch,
+            )
+        for cell in tiny_spec(algorithms=("adpsgd",), seeds=(0, 1)).cells():
+            queue.enqueue(cell, run="eight-run")
+        claimed = []
+        claim_batch = WorkQueue.claim_batch
+
+        def spy(self, limit, rotation=None):
+            claims = claim_batch(self, limit, rotation)
+            claimed.append(len(claims))
+            return claims
+
+        monkeypatch.setattr(WorkQueue, "claim_batch", spy)
+        summary = run_queue_worker(
+            str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2,
+        )
+        assert summary.executed == 2
+        assert max(claimed) == 1
+
+
+class TestRunRecords:
+    def test_task_of_an_unregistered_run_fails_terminally(self, tmp_path):
+        """A task whose run has no record has no cache directory to land
+        in: it fails once, naming the run, and never runs under another
+        run's settings."""
+        (cell,) = tiny_spec(algorithms=("adpsgd",), seeds=(0,)).cells()
+        queue = make_queue(tmp_path)
+        queue.write_config(
+            cache_dir=str(tmp_path / "registered-cache"), max_attempts=3,
+            lease_timeout_s=5.0, run_id="registered-run",
+        )
+        queue.enqueue(cell, run="ghost-run")
+        summary = run_queue_worker(
+            str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2,
+        )
+        assert (summary.executed, summary.failed) == (0, 1)
+        failure = queue.read_failure(cell.cache_key())
+        assert "ghost-run" in failure["error"]
+        assert failure["attempts"] == 1
+        assert queue.pending_tasks() == [] and queue.active_leases() == []
+        assert ResultCache(str(tmp_path / "registered-cache")).load(
+            cell.cache_key()) is None
 
 
 class TestPriorityScheduling:
@@ -765,13 +838,48 @@ class TestStatusSnapshot:
         assert snapshot["leased"] == 1
         assert snapshot["completed"] == 0
         assert snapshot["failed"] == []
-        assert snapshot["stop"] is None
+        assert snapshot["reclaimed"] == 0
+        assert "stop" not in snapshot
         (run,) = snapshot["runs"]
         assert run["run_id"] == "run-1"
         assert run["active"] is True
         assert run["pending"] == 2 and run["leased"] == 1
+        assert run["retrying"] == run["quarantined"] == 0
         assert snapshot["workers"] == []
         json.dumps(snapshot)  # the CLI prints this verbatim
+
+    def test_snapshot_counts_retries_quarantines_and_reclaims(self, tmp_path):
+        """After a simulated reclaim: the requeued task reads as retrying
+        (attempt 2 in its name), a corrupt result moved aside reads as
+        quarantined under its run, and the exited reclaimer's
+        cells_reclaimed sums into the top-level count."""
+        cells = tiny_spec().cells()
+        queue = make_queue(tmp_path)
+        queue.write_config(
+            cache_dir=queue.default_results_dir(), max_attempts=3,
+            lease_timeout_s=0.1, run_id="run-1",
+        )
+        for cell in cells[:2]:
+            queue.enqueue(cell, run="run-1")
+        queue.claim()  # ... by a worker that then died silently
+        reclaimer = WorkQueue(queue.queue_dir)
+        assert reclaimer.reclaim_stale(0.1, 3) == 0
+        time.sleep(0.15)
+        assert reclaimer.reclaim_stale(0.1, 3) == 1
+        queue._atomic_write_json(
+            os.path.join(queue.registry_dir, "reclaimer.json"),
+            {"worker": "reclaimer", "status": "exited", "cells_reclaimed": 1},
+        )
+        cache = ResultCache(queue.default_results_dir())
+        with open(cache.path(cells[2].cache_key()), "wb") as handle:
+            handle.write(b"\x80\x04 torn result bytes")
+        assert cache.load(cells[2].cache_key()) is None  # quarantined
+        snapshot = queue.status_snapshot()
+        assert snapshot["reclaimed"] == 1
+        (run,) = snapshot["runs"]
+        assert (run["pending"], run["leased"]) == (2, 0)
+        assert run["retrying"] == 1
+        assert run["quarantined"] == 1
 
     def test_pre_service_tasks_appear_as_runless_group(self, tmp_path):
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
@@ -780,7 +888,8 @@ class TestStatusSnapshot:
         queue.enqueue(cell, run="t")  # a run nobody registered
         (run,) = queue.status_snapshot()["runs"]
         assert run == {"run_id": "t", "active": None, "coordinator": None,
-                       "pending": 1, "leased": 0}
+                       "pending": 1, "leased": 0, "retrying": 0,
+                       "quarantined": 0}
 
     def test_stop_deactivates_only_its_run(self, tmp_path):
         queue = make_queue(tmp_path)
@@ -795,7 +904,9 @@ class TestStatusSnapshot:
         assert sorted(queue.active_run_ids()) == ["run-a", "run-b"]
         queue.signal_stop("run-a")
         assert queue.active_run_ids() == ["run-b"]
-        assert queue.stop_marker_id() == "run-a"
+        # The run records are the whole on-disk state of both sweeps.
+        assert sorted(os.listdir(queue.queue_dir)) == [
+            "failed", "leases", "meta", "registry", "runs", "tasks"]
 
 
 class TestStreamingAggregation:
@@ -918,7 +1029,7 @@ class TestConcurrentSweeps:
             assert meta["seq"] >= 1
 
     def test_one_coordinator_stopping_does_not_strand_the_other(self, tmp_path):
-        """A worker seeing a STOP marker while another registered run is
+        """A worker seeing one run end while another registered run is
         still active must keep serving that run."""
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         (cell,) = spec.cells()
@@ -952,3 +1063,13 @@ class TestMakeExecutorService:
     def test_invalid_lease_batch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="lease_batch"):
             QueueExecutor(str(tmp_path / "q"), lease_batch=0)
+
+    @pytest.mark.parametrize("poll_interval_s", [0.0, -1.0, float("nan")])
+    def test_poll_interval_that_would_spin_rejected(
+        self, tmp_path, poll_interval_s
+    ):
+        with pytest.raises(ValueError, match="poll_interval_s"):
+            QueueExecutor(str(tmp_path / "q"), poll_interval_s=poll_interval_s)
+        with pytest.raises(ValueError, match="poll_interval_s"):
+            run_queue_worker(str(tmp_path / "q"),
+                             poll_interval_s=poll_interval_s)

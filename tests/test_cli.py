@@ -280,7 +280,7 @@ class TestCommands:
             cache_dir=queue.default_results_dir(),
             max_attempts=3, lease_timeout_s=30.0, run_id="test-run",
         )
-        queue.enqueue(cell, run="t")
+        queue.enqueue(cell, run="test-run")
         summary_path = tmp_path / "worker.json"
         code = main([
             "sweep-worker", "--queue-dir", str(tmp_path / "q"),
@@ -366,6 +366,26 @@ class TestSweepService:
         assert code == 2
         assert "not a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--poll-interval-s", "0", "poll_interval_s"),
+        ("--poll-interval-s", "-1", "poll_interval_s"),
+        ("--drain-timeout-s", "-1", "drain_timeout_s"),
+        ("--lease-batch", "0", "lease_batch"),
+    ])
+    def test_sweep_worker_rejects_values_that_spin_or_clamp(
+        self, tmp_path, capsys, flag, value, name
+    ):
+        """Regression: a poll interval of 0 or below made an idle worker
+        spin without sleeping, and --lease-batch 0 was silently clamped to
+        1. Each now exits 2 with one error line, before touching the
+        queue directory."""
+        code = main(["sweep-worker", "--queue-dir", str(tmp_path / "q"),
+                     "--drain-timeout-s", "0.1", flag, value])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and name in line
+        assert not (tmp_path / "q").exists()
+
     def test_lease_timeout_floor_rejected_with_exit_2(self, tmp_path, capsys):
         code = main([
             "sweep", "--algorithms", "adpsgd", "--seeds", "0",
@@ -398,8 +418,10 @@ class TestSweepService:
 
         assert main(["sweep-status", "--queue-dir", str(tmp_path / "q")]) == 0
         out = capsys.readouterr().out
-        assert "1 pending, 1 leased, 0 completed, 0 failed" in out
-        assert "run status-run [active]" in out
+        assert "1 pending, 1 leased, 0 completed, 0 failed, 0 reclaimed" in out
+        assert ("run status-run [active]: 1 pending, 1 leased, 0 retrying, "
+                "0 quarantined") in out
+        assert "STOP" not in out
 
         code = main([
             "sweep-status", "--queue-dir", str(tmp_path / "q"), "--json",
