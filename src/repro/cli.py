@@ -84,6 +84,8 @@ from repro.experiments import (
     time_to_loss_speedups,
 )
 from repro.experiments.executors import (
+    MIN_LEASE_TIMEOUT_S,
+    QueueExecutor,
     WorkQueue,
     make_executor,
     run_queue_worker,
@@ -110,6 +112,17 @@ _FIGURE_FLAGS = {
     "samples": "num_samples",
     "seed": "seed",
     "parallel": "parallel",
+}
+
+# `repro sweep` flag -> the one backend that reads it (every backend reads
+# every other flag).
+_BACKEND_FLAGS = {
+    "parallel": "process",
+    "queue_dir": "queue",
+    "num_queue_workers": "queue",
+    "lease_timeout_s": "queue",
+    "lease_batch": "queue",
+    "max_attempts": "queue",
 }
 
 
@@ -233,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=512)
     sweep.add_argument("--sim-time", type=float, default=60.0)
     sweep.add_argument("--max-epochs", type=float, default=None)
-    sweep.add_argument("--parallel", type=int, default=0,
-                       help="worker processes (0/1 = sequential); implies "
-                            "--backend process when > 1")
+    sweep.add_argument("--parallel", type=int, default=None,
+                       help="process backend: worker processes; without "
+                            "--backend, > 1 selects the process backend and "
+                            "0/1 the inline one")
     sweep.add_argument("--backend",
                        choices=["inline", "process", "queue", "batched"],
                        default=None,
@@ -247,21 +261,29 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--queue-dir", default=None,
                        help="shared directory for the queue backend's "
                             "file-based work broker")
-    sweep.add_argument("--num-queue-workers", type=int, default=1,
-                       help="local worker processes to spawn for the queue "
-                            "backend (0 = rely on external sweep-worker "
-                            "processes joining --queue-dir)")
-    sweep.add_argument("--lease-timeout-s", type=float, default=30.0,
+    # Shown, not set: QueueExecutor spells each queue default once.
+    queue_default = {name: parameter.default for name, parameter
+                     in inspect.signature(QueueExecutor).parameters.items()}
+    sweep.add_argument("--num-queue-workers", type=int, default=None,
+                       help="queue backend: local worker processes to spawn "
+                            f"(default {queue_default['num_workers']}; 0 = "
+                            "rely on external sweep-worker processes joining "
+                            "--queue-dir)")
+    sweep.add_argument("--lease-timeout-s", type=float, default=None,
                        help="queue backend: reclaim a cell whose worker "
                             "heartbeat counter has not advanced for this "
-                            "long (worker presumed dead); minimum 1.0")
-    sweep.add_argument("--lease-batch", type=int, default=1,
+                            "long (worker presumed dead; default "
+                            f"{queue_default['lease_timeout_s']:g}, minimum "
+                            f"{MIN_LEASE_TIMEOUT_S:g})")
+    sweep.add_argument("--lease-batch", type=int, default=None,
                        help="queue backend: cells a worker claims per "
-                            "directory scan (amortizes scan overhead for "
-                            "sub-second cells)")
-    sweep.add_argument("--max-attempts", type=int, default=3,
+                            "directory scan (default "
+                            f"{queue_default['lease_batch']}; amortizes scan "
+                            "overhead for sub-second cells)")
+    sweep.add_argument("--max-attempts", type=int, default=None,
                        help="queue backend: per-cell retry budget before a "
-                            "cell fails the sweep")
+                            "cell fails the sweep (default "
+                            f"{queue_default['max_attempts']})")
     sweep.add_argument("--stream-interval-s", type=float, default=0.0,
                        help="re-render the aggregate table to stderr at most "
                             "this often as cells land (0 = only the final "
@@ -505,7 +527,18 @@ def _run_sweep(args: argparse.Namespace) -> int:
         return 2
     backend = args.backend
     if backend is None:
-        backend = "process" if args.parallel > 1 else "inline"
+        backend = "process" if (args.parallel or 0) > 1 else "inline"
+    unread = [
+        "--" + flag.replace("_", "-")
+        for flag, reader in _BACKEND_FLAGS.items()
+        if getattr(args, flag) is not None and reader != backend
+        # Without --backend, --parallel is read: it picks the backend.
+        and not (flag == "parallel" and args.backend is None)
+    ]
+    if unread:
+        print(f"error: --backend {backend} does not read {', '.join(unread)}",
+              file=sys.stderr)
+        return 2
     if backend == "queue" and args.queue_dir is None:
         print("error: --backend queue requires --queue-dir", file=sys.stderr)
         return 2
@@ -553,7 +586,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     try:
         executor = make_executor(
             backend,
-            parallel=args.parallel,
+            parallel=args.parallel or 0,
             queue_dir=args.queue_dir,
             num_queue_workers=args.num_queue_workers,
             lease_timeout_s=args.lease_timeout_s,

@@ -6,19 +6,21 @@ the life of a cell is a walk through the directory layout (drawn in
 :class:`WorkQueue`) by these transitions, each written down once here:
 
 - **enqueue**: the coordinator registers its sweep in ``runs/<run>.json``,
-  then writes each missing cell to ``tasks/<key>.p<prio>.r<run>.a1.task``
-  (temp file + rename, so readers never observe a partial spec);
+  then writes each missing cell to ``tasks/<key>.r<run>.a1.task`` (temp
+  file + rename, so readers never observe a partial spec);
 - **claim**: a worker renames the task into ``leases/`` (same stem,
   ``.lease``); rename succeeds for exactly one claimant, which is the whole
   mutual-exclusion story. A worker claims up to ``lease_batch`` cells per
-  directory scan (one rename each, one scan amortized across the batch);
+  directory scan (one rename each, one scan amortized across the batch),
+  never more than it may still execute;
 - **complete**: the worker stores the result through the cache's
   temp+rename write, records timing telemetry in ``meta/<key>.json``, and
-  deletes its lease;
+  deletes its lease -- in that order, so a cell whose run holds neither a
+  task nor a lease for it and whose result is on disk has landed, telemetry
+  included (the coordinator's landing rule);
 - **return** (:meth:`WorkQueue._return_lease`, the only lease -> task
-  rename): an unexecuted batch tail goes back at the same attempt
-  (``requeue``), a failed attempt and a dead worker's lease go back with
-  the attempt counter bumped (``fail``, ``reclaim_stale``);
+  rename): a failed attempt and a dead worker's lease go back with the
+  attempt counter bumped (``fail``, ``reclaim_stale``);
 - **reclaim**: a lease grows by one heartbeat byte while its cell
   executes; if a worker dies, the byte counter freezes, and once any
   observer has watched an unchanged counter for a full lease timeout
@@ -29,18 +31,19 @@ the life of a cell is a walk through the directory layout (drawn in
   reclaim a live lease);
 - **fail**: a cell whose retry budget is exhausted moves to
   ``failed/<key>.err`` (error text + provenance) where the coordinator
-  surfaces it as a hard error.
+  surfaces it as a hard error, until a re-run of its sweep clears it
+  (``clear_failures``).
 
 Because results are idempotent (bit-identical regardless of which worker
 executes a cell, enforced by the determinism test suite), the races left
 open by this design -- e.g. a presumed-dead worker completing after its
 lease was reclaimed -- are benign: both writers store the same bytes.
 
-Scheduling and multi-tenancy ride on the task filename (:class:`_TaskName`):
-a priority (estimated cell cost -- slowest first, so stragglers start
-early) and a run id; a worker round-robins across the runs sharing the
-queue directory, so two coordinators' sweeps interleave instead of queueing
-behind each other, and their task files can never collide. The run record
+Scheduling and multi-tenancy ride on the task filename (:class:`_TaskName`)
+through its run id: within a run, cells are claimed in key order; across
+runs, a worker round-robins over the runs sharing the queue directory, so
+two coordinators' sweeps interleave instead of queueing behind each other,
+and their task files can never collide. The run record
 ``runs/<run_id>.json`` is the one on-disk state of a sweep: its settings
 (which govern that run's tasks only), its coordinator's liveness counter,
 and ``active`` -- the coordinator flips it to ``false`` on exit, which is
@@ -59,7 +62,7 @@ import pickle
 import re
 import socket
 import time
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -83,6 +86,10 @@ MIN_LEASE_TIMEOUT_S = 1.0
 #: back as a different (key, run) pair, a path separator would leave the
 #: directory.
 _RUN_ID = re.compile(r"[A-Za-z0-9_-]+")
+
+#: A cache key is a hex digest; a task name whose key is anything else was
+#: written by another task-name generation and is not parsed.
+_KEY = re.compile(r"[0-9a-f]+")
 
 
 class QueueCellError(RuntimeError):
@@ -161,45 +168,32 @@ class _FrozenCounters:
 
 @dataclass
 class _TaskName:
-    """Parsed broker filename stem
-    ``<sha256-key>.p<priority:08d>.r<run>.a<attempt>``.
+    """Parsed broker filename stem ``<sha256-key>.r<run>.a<attempt>``.
 
-    ``priority`` is the estimated cell cost (higher = claimed first, so the
-    slowest cells start earliest) and ``run`` namespaces the task to one
-    coordinator's sweep, so two coordinators sharing a queue directory can
-    never collide on a filename and fair-share scheduling can tell their
-    tasks apart.
+    ``run`` namespaces the task to one coordinator's sweep, so two
+    coordinators sharing a queue directory can never collide on a filename
+    and fair-share scheduling can tell their tasks apart.
 
     The key is a hex digest and a run id contains no ``.``
-    (:data:`_RUN_ID`), so the ``.p``/``.r``/``.a`` markers can never occur
-    inside either and parsing is unambiguous.
+    (:data:`_RUN_ID`), so the ``.r``/``.a`` markers can never occur inside
+    either and parsing is unambiguous.
     """
 
     key: str
     attempt: int
     run: str
-    priority: int = 0
-
-    #: Priorities are fixed-width in the filename (sortable as text).
-    MAX_PRIORITY = 99_999_999
 
     @classmethod
     def parse(cls, filename: str) -> _TaskName | None:
         stem, _, _ = filename.rpartition(".")
         head, _, attempt = stem.rpartition(".a")
-        body, _, run = head.rpartition(".r")
-        key, _, priority = body.rpartition(".p")
-        if not (key and run and priority.isdigit() and attempt.isdigit()):
+        key, _, run = head.rpartition(".r")
+        if not (_KEY.fullmatch(key) and run and attempt.isdigit()):
             return None
-        return cls(key=key, attempt=int(attempt), run=run,
-                   priority=int(priority))
+        return cls(key=key, attempt=int(attempt), run=run)
 
     def stem(self) -> str:
-        return (f"{self.key}.p{self.priority:08d}.r{self.run}"
-                f".a{self.attempt}")
-
-    def with_attempt(self, attempt: int) -> _TaskName:
-        return replace(self, attempt=attempt)
+        return f"{self.key}.r{self.run}.a{self.attempt}"
 
 
 @dataclass
@@ -216,7 +210,7 @@ class WorkQueue:
 
     Layout under ``queue_dir`` (see docs/distributed_sweeps.md)::
 
-        tasks/       claimable cells:   <key>.p<prio>.r<run>.a<n>.task
+        tasks/       claimable cells:   <key>.r<run>.a<n>.task
         leases/      in-flight cells:   same stem, .lease (task bytes plus
                      one appended heartbeat byte per beat)
         failed/      exhausted cells:   <key>.err               (JSON)
@@ -412,7 +406,6 @@ class WorkQueue:
         run: str,
         attempt: int = 1,
         present: set[str] | None = None,
-        priority: int | None = None,
     ) -> bool:
         """Make a cell claimable unless it is already queued, leased, or
         terminally failed. Returns whether a task file was created.
@@ -421,11 +414,7 @@ class WorkQueue:
         to one coordinator's sweep. ``present`` is an optional snapshot of
         already-present keys (from :meth:`present_keys`): bulk enqueues
         pass it so an N-cell grid costs one directory scan instead of N
-        (the snapshot is kept current as cells are added).
-
-        ``priority`` defaults to the cell's estimated cost (higher =
-        claimed first), so a run's slowest cells start earliest and never
-        become the lone straggler at the end of the drain."""
+        (the snapshot is kept current as cells are added)."""
         _checked_run_id(run)
         key = cell.cache_key()
         if present is not None:
@@ -433,10 +422,7 @@ class WorkQueue:
                 return False
         elif key in self.present_keys(run):
             return False
-        if priority is None:
-            priority = int(cell.estimated_cost())
-        priority = max(0, min(int(priority), _TaskName.MAX_PRIORITY))
-        name = _TaskName(key=key, attempt=attempt, run=run, priority=priority)
+        name = _TaskName(key=key, attempt=attempt, run=run)
         _atomic_write(
             self.queue_dir, self._task_path(name), "wb",
             lambda handle: pickle.dump(cell, handle),
@@ -457,29 +443,33 @@ class WorkQueue:
         idempotent, and workers skip cells whose result already exists).
         Terminal failures are global.
         """
-        keys = {name.key
+        return self.held_keys(run) | set(self.failed_keys())
+
+    def held_keys(self, run: str) -> set[str]:
+        """Keys ``run`` holds a task or a lease for: its cells not yet
+        landed. ``tasks/`` is listed before ``leases/``, and a cell only
+        ever moves between the two by rename, so a cell held throughout
+        the call is never missed."""
+        return {name.key
                 for name in self.pending_tasks() + self.active_leases()
                 if name.run == run}
-        keys.update(self.failed_keys())
-        return keys
 
     def _claim_order(self, rotation: str | None = None) -> list[_TaskName]:
         """Pending tasks in the order a worker should try to claim them.
 
-        Within one run: highest priority (estimated cost) first, key as
-        the deterministic tiebreak. Across runs: round-robin, one task per
-        run per rank, cycling the sorted run ids starting just *after*
-        ``rotation`` (the run this worker last claimed from) -- so a
-        worker alternates between concurrent sweeps instead of draining
-        whichever run sorts first, and no run starves while another has
-        pending work. Pure function of the directory listing plus the
-        caller's rotation cursor: no coordination state on disk.
+        Within one run: by key (then attempt). Across runs: round-robin,
+        one task per run per rank, cycling the sorted run ids starting
+        just *after* ``rotation`` (the run this worker last claimed from)
+        -- so a worker alternates between concurrent sweeps instead of
+        draining whichever run sorts first, and no run starves while
+        another has pending work. Pure function of the directory listing
+        plus the caller's rotation cursor: no coordination state on disk.
         """
         by_run: dict[str, list[_TaskName]] = {}
         for name in self.pending_tasks():
             by_run.setdefault(name.run, []).append(name)
         for names in by_run.values():
-            names.sort(key=lambda name: (-name.priority, name.key, name.attempt))
+            names.sort(key=lambda name: (name.key, name.attempt))
         runs = sorted(by_run)
         if rotation is not None and runs:
             start = sum(1 for run in runs if run <= rotation)
@@ -540,23 +530,17 @@ class WorkQueue:
             claims.append(ClaimedTask(name=name, lease_path=lease_path, cell=cell))
         return claims
 
-    def _return_lease(
-        self, name: _TaskName, lease_path: str, attempt: int
-    ) -> bool:
+    def _return_lease(self, name: _TaskName, lease_path: str) -> bool:
         """The only lease -> task transition: rename ``lease_path`` back
-        into ``tasks/`` as attempt ``attempt`` of the same cell. ``False``
+        into ``tasks/`` as the next attempt of the same cell. ``False``
         means the lease was already gone -- a reclaimer (or the worker
         itself) moved it first, and that copy carries the cell on."""
+        next_attempt = replace(name, attempt=name.attempt + 1)
         try:
-            os.rename(lease_path, self._task_path(name.with_attempt(attempt)))
+            os.rename(lease_path, self._task_path(next_attempt))
         except FileNotFoundError:
             return False
         return True
-
-    def requeue(self, claim: ClaimedTask) -> None:
-        """Return an unexecuted claim to the task pool without spending an
-        attempt (e.g. a batch tail the worker will not get to)."""
-        self._return_lease(claim.name, claim.lease_path, claim.name.attempt)
 
     def complete(
         self,
@@ -590,8 +574,7 @@ class WorkQueue:
         """Requeue a failed attempt, or fail terminally once the budget is
         spent. Returns True when the cell will be retried."""
         if claim.name.attempt < max_attempts:
-            self._return_lease(claim.name, claim.lease_path,
-                               claim.name.attempt + 1)
+            self._return_lease(claim.name, claim.lease_path)
             return True
         self._record_failure(claim.name, error_text, claim.cell.label())
         self._drop_lease(claim.lease_path)
@@ -610,6 +593,17 @@ class WorkQueue:
                 "worker": _worker_id(),
             },
         )
+
+    def clear_failures(self, keys: Iterable[str]) -> None:
+        """Delete the terminal failure records of ``keys``: a re-run of a
+        sweep is an explicit request to retry its cells, which makes them
+        claimable again (other sweeps' failures in a shared directory stay
+        put)."""
+        for key in keys:
+            try:
+                os.unlink(os.path.join(self.failed_dir, f"{key}.err"))
+            except FileNotFoundError:
+                pass
 
     def reclaim_stale(self, lease_timeout_s: float, max_attempts: int) -> int:
         """Return stale leases (their worker is presumed dead) to the task
@@ -674,7 +668,7 @@ class WorkQueue:
                     label,
                 )
                 self._drop_lease(lease_path)
-            elif not self._return_lease(name, lease_path, name.attempt + 1):
+            elif not self._return_lease(name, lease_path):
                 continue  # another reclaimer (or the worker itself) won
             self._lease_watch.forget(stem)
             reclaimed += 1

@@ -104,14 +104,11 @@ class ResultCache:
     def peek(self, key: str) -> TrainingResult | None:
         """:meth:`load` without the quarantine side effect.
 
-        The streaming wait loop peeks at results as they land; it must
-        never move a file aside mid-poll (an in-progress arrival would be
-        destroyed and the coordinator's existence checks would never see
-        it), so unreadable bytes simply read as "not here yet" and the
-        destructive :meth:`load` in the final collection pass stays the
-        only quarantiner. Best-effort all the way down: *any* read or
-        unpickle failure -- corrupt bytes raise arbitrary exception types
-        -- is a miss, never an error out of the wait loop.
+        Nothing in the sweep service calls it: the coordinator loads each
+        result once, after the cell has landed. It stays for callers that
+        must look without moving a file aside. Best-effort all the way
+        down: *any* read or unpickle failure -- corrupt bytes raise
+        arbitrary exception types -- is a miss, never an error.
         """
         try:
             with open(self.path(key), "rb") as handle:

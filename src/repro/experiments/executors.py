@@ -34,6 +34,7 @@ import abc
 import os
 import time
 import uuid
+from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -120,61 +121,47 @@ def _execute_one(cell: SweepCell, cache_dir: str | None) -> CellExecution:
     return CellExecution(result=result, runtime_s=runtime, worker=_worker_id())
 
 
+#: The one path a finished cell takes out of :meth:`SweepExecutor.run`:
+#: ``landed(index, execution)``.
+Landed = Callable[[int, CellExecution], None]
+
+
+def _execute_cells(
+    cells: Sequence[SweepCell],
+    cache_dir: str | None,
+    indexes: Sequence[int],
+    landed: Landed,
+    parallel: int = 0,
+) -> None:
+    """Execute ``cells[i]`` for each ``i`` of ``indexes`` -- in this
+    process, one after another, or across ``parallel`` pool processes
+    (:func:`_in_turn_or_pool`) -- handing each to ``landed`` as it lands."""
+    # A partial of a top-level function pickles, as the pool needs.
+    execute = partial(_execute_one, cache_dir=cache_dir)
+    for index, execution in zip(indexes, _in_turn_or_pool(
+            execute, [cells[index] for index in indexes], parallel)):
+        landed(index, execution)
+
+
 class SweepExecutor(abc.ABC):
     """Strategy for executing the cells a sweep could not serve from cache.
 
-    Implementations must return one :class:`CellExecution` per input cell,
-    in input order, and must write finished results into ``cache_dir``
-    (when given) as they complete, so interrupted sweeps resume.
+    :meth:`run` calls ``landed(index, execution)`` exactly once per input
+    cell, from the coordinating process, as that cell finishes, and writes
+    finished results into ``cache_dir`` (when given) as they complete, so
+    interrupted sweeps resume.
     """
 
     name: str = "?"
-    _result_listener: Callable[[int, CellExecution], None] | None = None
 
     def default_cache_dir(self) -> str | None:
         """Backend-provided result store when the caller passes none."""
         return None
 
-    def set_result_listener(
-        self, listener: Callable[[int, CellExecution], None] | None
-    ) -> None:
-        """Stream completed cells out of :meth:`run` as they land.
-
-        ``listener(index, execution)`` fires at most once per input index,
-        from the coordinating process, before :meth:`run` returns. It is a
-        *progress* channel -- the authoritative results are still the
-        returned list, and callers must not assume every index streams
-        (a backend is free to only notify at the end).
-        """
-        self._result_listener = listener
-
-    def _notify(self, index: int, execution: CellExecution) -> None:
-        if self._result_listener is not None:
-            self._result_listener(index, execution)
-
-    def _execute_cells(
-        self,
-        cells: Sequence[SweepCell],
-        cache_dir: str | None,
-        indexes: Sequence[int],
-        parallel: int = 0,
-    ) -> list[CellExecution]:
-        """Execute ``cells[i]`` for each ``i`` of ``indexes`` -- in this
-        process, one after another, or across ``parallel`` pool processes
-        (:func:`_in_turn_or_pool`) -- announcing each as it lands."""
-        # A partial of a top-level function pickles, as the pool needs.
-        execute = partial(_execute_one, cache_dir=cache_dir)
-        executions = []
-        for index, execution in zip(indexes, _in_turn_or_pool(
-                execute, [cells[index] for index in indexes], parallel)):
-            self._notify(index, execution)
-            executions.append(execution)
-        return executions
-
     @abc.abstractmethod
     def run(
-        self, cells: Sequence[SweepCell], cache_dir: str | None
-    ) -> list[CellExecution]:
+        self, cells: Sequence[SweepCell], cache_dir: str | None, landed: Landed
+    ) -> None:
         ...
 
 
@@ -184,9 +171,9 @@ class InlineExecutor(SweepExecutor):
     name = "inline"
 
     def run(
-        self, cells: Sequence[SweepCell], cache_dir: str | None
-    ) -> list[CellExecution]:
-        return self._execute_cells(cells, cache_dir, range(len(cells)))
+        self, cells: Sequence[SweepCell], cache_dir: str | None, landed: Landed
+    ) -> None:
+        _execute_cells(cells, cache_dir, range(len(cells)), landed)
 
 
 class ProcessExecutor(SweepExecutor):
@@ -200,11 +187,10 @@ class ProcessExecutor(SweepExecutor):
         self.max_workers = max_workers
 
     def run(
-        self, cells: Sequence[SweepCell], cache_dir: str | None
-    ) -> list[CellExecution]:
-        return self._execute_cells(
-            cells, cache_dir, range(len(cells)), self.max_workers
-        )
+        self, cells: Sequence[SweepCell], cache_dir: str | None, landed: Landed
+    ) -> None:
+        _execute_cells(cells, cache_dir, range(len(cells)), landed,
+                       self.max_workers)
 
 
 # -- the batched structure-of-arrays backend -----------------------------------
@@ -298,13 +284,12 @@ class BatchedExecutor(SweepExecutor):
     name = "batched"
 
     def run(
-        self, cells: Sequence[SweepCell], cache_dir: str | None
-    ) -> list[CellExecution]:
+        self, cells: Sequence[SweepCell], cache_dir: str | None, landed: Landed
+    ) -> None:
         from repro.simulation.batched import BatchedSimulator
 
         cache = ResultCache(cache_dir) if cache_dir is not None else None
         batches, singles = partition_batchable(cells)
-        executions: list[CellExecution | None] = [None] * len(cells)
         for batch in batches:
             start = time.perf_counter()
             trainers = [cells[index].build_trainer() for index in batch]
@@ -313,15 +298,10 @@ class BatchedExecutor(SweepExecutor):
             for index, result in zip(batch, results):
                 if cache is not None:
                     cache.store(cells[index].cache_key(), result)
-                executions[index] = CellExecution(
+                landed(index, CellExecution(
                     result=result, runtime_s=share, worker=_worker_id()
-                )
-                self._notify(index, executions[index])
-        for index, execution in zip(
-            singles, self._execute_cells(cells, cache_dir, singles)
-        ):
-            executions[index] = execution
-        return executions  # type: ignore[return-value]
+                ))
+        _execute_cells(cells, cache_dir, singles, landed)
 
 
 # -- the file-queue coordinator -----------------------------------------------
@@ -333,8 +313,9 @@ class QueueExecutor(SweepExecutor):
     The coordinator enqueues every missing cell, optionally spawns
     ``num_workers`` local worker processes, and then acts as the broker's
     janitor: it reclaims stale leases, surfaces exhausted cells as errors,
-    and returns once every cell's result is in the cache -- whether a local
-    worker, or a ``repro sweep-worker`` on another host, produced it.
+    hands each cell to ``landed`` as it lands (:meth:`_drain`), and returns
+    once every cell has -- whether a local worker, or a ``repro
+    sweep-worker`` on another host, executed it.
     """
 
     name = "queue"
@@ -375,13 +356,12 @@ class QueueExecutor(SweepExecutor):
         return WorkQueue(self.queue_dir).default_results_dir()
 
     def run(
-        self, cells: Sequence[SweepCell], cache_dir: str | None
-    ) -> list[CellExecution]:
+        self, cells: Sequence[SweepCell], cache_dir: str | None, landed: Landed
+    ) -> None:
         if cache_dir is None:
             cache_dir = self.default_cache_dir()
         queue = WorkQueue(self.queue_dir)
         queue.prune_retired()
-        cache = ResultCache(cache_dir)
         # repro-lint: allow[RPL020] -- broker run identity (run records must
         # not collide across coordinator generations), not a simulation input
         run_id = uuid.uuid4().hex
@@ -393,14 +373,7 @@ class QueueExecutor(SweepExecutor):
             lease_batch=self.lease_batch,
         )
         keys = [cell.cache_key() for cell in cells]
-        # A re-run is an explicit request to retry: clear terminal failure
-        # records for the cells of *this* sweep so they become claimable
-        # again (other sweeps' failures in a shared queue stay put).
-        for key in keys:
-            try:
-                os.unlink(os.path.join(queue.failed_dir, f"{key}.err"))
-            except FileNotFoundError:
-                pass
+        queue.clear_failures(keys)
         present = queue.present_keys(run_id)
         enqueued = sum(
             queue.enqueue(cell, present=present, run=run_id) for cell in cells
@@ -424,31 +397,8 @@ class QueueExecutor(SweepExecutor):
         for worker in workers:
             worker.start()
         try:
-            # Collect while the workers are still alive: a result file that
-            # exists but cannot be unpickled (torn write survivor, version-
-            # skewed worker) is quarantined by load(), and the cell must go
-            # back onto the queue for re-execution rather than abort the
-            # sweep after the whole grid already ran.
-            notified: set[int] = set()
-            for _ in range(self.max_attempts):
-                self._wait_for_results(queue, cache, cells, keys, notified,
-                                       run_id)
-                executions, unreadable = self._collect(queue, cache, cells, keys)
-                if not unreadable:
-                    for index, execution in enumerate(executions):
-                        if index not in notified:
-                            notified.add(index)
-                            self._notify(index, execution)
-                    return executions
-                present = queue.present_keys(run_id)
-                for index in unreadable:
-                    notified.discard(index)  # its re-execution streams anew
-                    queue.enqueue(cells[index], present=present, run=run_id)
-            raise QueueCellError(
-                f"{len(unreadable)} result(s) stayed unreadable after "
-                f"{self.max_attempts} collection round(s): "
-                + ", ".join(cells[i].label() for i in unreadable)
-            )
+            self._drain(queue, ResultCache(cache_dir), cells, keys, run_id,
+                        landed)
         finally:
             queue.signal_stop(run_id)
             for worker in workers:
@@ -456,52 +406,87 @@ class QueueExecutor(SweepExecutor):
                 if worker.is_alive():  # pragma: no cover - last-resort cleanup
                     worker.terminate()
 
-    def _wait_for_results(
+    def _drain(
         self,
         queue: WorkQueue,
         cache: ResultCache,
         cells: Sequence[SweepCell],
         keys: Sequence[str],
-        notified: set[int],
         run_id: str,
+        landed: Landed,
     ) -> None:
-        labels = {key: cell.label() for key, cell in zip(keys, cells)}
-        index_of = {key: index for index, key in enumerate(keys)}
-        missing = set(keys)
-        last_health = time.monotonic()
+        """Poll until every cell has landed, loading each result once.
+
+        A cell lands once its result is on disk and this run holds no task
+        or lease for it. ``complete`` writes the result, then the
+        telemetry, then drops the lease, so a landed cell's telemetry is on
+        disk (absent only if its worker died between the two writes). The
+        result is looked for before the run's tasks and leases are listed,
+        so a lease dropped in between is never mistaken for a landing.
+
+        A result that exists but cannot be unpickled (torn write survivor,
+        version-skewed worker) is quarantined by ``load``; the cell goes
+        back onto the queue while the workers are still up, at most
+        ``max_attempts`` times, instead of aborting the sweep after the
+        whole grid already ran.
+        """
+        waiting: dict[str, list[int]] = {}  # key -> grid indexes, grid order
+        for index, key in enumerate(keys):
+            waiting.setdefault(key, []).append(index)
+        cell_of = dict(zip(keys, cells))
+        unreadable_rounds: Counter[str] = Counter()
+        last_health = last_beat = time.monotonic()
         # Coordinator liveness: bump the run record's beats counter on the
         # same cadence workers heartbeat their leases, so live_run_ids can
         # age out a coordinator that dies without signal_stop.
         beat_interval = self.lease_timeout_s / 3.0
-        last_beat = time.monotonic()
-        while missing:
-            arrived = {key for key in missing
-                       if os.path.exists(cache.path(key))}
-            missing -= arrived
-            # Stream each arrival exactly once, through a non-destructive
-            # peek: the wait loop must never quarantine (move aside) a file
-            # it is simultaneously using as its own completion signal. An
-            # unreadable arrival streams nothing; the collection pass deals
-            # with it.
-            if self._result_listener is not None:
-                for key in sorted(arrived, key=index_of.__getitem__):
-                    index = index_of[key]
-                    if index in notified:
-                        continue
-                    result = cache.peek(key)
-                    if result is None:
-                        continue
-                    notified.add(index)
-                    self._notify(index, self._execution(queue, key, result))
-            if not missing:
+        while waiting:
+            on_disk = [key for key in waiting
+                       if os.path.exists(cache.path(key))]
+            held = queue.held_keys(run_id) if on_disk else set()
+            unreadable = []
+            for key in on_disk:
+                if key in held:
+                    continue
+                result = cache.load(key)
+                if result is None:
+                    unreadable.append(key)
+                    continue
+                meta = queue.read_meta(key) or {}
+                execution = CellExecution(
+                    result=result,
+                    # No telemetry record (worker died between result and
+                    # meta writes) must read as "unmeasured" -- a
+                    # fabricated 0.0 would deflate the cell_time columns;
+                    # NaN is filtered out.
+                    runtime_s=float(meta.get("runtime_s", float("nan"))),
+                    attempts=int(meta.get("attempt", 1)),
+                    worker=meta.get("worker"),
+                )
+                for index in waiting.pop(key):
+                    landed(index, execution)
+            unreadable_rounds.update(unreadable)
+            exhausted = [key for key in unreadable
+                         if unreadable_rounds[key] >= self.max_attempts]
+            if exhausted:
+                raise QueueCellError(
+                    f"{len(exhausted)} result(s) stayed unreadable after "
+                    f"{self.max_attempts} collection round(s): "
+                    + ", ".join(cell_of[key].label() for key in exhausted)
+                )
+            if unreadable:
+                present = queue.present_keys(run_id)
+                for key in unreadable:
+                    queue.enqueue(cell_of[key], present=present, run=run_id)
+            if not waiting:
                 return
-            failed = [key for key in queue.failed_keys() if key in missing]
+            failed = [key for key in queue.failed_keys() if key in waiting]
             if failed:
                 details = []
                 for key in failed:
                     failure = queue.read_failure(key)
                     details.append(
-                        f"{failure.get('label') or labels[key]}: "
+                        f"{failure.get('label') or cell_of[key].label()}: "
                         f"{failure.get('error')} "
                         f"(after {failure.get('attempts')} attempt(s))"
                     )
@@ -520,60 +505,27 @@ class QueueExecutor(SweepExecutor):
 
                 health = format_worker_health(queue.registry_records())
                 if health:
+                    done = len(keys) - sum(map(len, waiting.values()))
                     self._progress(
-                        f"{len(keys) - len(missing)}/{len(keys)} cell(s) done; "
-                        + health
+                        f"{done}/{len(keys)} cell(s) done; " + health
                     )
             time.sleep(self.poll_interval_s)
-
-    def _collect(
-        self,
-        queue: WorkQueue,
-        cache: ResultCache,
-        cells: Sequence[SweepCell],
-        keys: Sequence[str],
-    ) -> tuple[list[CellExecution], list[int]]:
-        """Load every result; indexes whose entry was quarantined on load
-        (file existed, bytes unreadable) come back for re-execution."""
-        executions: list[CellExecution | None] = []
-        unreadable: list[int] = []
-        for index, key in enumerate(keys):
-            result = cache.load(key)
-            if result is None:
-                unreadable.append(index)
-                executions.append(None)
-                continue
-            executions.append(self._execution(queue, key, result))
-        return executions, unreadable
-
-    @staticmethod
-    def _execution(
-        queue: WorkQueue, key: str, result: TrainingResult
-    ) -> CellExecution:
-        """A stored result plus the telemetry its worker recorded."""
-        meta = queue.read_meta(key) or {}
-        return CellExecution(
-            result=result,
-            # No telemetry record (worker died between result and meta
-            # writes) must read as "unmeasured" -- a fabricated 0.0
-            # would deflate the cell_time columns; NaN is filtered out.
-            runtime_s=float(meta.get("runtime_s", float("nan"))),
-            attempts=int(meta.get("attempt", 1)),
-            worker=meta.get("worker"),
-        )
 
 
 def make_executor(
     backend: str,
     parallel: int = 0,
     queue_dir: str | None = None,
-    num_queue_workers: int = 1,
-    lease_timeout_s: float = 30.0,
-    max_attempts: int = 3,
+    num_queue_workers: int | None = None,
+    lease_timeout_s: float | None = None,
+    max_attempts: int | None = None,
     progress: Callable[[str], None] | None = None,
-    lease_batch: int = 1,
+    lease_batch: int | None = None,
 ) -> SweepExecutor:
-    """Build the executor named by ``backend`` (the CLI's ``--backend``)."""
+    """Build the executor named by ``backend`` (the CLI's ``--backend``).
+
+    A queue setting left at ``None`` takes :class:`QueueExecutor`'s
+    default."""
     if backend == "inline":
         return InlineExecutor()
     if backend == "batched":
@@ -586,12 +538,12 @@ def make_executor(
     if backend == "queue":
         if queue_dir is None:
             raise ValueError("the queue backend requires a queue directory")
+        settings = dict(num_workers=num_queue_workers,
+                        lease_timeout_s=lease_timeout_s,
+                        max_attempts=max_attempts, lease_batch=lease_batch)
         return QueueExecutor(
-            queue_dir,
-            num_workers=num_queue_workers,
-            lease_timeout_s=lease_timeout_s,
-            max_attempts=max_attempts,
-            progress=progress,
-            lease_batch=lease_batch,
+            queue_dir, progress=progress,
+            **{name: value for name, value in settings.items()
+               if value is not None},
         )
     raise ValueError(f"unknown sweep backend {backend!r}")

@@ -29,46 +29,10 @@ from repro.simulation.records import TrainingResult
 
 __all__ = [
     "build_trainer",
-    "estimate_cell_cost",
     "run_trainer",
     "run_comparison",
     "time_to_loss_speedups",
 ]
-
-# Rough relative per-event cost of each trainer, for scheduling only, keyed
-# by registry name (any other trainer weighs 1.0, the gossip path).
-# Synchronous baselines pay a barrier per round; netmax's monitor adds
-# Algorithm 3 bookkeeping on top of the gossip path. The absolute scale is
-# arbitrary -- only the ordering of estimates matters.
-_RELATIVE_ALGORITHM_COST = {
-    "allreduce": 1.5,
-    "ps-syn": 1.5,
-    "ps-asyn": 1.5,
-    "adpsgd": 1.0,
-    "netmax": 2.0,
-}
-
-
-def estimate_cell_cost(
-    algorithm: str,
-    *,
-    num_workers: int,
-    max_sim_time: float,
-    num_samples: int | None = None,
-) -> int:
-    """Relative expected wall-clock of one sweep cell (a scheduling key).
-
-    Event volume scales with ``num_workers * max_sim_time``; per-event
-    model math scales weakly with the data size; algorithms carry a fixed
-    relative weight. Deliberately coarse -- the queue broker only needs a
-    *ranking* (start the slowest cells first so none becomes the lone
-    drain-tail straggler), and a misranked cell costs latency, never
-    correctness: results are a pure function of the cell spec.
-    """
-    weight = _RELATIVE_ALGORITHM_COST.get(algorithm.lower(), 1.0)
-    data_scale = 1.0 + (num_samples or 0) / 2048.0
-    return int(weight * data_scale * max(0.0, max_sim_time) * num_workers)
-
 
 def build_trainer(
     algorithm: str,

@@ -38,6 +38,7 @@ from repro.algorithms.base import TrainerConfig
 from repro.datasets.synthetic import DATASET_REGISTRY
 from repro.experiments.common import ExperimentOutput
 from repro.experiments.executors import (
+    CellExecution,
     InlineExecutor,
     ProcessExecutor,
     ResultCache,
@@ -355,22 +356,6 @@ class SweepCell:
         """Build everything from the spec (deterministic per-cell seeding)."""
         return self.build_trainer().run()
 
-    def estimated_cost(self) -> int:
-        """Relative expected runtime (the queue broker's priority key).
-
-        A scheduling hint only: it orders claims (slowest-expected cells
-        first, so no straggler starts last) and never touches results --
-        determinism is per-cell, independent of execution order.
-        """
-        from repro.experiments.harness import estimate_cell_cost
-
-        return estimate_cell_cost(
-            self.algorithm,
-            num_workers=self.scenario.num_workers,
-            max_sim_time=self.run.max_sim_time,
-            num_samples=self.workload.num_samples,
-        )
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -555,11 +540,10 @@ def run_sweep(
             :mod:`repro.experiments.executors`); overrides ``parallel``.
             All backends produce bit-identical outcomes.
         stream: incremental-aggregation hook: called with a
-            :class:`SweepProgress` as finished cells land (one snapshot per
-            newly finished cell, backend permitting) and exactly once more
-            with ``done=True`` and the final outcomes, before this function
-            returns. Purely observational -- results and their order are
-            unaffected.
+            :class:`SweepProgress` as each executed cell lands and exactly
+            once more with ``done=True`` and the final outcomes, before
+            this function returns. Purely observational -- results and
+            their order are unaffected.
     """
     start = time.perf_counter()
     if executor is None:
@@ -581,9 +565,9 @@ def run_sweep(
 
     if force and cache is not None:
         # Evict the stale entries up front so *every* backend re-executes:
-        # the queue broker's workers (and its coordinator wait loop) treat
-        # an existing result file as "cell done", so forcing through that
-        # backend would otherwise serve the old results as fresh ones.
+        # the queue broker's workers treat an existing result file as
+        # "cell done", so forcing through that backend would otherwise
+        # serve the old results as fresh ones.
         for index in pending:
             try:
                 os.unlink(cache.path(cells[index].cache_key()))
@@ -601,26 +585,8 @@ def run_sweep(
             done=done,
         )
 
-    if stream is not None and pending:
-        def on_cell(position: int, execution) -> None:
-            index = pending[position]
-            outcomes[index] = CellOutcome(
-                cells[index],
-                execution.result,
-                False,
-                execution.runtime_s,
-                attempts=execution.attempts,
-                worker=execution.worker,
-            )
-            stream(snapshot())
-
-        executor.set_result_listener(on_cell)
-    try:
-        executed = executor.run([cells[i] for i in pending], cache_dir)
-    finally:
-        if stream is not None and pending:
-            executor.set_result_listener(None)
-    for index, execution in zip(pending, executed):
+    def land(position: int, execution: CellExecution) -> None:
+        index = pending[position]
         outcomes[index] = CellOutcome(
             cells[index],
             execution.result,
@@ -629,7 +595,10 @@ def run_sweep(
             attempts=execution.attempts,
             worker=execution.worker,
         )
+        if stream is not None:
+            stream(snapshot())
 
+    executor.run([cells[i] for i in pending], cache_dir, land)
     result = SweepResult(
         spec,
         outcomes,
@@ -637,18 +606,7 @@ def run_sweep(
         backend=executor.name,
     )
     if stream is not None:
-        # The final snapshot is built from the assembled result, not the
-        # stream's own accumulation: the streamed end state is the batch
-        # state, bit for bit (including telemetry a mid-drain peek may have
-        # observed before the worker finished writing it).
-        stream(SweepProgress(
-            spec=spec,
-            outcomes=list(result.outcomes),
-            completed=len(result.outcomes),
-            total=len(result.outcomes),
-            backend=result.backend,
-            done=True,
-        ))
+        stream(snapshot(done=True))
     return result
 
 

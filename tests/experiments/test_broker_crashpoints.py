@@ -91,7 +91,7 @@ def grid():
 
 
 def _victim_key(cells):
-    """At equal priority the claim order is by key: the first cell claimed."""
+    """Claims within a run go by key: the first cell claimed."""
     return min(cell.cache_key() for cell in cells)
 
 
@@ -105,7 +105,7 @@ def _published_queue(queue_dir, cells, victim_attempt):
     )
     for cell in cells:
         is_victim = cell.cache_key() == _victim_key(cells)
-        queue.enqueue(cell, run=RUN, priority=1,
+        queue.enqueue(cell, run=RUN,
                       attempt=victim_attempt if is_victim else 1)
     return queue
 
@@ -130,11 +130,6 @@ def _complete(queue, results):
         claim, store, results[claim.name.key], 0.01, seq=1)
 
 
-def _requeue(queue, results):
-    claims = queue.claim_batch(2)
-    return lambda: queue.requeue(claims[-1])
-
-
 def _fail(queue, results):
     (claim,) = queue.claim_batch(1)
     return lambda: queue.fail(claim, "RuntimeError: boom", MAX_ATTEMPTS)
@@ -150,7 +145,6 @@ def _reclaim_stale(queue, results):
 TRANSITIONS = {
     "claim_batch": (1, _claim_batch, False),
     "complete": (1, _complete, False),
-    "requeue": (1, _requeue, False),
     "fail-retry": (1, _fail, False),
     "fail-terminal": (MAX_ATTEMPTS, _fail, True),
     "reclaim-retry": (1, _reclaim_stale, False),
@@ -265,7 +259,7 @@ def test_a_coordinator_crash_is_recovered(grid, tmp_path, monkeypatch):
                               armed(getattr(WorkQueue, step)))
             try:
                 executors.QueueExecutor(queue_dir, **COORDINATOR).run(
-                    spec.cells(), None)
+                    spec.cells(), None, lambda index, execution: None)
             except _Died:
                 pass
         queue = WorkQueue(queue_dir)
@@ -331,6 +325,11 @@ class TestOneCopy:
         tree = ast.parse(inspect.getsource(broker))
         assert len(self._calls(tree, "json.load")) == 1
         assert len(self._calls(tree, "os.listdir")) == 1
+
+    def test_every_queue_directory_write_lives_in_the_broker(self):
+        tree = ast.parse(inspect.getsource(executors))
+        assert self._calls(tree, "os.unlink") == []
+        assert self._calls(tree, "os.rename") == []
 
     def test_one_cell_execution_from_a_meta_record(self):
         tree = ast.parse(inspect.getsource(executors.QueueExecutor))

@@ -6,9 +6,12 @@ stale-lease reclaim (simulated *and* via a real SIGKILLed worker), retry
 exhaustion surfacing a clear error, and corrupt-result quarantine.
 """
 
+import math
 import multiprocessing
 import os
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -555,7 +558,7 @@ class TestWorkQueuePrimitives:
             cache_dir=queue.default_results_dir(),
             max_attempts=3, lease_timeout_s=30.0, run_id="test-run",
         )
-        bad = os.path.join(queue.tasks_dir, "deadbeef" * 8 + ".p00000000.rtest-run.a1.task")
+        bad = os.path.join(queue.tasks_dir, "deadbeef" * 8 + ".rtest-run.a1.task")
         with open(bad, "wb") as handle:
             handle.write(b"\x80\x04 not a sweep cell")
         summary = run_queue_worker(
@@ -565,26 +568,6 @@ class TestWorkQueuePrimitives:
         failure = queue.read_failure("deadbeef" * 8)
         assert "unreadable task spec" in failure["error"]
         assert queue.pending_tasks() == [] and queue.active_leases() == []
-
-    def test_collect_reports_unreadable_results_for_reexecution(self, tmp_path):
-        """An exists-but-unreadable result at collection time is returned
-        as re-executable, not raised as a hard error (the coordinator
-        re-enqueues those cells while its workers are still alive)."""
-        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0, 1))
-        cells = spec.cells()
-        keys = [cell.cache_key() for cell in cells]
-        executor = queue_executor(tmp_path)
-        run_sweep(spec, executor=executor)
-        queue = WorkQueue(str(tmp_path / "queue"))
-        cache = ResultCache(queue.default_results_dir())
-        with open(cache.path(keys[1]), "wb") as handle:
-            handle.write(b"\x80\x04 torn result bytes")
-        executions, unreadable = executor._collect(queue, cache, cells, keys)
-        assert unreadable == [1]
-        assert executions[0] is not None and executions[1] is None
-        # load() quarantined the torn entry, so the waiting loop's
-        # exists() check now sees the cell as missing -> re-executed.
-        assert not os.path.exists(cache.path(keys[1]))
 
     def test_worker_skips_already_completed_cells(self, tmp_path):
         """A cell whose result landed between enqueue and claim is released
@@ -705,6 +688,138 @@ class TestWorkQueuePrimitives:
         assert second_run["run_id"] != first_run["run_id"]
         assert second_run["active"] is False
         assert not {"queue.json", "STOP"} & set(os.listdir(queue.queue_dir))
+
+
+def _serving_worker(tmp_path) -> threading.Thread:
+    """A ``sweep-worker`` on a thread of this process (so a patched
+    ``ResultCache`` reaches it), serving ``tmp_path / "queue"``."""
+    worker = threading.Thread(
+        target=run_queue_worker, args=(str(tmp_path / "queue"),),
+        kwargs=dict(poll_interval_s=0.02, drain_timeout_s=30.0), daemon=True,
+    )
+    worker.start()
+    return worker
+
+
+class TestLanding:
+    """A queue cell lands once its result is on disk and its run holds no
+    task or lease for it; its result is loaded exactly once, then."""
+
+    def test_the_last_cell_lands_with_its_telemetry(self, tmp_path, monkeypatch):
+        """Regression: the coordinator read meta/ as soon as the last result
+        file existed, before ``complete`` had written the telemetry, and
+        reported ``runtime_s = nan`` and ``worker = None``."""
+        store = ResultCache.store
+
+        def slow_store(self, key, result):
+            store(self, key, result)
+            time.sleep(0.5)
+
+        monkeypatch.setattr(ResultCache, "store", slow_store)
+        worker = _serving_worker(tmp_path)
+        sweep = run_sweep(tiny_spec(algorithms=("adpsgd",), seeds=(0, 1)),
+                          executor=queue_executor(tmp_path, num_workers=0))
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        for outcome in sweep.outcomes:
+            assert math.isfinite(outcome.runtime_s), outcome.cell.label()
+            assert outcome.worker is not None, outcome.cell.label()
+
+    def test_a_result_quarantined_on_landing_is_reexecuted(
+        self, tmp_path, monkeypatch
+    ):
+        """Torn bytes under a result's name are quarantined by the load of
+        its landing, and the cell goes back onto the queue while the
+        workers are up; the sweep still ends bit-identical to inline."""
+        store = ResultCache.store
+        torn: list[str] = []
+
+        def store_torn_once(self, key, result):
+            if torn:
+                return store(self, key, result)
+            torn.append(key)
+            with open(self.path(key), "wb") as handle:
+                handle.write(b"\x80\x04 torn result bytes")
+
+        monkeypatch.setattr(ResultCache, "store", store_torn_once)
+        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0, 1))
+        worker = _serving_worker(tmp_path)
+        queued = run_sweep(spec, executor=queue_executor(tmp_path, num_workers=0))
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        inline = run_sweep(spec)
+        for a, b in zip(queued.outcomes, inline.outcomes):
+            assert_results_identical(a.result, b.result)
+        quarantine = ResultCache(str(tmp_path / "queue" / "results")).quarantine_dir()
+        (moved,) = [entry for entry in os.listdir(quarantine)
+                    if entry.endswith(".pkl")]
+        assert moved.startswith(torn[0])
+
+    def test_a_result_unreadable_max_attempts_times_fails_the_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        """A cell whose every result lands torn fails the sweep once it has
+        been loaded unreadable ``max_attempts`` times."""
+
+        def store_torn(self, key, result):
+            with open(self.path(key), "wb") as handle:
+                handle.write(b"\x80\x04 torn result bytes")
+
+        monkeypatch.setattr(ResultCache, "store", store_torn)
+        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
+        worker = _serving_worker(tmp_path)
+        with pytest.raises(QueueCellError, match=(
+                r"1 result\(s\) stayed unreadable after 2 collection "
+                r"round\(s\): adpsgd/s0")):
+            run_sweep(spec, executor=queue_executor(
+                tmp_path, num_workers=0, max_attempts=2))
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+
+
+_BACKENDS = {
+    "inline": lambda directory: InlineExecutor(),
+    "process": lambda directory: ProcessExecutor(2),
+    "batched": lambda directory: BatchedExecutor(),
+    "queue": lambda directory: QueueExecutor(str(directory), num_workers=1,
+                                             **FAST),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_each_cell_takes_one_path_out_of_its_executor(
+    backend, tmp_path, monkeypatch
+):
+    """``landed`` fires once per cell; the stream's ``done`` snapshot is the
+    SweepResult; a streamed queue sweep unpickles each result once, by
+    ``load``, and never ``peek``s (it used to do both, per cell)."""
+    spec = tiny_spec()
+    cells = spec.cells()
+    landings = []
+    _BACKENDS[backend](tmp_path / "direct").run(
+        cells, None, lambda index, execution: landings.append(index))
+    assert sorted(landings) == list(range(len(cells)))
+
+    reads = []
+    for method in ("load", "peek"):
+        def spy(self, key, _read=getattr(ResultCache, method), _method=method):
+            result = _read(self, key)
+            reads.append((_method, key, result is not None))
+            return result
+
+        monkeypatch.setattr(ResultCache, method, spy)
+    snapshots = []
+    sweep = run_sweep(spec, executor=_BACKENDS[backend](tmp_path / "streamed"),
+                      stream=snapshots.append)
+    assert [snapshot.done for snapshot in snapshots] == [False] * len(cells) + [True]
+    final = snapshots[-1]
+    assert final.completed == final.total == len(sweep.outcomes)
+    assert all(a is b for a, b in zip(final.outcomes, sweep.outcomes, strict=True))
+    if backend == "queue":
+        assert [read for read in reads if read[0] == "peek"] == []
+        loaded = Counter(key for method, key, hit in reads
+                         if method == "load" and hit)
+        assert loaded == Counter(cell.cache_key() for cell in cells)
 
 
 class TestProgressWiring:

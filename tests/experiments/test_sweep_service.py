@@ -5,7 +5,7 @@ test_executors.py; this file covers the service features layered on top:
 counter-based lease staleness (the mtime bugfix), per-run reclaim
 settings (the multi-tenant reclaim bugfix), coordinator run liveness (the
 crashed-coordinator lockout bugfix), deterministic jittered polling
-(the thundering-herd bugfix), batch leases, priority + fair-share
+(the thundering-herd bugfix), batch leases, key-order + fair-share
 scheduling across concurrent sweeps, the worker registry, and streaming
 aggregation.
 """
@@ -41,8 +41,6 @@ from repro.experiments.worker import (
     _poll_delay,
     _poll_jitter,
 )
-from repro.algorithms.registry import trainer_names
-from repro.experiments.harness import _RELATIVE_ALGORITHM_COST, estimate_cell_cost
 from repro.experiments.reporting import format_worker_health
 from repro.experiments.sweeps import (
     SweepProgress,
@@ -120,7 +118,7 @@ class TestCounterStaleness:
         queue, claim = single_cell_claim(tmp_path)
         with open(claim.lease_path, "ab") as handle:
             handle.write(b"\0" * 17)
-        queue.requeue(claim)
+        assert queue.fail(claim, "RuntimeError: boom", max_attempts=3)
         reclaimed = queue.claim()
         assert reclaimed is not None
         assert reclaimed.cell.cache_key() == claim.cell.cache_key()
@@ -526,23 +524,27 @@ class TestEventDrivenDrain:
 
 class TestTaskNames:
     def test_service_format_roundtrip(self):
-        name = _TaskName(key="ab" * 32, attempt=2, run="deadbeef", priority=5)
-        assert name.stem() == "ab" * 32 + ".p00000005.rdeadbeef.a2"
+        name = _TaskName(key="ab" * 32, attempt=2, run="deadbeef")
+        assert name.stem() == "ab" * 32 + ".rdeadbeef.a2"
         assert _TaskName.parse(name.stem() + ".task") == name
 
     def test_pre_service_format_does_not_parse(self):
         """The run-less PR 5 name is gone: one task-name generation."""
         assert _TaskName.parse("cd" * 32 + ".a3.task") is None
 
+    def test_priority_format_does_not_parse(self):
+        """Nor does a name that still carries a ``.p<priority>`` field: its
+        key would not be a hex digest."""
+        assert _TaskName.parse("cd" * 32 + ".p00000005.rdeadbeef.a3.task") is None
+
     @given(
         key=st.text("0123456789abcdef", min_size=1, max_size=64),
         run=st.text(string.ascii_letters + string.digits + "_-", min_size=1,
                     max_size=40),
         attempt=st.integers(1, 10**6),
-        priority=st.integers(0, _TaskName.MAX_PRIORITY),
     )
-    def test_every_valid_run_id_roundtrips(self, key, run, attempt, priority):
-        name = _TaskName(key=key, attempt=attempt, run=run, priority=priority)
+    def test_every_valid_run_id_roundtrips(self, key, run, attempt):
+        name = _TaskName(key=key, attempt=attempt, run=run)
         assert _TaskName.parse(name.stem() + ".task") == name
         assert _TaskName.parse(name.stem() + ".lease") == name
 
@@ -562,14 +564,6 @@ class TestTaskNames:
             )
         assert queue.pending_tasks() == [] and queue.list_runs() == []
 
-    def test_priority_is_clamped(self, tmp_path):
-        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
-        (cell,) = spec.cells()
-        queue = make_queue(tmp_path)
-        assert queue.enqueue(cell, run="r", priority=10**12)
-        (task,) = queue.pending_tasks()
-        assert task.priority == _TaskName.MAX_PRIORITY
-
 
 class TestBatchLeases:
     def test_claim_batch_claims_up_to_limit(self, tmp_path):
@@ -581,18 +575,6 @@ class TestBatchLeases:
         assert len(claims) == 3
         assert len(queue.active_leases()) == 3
         assert len(queue.pending_tasks()) == len(cells) - 3
-
-    def test_requeue_returns_an_unexecuted_tail(self, tmp_path):
-        cells = tiny_spec().cells()
-        queue = make_queue(tmp_path)
-        for cell in cells:
-            queue.enqueue(cell, run="r1")
-        claims = queue.claim_batch(len(cells))
-        queue.requeue(claims[-1])
-        assert len(queue.pending_tasks()) == 1
-        (claim,) = queue.claim_batch(10)
-        assert claim.name.key == claims[-1].name.key
-        assert claim.name.attempt == claims[-1].name.attempt  # no attempt spent
 
     def test_capped_worker_never_strands_a_batch_tail(self, tmp_path):
         """max_cells=1 with a large published lease_batch must execute one
@@ -671,52 +653,17 @@ class TestRunRecords:
             cell.cache_key()) is None
 
 
-class TestPriorityScheduling:
-    def test_explicit_priority_orders_claims(self, tmp_path):
+class TestKeyOrderScheduling:
+    def test_claims_within_a_run_go_by_key(self, tmp_path):
+        """No cost guess: a run's cells are claimed in key order, whatever
+        their algorithm and whatever order they were enqueued in."""
         cells = tiny_spec().cells()
         queue = make_queue(tmp_path)
-        queue.enqueue(cells[0], run="r", priority=5)
-        queue.enqueue(cells[1], run="r", priority=9)
-        claims = queue.claim_batch(2)
-        assert [c.name.priority for c in claims] == [9, 5]
-
-    def test_default_priority_is_estimated_cost_slowest_first(self, tmp_path):
-        """Synchronous baselines (allreduce) cost more than gossip-family
-        cells, so a mixed grid starts them first."""
-        cells = tiny_spec().cells()  # adpsgd x2 seeds, allreduce x2 seeds
-        queue = make_queue(tmp_path)
-        for cell in cells:
+        for cell in reversed(cells):
             queue.enqueue(cell, run="r")
         claims = queue.claim_batch(len(cells))
-        algorithms = [claim.cell.algorithm for claim in claims]
-        assert algorithms == ["allreduce", "allreduce", "adpsgd", "adpsgd"]
-        for claim in claims:
-            assert claim.name.priority == claim.cell.estimated_cost()
-
-    def test_estimate_cell_cost_ranking(self):
-        kwargs = dict(num_workers=8, max_sim_time=100.0, num_samples=256)
-        costs = {
-            name: estimate_cell_cost(name, **kwargs)
-            for name in ("netmax", "allreduce", "adpsgd")
-        }
-        assert costs["netmax"] > costs["allreduce"] > costs["adpsgd"] > 0
-        assert estimate_cell_cost(
-            "adpsgd", num_workers=16, max_sim_time=100.0
-        ) == 2 * estimate_cell_cost("adpsgd", num_workers=8, max_sim_time=100.0)
-        # Unregistered trainers schedule at gossip weight, not zero.
-        assert estimate_cell_cost(
-            "mystery", num_workers=8, max_sim_time=100.0
-        ) == estimate_cell_cost("adpsgd", num_workers=8, max_sim_time=100.0)
-
-    def test_cost_table_is_keyed_by_registry_names(self):
-        """A weight under a name no trainer has is never looked up ("ps"
-        used to leave ps-syn / ps-asyn at the default weight)."""
-        assert set(_RELATIVE_ALGORITHM_COST) <= set(trainer_names())
-        kwargs = dict(num_workers=8, max_sim_time=100.0)
-        for name in ("ps-syn", "ps-asyn"):
-            assert estimate_cell_cost(name, **kwargs) == estimate_cell_cost(
-                "allreduce", **kwargs
-            )
+        assert [claim.name.key for claim in claims] == sorted(
+            cell.cache_key() for cell in cells)
 
 
 class TestFairShare:
@@ -726,9 +673,9 @@ class TestFairShare:
         cells = tiny_spec().cells()
         queue = make_queue(tmp_path)
         for cell in cells[:2]:
-            queue.enqueue(cell, run="aaa", priority=1)
+            queue.enqueue(cell, run="aaa")
         for cell in cells[2:]:
-            queue.enqueue(cell, run="bbb", priority=1)
+            queue.enqueue(cell, run="bbb")
         rotation = None
         order = []
         while True:
@@ -743,9 +690,9 @@ class TestFairShare:
         cells = tiny_spec().cells()
         queue = make_queue(tmp_path)
         for cell in cells[:2]:
-            queue.enqueue(cell, run="aaa", priority=1)
+            queue.enqueue(cell, run="aaa")
         for cell in cells[2:]:
-            queue.enqueue(cell, run="bbb", priority=1)
+            queue.enqueue(cell, run="bbb")
         claims = queue.claim_batch(4)
         assert [c.name.run for c in claims] == ["aaa", "bbb", "aaa", "bbb"]
 

@@ -47,10 +47,11 @@ class TestParser:
         assert args.algorithms == ["netmax", "adpsgd"]
         assert args.seeds == [0, 1, 2, 3]
         assert args.scenarios == ["heterogeneous"]
-        assert args.parallel == 0
+        assert args.parallel is None
         assert not args.dry_run
         assert args.backend is None  # inferred: inline, or process w/ parallel
-        assert args.num_queue_workers == 1
+        # Queue defaults are spelled once, in QueueExecutor.
+        assert args.num_queue_workers is None
         assert args.json_summary is None
 
     def test_sweep_backend_validated(self):
@@ -352,7 +353,7 @@ class TestSweepService:
 
     def test_service_parser_defaults(self):
         sweep = build_parser().parse_args(["sweep"])
-        assert sweep.lease_batch == 1
+        assert sweep.lease_batch is None  # QueueExecutor's default
         assert sweep.stream_interval_s == 0.0
         worker = build_parser().parse_args(["sweep-worker", "--queue-dir", "q"])
         assert worker.lease_batch is None  # coordinator's published setting
@@ -385,6 +386,33 @@ class TestSweepService:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and name in line
         assert not (tmp_path / "q").exists()
+
+    @pytest.mark.parametrize("backend, flag, value", [
+        *[(backend, "--parallel", "4") for backend in ("inline", "batched", "queue")],
+        *[(backend, flag, value)
+          for backend in ("inline", "process", "batched")
+          for flag, value in (("--queue-dir", "q"), ("--num-queue-workers", "2"),
+                              ("--lease-timeout-s", "10"), ("--lease-batch", "4"),
+                              ("--max-attempts", "2"))],
+    ])
+    def test_sweep_flag_its_backend_does_not_read_exits_2(
+        self, tmp_path, capsys, monkeypatch, backend, flag, value
+    ):
+        """Regression: e.g. --backend inline --parallel 4 ran sequentially
+        and --lease-batch 4 without --backend queue was ignored, both with
+        exit 0."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--algorithms", "adpsgd", "--seeds", "0",
+                "--workers", "2", "--samples", "64", "--sim-time", "2",
+                "--scenarios", "heterogeneous-static", "--backend", backend,
+                flag, value]
+        if backend == "queue":
+            argv += ["--queue-dir", "q"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"error: --backend {backend} does not read {flag}"
 
     def test_lease_timeout_floor_rejected_with_exit_2(self, tmp_path, capsys):
         code = main([
