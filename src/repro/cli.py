@@ -101,7 +101,7 @@ from repro.experiments.sweeps import (
     aggregate_sweep,
     run_sweep,
 )
-from repro.core.policy import generate_policy
+from repro.core.policy import PolicyGenerationError, generate_policy
 from repro.graph import Topology
 
 __all__ = ["main", "build_parser"]
@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of the human summary")
 
     policy = sub.add_parser("policy", help="run Algorithm 3 on a time matrix")
-    policy.add_argument("--times", required=True, help="CSV file, MxM iteration times")
+    policy.add_argument("--times", required=True,
+                        help="CSV file, MxM iteration times; the graph is the "
+                             "positive off-diagonal entries")
     policy.add_argument("--alpha", type=float, default=0.1)
     policy.add_argument("--outer-rounds", type=int, default=10)
     policy.add_argument("--inner-rounds", type=int, default=10)
@@ -668,23 +670,42 @@ def _run_sweep_status(args: argparse.Namespace) -> int:
 
 def _run_policy(args: argparse.Namespace) -> int:
     times = np.loadtxt(args.times, delimiter=",")
-    if times.ndim != 2 or times.shape[0] != times.shape[1]:
-        print(f"error: expected a square CSV matrix, got shape {times.shape}",
-              file=sys.stderr)
-        return 2
-    topology = Topology.fully_connected(times.shape[0])
-    result = generate_policy(
-        times,
-        topology.indicator(),
-        args.alpha,
-        outer_rounds=args.outer_rounds,
-        inner_rounds=args.inner_rounds,
-    )
+    if times.ndim != 2 or times.shape[0] != times.shape[1] or times.shape[0] < 2:
+        return _policy_error(f"expected a square CSV matrix, got shape {times.shape}")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        return _policy_error("iteration times must be finite and non-negative")
+    adjacency = times > 0
+    np.fill_diagonal(adjacency, False)
+    if not np.array_equal(adjacency, adjacency.T):
+        pairs = np.argwhere(adjacency != adjacency.T)
+        i, j = pairs[0].tolist()
+        return _policy_error(
+            f"the graph must be undirected: t[{i},{j}] and t[{j},{i}] are not "
+            "both positive"
+        )
+    topology = Topology(adjacency)
+    if not topology.is_connected():
+        return _policy_error("the graph of positive entries is disconnected")
+    try:
+        result = generate_policy(
+            times,
+            topology.indicator(),
+            args.alpha,
+            outer_rounds=args.outer_rounds,
+            inner_rounds=args.inner_rounds,
+        )
+    except PolicyGenerationError as exc:
+        return _policy_error(str(exc))
     print(f"rho={result.rho:.4f}  t_bar={result.t_bar:.5f}  "
           f"lambda2={result.lambda2:.5f}  "
           f"T_conv={result.predicted_convergence_time:.3f}")
     print(np.array_str(result.policy, precision=3, suppress_small=True))
     return 0
+
+
+def _policy_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:

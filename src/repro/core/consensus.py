@@ -78,6 +78,10 @@ class ConsensusWorker:
         self.model = model
         self.neighbors = neighbors
         self.num_workers = num_workers
+        # Where a policy row may put mass: the neighbors and the worker itself.
+        self._allowed = np.zeros(num_workers, dtype=bool)
+        self._allowed[neighbors] = True
+        self._allowed[worker_id] = True
         self.rho = float(rho)
         self._rng = rng
         self._sgd_state = SGDState(sgd, model.dim)
@@ -110,10 +114,7 @@ class ConsensusWorker:
             raise ValueError("probabilities must be non-negative")
         if not np.isclose(row.sum(), 1.0, atol=1e-6):
             raise ValueError(f"probability row must sum to 1, got {row.sum()}")
-        allowed = np.zeros(self.num_workers, dtype=bool)
-        allowed[self.neighbors] = True
-        allowed[self.worker_id] = True
-        if np.any((row > 1e-12) & ~allowed):
+        if np.any((row > 1e-12) & ~self._allowed):
             raise ValueError("probability row places mass on non-neighbors")
         row = np.clip(row, 0.0, None)
         return row / row.sum()
@@ -214,7 +215,7 @@ class ConsensusWorker:
         """
         if peer == self.worker_id:
             raise ValueError("pull_update needs a real peer, not self")
-        if peer not in self.neighbors:
+        if not (0 <= peer < self.num_workers and self._allowed[peer]):
             raise ValueError(f"worker {peer} is not a neighbor of {self.worker_id}")
         if p_im is None:
             p_im = self.effective_probabilities[peer]

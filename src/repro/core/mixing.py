@@ -59,9 +59,18 @@ def gamma_matrix(policy: np.ndarray, indicator: np.ndarray) -> np.ndarray:
     neighbors" that Section V-F credits for non-IID robustness.
     """
     policy, indicator = _validate_policy(policy, indicator)
+    return _gamma(policy, indicator)
+
+
+def _gamma(policy: np.ndarray, indicator: np.ndarray) -> np.ndarray:
+    """:func:`gamma_matrix` over a ``(..., M, M)`` stack, unvalidated."""
     gamma = np.zeros_like(policy)
-    mask = (indicator > 0) & (policy > 0)
-    gamma[mask] = (indicator[mask] + indicator.T[mask]) / (2.0 * policy[mask])
+    np.divide(
+        indicator + np.swapaxes(indicator, -1, -2),
+        2.0 * policy,
+        out=gamma,
+        where=(indicator > 0) & (policy > 0),
+    )
     return gamma
 
 
@@ -140,24 +149,62 @@ def expected_mixing_matrix(
         if np.any(worker_probs < 0) or not np.isclose(worker_probs.sum(), 1.0, atol=1e-6):
             raise ValueError("worker_probs must be a probability distribution")
 
-    gamma = gamma_matrix(policy, indicator)
+    return _mixing_stack(
+        policy[None],
+        indicator[None],
+        alpha,
+        np.array([rho], dtype=np.float64),
+        np.array([(alpha * rho) ** 2]),
+        worker_probs,
+    )[0]
+
+
+def _off_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Row ``i`` of each ``(M, M)`` matrix in ``stack`` without entry ``i``.
+
+    Returned C-ordered as ``(G, M, M - 1)``, so a row sum over the last axis
+    is numpy's pairwise sum of the 1-D ``matrix[i, others]`` bit for bit (a
+    fancy-indexed gather lays the stack axis innermost, and summing that
+    adds the terms in another order once a row has 8 or more).
+    """
+    count, m, _ = stack.shape
+    rows = stack.reshape(count, m * m)[:, 1:].reshape(count, m - 1, m + 1)
+    return np.ascontiguousarray(rows[:, :, :m].reshape(count, m, m - 1))
+
+
+def _mixing_stack(
+    policy: np.ndarray,
+    indicator: np.ndarray,
+    alpha: float,
+    rho: np.ndarray,
+    alpha_rho_sq: np.ndarray,
+    worker_probs: np.ndarray,
+) -> np.ndarray:
+    """Eq. (22) for a ``(G, M, M)`` stack of policies, unvalidated.
+
+    ``rho`` and ``alpha_rho_sq`` hold one value per policy; the caller
+    computes ``(alpha * rho) ** 2`` as a scalar power, because numpy's
+    array ``** 2`` (``x * x``) and libm's ``pow`` part ways in the last bit
+    on a few inputs in a thousand. ``worker_probs`` is the shared ``p_i``.
+    """
+    gamma = _gamma(policy, indicator)
     # flow[i, m] = p_i * p_im * gamma_im  (the expected-weight of pull i<-m);
     # flow2 uses gamma^2 for the second-order term.
-    flow = worker_probs[:, None] * policy * gamma
-    flow2 = worker_probs[:, None] * policy * gamma**2
-
-    mixing = np.zeros((m_workers, m_workers))
-    off = ~np.eye(m_workers, dtype=bool)
-    first_order = alpha * rho * (flow + flow.T)
-    second_order = (alpha * rho) ** 2 * (flow2 + flow2.T)
-    mixing[off] = first_order[off] - second_order[off]
-    for i in range(m_workers):
-        others = np.arange(m_workers) != i
-        mixing[i, i] = (
-            1.0
-            - 2.0 * alpha * rho * flow[i, others].sum()
-            + (alpha * rho) ** 2 * (flow2[i, others].sum() + flow2.T[i, others].sum())
-        )
+    weighted = worker_probs[:, None] * policy
+    flow = weighted * gamma
+    flow2 = weighted * gamma**2
+    flow2_t = np.swapaxes(flow2, 1, 2)
+    first_order = (alpha * rho)[:, None, None] * (flow + np.swapaxes(flow, 1, 2))
+    second_order = alpha_rho_sq[:, None, None] * (flow2 + flow2_t)
+    mixing = first_order - second_order
+    diagonal = (
+        1.0
+        - (2.0 * alpha * rho)[:, None] * _off_diagonal(flow).sum(axis=2)
+        + alpha_rho_sq[:, None]
+        * (_off_diagonal(flow2).sum(axis=2) + _off_diagonal(flow2_t).sum(axis=2))
+    )
+    workers = np.arange(policy.shape[1])
+    mixing[:, workers, workers] = diagonal
     return mixing
 
 

@@ -21,6 +21,7 @@ from repro.core.policy import (
     PolicyCache,
     PolicyGenerationError,
     PolicyResult,
+    generate_policies,
     generate_policy,
 )
 from repro.graph.topology import Topology
@@ -281,7 +282,6 @@ class NetworkMonitor:
                 inner_rounds=self.inner_rounds,
                 epsilon=self.epsilon,
             )
-        signature = idx.astype(np.int64).tobytes() + np.packbits(sub_adjacency).tobytes()
         return self.policy_cache.generate(
             matrix,
             sub_adjacency.astype(np.float64),
@@ -289,8 +289,46 @@ class NetworkMonitor:
             outer_rounds=self.outer_rounds,
             inner_rounds=self.inner_rounds,
             epsilon=self.epsilon,
-            signature=signature,
+            signature=self._signature(idx, sub_adjacency),
         )
+
+    def _generate_many(
+        self,
+        matrices: list[np.ndarray],
+        adjacencies: list[np.ndarray],
+        alpha: float,
+        subsets: list[np.ndarray],
+    ) -> list[PolicyResult]:
+        """:meth:`_generate` for many subgraphs, one batched Algorithm 3.
+
+        Raises :exc:`PolicyGenerationError` at the first infeasible one,
+        leaving the cache as a loop of :meth:`_generate` calls would.
+        """
+        indicators = [adjacency.astype(np.float64) for adjacency in adjacencies]
+        if self.policy_cache is not None:
+            return self.policy_cache.generate_many(
+                matrices,
+                indicators,
+                alpha,
+                outer_rounds=self.outer_rounds,
+                inner_rounds=self.inner_rounds,
+                epsilon=self.epsilon,
+                signatures=[
+                    self._signature(subset, adjacency)
+                    for subset, adjacency in zip(subsets, adjacencies)
+                ],
+            )
+        results = generate_policies(
+            matrices, indicators, alpha,
+            self.outer_rounds, self.inner_rounds, self.epsilon,
+        )
+        if any(result is None for result in results):
+            raise PolicyGenerationError("no feasible policy for a subgraph")
+        return results
+
+    @staticmethod
+    def _signature(subset: np.ndarray, adjacency: np.ndarray) -> bytes:
+        return subset.astype(np.int64).tobytes() + np.packbits(adjacency).tobytes()
 
     # -- neighborhood-local solves (policy_scope="local") ------------------------
 
@@ -332,24 +370,28 @@ class NetworkMonitor:
         -- the signature is the *global* worker ids plus the ego adjacency --
         so workers with identical neighborhoods hit the same cache entry, and
         an ego graph that spans the full graph reproduces the global solve
-        bit for bit.
+        bit for bit. All of a tick's ego solves run as one batched
+        Algorithm 3 pass (:meth:`_generate_many`).
 
         Raises :exc:`PolicyGenerationError` if any ego solve is infeasible
         (the caller skips the whole period, as in global mode).
         """
         n = sub_adjacency.shape[0]
+        egos = [
+            self._ego_indices(sub_adjacency, center, self.local_hops)
+            for center in range(n)
+        ]
+        solves = self._generate_many(
+            [matrix[local[:, None], local] for local in egos],
+            [sub_adjacency[local[:, None], local] for local in egos],
+            alpha,
+            [idx[local] for local in egos],
+        )
         policy = np.zeros((n, n))
         rho_per_worker = np.zeros(n)
         rho = t_bar = lambda2 = predicted = -np.inf
         evaluated = infeasible = 0
-        for center in range(n):
-            local = self._ego_indices(sub_adjacency, center, self.local_hops)
-            ego = self._generate(
-                matrix[np.ix_(local, local)],
-                sub_adjacency[np.ix_(local, local)],
-                alpha,
-                idx[local],
-            )
+        for center, (local, ego) in enumerate(zip(egos, solves)):
             pos = int(np.searchsorted(local, center))
             policy[center, local] = ego.policy[pos]
             rho_per_worker[center] = ego.rho

@@ -6,17 +6,28 @@ probabilities ``P`` minimizing total convergence time ``k * t``, where the
 iteration count ``k`` is controlled by ``lambda_2(Y_P)`` and the mean step
 time ``t`` by which links the policy favors.
 
-The nested grid search of Algorithm 3 is implemented verbatim:
+The grid of Algorithm 3 is searched as written:
 
-- outer loop over ``K`` values of the consensus weight
+- ``K`` values of the consensus weight
   ``rho in (L_rho, U_rho] = (0, 0.5/alpha]``;
-- inner loop over ``R`` values of the global mean iteration time
+- for each, ``R`` values of the global mean iteration time
   ``t in [L, U]`` (Appendix A intervals, Eq. 25-28);
 - for each ``(rho, t)`` an LP (Eq. 14) minimizing ``sum_i p_ii`` subject to
   the feasibility constraints Eq. (10)-(13). Because neither the objective
   nor any constraint couples rows of ``P``, the LP decomposes into one small
   LP per worker. Each has two equality rows and box bounds, so its optimum
   is read off a convex envelope (:func:`solve_policy_lp`) -- no solver runs.
+
+but not point by point. One private kernel (``_search``) lays out every
+``(problem, rho, t)`` point of a stack of same-size problems -- one graph
+for :func:`generate_policy`, every equally sized ego subgraph of a monitor
+tick for :func:`generate_policies` -- and takes all of them through the
+closed-form LP, the Eq. (22) mixing matrix and ``eigvalsh`` in a fixed
+number of numpy calls; each problem keeps its first strict minimum of the
+predicted convergence time in grid order. The scalar entry points
+(:func:`solve_policy_lp`, :func:`~repro.core.mixing.expected_mixing_matrix`)
+are stacks of one over the same code, and every result is bit-identical to
+a point-by-point search (``tests/conftest.py::reference_policy_search``).
 
 A feasible policy forces every worker's mean iteration time to ``M * t``,
 hence uniform global-step probabilities ``p_i = 1/M`` (Lemma 1), under
@@ -31,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.convergence import convergence_time
-from repro.core.mixing import expected_mixing_matrix, second_largest_eigenvalue
+from repro.core.mixing import _mixing_stack
 
 __all__ = [
     "PolicyGenerationError",
@@ -44,6 +54,7 @@ __all__ = [
     "t_interval",
     "solve_policy_lp",
     "generate_policy",
+    "generate_policies",
     "uniform_policy",
 ]
 
@@ -185,41 +196,69 @@ def solve_policy_lp(
     """
     times = np.asarray(times, dtype=np.float64)
     indicator = np.asarray(indicator, dtype=np.float64)
-    m = times.shape[0]
     if t_bar <= 0:
         raise ValueError(f"t_bar must be positive, got {t_bar}")
-    neighbors = indicator > 0
-    if not neighbors.any(axis=1).all():
+    if not (indicator > 0).any(axis=1).all():
         return None  # isolated worker: no feasible communication at all
+    policy, feasible = _lp_stack(
+        times[None],
+        indicator[None],
+        alpha,
+        np.array([rho], dtype=np.float64),
+        np.array([t_bar], dtype=np.float64),
+    )
+    return policy[0] if feasible[0] else None
+
+
+def _lp_stack(
+    times: np.ndarray,
+    indicator: np.ndarray,
+    alpha: float,
+    rho: np.ndarray,
+    t_bar: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`solve_policy_lp`'s closed form at ``G`` points at once.
+
+    ``times`` and ``indicator`` are C-ordered ``(G, M, M)`` stacks in which
+    every worker has a neighbor; ``rho`` and ``t_bar`` hold one value per
+    point. Returns the ``(G, M, M)`` policies and the ``(G,)`` feasibility
+    mask; an infeasible point's policy is meaningless.
+    """
+    m = times.shape[-1]
+    neighbors = indicator > 0
     times = np.where(neighbors, times, 0.0)
-    floor = alpha * rho * (1.0 + _STRICT_MARGIN)
-    policy = np.where(neighbors, floor * (indicator + indicator.T), 0.0)
-    budget = m * t_bar
-    mass = 1.0 - policy.sum(axis=1, keepdims=True)
-    time_left = budget - (times * policy).sum(axis=1, keepdims=True)
-    slowest = times.max(axis=1, keepdims=True)
+    floor = (alpha * rho * (1.0 + _STRICT_MARGIN))[:, None, None]
+    policy = np.where(neighbors, floor * (indicator + np.swapaxes(indicator, 1, 2)), 0.0)
+    budget = (m * t_bar)[:, None, None]
+    mass = 1.0 - policy.sum(axis=2, keepdims=True)
+    time_left = budget - (times * policy).sum(axis=2, keepdims=True)
+    slowest = times.max(axis=2, keepdims=True)
     slack = _FEASIBILITY_TOL * budget
-    if mass.min() < -_FEASIBILITY_TOL or time_left.min() < -slack:
-        return None
+    feasible = ~(
+        (mass.min(axis=(1, 2)) < -_FEASIBILITY_TOL)
+        | (time_left.min(axis=(1, 2)) < -slack[:, 0, 0])
+    )
     mass = np.maximum(mass, 0.0)
-    if np.any(time_left > mass * slowest + slack):
-        return None
-    time_left = np.clip(time_left, 0.0, mass * slowest)
+    capacity = mass * slowest
+    feasible &= ~np.any(time_left > capacity + slack, axis=(1, 2))
+    time_left = np.clip(time_left, 0.0, capacity)
     tau = np.divide(time_left, mass, out=np.zeros_like(mass), where=mass > 0)
     # The envelope vertices bracketing tau; time 0 is p_ii's vertex.
     below = neighbors & (times <= tau)
-    t_low = np.where(below, times, 0.0).max(axis=1, keepdims=True)
-    t_high = np.where(neighbors & ~below, times, np.inf).min(axis=1, keepdims=True)
-    on_high = np.clip((time_left - mass * t_low) / (t_high - t_low), 0.0, mass)
+    t_low = np.where(below, times, 0.0).max(axis=2, keepdims=True)
+    t_high = np.where(neighbors & ~below, times, np.inf).min(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        on_high = np.clip((time_left - mass * t_low) / (t_high - t_low), 0.0, mass)
     on_low = mass - on_high
     at_low = below & (times == t_low)
     at_high = times == t_high
-    shared_low = at_low.sum(axis=1, keepdims=True)
-    shared_high = at_high.sum(axis=1, keepdims=True)
+    shared_low = at_low.sum(axis=2, keepdims=True)
+    shared_high = at_high.sum(axis=2, keepdims=True)
     policy += np.where(at_low, on_low / np.maximum(shared_low, 1), 0.0)
     policy += np.where(at_high, on_high / np.maximum(shared_high, 1), 0.0)
-    policy[np.diag_indices(m)] = np.where(shared_low == 0, on_low, 0.0)[:, 0]
-    return policy
+    workers = np.arange(m)
+    policy[:, workers, workers] = np.where(shared_low == 0, on_low, 0.0)[:, :, 0]
+    return policy, feasible
 
 
 def generate_policy(
@@ -249,15 +288,95 @@ def generate_policy(
         PolicyGenerationError: if every grid point is infeasible (e.g. the
             learning rate is too large for the graph's degrees).
     """
+    (result,) = generate_policies(
+        [times], [indicator], alpha, outer_rounds, inner_rounds, epsilon
+    )
+    if result is None:
+        raise _no_feasible_policy(alpha, outer_rounds, inner_rounds)
+    return result
+
+
+def generate_policies(
+    times: list[np.ndarray],
+    indicators: list[np.ndarray],
+    alpha: float,
+    outer_rounds: int = 10,
+    inner_rounds: int = 10,
+    epsilon: float = 1e-2,
+) -> list[PolicyResult | None]:
+    """:func:`generate_policy` for many problems, ``None`` where infeasible.
+
+    Problems of one size are searched together, one kernel call per size;
+    each result is bit-identical to :func:`generate_policy`'s on its own.
+    """
     if outer_rounds < 1 or inner_rounds < 1:
         raise ValueError("outer_rounds and inner_rounds must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    times = np.asarray(times, dtype=np.float64)
-    indicator = np.asarray(indicator, dtype=np.float64)
-    if np.any((indicator > 0) & ~(times > 0)):
-        raise ValueError("all neighbor iteration times must be positive")
+    problems = [
+        (np.asarray(t, dtype=np.float64), np.asarray(d, dtype=np.float64))
+        for t, d in zip(times, indicators, strict=True)
+    ]
+    by_size: dict[int, list[int]] = {}
+    for position, (problem_times, problem_indicator) in enumerate(problems):
+        shape = problem_times.shape
+        if shape != problem_indicator.shape or len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError("times and indicator must be matching square matrices")
+        by_size.setdefault(shape[0], []).append(position)
+    rho_interval(alpha)
+    results: list[PolicyResult | None] = [None] * len(problems)
+    for positions in by_size.values():
+        stacked_times = np.stack([problems[p][0] for p in positions])
+        stacked_indicator = np.stack([problems[p][1] for p in positions])
+        neighbors = stacked_indicator > 0
+        if np.any(neighbors & ~(stacked_times > 0)):
+            raise ValueError("all neighbor iteration times must be positive")
+        if np.any(stacked_times < 0):
+            raise ValueError("iteration times must be non-negative")
+        if not neighbors.any(axis=2).all():
+            raise ValueError(
+                "every worker needs at least one neighbor with positive time"
+            )
+        found = _search(
+            stacked_times, stacked_indicator, alpha,
+            outer_rounds, inner_rounds, epsilon,
+        )
+        for position, result in zip(positions, found):
+            results[position] = result
+    return results
 
+
+def _no_feasible_policy(
+    alpha: float, outer_rounds: int, inner_rounds: int
+) -> PolicyGenerationError:
+    return PolicyGenerationError(
+        f"no feasible policy: alpha={alpha}, grid {outer_rounds}x{inner_rounds} "
+        "exhausted (learning rate may be too large for this topology)"
+    )
+
+
+# Grid points per kernel step are capped at this many policy entries, so a
+# large graph's grid never materializes as one huge stack (2^17 float64 = 1 MB
+# per temporary).
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _search(
+    times: np.ndarray,
+    indicator: np.ndarray,
+    alpha: float,
+    outer_rounds: int,
+    inner_rounds: int,
+    epsilon: float,
+) -> list[PolicyResult | None]:
+    """Algorithm 3 over a ``(B, M, M)`` stack of validated problems.
+
+    Every ``(problem, rho, t_bar)`` grid point goes through the same three
+    steps at once -- the Eq. (14) LP (:func:`_lp_stack`), the Eq. (22)
+    mixing matrix and one stacked ``eigvalsh`` -- and each problem keeps its
+    first strict minimum of the predicted convergence time in grid order.
+    """
+    count, m, _ = times.shape
     lower_rho, upper_rho = rho_interval(alpha)
     # Tighten U_rho by the L <= U condition of the inner interval: the
     # minimum-probability floors force every worker to spend time on its
@@ -265,62 +384,80 @@ def generate_policy(
     # must stay below U = min_i max_m t_im d_im / M. Under extreme slowdowns
     # (the paper's 100x) this cap is far below 0.5/alpha, and a uniform grid
     # over the uncapped interval would never land in the feasible band.
-    m = times.shape[0]
-    symmetric_d = indicator + indicator.T
-    floor_cost = float(np.max(alpha / m * np.sum(times * symmetric_d, axis=1)))
-    per_worker_max = np.max(times * indicator, axis=1)
-    upper_t_global = float(np.min(per_worker_max / m))
-    if floor_cost > 0:
-        upper_rho = min(upper_rho, upper_t_global / floor_cost)
-    delta_rho = (upper_rho - lower_rho) / outer_rounds
+    row_cost = np.sum(times * (indicator + np.swapaxes(indicator, 1, 2)), axis=2)
+    floor_cost = np.max(alpha / m * row_cost, axis=1)
+    upper_t = np.min(np.max(times * indicator, axis=2) / m, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = upper_t / floor_cost
+    capped_rho = np.where((floor_cost > 0) & (cap < upper_rho), cap, upper_rho)
+    delta_rho = (capped_rho - lower_rho) / outer_rounds
+    rho = lower_rho + np.arange(1, outer_rounds + 1) * delta_rho[:, None]
+    # The inner interval [L, U] of every rho (Eq. 26, 28; see t_interval).
+    lower_t = np.max((alpha * rho / m)[:, :, None] * row_cost[:, None, :], axis=2)
+    delta_t = (upper_t[:, None] - lower_t) / inner_rounds
+    t_bar = lower_t[:, :, None] + np.arange(1, inner_rounds + 1) * delta_t[:, :, None]
+    # Grid points in grid order; a rho with L > U contributes none.
+    problem, k = np.nonzero(~(lower_t > upper_t[:, None]))
+    problem = np.repeat(problem, inner_rounds)
+    k = np.repeat(k, inner_rounds)
+    r = np.tile(np.arange(inner_rounds), k.size // inner_rounds)
+    point_rho = rho[problem, k]
+    point_t = t_bar[problem, k, r]
+    # A scalar power per rho value, as the mixing matrix needs it bit for bit.
+    alpha_rho_sq = np.array([(alpha * x) ** 2 for x in rho.ravel().tolist()])
+    point_sq = alpha_rho_sq.reshape(rho.shape)[problem, k]
 
-    best: PolicyResult | None = None
-    evaluated = 0
-    infeasible = 0
-    for k in range(1, outer_rounds + 1):
-        rho = lower_rho + k * delta_rho
-        lower_t, upper_t = t_interval(times, indicator, alpha, rho)
-        if lower_t > upper_t:
-            infeasible += inner_rounds
-            continue
-        delta_t = (upper_t - lower_t) / inner_rounds
-        for r in range(1, inner_rounds + 1):
-            t_bar = lower_t + r * delta_t
-            policy = solve_policy_lp(times, indicator, alpha, rho, t_bar)
-            if policy is None:
-                infeasible += 1
-                continue
-            mixing = expected_mixing_matrix(policy, indicator, alpha, rho)
-            lambda2 = second_largest_eigenvalue(mixing)
-            if not 0.0 < lambda2 < 1.0:
-                infeasible += 1
-                continue
-            evaluated += 1
-            predicted = convergence_time(t_bar, lambda2, epsilon)
-            if best is None or predicted < best.predicted_convergence_time:
-                best = PolicyResult(
-                    policy=policy,
-                    rho=rho,
-                    t_bar=t_bar,
-                    lambda2=lambda2,
-                    predicted_convergence_time=predicted,
-                    epsilon=epsilon,
-                )
-    if best is None:
-        raise PolicyGenerationError(
-            f"no feasible policy: alpha={alpha}, grid {outer_rounds}x{inner_rounds} "
-            "exhausted (learning rate may be too large for this topology)"
+    worker_probs = np.full(m, 1.0 / m)
+    lambda2 = np.zeros(problem.size)
+    usable = np.zeros(problem.size, dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // (m * m))
+    for start in range(0, problem.size, step):
+        chunk = slice(start, start + step)
+        chunk_indicator = indicator[problem[chunk]]
+        policy, feasible = _lp_stack(
+            times[problem[chunk]], chunk_indicator, alpha,
+            point_rho[chunk], point_t[chunk],
         )
-    return PolicyResult(
-        policy=best.policy,
-        rho=best.rho,
-        t_bar=best.t_bar,
-        lambda2=best.lambda2,
-        predicted_convergence_time=best.predicted_convergence_time,
-        epsilon=best.epsilon,
-        candidates_evaluated=evaluated,
-        candidates_infeasible=infeasible,
+        at = np.flatnonzero(feasible) + start
+        mixing = _mixing_stack(
+            policy[feasible], chunk_indicator[feasible], alpha,
+            point_rho[at], point_sq[at], worker_probs,
+        )
+        lambda2[at] = np.linalg.eigvalsh(mixing)[:, -2]
+        usable[at] = True
+    usable &= (0.0 < lambda2) & (lambda2 < 1.0)
+    predicted = np.full(problem.size, np.inf)
+    predicted[usable] = point_t[usable] * (
+        np.log(epsilon) / np.log(lambda2[usable])
     )
+    # Each problem's first point in (problem, predicted, unusable-last, grid)
+    # order: its first strict minimum, as a sequential `<` scan would keep.
+    order = np.lexsort((~usable, predicted, problem))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = problem[order[1:]] != problem[order[:-1]]
+    best = order[first]
+    best = best[usable[best]]
+    # Only the winners' policies are kept, so they are solved once more.
+    winners, _ = _lp_stack(
+        times[problem[best]], indicator[problem[best]], alpha,
+        point_rho[best], point_t[best],
+    )
+    evaluated = np.bincount(problem[usable], minlength=count)
+    grid = outer_rounds * inner_rounds
+    results: list[PolicyResult | None] = [None] * count
+    for winner, point in zip(winners, best.tolist()):
+        b = int(problem[point])
+        results[b] = PolicyResult(
+            policy=winner.copy(),
+            rho=float(point_rho[point]),
+            t_bar=float(point_t[point]),
+            lambda2=float(lambda2[point]),
+            predicted_convergence_time=float(predicted[point]),
+            epsilon=epsilon,
+            candidates_evaluated=int(evaluated[b]),
+            candidates_infeasible=grid - int(evaluated[b]),
+        )
+    return results
 
 
 # -- the signature-keyed policy cache ------------------------------------------
@@ -435,6 +572,76 @@ class PolicyCache:
         key = self._key(
             signature, quantized, alpha, outer_rounds, inner_rounds, epsilon
         )
+        return self._lookup(
+            key,
+            lambda: generate_policy(
+                quantized,
+                indicator,
+                alpha,
+                outer_rounds=outer_rounds,
+                inner_rounds=inner_rounds,
+                epsilon=epsilon,
+            ),
+        )
+
+    def generate_many(
+        self,
+        times: list[np.ndarray],
+        indicators: list[np.ndarray],
+        alpha: float,
+        outer_rounds: int = 10,
+        inner_rounds: int = 10,
+        epsilon: float = 1e-2,
+        signatures: list[bytes] | None = None,
+    ) -> list[PolicyResult]:
+        """:meth:`generate` for each problem in order, cold solves batched.
+
+        Every key absent at the call is solved up front in one
+        :func:`generate_policies` pass; the lookups then run in order exactly
+        as that many :meth:`generate` calls would -- a key repeated in the
+        list is a hit after its first cold solve, a key evicted midway is
+        solved again, and the first infeasible problem raises with the same
+        entries stored and the same counts.
+        """
+        indicators = [np.asarray(d, dtype=np.float64) for d in indicators]
+        if signatures is None:
+            signatures = [np.packbits(d > 0).tobytes() for d in indicators]
+        quantized = [quantize_times(t) for t in times]
+        keys = [
+            self._key(signature, q, alpha, outer_rounds, inner_rounds, epsilon)
+            for signature, q in zip(signatures, quantized, strict=True)
+        ]
+        cold: dict[bytes, int] = {}
+        for position, key in enumerate(keys):
+            if key not in self._entries:
+                cold.setdefault(key, position)
+
+        def solve_all(positions):
+            return generate_policies(
+                [quantized[p] for p in positions],
+                [indicators[p] for p in positions],
+                alpha,
+                outer_rounds,
+                inner_rounds,
+                epsilon,
+            )
+
+        solved = dict(zip(cold, solve_all(list(cold.values()))))
+
+        def solve(position: int) -> PolicyResult:
+            key = keys[position]
+            result = solved.pop(key) if key in solved else solve_all([position])[0]
+            if result is None:
+                raise _no_feasible_policy(alpha, outer_rounds, inner_rounds)
+            return result
+
+        return [
+            self._lookup(key, lambda p=position: solve(p))
+            for position, key in enumerate(keys)
+        ]
+
+    def _lookup(self, key: bytes, solve) -> PolicyResult:
+        """The entry under ``key``, else ``solve()`` stored under it."""
         if key in self._entries:
             entry = self._entries[key]
             self._entries.move_to_end(key)
@@ -447,14 +654,7 @@ class PolicyCache:
             return entry
         self.stats.cold_solves += 1
         try:
-            result = generate_policy(
-                quantized,
-                indicator,
-                alpha,
-                outer_rounds=outer_rounds,
-                inner_rounds=inner_rounds,
-                epsilon=epsilon,
-            )
+            result = solve()
         except PolicyGenerationError:
             self._store(key, None)
             raise

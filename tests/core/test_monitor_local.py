@@ -9,16 +9,23 @@ and the ``unprobed`` gap-filling option of :class:`NetworkMonitor`:
 - local mode on a sparse graph publishes a valid, edge-respecting policy
   with per-worker consensus weights;
 - churn re-embedding zero-fills ``rho_per_worker`` for departed workers;
+- a tick's ego solves, batched into one Algorithm 3 pass, leave the
+  published policy, the cache's entries and its counters exactly as one
+  ``PolicyCache.generate`` per ego in worker order would -- through
+  repeated keys, mid-tick evictions and an infeasible ego;
 - ``unprobed="optimistic"`` seeds gaps with the fastest observed time,
   while the *default stays pessimistic* (regression pin);
 - constructor validation for both options.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.core.policy as policy_module
 from repro.core.monitor import NetworkMonitor
-from repro.core.policy import PolicyCache
+from repro.core.policy import PolicyCache, PolicyGenerationError
 from repro.graph import Topology
 
 
@@ -119,6 +126,121 @@ class TestLocalScope:
         np.testing.assert_array_equal(
             NetworkMonitor._ego_indices(dense, 0, 10), np.arange(8)
         )
+
+
+def _barbell():
+    """Two 4-cliques joined by the edge 3-4: with 1-hop egos, workers 0-2
+    (and 5-7) share an ego -- a key repeated inside one tick -- and the
+    bridge workers' egos are one worker larger."""
+    edges = [(a, b) for block in (range(4), range(4, 8))
+             for a in block for b in block if a < b]
+    return Topology.from_edges(8, edges + [(3, 4)])
+
+
+def _ego_loop(monitor, matrix, alpha):
+    """``_generate_local`` as one ``_generate`` call per ego, in worker order
+    (the sequential semantics the batched path must keep)."""
+    n = matrix.shape[0]
+    adjacency = monitor.topology.adjacency
+    idx = np.arange(n)
+    policy, rho_per_worker, solves = np.zeros((n, n)), np.zeros(n), []
+    for center in range(n):
+        local = monitor._ego_indices(adjacency, center, monitor.local_hops)
+        ego = monitor._generate(
+            matrix[np.ix_(local, local)], adjacency[np.ix_(local, local)],
+            alpha, idx[local],
+        )
+        policy[center, local] = ego.policy[int(np.searchsorted(local, center))]
+        rho_per_worker[center] = ego.rho
+        solves.append(ego)
+    return policy, rho_per_worker, solves
+
+
+def _local_monitor(topology, cache):
+    return NetworkMonitor(
+        topology, policy_cache=cache, policy_scope="local", local_hops=1,
+        outer_rounds=3, inner_rounds=3,
+    )
+
+
+class TestBatchedEgoSolves:
+    @pytest.mark.parametrize("max_entries", [None, 256, 2])
+    def test_matches_a_per_ego_loop(self, max_entries):
+        topology = _barbell()
+        matrix = NetworkMonitor(topology).assemble_time_matrix(
+            _sym_times(topology, seed=4)
+        )
+
+        def cache():
+            return None if max_entries is None else PolicyCache(max_entries)
+
+        batched, looped = _local_monitor(topology, cache()), _local_monitor(topology, cache())
+        idx = np.arange(topology.num_workers)
+        for alpha in (0.05, 0.05, 0.07):  # a warm tick, then a new key set
+            result = batched._generate_local(matrix, topology.adjacency, alpha, idx)
+            policy, rho_per_worker, solves = _ego_loop(looped, matrix, alpha)
+            assert result.policy.tobytes() == policy.tobytes()
+            assert result.rho_per_worker.tobytes() == rho_per_worker.tobytes()
+            assert result.lambda2 == max(ego.lambda2 for ego in solves)
+            assert result.candidates_evaluated == sum(
+                ego.candidates_evaluated for ego in solves
+            )
+            if max_entries is not None:
+                assert batched.policy_cache.stats == looped.policy_cache.stats
+                assert list(batched.policy_cache._entries) == list(
+                    looped.policy_cache._entries
+                )
+        if max_entries == 256:
+            assert batched.policy_cache.stats.hits > 0
+        if max_entries == 2:
+            assert batched.policy_cache.stats.evictions > 0
+
+    def test_cached_entries_own_their_policy(self):
+        topology = _barbell()
+        monitor = _local_monitor(topology, PolicyCache())
+        matrix = monitor.assemble_time_matrix(_sym_times(topology, seed=4))
+        monitor._generate_local(
+            matrix, topology.adjacency, 0.05, np.arange(topology.num_workers)
+        )
+        for entry in monitor.policy_cache._entries.values():
+            assert entry.policy.base is None and not entry.policy.flags.writeable
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_first_infeasible_ego_raises_like_the_loop(self, cached, monkeypatch):
+        """Egos of 5 workers (the bridge's) are made infeasible: the batch
+        raises at worker 3, after the same lookups, stores and counts."""
+        real = policy_module._lp_stack
+
+        def no_five(times, *args):
+            policy, feasible = real(times, *args)
+            return policy, feasible & (times.shape[-1] != 5)
+
+        monkeypatch.setattr(policy_module, "_lp_stack", no_five)
+        topology = _barbell()
+        matrix = NetworkMonitor(topology).assemble_time_matrix(
+            _sym_times(topology, seed=4)
+        )
+        idx = np.arange(topology.num_workers)
+        monitors = [
+            _local_monitor(topology, PolicyCache() if cached else None)
+            for _ in range(2)
+        ]
+        for _ in range(2):  # a cold tick, then one that fails from the cache
+            with pytest.raises(PolicyGenerationError):
+                monitors[0]._generate_local(matrix, topology.adjacency, 0.05, idx)
+            with pytest.raises(PolicyGenerationError):
+                _ego_loop(monitors[1], matrix, 0.05)
+            if cached:
+                first, second = (m.policy_cache for m in monitors)
+                assert first.stats == second.stats
+                assert list(first._entries) == list(second._entries)
+                assert [e is None for e in first._entries.values()] == [
+                    e is None for e in second._entries.values()
+                ]
+        if cached:
+            assert dataclasses.asdict(monitors[0].policy_cache.stats) == {
+                "hits": 5, "cold_solves": 2, "infeasible_hits": 1, "evictions": 0,
+            }
 
 
 class TestUnprobedStance:

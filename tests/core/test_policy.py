@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.policy import (
     PolicyGenerationError,
+    generate_policies,
     generate_policy,
     rho_interval,
     solve_policy_lp,
@@ -186,32 +187,52 @@ class TestGeneratePolicy:
         """If every LP fails, Algorithm 3 reports PolicyGenerationError."""
         import repro.core.policy as policy_module
 
-        monkeypatch.setattr(policy_module, "solve_policy_lp", lambda *a, **k: None)
+        monkeypatch.setattr(
+            policy_module, "_lp_stack",
+            lambda times, *a: (times, np.zeros(len(times), dtype=bool)),
+        )
         with pytest.raises(PolicyGenerationError, match="no feasible policy"):
             generate_policy(hetero_times5, full5.indicator(), 0.1)
 
     @pytest.mark.parametrize("kind", ["full", "ring", "star", "random", "expander"])
     def test_grid_winner_matches_highs_backed_search(
-        self, kind, highs_policy_lp, monkeypatch
+        self, kind, highs_policy_lp, reference_policy_search
     ):
         """With distinct link times every grid point's optimum is unique, so
-        Algorithm 3 over the closed form and over the solver it replaced
-        pick the same ``(rho, t_bar)``."""
-        import repro.core.policy as policy_module
-
+        Algorithm 3 over the closed form and the point-by-point search over
+        the solver it replaced pick the same ``(rho, t_bar)``."""
         m = 9
         indicator = make_topology(kind, m, edge_probability=0.4, seed=3).indicator()
         times = np.random.default_rng(3).uniform(0.1, 3.0, (m, m))
         times = (times + times.T) / 2
         ours = generate_policy(times, indicator, 0.1, outer_rounds=6, inner_rounds=6)
-        monkeypatch.setattr(policy_module, "solve_policy_lp", highs_policy_lp)
-        reference = generate_policy(
-            times, indicator, 0.1, outer_rounds=6, inner_rounds=6
+        reference = reference_policy_search(
+            times, indicator, 0.1, outer_rounds=6, inner_rounds=6, lp=highs_policy_lp
         )
         assert (ours.rho, ours.t_bar) == (reference.rho, reference.t_bar)
         assert ours.candidates_evaluated == reference.candidates_evaluated
         np.testing.assert_allclose(ours.policy, reference.policy, atol=1e-9)
         assert ours.lambda2 == pytest.approx(reference.lambda2, abs=1e-9)
+
+    def test_chunked_grid_is_the_one_pass_grid(self, monkeypatch):
+        """A grid too large for one kernel step is scored chunk by chunk;
+        the chunk boundaries change no bit of any result."""
+        import repro.core.policy as policy_module
+
+        problems = []
+        for m, kind in ((5, "ring"), (9, "random"), (9, "full"), (12, "expander")):
+            indicator = make_topology(kind, m, edge_probability=0.4, seed=m).indicator()
+            times = np.random.default_rng(m).uniform(0.1, 3.0, (m, m))
+            problems.append(((times + times.T) / 2, indicator))
+        args = ([t for t, _ in problems], [d for _, d in problems], 0.1, 5, 4)
+        whole = generate_policies(*args)
+        monkeypatch.setattr(policy_module, "_CHUNK_ENTRIES", 200)
+        for ours, reference in zip(generate_policies(*args), whole):
+            assert ours.policy.tobytes() == reference.policy.tobytes()
+            assert (ours.rho, ours.t_bar, ours.lambda2) == (
+                reference.rho, reference.t_bar, reference.lambda2
+            )
+            assert ours.candidates_evaluated == reference.candidates_evaluated
 
     def test_rejects_zero_neighbor_times(self, full5):
         times = np.zeros((5, 5))

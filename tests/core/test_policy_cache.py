@@ -118,7 +118,8 @@ class TestPolicyCache:
     def test_infeasible_grids_cached(self, times5, monkeypatch):
         """A recurring hopeless grid fails from the cache, not a re-search."""
         monkeypatch.setattr(
-            policy_module, "solve_policy_lp", lambda *a, **k: None
+            policy_module, "_lp_stack",
+            lambda times, *a: (times, np.zeros(len(times), dtype=bool)),
         )
         cache = PolicyCache()
         for _ in range(2):

@@ -9,6 +9,9 @@ These cover the load-bearing mathematical properties:
 - the closed-form Eq. (14) solve against scipy's HiGHS as the oracle:
   constraints to round-off, objective never worse, feasibility agreed,
   permutation-equivariant, uniform on tied times;
+- the batched Algorithm 3 search against a point-by-point reference, bit
+  for bit, on batches of mixed-size problems (and the stacked ``eigvalsh``
+  it relies on against one call per matrix);
 - partitioners: exact cover / label exclusion for random datasets;
 - EMA: output stays within observed bounds;
 - event engine: execution order is sorted by time regardless of insertion.
@@ -16,7 +19,7 @@ These cover the load-bearing mathematical properties:
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.mixing import (
     expected_mixing_matrix,
@@ -25,6 +28,7 @@ from repro.core.mixing import (
 )
 from repro.core.policy import (
     _STRICT_MARGIN,
+    generate_policies,
     quantize_times,
     solve_policy_lp,
     t_interval,
@@ -232,6 +236,103 @@ class TestClosedFormPolicyLP:
         for i in range(times.shape[0]):
             row = policy[i, indicator[i] > 0]
             np.testing.assert_allclose(row, row[0], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The batched grid search against the point-by-point reference
+# ---------------------------------------------------------------------------
+
+search_problems = st.tuples(
+    st.sampled_from(["full", "ring", "star", "random", "expander"]),
+    # Rows of 8 or more entries take numpy's blocked pairwise sums.
+    st.one_of(st.integers(min_value=2, max_value=12),
+              st.integers(min_value=16, max_value=40)),
+    seeds,
+    st.sampled_from([1.0, 3.0, 100.0]),  # slowest / fastest link
+    st.booleans(),  # round times to one significant digit, so neighbors tie
+)
+
+
+def search_problem(kind, m, seed, spread, coarse):
+    """``(times, indicator)`` from one ``search_problems`` draw."""
+    try:
+        topology = make_topology(kind, m, edge_probability=0.4, seed=seed)
+    except ValueError:
+        topology = Topology.fully_connected(m)
+    rng = np.random.default_rng(seed)
+    times = 0.05 * np.exp(rng.uniform(0.0, np.log(spread), (m, m)))
+    times = (times + times.T) / 2
+    if coarse:
+        times = quantize_times(times, digits=1)
+    return times, topology.indicator()
+
+
+def _same_result(ours, reference):
+    if ours is None or reference is None:
+        return ours is None and reference is None
+    return (
+        ours.policy.tobytes() == reference.policy.tobytes()
+        and (ours.rho, ours.t_bar, ours.lambda2, ours.predicted_convergence_time)
+        == (reference.rho, reference.t_bar, reference.lambda2,
+            reference.predicted_convergence_time)
+        and (ours.candidates_evaluated, ours.candidates_infeasible)
+        == (reference.candidates_evaluated, reference.candidates_infeasible)
+    )
+
+
+class TestBatchedSearch:
+    @given(
+        draws=st.lists(search_problems, min_size=1, max_size=4),
+        alpha=st.sampled_from([0.01, 0.1, 0.3]),
+        outer=st.integers(min_value=1, max_value=6),
+        inner=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    # Grids on which numpy's array ``** 2`` (``x * x``) and the scalar power
+    # disagree in the last bit of some ``(alpha * rho) ** 2``.
+    @example(draws=[("full", 3, 32756106, 3.0, True)], alpha=0.01, outer=4, inner=3)
+    @example(draws=[("random", 3, 1339173415, 3.0, False)], alpha=0.3, outer=6,
+             inner=2)
+    def test_matches_point_by_point_search(
+        self, draws, alpha, outer, inner, reference_policy_search
+    ):
+        problems = [search_problem(*draw) for draw in draws]
+        results = generate_policies(
+            [times for times, _ in problems],
+            [indicator for _, indicator in problems],
+            alpha, outer, inner,
+        )
+        for (times, indicator), ours in zip(problems, results):
+            reference = reference_policy_search(times, indicator, alpha, outer, inner)
+            assert _same_result(ours, reference)
+
+    @given(m=st.integers(min_value=2, max_value=40),
+           count=st.integers(min_value=1, max_value=6), seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_eigvalsh_is_per_matrix_eigvalsh(self, m, count, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(-1.0, 1.0, (count, m, m))
+        stack = stack + np.swapaxes(stack, 1, 2)
+        stacked = np.linalg.eigvalsh(stack)
+        for matrix, values in zip(stack, stacked):
+            assert np.linalg.eigvalsh(matrix).tobytes() == values.tobytes()
+
+    @given(draw=lp_draws)
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_entry_points_are_stacks_of_one(
+        self, draw, reference_lp, reference_mixing
+    ):
+        times, indicator, alpha, rho, t_bar = lp_case(*draw)
+        policy = solve_policy_lp(times, indicator, alpha, rho, t_bar)
+        reference = reference_lp(times, indicator, alpha, rho, t_bar)
+        assert (policy is None) == (reference is None)
+        if policy is None:
+            return
+        assert policy.tobytes() == reference.tobytes()
+        mixing = expected_mixing_matrix(policy, indicator, alpha, rho)
+        assert mixing.tobytes() == reference_mixing(
+            policy, indicator, alpha, rho
+        ).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,43 @@ class TestCommands:
         np.savetxt(csv, np.ones((2, 3)), delimiter=",")
         assert main(["policy", "--times", str(csv)]) == 2
 
+    @staticmethod
+    def _ring_times(m=4):
+        times = np.zeros((m, m))
+        for i in range(m):
+            times[i, (i + 1) % m] = times[(i + 1) % m, i] = 1.0
+        times[0, 1] = times[1, 0] = 0.2
+        return times
+
+    def _policy_exit(self, tmp_path, times, *flags):
+        csv = tmp_path / "times.csv"
+        np.savetxt(csv, times, delimiter=",")
+        return main(["policy", "--times", str(csv), *flags])
+
+    def test_policy_sparse_csv_solves_on_its_graph(self, tmp_path, capsys):
+        """A zero off-diagonal entry is a missing edge, not a zero time."""
+        assert self._policy_exit(tmp_path, self._ring_times()) == 0
+        out = capsys.readouterr().out
+        assert "rho=" in out
+        rows = np.array(
+            [[float(x) for x in line.strip(" []").split()]
+             for line in out.splitlines()[1:]]
+        )
+        assert rows[0, 2] == rows[1, 3] == 0.0  # the ring's two non-edges
+
+    @pytest.mark.parametrize("kind", ["asymmetric", "disconnected", "infeasible"])
+    def test_policy_bad_csv_exits_2_with_one_error_line(self, tmp_path, capsys, kind):
+        times, flags = self._ring_times(), []
+        if kind == "asymmetric":
+            times[2, 3] = 0.0
+        elif kind == "disconnected":
+            times[1, 2] = times[2, 1] = times[3, 0] = times[0, 3] = 0.0
+        else:  # a one-step rho grid sits on L == U, where no LP is feasible
+            times, flags = np.ones((4, 4)), ["--outer-rounds", "1"]
+        assert self._policy_exit(tmp_path, times, *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestSweepService:
     """CLI surface of the long-lived queue service: sweep-status, lease
