@@ -40,9 +40,10 @@ model transfer (see :mod:`repro.network.compression`).
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,13 +55,12 @@ from repro.datasets.partition import (
 )
 from repro.datasets.synthetic import load_dataset
 from repro.graph.topology import (
+    RANDOMIZED_TOPOLOGY_KINDS,
     TOPOLOGY_KINDS,
     DynamicTopology,
     EdgeSchedule,
     Topology,
     make_topology,
-    validate_edge_events_request,
-    validate_edge_failure_request,
     validate_topology_request,
 )
 from repro.ml.data import BatchSampler, Dataset, train_test_split
@@ -190,7 +190,8 @@ class ScenarioParam:
 
     The parameter's type is the type of its ``default``; :meth:`coerce`
     turns CLI strings (and any compatible value) into that type, so sweep
-    cache keys are canonical no matter how the value was spelled.
+    cache keys are canonical no matter how the value was spelled. A float
+    parameter must be finite: no builder means anything by NaN or infinity.
     """
 
     name: str
@@ -209,29 +210,33 @@ class ScenarioParam:
                 raise ValueError(f"parameter {self.name!r}: not a boolean: {value!r}")
             return bool(value)
         try:
-            return kind(value)
-        except (TypeError, ValueError) as error:
+            coerced = kind(value)
+        except (TypeError, ValueError, OverflowError) as error:
             raise ValueError(
                 f"parameter {self.name!r} expects {kind.__name__}, got {value!r}"
             ) from error
+        if kind is float and not math.isfinite(coerced):
+            raise ValueError(f"parameter {self.name!r} must be finite, got {value!r}")
+        return coerced
 
 
 @dataclass(frozen=True)
 class ScenarioFamily:
     """A named, parameterizable scenario builder.
 
+    The family owns the schema (names, types, the worker count) and the
+    canonical form of an override set; whether a parameter set can be built
+    is for the builder alone to say, and
+    :class:`~repro.experiments.sweeps.SweepSpec` asks it by building.
+
     Attributes:
         name: registry key (also the sweep/CLI scenario "kind").
         description: one-line catalog entry.
         builder: ``(num_workers, seed, **params) -> Scenario``.
         params: the declared parameter schema; overrides outside it are
-            rejected (a typo'd sweep grid must fail at spec time, not after
-            hours of cells).
+            rejected.
         fixed_workers: worker count the family is pinned to (``None`` =
             any ``>= 2``).
-        validator: optional hook over the *merged* (defaults + overrides)
-            parameters, run at spec construction as well as at build time --
-            a grid that cannot run must never survive a dry run.
         has_churn: whether built scenarios carry a churn schedule (lets the
             sweep engine reject churn-incapable algorithms at spec time).
     """
@@ -241,7 +246,6 @@ class ScenarioFamily:
     builder: Callable[..., Scenario]
     params: tuple[ScenarioParam, ...] = ()
     fixed_workers: int | None = None
-    validator: Callable[[dict], None] | None = None
     has_churn: bool = False
 
     def param(self, name: str) -> ScenarioParam:
@@ -256,49 +260,37 @@ class ScenarioFamily:
     def param_names(self) -> list[str]:
         return [parameter.name for parameter in self.params]
 
-    def coerce_params(self, overrides: dict) -> dict:
-        """Validate + canonicalize overrides against the schema."""
-        return {key: self.param(key).coerce(value) for key, value in overrides.items()}
-
-    def merge_and_validate(
-        self, overrides: dict, num_workers: int | None = None
-    ) -> dict:
-        """Coerced overrides over defaults, passed through the validator.
-
-        When ``num_workers`` is known (spec construction and build time),
-        the shared topology axis is validated against it too, so a ring on
-        2 workers or a torus on a prime worker count dies in a dry run.
-        """
+    def merge(self, overrides: dict) -> dict:
+        """The schema defaults with the overrides on top, each override
+        checked against the schema and coerced to its parameter's type."""
         merged = {parameter.name: parameter.default for parameter in self.params}
-        merged.update(self.coerce_params(overrides))
-        if self.validator is not None:
-            self.validator(merged)
-        if merged.get("compression", "none") != "none":
-            # Spec-time check: an unknown op or invalid fidelity parameter
-            # must fail a dry run. compression_param is inert (and therefore
-            # unvalidated) while the op is "none", mirroring the edge-shape
-            # parameters under edge_failures=0.
-            make_compression_op(merged["compression"], merged["compression_param"])
-        if num_workers is not None and "topology" in merged:
-            validate_topology_request(
-                merged["topology"], num_workers, merged["edge_probability"],
-                degree_skew=merged["degree_skew"],
-            )
-            validate_edge_failure_request(
-                merged["topology"],
-                num_workers,
-                merged["edge_failures"],
-                merged["edge_downtime_s"],
-                merged["edge_horizon_s"],
-            )
-            validate_edge_events_request(
-                merged["topology"],
-                num_workers,
-                merged["edge_events"],
-                merged["edge_failures"],
-                merged["edge_probability"],
-            )
+        merged.update(
+            (key, self.param(key).coerce(value)) for key, value in overrides.items()
+        )
         return merged
+
+    def canonical_params(self, overrides: dict) -> tuple[tuple[str, object], ...]:
+        """The overrides as sorted ``(name, value)`` pairs, without any that
+        builds the same scenario as leaving it out.
+
+        Dropped: a value equal to the schema default; ``edge_probability``
+        unless the topology is one of the randomized kinds (a ring spelled
+        with any edge probability is the same ring); the edge-failure shape
+        parameters while ``edge_failures`` is 0 (the graph stays frozen);
+        and ``compression_param`` while the op is ``"none"``.
+        """
+        merged = self.merge(overrides)
+        inert = set()
+        if merged.get("topology") not in RANDOMIZED_TOPOLOGY_KINDS:
+            inert.add("edge_probability")
+        if not merged.get("edge_failures"):
+            inert.update(("edge_downtime_s", "edge_horizon_s"))
+        if merged.get("compression", "none") == "none":
+            inert.add("compression_param")
+        return tuple(sorted(
+            (key, merged[key]) for key in overrides
+            if key not in inert and merged[key] != self.param(key).default
+        ))
 
     def validate_workers(self, num_workers: int) -> None:
         if num_workers < 2:
@@ -311,9 +303,7 @@ class ScenarioFamily:
 
     def build(self, num_workers: int = 8, seed: int = 0, **overrides) -> Scenario:
         self.validate_workers(num_workers)
-        return self.builder(
-            num_workers, seed, **self.merge_and_validate(overrides, num_workers)
-        )
+        return self.builder(num_workers, seed, **self.merge(overrides))
 
 
 SCENARIO_FAMILIES: dict[str, ScenarioFamily] = {}
@@ -347,13 +337,7 @@ def build_scenario(name: str, num_workers: int = 8, seed: int = 0, **params) -> 
 
 def _named(base: Scenario, family: str, num_workers: int) -> Scenario:
     """Stamp the family's canonical name onto a built scenario."""
-    return Scenario(
-        name=f"{family}-{num_workers}w",
-        topology=base.topology,
-        links=base.links,
-        churn=base.churn,
-        compression=base.compression,
-    )
+    return replace(base, name=f"{family}-{num_workers}w")
 
 
 # Shared graph axis: every scenario family accepts these parameters and runs
@@ -423,6 +407,9 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
     op is built via :func:`make_compression_op` and attached to the
     scenario with a ``-c{op}`` name suffix; ``compression="none"`` (the
     default) attaches nothing and leaves the scenario untouched.
+
+    Every check on these axes happens here or in the constructors called
+    here, so building a scenario is how a sweep checks that it can run.
     """
 
     def wrapped(num_workers: int, seed: int, **params) -> Scenario:
@@ -435,6 +422,16 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
         edge_events = params.pop("edge_events")
         compression_name = params.pop("compression")
         compression_param = params.pop("compression_param")
+        # Up front for every kind: "full" keeps the base graph below and
+        # never reaches make_topology, which checks the same request.
+        validate_topology_request(
+            kind, num_workers, edge_probability, degree_skew=degree_skew
+        )
+        if edge_failures and edge_events:
+            raise ValueError(
+                "edge_events (a deterministic script) and edge_failures (the "
+                "seeded random process) are mutually exclusive; set one"
+            )
         scenario = builder(num_workers, seed, **params)
         name = scenario.name
         topology = scenario.topology
@@ -446,7 +443,7 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
                 kind, scenario.num_workers, edge_probability=edge_probability,
                 seed=seed, degree_skew=degree_skew,
             )
-        if edge_failures > 0:
+        if edge_failures:  # a negative count fails in EdgeSchedule.random
             name = f"{name}-ef{edge_failures}"
             schedule = EdgeSchedule.random(
                 topology,
@@ -459,9 +456,8 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
         elif edge_events:
             # The deterministic mirror of edge_failures: the script is data,
             # so no stream is consumed and the same spec replays bit-for-bit
-            # on every seed. DynamicTopology validates edge membership and
-            # per-segment connectivity (randomized graph families reach this
-            # check only here, where the seed-drawn graph is known).
+            # on every seed. DynamicTopology checks edge membership and
+            # per-segment connectivity against the graph built above.
             schedule = EdgeSchedule.from_string(scenario.num_workers, edge_events)
             name = f"{name}-ev{len(schedule)}"
             topology = DynamicTopology(topology, schedule)
@@ -471,13 +467,7 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
             name = f"{name}-c{compression.describe()}"
         if topology is scenario.topology and compression is None:
             return scenario
-        return Scenario(
-            name=name,
-            topology=topology,
-            links=scenario.links,
-            churn=scenario.churn,
-            compression=compression,
-        )
+        return replace(scenario, name=name, topology=topology, compression=compression)
 
     return wrapped
 
@@ -510,17 +500,12 @@ def _build_trace(generator, trace_kwargs, num_workers, seed, params):
     )
 
 
-def _validate_trace_file_params(params: dict) -> None:
-    """Spec-time check: an unset or missing trace path must fail a dry run."""
+def _build_trace_file(num_workers, seed, **params):
     path = params["path"]
     if not path:
         raise ValueError("the trace-file scenario needs path=<file.json|file.csv>")
     if not os.path.exists(path):
         raise ValueError(f"trace file not found: {path!r}")
-
-
-def _build_trace_file(num_workers, seed, **params):
-    path = params["path"]
     if path.endswith(".csv"):
         # Worker count is inferred from the file, then checked below, so a
         # mismatch reports the same way for both formats.
@@ -554,9 +539,7 @@ def _build_churn(num_workers, seed, **params):
         seed=seed,
         min_active=params["min_active"],
     )
-    return Scenario(
-        name="churn", topology=base.topology, links=base.links, churn=churn
-    )
+    return replace(base, name="churn", churn=churn)
 
 
 _TRACE_COMMON = (
@@ -665,7 +648,6 @@ register_scenario_family(ScenarioFamily(
         ScenarioParam("path", "", "trace file (.json or .csv; format in links.py)"),
         ScenarioParam("latency_s", 0.001, "link latency for CSV traces, seconds"),
     ) + _SHARED_AXIS_PARAMS,
-    validator=_validate_trace_file_params,
 ))
 register_scenario_family(ScenarioFamily(
     name="churn",
@@ -730,20 +712,36 @@ class Workload:
 
 
 def check_partition(
-    partition: str, segments_per_worker: object, lost_labels: object
+    partition: str,
+    segments_per_worker: Sequence[int] | None,
+    lost_labels: Sequence[Sequence[int]] | None,
+    num_workers: int | None,
 ) -> None:
-    """Reject an unknown partition name, or one without the argument it
-    needs -- at :class:`~repro.experiments.sweeps.WorkloadSpec` construction
-    and again in :func:`make_workload`."""
-    if partition not in ("uniform", "segments", "drop-labels"):
+    """Reject an unknown partition name, one without the argument it needs,
+    or -- given ``num_workers`` -- a per-worker argument of the wrong length.
+
+    :class:`~repro.experiments.sweeps.WorkloadSpec` calls it before any
+    worker count is known (``None``), ``SweepSpec`` once per scenario, and
+    :func:`make_workload` on every build.
+    """
+    per_worker = {
+        "uniform": None,
+        "segments": ("segments_per_worker", segments_per_worker),
+        "drop-labels": ("lost_labels", lost_labels),
+    }
+    if partition not in per_worker:
         raise ValueError(
-            f"unknown partition {partition!r}; "
-            "valid: 'uniform', 'segments', 'drop-labels'"
+            f"unknown partition {partition!r}; valid: {', '.join(map(repr, per_worker))}"
         )
-    if partition == "segments" and segments_per_worker is None:
-        raise ValueError("partition='segments' needs segments_per_worker")
-    if partition == "drop-labels" and lost_labels is None:
-        raise ValueError("partition='drop-labels' needs lost_labels")
+    if per_worker[partition] is None:
+        return
+    name, values = per_worker[partition]
+    if values is None:
+        raise ValueError(f"partition={partition!r} needs {name}")
+    if num_workers is not None and len(values) != num_workers:
+        raise ValueError(
+            f"{name} length ({len(values)}) must equal num_workers ({num_workers})"
+        )
 
 
 def make_workload(
@@ -775,7 +773,7 @@ def make_workload(
         test_fraction: held-out fraction for accuracy evaluation.
         seed: root seed for data generation, split, partition, and init.
     """
-    check_partition(partition, segments_per_worker, lost_labels)
+    check_partition(partition, segments_per_worker, lost_labels, num_workers)
     rng = np.random.default_rng(seed)
     full = load_dataset(dataset, rng, num_samples)
     train, test = train_test_split(full, test_fraction, rng)
@@ -784,13 +782,9 @@ def make_workload(
         shards = partition_uniform(train, num_workers, rng)
         batch_sizes = [batch_size] * num_workers
     elif partition == "segments":
-        if len(segments_per_worker) != num_workers:
-            raise ValueError("segments_per_worker length must equal num_workers")
         shards = partition_segments(train, segments_per_worker, rng)
         batch_sizes = [batch_size * s for s in segments_per_worker]
     else:
-        if len(lost_labels) != num_workers:
-            raise ValueError("lost_labels length must equal num_workers")
         shards = partition_drop_labels(train, lost_labels)
         batch_sizes = [batch_size] * num_workers
 

@@ -45,7 +45,6 @@ from repro.experiments.executors import (
     SweepExecutor,
 )
 from repro.experiments.reporting import mean_std
-from repro.graph.topology import RANDOMIZED_TOPOLOGY_KINDS
 from repro.experiments.scenarios import (
     Scenario,
     Workload,
@@ -97,14 +96,10 @@ __all__ = [
 CACHE_VERSION = 6
 
 
-def _scenario_kinds() -> tuple[str, ...]:
-    return tuple(scenario_names())
-
-
 # Backed by the scenario registry (repro.experiments.scenarios); evaluated at
 # import time for CLI choices -- families registered later are still valid in
 # ScenarioSpec, which consults the registry directly.
-SCENARIO_KINDS = _scenario_kinds()
+SCENARIO_KINDS = tuple(scenario_names())
 
 
 # -- declarative grid specs ----------------------------------------------------
@@ -116,12 +111,16 @@ class ScenarioSpec:
     plus declarative parameter overrides.
 
     ``params`` is a tuple of ``(name, value)`` pairs resolved against the
-    family's registered schema; values are coerced to the schema's types,
-    overrides equal to the schema default are dropped, and the tuple is
-    key-sorted at construction -- so two spellings of the same cell
-    (including spelling out a default) hash to the same cache key. Per-cell
-    scenario grids are just lists of ScenarioSpecs differing only in
-    ``params``.
+    family's registered schema and stored in the family's canonical form
+    (:meth:`~repro.experiments.scenarios.ScenarioFamily.canonical_params`):
+    coerced, key-sorted, and without overrides that build the same scenario
+    as leaving them out -- so two spellings of the same cell (including
+    spelling out a default) hash to the same cache key. Per-cell scenario
+    grids are just lists of ScenarioSpecs differing only in ``params``.
+
+    Construction checks only the schema (the family, the worker count,
+    parameter names and types); whether the parameters build is checked
+    by building, in :class:`SweepSpec`.
     """
 
     kind: str = "heterogeneous"
@@ -129,38 +128,10 @@ class ScenarioSpec:
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        # Fail at spec construction, not cell execution: a grid that cannot
-        # run should never survive a dry run. merge_and_validate also runs
-        # the family's spec-time validator (e.g. trace-file path checks) and,
-        # given the worker count, the topology-axis feasibility checks.
         family = get_scenario_family(self.kind)
         family.validate_workers(self.num_workers)
-        coerced = family.coerce_params(dict(self.params))
-        merged = family.merge_and_validate(coerced, self.num_workers)
-        # Canonical form: an override spelled at its default value builds the
-        # identical scenario, so it must hash (and label) identically too.
-        # Likewise edge_probability is inert unless the topology is one of
-        # the randomized kinds -- a ring cell spelled with any
-        # edge_probability is the same ring cell -- and the edge-failure
-        # shape parameters are inert while edge_failures is 0 (the graph
-        # stays frozen, so any spelled-out downtime/horizon builds the
-        # identical scenario). compression_param is inert while the op is
-        # "none" (and compression="none" itself is the default, dropped
-        # below): a cell spelled with the identity op is the same cell as
-        # one that never mentioned compression.
-        if merged.get("topology") not in RANDOMIZED_TOPOLOGY_KINDS:
-            coerced.pop("edge_probability", None)
-        if not merged.get("edge_failures"):
-            coerced.pop("edge_downtime_s", None)
-            coerced.pop("edge_horizon_s", None)
-        if merged.get("compression", "none") == "none":
-            coerced.pop("compression_param", None)
-        coerced = {
-            key: value for key, value in coerced.items()
-            if value != family.param(key).default
-        }
         object.__setattr__(
-            self, "params", tuple(sorted(coerced.items()))
+            self, "params", family.canonical_params(dict(self.params))
         )
 
     def has_dynamic_edges(self) -> bool:
@@ -210,8 +181,9 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         # Fail at spec construction, not cell execution, on everything that
-        # is knowable without a worker count: a workload that cannot be
-        # built should never survive a dry run.
+        # is knowable without a worker count (SweepSpec checks the rest per
+        # scenario): a workload that cannot be built should never survive a
+        # dry run.
         dataset = DATASET_REGISTRY.get(self.dataset.lower().removesuffix("-syn"))
         if dataset is None:
             raise ValueError(
@@ -226,7 +198,7 @@ class WorkloadSpec:
                 f"num_samples ({self.num_samples}) must be >= the "
                 f"{dataset.num_classes} classes of {dataset.name}"
             )
-        check_partition(self.partition, self.segments_per_worker, self.lost_labels)
+        check_partition(self.partition, self.segments_per_worker, self.lost_labels, None)
 
     def build(self, num_workers: int, seed: int) -> Workload:
         return make_workload(
@@ -359,7 +331,14 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """The declarative grid: algorithms x seeds x scenarios."""
+    """The declarative grid: algorithms x seeds x scenarios.
+
+    Construction builds every scenario of the grid at every seed of the grid
+    -- the same ``ScenarioSpec.build(seed)`` call each cell makes -- and
+    checks the workload's per-worker arguments against every scenario's
+    worker count, so a spec that constructs (and a ``--dry-run`` that lists
+    it) has cells that build.
+    """
 
     algorithms: tuple[str, ...]
     seeds: tuple[int, ...]
@@ -415,6 +394,20 @@ class SweepSpec:
                     f"algorithm(s) {incapable} do not support time-varying "
                     f"topologies and cannot run scenario(s) {dynamic_labels}"
                 )
+        workload = self.workload
+        for scenario in dict.fromkeys(self.scenarios):
+            check_partition(
+                workload.partition, workload.segments_per_worker,
+                workload.lost_labels, scenario.num_workers,
+            )
+            for seed in dict.fromkeys(self.seeds):
+                try:
+                    scenario.build(seed)
+                except ValueError as error:
+                    raise ValueError(
+                        f"scenario {scenario.label()} does not build at seed "
+                        f"{seed}: {error}"
+                    ) from error
 
     def cells(self) -> list[SweepCell]:
         """The full grid in deterministic (scenario, algorithm, seed) order."""

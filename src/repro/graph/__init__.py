@@ -16,8 +16,6 @@ from repro.graph.topology import (
     EdgeSchedule,
     Topology,
     make_topology,
-    validate_edge_events_request,
-    validate_edge_failure_request,
     validate_topology_request,
 )
 
@@ -29,7 +27,5 @@ __all__ = [
     "TOPOLOGY_KINDS",
     "RANDOMIZED_TOPOLOGY_KINDS",
     "make_topology",
-    "validate_edge_events_request",
-    "validate_edge_failure_request",
     "validate_topology_request",
 ]

@@ -46,7 +46,6 @@ __all__ = [
     "DynamicTopology",
     "TOPOLOGY_KINDS",
     "validate_topology_request",
-    "validate_edge_failure_request",
     "make_topology",
 ]
 
@@ -921,7 +920,8 @@ class EdgeSchedule:
         return key not in self.down_edges_at(time)
 
     def describe(self) -> list[list[object]]:
-        """JSON-able event list (sweep cache keys hash this)."""
+        """JSON-able event list. Sweep cache keys do not hash it: they hash
+        the scenario spec's params (``SweepCell.describe``)."""
         return [[e.time, e.a, e.b, e.kind] for e in self.events]
 
     def __len__(self) -> int:
@@ -1099,11 +1099,11 @@ def validate_topology_request(
     edge_probability: float,
     degree_skew: float = 0.0,
 ) -> None:
-    """Reject unbuildable ``(kind, num_workers)`` combinations up front.
+    """Reject unbuildable ``(kind, num_workers)`` combinations.
 
-    This is the spec-time half of :func:`make_topology`: sweep grids and CLI
-    dry runs call it so a ring on 2 workers or a torus on a prime worker
-    count dies before any cell executes.
+    :func:`make_topology` calls it before building, so a ring on 2 workers
+    or a torus on a prime worker count fails with one message whichever
+    family would have tripped over it.
     """
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(
@@ -1134,80 +1134,6 @@ def validate_topology_request(
         )
     if kind == "expander" and num_workers < 4:
         raise ValueError("an expander topology needs at least 4 workers")
-
-
-def validate_edge_failure_request(
-    kind: str,
-    num_workers: int,
-    edge_failures: int,
-    downtime_s: float,
-    horizon_s: float,
-) -> None:
-    """Reject unbuildable edge-failure requests up front (spec time).
-
-    The spec-time half of the scenario registry's ``edge_failures`` axis:
-    sweep grids and CLI dry runs call it so a schedule that cannot fit its
-    windows -- or a graph family whose every edge is a bridge, where no edge
-    can fail without disconnecting the live graph -- dies before any cell
-    executes. Randomized families (``random``/``small-world``) may still
-    fail at build time when the drawn graph happens to be a tree.
-    """
-    if edge_failures < 0:
-        raise ValueError(f"edge_failures must be >= 0, got {edge_failures}")
-    if edge_failures == 0:
-        return
-    if downtime_s <= 0 or horizon_s <= 0:
-        raise ValueError("edge_downtime_s and edge_horizon_s must be positive")
-    window = horizon_s / edge_failures
-    if downtime_s >= window:
-        raise ValueError(
-            f"edge_downtime_s={downtime_s} does not fit {edge_failures} "
-            f"failure window(s) of {window:.3g}s in edge_horizon_s={horizon_s}"
-        )
-    if kind == "star":
-        raise ValueError(
-            "edge_failures cannot run on a star topology: every star edge "
-            "is a bridge, so no edge can fail while keeping the live graph "
-            "connected"
-        )
-    if kind in ("full", "hypercube") and num_workers < 3:
-        raise ValueError(
-            f"edge_failures on a {kind} graph needs at least 3 workers "
-            "(a single edge is a bridge)"
-        )
-
-
-def validate_edge_events_request(
-    kind: str,
-    num_workers: int,
-    edge_events: str,
-    edge_failures: int,
-    edge_probability: float = 0.25,
-) -> None:
-    """Reject unbuildable deterministic edge scripts up front (spec time).
-
-    The spec-time half of the scenario registry's ``edge_events`` axis.
-    Syntax, endpoint range, and fail/repair alternation are always checked
-    (by constructing the :class:`EdgeSchedule`). For the deterministic graph
-    families the full :class:`DynamicTopology` is built too -- the graph
-    does not depend on the seed there -- so a script that flips a non-edge
-    or disconnects a segment dies in a dry run; randomized families
-    (``random``/``small-world``/``expander``) defer those two checks to
-    build time, when the seed is known.
-    """
-    if not edge_events:
-        return
-    if edge_failures:
-        raise ValueError(
-            "edge_events (a deterministic script) and edge_failures (the "
-            "seeded random process) are mutually exclusive; set one"
-        )
-    schedule = EdgeSchedule.from_string(num_workers, edge_events)
-    if kind not in RANDOMIZED_TOPOLOGY_KINDS and kind != "expander":
-        DynamicTopology(
-            make_topology(kind, num_workers, edge_probability=edge_probability),
-            schedule,
-        )
 
 
 def make_topology(

@@ -126,8 +126,9 @@ def make_compression_op(name: str, param: float = 0.0) -> CompressionOp:
     The single numeric parameter is the op's fidelity knob (``topk``: kept
     fraction ``k``; ``qsgd``: bits ``b``; ``layerwise``: layer fraction);
     ``0.0`` selects the op's default. Invalid names and parameters raise
-    ``ValueError`` -- the scenario registry calls this at spec time, so a
-    bad grid dies in a dry run, never after hours of cells.
+    ``ValueError`` -- the scenario registry builds through this, and a
+    sweep builds every scenario at spec construction, so a bad grid dies
+    in a dry run, never after hours of cells.
     """
     if name not in COMPRESSION_OPS:
         raise ValueError(

@@ -198,7 +198,8 @@ class ChurnSchedule:
         return active
 
     def describe(self) -> list[list[object]]:
-        """JSON-able event list (sweep cache keys hash this)."""
+        """JSON-able event list. Sweep cache keys do not hash it: they hash
+        the scenario spec's params (``SweepCell.describe``)."""
         return [[e.time, e.worker, e.kind] for e in self.events]
 
     def __len__(self) -> int:

@@ -126,6 +126,24 @@ class TestSpecs:
         with pytest.raises(ValueError, match=message):
             WorkloadSpec(**workload)
 
+    @pytest.mark.parametrize("workload, fits, message", [
+        (dict(partition="segments", segments_per_worker=(1, 2)), 2,
+         r"segments_per_worker length \(2\) must equal num_workers \(4\)"),
+        (dict(partition="drop-labels", lost_labels=((0,), (1,), (2,))), 3,
+         r"lost_labels length \(3\) must equal num_workers \(4\)"),
+    ], ids=["segments", "drop-labels"])
+    def test_per_worker_workload_tuples_checked_per_scenario(
+        self, workload, fits, message
+    ):
+        """A per-worker tuple of the wrong length for a scenario's worker
+        count used to construct, list under --dry-run and raise in the run."""
+        spec = WorkloadSpec(num_samples=256, **workload)  # no worker count yet
+        fitting = ScenarioSpec("heterogeneous", fits)
+        tiny_spec(workload=spec, scenarios=(fitting,))
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(workload=spec,
+                      scenarios=(fitting, ScenarioSpec("heterogeneous", 4)))
+
     def test_syn_suffix_the_loader_tolerates_constructs_and_builds(self):
         workload = WorkloadSpec(dataset="MNIST-syn", num_samples=64).build(2, 0)
         assert workload.num_workers == 2
@@ -312,6 +330,25 @@ class TestScenarioParams:
         with pytest.raises(ValueError, match="no parameter"):
             ScenarioSpec("trace-diurnal", 4, params=(("warp", 9),))
 
+    @pytest.mark.parametrize("value", [float("nan"), "nan", "inf", float("-inf")])
+    def test_non_finite_float_params_fail_at_spec_time(self, value):
+        """No builder means anything by NaN or infinity: a NaN rotation
+        period used to build, and a NaN downtime or step to crash a cell
+        after passing a dry run."""
+        from repro.experiments.scenarios import get_scenario_family, scenario_names
+
+        checked = 0
+        for kind in scenario_names():
+            family = get_scenario_family(kind)
+            for param in family.params:
+                if type(param.default) is not float:
+                    continue
+                with pytest.raises(ValueError, match=f"'{param.name}' must be finite"):
+                    ScenarioSpec(kind, family.fixed_workers or 4,
+                                 params=((param.name, value),))
+                checked += 1
+        assert checked >= 9 * 5  # every family carries five shared-axis floats
+
     def test_label_includes_params(self):
         spec = ScenarioSpec("trace-burst", 4, params=(("burst_probability", 0.5),))
         assert spec.label() == "trace-burst-4w[burst_probability=0.5]"
@@ -357,9 +394,11 @@ class TestScenarioParams:
         """An unrunnable trace-file cell must die at spec construction (and
         therefore in --dry-run), not hours into a sweep."""
         with pytest.raises(ValueError, match="path"):
-            ScenarioSpec("trace-file", 4)
+            tiny_spec(scenarios=(ScenarioSpec("trace-file", 4),))
         with pytest.raises(ValueError, match="not found"):
-            ScenarioSpec("trace-file", 4, params=(("path", "/no/such/trace.json"),))
+            tiny_spec(scenarios=(ScenarioSpec(
+                "trace-file", 4, params=(("path", "/no/such/trace.json"),)
+            ),))
 
     def test_churn_scenario_accepts_every_registry_algorithm(self):
         """The synchronous trainers run round-based churn now, so a churn
@@ -435,11 +474,17 @@ class TestScenarioParams:
 
     def test_unbuildable_topology_fails_at_spec_time(self):
         with pytest.raises(ValueError, match="torus"):
-            ScenarioSpec("heterogeneous", 5, params=(("topology", "torus"),))
+            tiny_spec(scenarios=(
+                ScenarioSpec("heterogeneous", 5, params=(("topology", "torus"),)),
+            ))
         with pytest.raises(ValueError, match="ring"):
-            ScenarioSpec("homogeneous", 2, params=(("topology", "ring"),))
+            tiny_spec(scenarios=(
+                ScenarioSpec("homogeneous", 2, params=(("topology", "ring"),)),
+            ))
         with pytest.raises(ValueError, match="unknown topology"):
-            ScenarioSpec("heterogeneous", 4, params=(("topology", "mesh"),))
+            tiny_spec(scenarios=(
+                ScenarioSpec("heterogeneous", 4, params=(("topology", "mesh"),)),
+            ))
 
     def test_cache_version_bump_invalidates_stale_entries(self):
         """Algorithm 3's LP went closed-form at CACHE_VERSION 6: a key
@@ -582,11 +627,13 @@ class TestCompressionSweeps:
 
     def test_bad_compression_fails_at_spec_time(self):
         with pytest.raises(ValueError, match="unknown compression op"):
-            ScenarioSpec("heterogeneous", 4, params=(("compression", "gzip"),))
-        with pytest.raises(ValueError, match="integral"):
-            ScenarioSpec("heterogeneous", 4, params=(
-                ("compression", "qsgd"), ("compression_param", 2.5),
+            tiny_spec(scenarios=(
+                ScenarioSpec("heterogeneous", 4, params=(("compression", "gzip"),)),
             ))
+        with pytest.raises(ValueError, match="integral"):
+            tiny_spec(scenarios=(ScenarioSpec("heterogeneous", 4, params=(
+                ("compression", "qsgd"), ("compression_param", 2.5),
+            )),))
 
     def test_compressed_sweep_cached_equals_fresh(self, tmp_path):
         spec = tiny_spec(

@@ -7,15 +7,16 @@ Semantics pinned here:
   (it consumes zero extra RNG draws, so existing seeds reproduce exactly);
 - skewed graphs are deterministic per seed, connected, and actually
   heterogeneous (degree spread grows with the skew);
-- the factory/spec layer rejects the parameter where it cannot apply
-  (structured kinds) and rejects negative values -- at spec time, through
-  ``validate_topology_request`` and the scenario registry both.
+- the factory rejects the parameter where it cannot apply (structured
+  kinds) and rejects negative values, through ``validate_topology_request``;
+  a sweep over such a scenario fails at spec construction, which builds it.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments.scenarios import SCENARIO_FAMILIES
+from repro.experiments.sweeps import ScenarioSpec, SweepSpec
 from repro.graph.topology import (
     Topology,
     make_topology,
@@ -98,11 +99,11 @@ class TestSpecTimeRejection:
             validate_topology_request("random", 8, 0.3, degree_skew=-0.1)
 
     def test_scenario_registry_rejects_at_spec_time(self):
-        family = SCENARIO_FAMILIES["heterogeneous"]
+        skewed_ring = ScenarioSpec(
+            "heterogeneous", 8, params=(("topology", "ring"), ("degree_skew", 0.5))
+        )
         with pytest.raises(ValueError, match="degree_skew"):
-            family.merge_and_validate(
-                {"topology": "ring", "degree_skew": 0.5}, num_workers=8
-            )
+            SweepSpec(algorithms=("adpsgd",), seeds=(0,), scenarios=(skewed_ring,))
 
     def test_scenario_registry_builds_skewed_graph(self):
         family = SCENARIO_FAMILIES["heterogeneous"]

@@ -207,25 +207,40 @@ class TestEdgeEventsGrammar:
         with pytest.raises(ValueError, match="fails twice"):
             EdgeSchedule.from_string(4, "0-1@2;0-1@3")
 
-    def test_validate_edge_events_request(self):
-        from repro.graph import validate_edge_events_request
+    def test_edge_events_checked_by_building(self):
+        """A sweep builds every (scenario, seed) at spec construction, so an
+        edge script is checked against the graph each cell will run on."""
+        from repro.experiments.sweeps import ScenarioSpec, SweepSpec
+
+        def sweep(kind, workers, script, seeds=(0,), edge_failures=0):
+            params = (("topology", kind), ("edge_events", script),
+                      ("edge_failures", edge_failures))
+            return SweepSpec(
+                algorithms=("adpsgd",), seeds=seeds,
+                scenarios=(ScenarioSpec("heterogeneous", workers, params),),
+            )
 
         # Clean deterministic script on a ring: accepted.
-        validate_edge_events_request("ring", 4, "0-1@2:4", edge_failures=0)
+        sweep("ring", 4, "0-1@2:4")
         # Empty script is a no-op regardless of the other axis.
-        validate_edge_events_request("ring", 4, "", edge_failures=2)
+        sweep("ring", 4, "", edge_failures=2)
         with pytest.raises(ValueError, match="mutually exclusive"):
-            validate_edge_events_request("ring", 4, "0-1@2", edge_failures=1)
-        # Deterministic families build the DynamicTopology at spec time, so
-        # a script that flips a non-edge or disconnects the graph dies early.
+            sweep("ring", 4, "0-1@2", edge_failures=1)
+        # A script that flips a non-edge or disconnects the graph dies early.
         with pytest.raises(ValueError, match="does not contain"):
-            validate_edge_events_request("ring", 5, "0-2@2", edge_failures=0)
+            sweep("ring", 5, "0-2@2")
         with pytest.raises(ValueError, match="disconnect"):
-            validate_edge_events_request("ring", 4, "0-1@2;1-2@3",
-                                         edge_failures=0)
-        # Randomized families defer graph checks to build time (seed unknown)
-        # but still validate syntax and alternation.
-        validate_edge_events_request("random", 8, "0-2@2", edge_failures=0)
+            sweep("ring", 4, "0-1@2;1-2@3")
+        # Randomized families are checked against the graph drawn at each
+        # seed: edge 0-2 exists in the random 8-worker graph at seeds 1 and
+        # 6 of 0..7 only.
+        for seed in range(8):
+            if seed in (1, 6):
+                sweep("random", 8, "0-2@2", seeds=(seed,))
+            else:
+                with pytest.raises(ValueError, match="does not contain"):
+                    sweep("random", 8, "0-2@2", seeds=(seed,))
+        with pytest.raises(ValueError, match="at seed 2: .*does not contain"):
+            sweep("random", 8, "0-2@2", seeds=(1, 2, 6))
         with pytest.raises(ValueError, match="fails twice"):
-            validate_edge_events_request("random", 8, "0-2@2;0-2@3",
-                                         edge_failures=0)
+            sweep("random", 8, "0-2@2;0-2@3", seeds=(1,))

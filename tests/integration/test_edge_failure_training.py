@@ -282,12 +282,13 @@ class TestSweepEngine:
         assert not spelled.has_dynamic_edges()
 
     def test_star_with_edge_failures_dies_at_spec_time(self):
+        star = ScenarioSpec(
+            kind="heterogeneous",
+            num_workers=4,
+            params=(("topology", "star"), ("edge_failures", 1)),
+        )
         with pytest.raises(ValueError, match="bridge"):
-            ScenarioSpec(
-                kind="heterogeneous",
-                num_workers=4,
-                params=(("topology", "star"), ("edge_failures", 1)),
-            )
+            SweepSpec(algorithms=("adpsgd",), seeds=(0,), scenarios=(star,))
 
 
 class TestEdgeEventsAxis:

@@ -124,6 +124,56 @@ class TestCommands:
             (line,) = captured.err.splitlines()
             assert line.startswith("error: ") and message in line
 
+    @pytest.mark.parametrize("kind, workers, params, seeds, message", [
+        ("heterogeneous", 4, ["num_slow_links=0"], ["0"], "num_slow_links must be >= 1"),
+        ("heterogeneous", 4, ["slowdown_low=0.5"], ["0"], "1 <= low <= high"),
+        ("churn", 4, ["downtime_s=700"], ["0"], "does not fit 2 departure window"),
+        ("heterogeneous", 4, ["edge_failures=-1"], ["0"], "num_failures must be >= 0"),
+        ("heterogeneous", 4, ["topology=ring", "edge_events=0-1@2", "edge_failures=1"],
+         ["0"], "mutually exclusive"),
+        # Seed 0 draws a tree: no edge can fail without disconnecting it.
+        ("heterogeneous", 6,
+         ["topology=random", "edge_probability=0.05", "edge_failures=1"],
+         ["0", "1", "2", "3", "4", "5"], "at seed 0: .*bridge"),
+        ("heterogeneous", 4, ["topology=star", "edge_failures=1"], ["0"], "bridge"),
+        ("homogeneous", 2, ["topology=ring"], ["0"], "ring topology needs at least 3"),
+        ("heterogeneous", 5, ["topology=torus"], ["0"], "torus needs"),
+        ("heterogeneous", 4, ["compression=gzip"], ["0"], "unknown compression op"),
+        ("trace-file", 4, [], ["0"], "needs path="),
+        ("trace-file", 5, ["path={csv}"], ["0"], "describes 3 workers"),
+        ("heterogeneous", 8, ["topology=ring", "degree_skew=0.5"], ["0"],
+         "degree_skew only applies"),
+        ("heterogeneous", 4, ["period_s=nan"], ["0"], "'period_s' must be finite"),
+    ])
+    def test_unbuildable_scenario_fails_the_dry_run(
+        self, tmp_path, capsys, kind, workers, params, seeds, message
+    ):
+        """Any spec that passes --dry-run must run: SweepSpec builds every
+        (scenario, seed), so these fail there with one error line."""
+        import re
+
+        from repro.experiments.sweeps import ScenarioSpec, SweepSpec
+
+        csv = tmp_path / "trace.csv"
+        csv.write_text("time,src,dst,bandwidth\n0,0,1,1e8\n0,0,2,1e8\n0,1,2,1e8\n")
+        params = [param.format(csv=csv) for param in params]
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(
+                algorithms=("adpsgd",), seeds=tuple(map(int, seeds)),
+                scenarios=(ScenarioSpec(kind, workers, tuple(
+                    param.split("=", 1) for param in params
+                )),),
+            )
+        argv = ["sweep", "--algorithms", "adpsgd", "--workers", str(workers),
+                "--sim-time", "2", "--scenarios", kind, "--seeds", *seeds]
+        for param in params:
+            argv += ["--scenario-param", param]
+        assert main(argv + ["--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and re.search(message, line), line
+
     def test_compare_tiny(self, capsys):
         code = main([
             "compare", "--algorithms", "adpsgd", "allreduce",
