@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import copy
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -148,10 +148,6 @@ class TrainerConfig:
         if self.iterations_per_epoch_hint < 1:
             raise ValueError("iterations_per_epoch_hint must be >= 1")
 
-    def with_overrides(self, **kwargs) -> "TrainerConfig":
-        """Copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
 
 class DecentralizedTrainer(abc.ABC):
     """Event-driven training run; subclasses wire the algorithm's events.
@@ -166,8 +162,7 @@ class DecentralizedTrainer(abc.ABC):
         flow_sharing: model NIC contention between concurrent transfers
             (default True; disable for idealized-network ablations).
         churn: optional :class:`~repro.simulation.churn.ChurnSchedule` of
-            worker departures/rejoins. Only trainers with
-            ``supports_churn = True`` accept one. Gossip trainers park a
+            worker departures/rejoins. Gossip trainers park a
             departed worker's loop (model frozen in place, so a rejoin
             resumes from its last state), peers renormalize selection over
             the active set, and no transfer may start against a departed
@@ -191,14 +186,6 @@ class DecentralizedTrainer(abc.ABC):
     """
 
     name = "base"
-    # Whether this algorithm knows how to handle departed workers. Gossip
-    # trainers renormalize peer selection over the active set; synchronous
-    # trainers (allreduce, PS, Prague) run round-based churn: membership is
-    # the active set at round start, aggregation weights renormalize over
-    # the members, and rejoiners are re-admitted at the next round. A new
-    # trainer must opt in explicitly -- accepting a schedule it silently
-    # ignores would fake churn-robustness.
-    supports_churn = False
     # Whether this algorithm knows how to gossip over a time-varying edge
     # set (a DynamicTopology). Gossip trainers select peers through
     # reachable() (peer active and edge live) and never start a transfer
@@ -239,16 +226,11 @@ class DecentralizedTrainer(abc.ABC):
             raise ValueError(
                 f"trainer {self.name!r} does not support time-varying topologies"
             )
-        if churn is not None:
-            if not self.supports_churn:
-                raise ValueError(
-                    f"trainer {self.name!r} does not support churn schedules"
-                )
-            if churn.num_workers != topology.num_workers:
-                raise ValueError(
-                    f"churn schedule is for {churn.num_workers} workers but "
-                    f"topology has {topology.num_workers}"
-                )
+        if churn is not None and churn.num_workers != topology.num_workers:
+            raise ValueError(
+                f"churn schedule is for {churn.num_workers} workers but "
+                f"topology has {topology.num_workers}"
+            )
         dims = {task.model.dim for task in tasks}
         if len(dims) != 1:
             raise ValueError(f"all worker models must share a dimension, got {dims}")

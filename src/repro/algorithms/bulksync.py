@@ -34,8 +34,6 @@ __all__ = ["BulkSynchronousTrainer"]
 class BulkSynchronousTrainer(DecentralizedTrainer):
     """Global rounds over one logical model; subclasses price the exchange."""
 
-    supports_churn = True
-
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         # One logical global model (replicated onto every member each round),

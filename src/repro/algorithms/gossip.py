@@ -56,7 +56,6 @@ class GossipTrainer(DecentralizedTrainer):
     itself) runs compute-only iterations until one returns.
     """
 
-    supports_churn = True
     supports_dynamic_edges = True
 
     def __init__(self, *args: Any, overlap: bool = True, **kwargs: Any) -> None:

@@ -85,7 +85,6 @@ class PSAsynTrainer(_ParameterServerMixin, DecentralizedTrainer):
     """Asynchronous parameter server (Hogwild-style application order)."""
 
     name = "ps-asyn"
-    supports_churn = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -50,7 +50,6 @@ class PragueTrainer(DecentralizedTrainer):
     """
 
     name = "prague"
-    supports_churn = True
 
     def __init__(self, *args, group_size: int = 3, contention_factor: float = 0.5, **kwargs):
         super().__init__(*args, **kwargs)

@@ -2,9 +2,12 @@
 
 Examples::
 
-    # Compare algorithms on the paper's heterogeneous cluster
+    # Compare algorithms on the paper's heterogeneous cluster (a one-seed
+    # sweep: each algorithm's row is its sweep cell's), then on the
+    # homogeneous one
     python -m repro compare --algorithms netmax adpsgd allreduce \
         --model resnet18 --dataset cifar10 --workers 8 --sim-time 300
+    python -m repro compare --algorithms netmax adpsgd --scenario homogeneous
 
     # Regenerate one paper artifact at a chosen scale (optionally in
     # parallel across processes)
@@ -72,17 +75,7 @@ import time
 import numpy as np
 
 from repro import experiments
-from repro.algorithms.base import TrainerConfig
-from repro.experiments import (
-    build_scenario,
-    get_scenario_family,
-    heterogeneous_scenario,
-    homogeneous_scenario,
-    make_workload,
-    render_table,
-    run_comparison,
-    time_to_loss_speedups,
-)
+from repro.experiments import get_scenario_family, paper, render_table
 from repro.experiments.executors import (
     MIN_LEASE_TIMEOUT_S,
     QueueExecutor,
@@ -208,19 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--batch-size", type=int, default=128)
     compare.add_argument("--samples", type=int, default=4096)
     compare.add_argument("--sim-time", type=float, default=300.0)
-    compare.add_argument("--homogeneous", action="store_true")
-    compare.add_argument("--scenario", choices=sorted(SCENARIO_KINDS), default=None,
-                        help="scenario family from the registry "
-                             "(overrides --homogeneous)")
+    compare.add_argument("--scenario", choices=sorted(SCENARIO_KINDS),
+                         default="heterogeneous",
+                         help="scenario family from the registry")
     compare.add_argument("--scenario-param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one scenario parameter (repeatable)")
     compare.add_argument("--seed", type=int, default=0)
+    compare.set_defaults(max_epochs=None)
 
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
-    figure.add_argument(
-        "name", choices=sorted({*experiments.PAPER_EXPERIMENTS, "fig3", "scalability"})
-    )
+    figure.add_argument("name", choices=sorted({*experiments.PAPER_EXPERIMENTS, "fig3"}))
     figure.add_argument("--sim-time", type=float, default=None)
     figure.add_argument("--samples", type=int, default=None)
     figure.add_argument("--seed", type=int, default=None, help="default 0")
@@ -344,84 +335,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        overrides = {}
-        for item in args.scenario_param:
-            family, key, values = _parse_scenario_param(item)
-            if family is not None and family != args.scenario:
-                print(f"error: --scenario-param targets family {family!r} but "
-                      f"--scenario is {args.scenario!r}", file=sys.stderr)
-                return 2
-            if len(values) != 1:
-                print(f"error: compare takes single-valued scenario params, got {item!r}",
-                      file=sys.stderr)
-                return 2
-            overrides[key] = values[0]
-        try:
-            scenario = build_scenario(
-                args.scenario, num_workers=args.workers, seed=args.seed, **overrides
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif args.scenario_param:
-        print("error: --scenario-param needs --scenario", file=sys.stderr)
-        return 2
-    else:
-        scenario = (
-            homogeneous_scenario(args.workers)
-            if args.homogeneous
-            else heterogeneous_scenario(args.workers, seed=args.seed)
-        )
-    workload = make_workload(
-        args.model,
-        args.dataset,
-        num_workers=args.workers,
-        batch_size=args.batch_size,
-        num_samples=args.samples,
-        seed=args.seed,
-    )
-    config = TrainerConfig(
-        max_sim_time=args.sim_time,
-        eval_interval_s=max(5.0, args.sim_time / 25),
-        seed=args.seed,
-    )
+    """A one-seed sweep over one scenario, one row per algorithm (the
+    reducer the paper's figures use), with the speedup against the first."""
     try:
-        results = run_comparison(args.algorithms, scenario, workload, config)
+        spec = _sweep_spec(args, seeds=[args.seed], kinds=[args.scenario])
+        if len(spec.scenarios) != 1:
+            raise ValueError(
+                "compare takes single-valued scenario params, got "
+                f"{args.scenario_param}"
+            )
     except ValueError as error:
-        # e.g. a churn scenario paired with a churn-incapable algorithm.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    speedups = time_to_loss_speedups(results, reference=args.algorithms[0])
-    rows = []
-    for name in args.algorithms:
-        summary = results[name].costs.summary()
-        rows.append([
-            name,
-            summary["computation_cost"],
-            summary["communication_cost"],
-            summary["epoch_time"],
-            results[name].history.final_loss(),
-            results[name].history.best_accuracy(),
-            speedups[name],
-        ])
+    first = args.algorithms[0]
+    table = paper._rows(
+        [({}, run_sweep(spec))],
+        headers=("algorithm", "computation_s", "communication_s", "epoch_s",
+                 "final_loss", "accuracy", f"speedup_vs_{first}"),
+        speedup_vs=first,
+    )
+    (scenario,) = spec.scenarios
     print(render_table(
-        ["algorithm", "comp_s", "comm_s", "epoch_s", "loss", "best_acc",
-         f"speedup_vs_{args.algorithms[0]}"],
-        rows,
-        title=f"{scenario.name}: {args.model} on {args.dataset}",
+        table["headers"],
+        table["rows"],
+        title=f"{scenario.build(args.seed).name}: {args.model} on {args.dataset}",
     ))
     return 0
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    """``regenerate`` a registry id; Fig. 3 (analytic) and the scalability
-    measurement are plain functions. A flag the figure does not read exits
-    2 before anything runs instead of being silently dropped."""
+    """``regenerate`` a registry id; Fig. 3 (analytic, reads no flag) is
+    the one figure that is a plain function. A flag the figure does not
+    read exits 2 before anything runs instead of being silently dropped."""
     if args.name == "fig3":
         function, reads = experiments.figure3_iteration_time, set()
-    elif args.name == "scalability":
-        function, reads = experiments.figure_scalability, {"max_sim_time", "seed"}
     else:
         function = functools.partial(experiments.regenerate, args.name)
         reads = {"seed", "parallel", *experiments.PAPER_EXPERIMENTS[args.name].scale}
@@ -518,15 +465,45 @@ def _sweep_monitor_period(algorithms, sim_time):
     return monitored, sim_time / 4
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
+def _sweep_spec(
+    args: argparse.Namespace, seeds: list[int], kinds: list[str]
+) -> SweepSpec:
+    """The grid ``compare`` and ``sweep`` run, from the flags they share.
+
+    Raises ``ValueError`` for anything that cannot run -- an unknown
+    algorithm first, before a cell executes or ``--dry-run`` lists one.
+    Prints the monitor-period note (see :func:`_sweep_monitor_period`).
+    """
     from repro.algorithms.registry import trainer_names
 
     unknown = [a for a in args.algorithms if a.lower() not in trainer_names()]
     if unknown:
-        # Validate upfront so --dry-run is a trustworthy preflight.
-        print(f"error: unknown algorithm(s) {unknown}; valid: {trainer_names()}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown algorithm(s) {unknown}; valid: {trainer_names()}")
+    monitored, period = _sweep_monitor_period(args.algorithms, args.sim_time)
+    if monitored:
+        print(
+            f"note: --sim-time {args.sim_time:g} is under four monitor periods; "
+            f"{', '.join(monitored)} run with monitor_period_s = {period:g}",
+            file=sys.stderr,
+        )
+    return SweepSpec(
+        algorithms=tuple(args.algorithms),
+        seeds=tuple(seeds),
+        scenarios=tuple(_scenario_grid(kinds, args.workers, args.scenario_param)),
+        workload=WorkloadSpec(
+            model=args.model,
+            dataset=args.dataset,
+            batch_size=args.batch_size,
+            num_samples=args.samples,
+        ),
+        run=RunSpec(max_sim_time=args.sim_time, max_epochs=args.max_epochs),
+        trainer_kwargs=tuple(
+            (name, (("monitor_period_s", period),)) for name in monitored
+        ),
+    )
+
+
+def _run_sweep(args: argparse.Namespace) -> int:
     backend = args.backend
     if backend is None:
         backend = "process" if (args.parallel or 0) > 1 else "inline"
@@ -544,31 +521,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if backend == "queue" and args.queue_dir is None:
         print("error: --backend queue requires --queue-dir", file=sys.stderr)
         return 2
-    monitored, period = _sweep_monitor_period(args.algorithms, args.sim_time)
-    if monitored:
-        print(
-            f"note: --sim-time {args.sim_time:g} is under four monitor periods; "
-            f"{', '.join(monitored)} run with monitor_period_s = {period:g}",
-            file=sys.stderr,
-        )
     try:
-        spec = SweepSpec(
-            algorithms=tuple(args.algorithms),
-            seeds=tuple(args.seeds),
-            scenarios=tuple(
-                _scenario_grid(args.scenarios, args.workers, args.scenario_param)
-            ),
-            workload=WorkloadSpec(
-                model=args.model,
-                dataset=args.dataset,
-                batch_size=args.batch_size,
-                num_samples=args.samples,
-            ),
-            run=RunSpec(max_sim_time=args.sim_time, max_epochs=args.max_epochs),
-            trainer_kwargs=tuple(
-                (name, (("monitor_period_s", period),)) for name in monitored
-            ),
-        )
+        spec = _sweep_spec(args, seeds=args.seeds, kinds=args.scenarios)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ Tables II-VI, or a beyond-paper figure (``"dyn-traces"``, ``"dyn-churn"``,
 ``"dyn-topology"``, ``"dyn-edges"``, ``"compression"``), at a configurable
 scale and returns structured rows (:mod:`repro.experiments.paper`);
 ``benchmarks/bench_paper.py`` calls it at small scale and asserts the
-paper-shaped output. Fig. 3 (analytic) and the worker-axis scalability
-measurement are the two plain functions.
+paper-shaped output. Fig. 3 (analytic) is the one plain function; the
+worker-axis scalability cells are ``benchmarks/bench_scalability.py``'s.
 """
 
 from repro.experiments.scenarios import (
@@ -57,7 +57,6 @@ from repro.experiments.paper import (
     regenerate,
 )
 from repro.experiments.figures_scaling import (
-    figure_scalability,
     run_scalability_cell,
     scalability_scenario,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "PAPER_EXPERIMENTS",
     "regenerate",
     "figure3_iteration_time",
-    "figure_scalability",
     "run_scalability_cell",
     "scalability_scenario",
 ]

@@ -3,12 +3,13 @@
 The paper's experiments stop at tens of workers; the sparse topology layer
 (CSR neighbor lists), implicit link models (:class:`ClusterLinks`), and
 neighborhood-local policy solves (``policy_scope="local"``) are what make
-``num_workers`` in the thousands affordable. This module measures that:
-one cell = one trainer on an expander graph over a placement-implied
-cluster, timed end to end, reporting events/second and the process's peak
-RSS. ``repro figure scalability`` renders the throughput-vs-n table/curves;
-``benchmarks/bench_scalability.py`` records the same cells into
-``BENCH_simulator.json`` for the CI perf gate.
+``num_workers`` in the thousands affordable. This module defines the cells
+that measure it: one cell = one trainer on an expander graph over a
+placement-implied cluster, timed end to end, reporting events/second and
+the process's peak RSS. ``benchmarks/bench_scalability.py`` runs them
+along :data:`SCALABILITY_WORKER_COUNTS` and records them into
+``BENCH_simulator.json`` for the CI perf gate; a wall-clock table is a
+measurement, not a figure, so it has no ``repro figure`` id.
 
 The workload is the sampler-less quadratic consensus problem, so the cell
 measures framework cost (event queue, peer selection, transfer bookkeeping,
@@ -24,7 +25,6 @@ import time
 
 from repro.algorithms.base import TrainerConfig
 from repro.algorithms.registry import create_trainer
-from repro.experiments.common import ExperimentOutput, Series
 from repro.experiments.scenarios import make_quadratic_workload
 from repro.graph.topology import Topology, make_topology
 from repro.network.cluster import ClusterSpec
@@ -35,7 +35,7 @@ __all__ = [
     "NETMAX_LOCAL_MAX_WORKERS",
     "scalability_scenario",
     "run_scalability_cell",
-    "figure_scalability",
+    "netmax_local_kwargs",
 ]
 
 # The sweep's worker axis: 16 (the paper's largest run) up to 4096.
@@ -124,55 +124,3 @@ def netmax_local_kwargs(max_sim_time: float) -> dict:
         "monitor_period_s": max(1.0, max_sim_time * 2.0 / 3.0),
         "monitor_min_coverage": 0.5,
     }
-
-
-def figure_scalability(
-    worker_counts: tuple[int, ...] = SCALABILITY_WORKER_COUNTS,
-    max_sim_time: float = 30.0,
-    seed: int = 0,
-) -> ExperimentOutput:
-    """Throughput vs. worker count for adpsgd and netmax (local solves).
-
-    The workload is the sampler-less quadratic, so there is no dataset to
-    size. The per-cell RNG seed is ``seed + 1`` so the default matches the
-    bench.
-    """
-    rows: list[list[object]] = []
-    curves: dict[str, tuple[list[float], list[float]]] = {}
-    for num_workers in worker_counts:
-        sim_time = _sim_time_for(num_workers, max_sim_time)
-        cells = [("adpsgd", {})]
-        if num_workers <= NETMAX_LOCAL_MAX_WORKERS:
-            cells.append(("netmax-local", netmax_local_kwargs(sim_time)))
-        for label, kwargs in cells:
-            algorithm = "netmax" if label == "netmax-local" else label
-            cell = run_scalability_cell(
-                algorithm, num_workers, sim_time, seed=seed + 1, **kwargs
-            )
-            rows.append([
-                label,
-                num_workers,
-                cell["events"],
-                round(cell["events_per_s"], 1),
-                round(cell["peak_rss_mb"], 1),
-                round(cell["wall_s"], 2),
-            ])
-            xs, ys = curves.setdefault(label, ([], []))
-            xs.append(float(num_workers))
-            ys.append(cell["events_per_s"])
-    series = [Series(label=label, x=xs, y=ys) for label, (xs, ys) in curves.items()]
-    return ExperimentOutput(
-        experiment_id="scalability",
-        title="Simulator throughput vs. worker count (sparse graph layer)",
-        headers=[
-            "algorithm", "num_workers", "events",
-            "events_per_s", "peak_rss_mb", "wall_s",
-        ],
-        rows=rows,
-        series=series,
-        notes=(
-            "Flat events/s across n is the acceptance signal for the sparse "
-            "topology/link layer; netmax-local is capped at "
-            f"n={NETMAX_LOCAL_MAX_WORKERS} by its O(M^2) consensus state."
-        ),
-    )

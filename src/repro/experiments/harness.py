@@ -3,10 +3,9 @@
 The central entry points:
 
 - :func:`run_trainer` -- one algorithm, one scenario, one workload;
-- :func:`run_comparison` -- several algorithms, one after another, on
-  identical copies of the same problem (fresh model clones + reseeded
-  samplers per run, so runs are independent but start from the same
-  ``x^0``);
+- :func:`run_comparison` -- several algorithms, one after another, each on
+  a fresh copy of the same problem (new model clones at the same ``x^0``,
+  samplers on the same ``[seed, 0, i]`` streams);
 - :func:`time_to_loss_speedups` -- the paper's headline metric: the ratio
   of times at which each algorithm first reaches a target training loss.
 
@@ -39,7 +38,6 @@ def build_trainer(
     scenario: Scenario,
     workload: Workload,
     config: TrainerConfig,
-    seed_offset: int = 0,
     **trainer_kwargs,
 ):
     """Construct (but do not run) a trainer on a (scenario, workload) pair.
@@ -59,7 +57,7 @@ def build_trainer(
         trainer_kwargs["churn"] = scenario.churn
     if scenario.compression is not None and "compression" not in trainer_kwargs:
         trainer_kwargs["compression"] = scenario.compression
-    tasks = workload.make_tasks(seed_offset=seed_offset)
+    tasks = workload.make_tasks()
     return create_trainer(
         algorithm,
         tasks,
@@ -77,7 +75,6 @@ def run_trainer(
     scenario: Scenario,
     workload: Workload,
     config: TrainerConfig,
-    seed_offset: int = 0,
     **trainer_kwargs,
 ) -> TrainingResult:
     """Train once and return the result.
@@ -86,15 +83,9 @@ def run_trainer(
     ``adaptive=False`` for the NetMax ablation, ``group_size=2`` for
     Prague).
     """
-    trainer = build_trainer(
-        algorithm,
-        scenario,
-        workload,
-        config,
-        seed_offset=seed_offset,
-        **trainer_kwargs,
-    )
-    return trainer.run()
+    return build_trainer(
+        algorithm, scenario, workload, config, **trainer_kwargs
+    ).run()
 
 
 def run_comparison(
@@ -104,10 +95,11 @@ def run_comparison(
     config: TrainerConfig,
     trainer_kwargs: dict[str, dict] | None = None,
 ) -> dict[str, TrainingResult]:
-    """Run each algorithm on an identical copy of the problem.
+    """:func:`run_trainer` for each algorithm, on the same problem.
 
-    The k-th algorithm draws its mini-batches from sampler streams
-    ``[seed, k, i]``, so the runs are independent.
+    Every run builds fresh tasks from ``workload``, so ``results[name]`` is
+    bit-identical to ``run_trainer(name, ...)`` alone (and to a sweep cell
+    whose specs build the same scenario, workload and config).
 
     Args:
         algorithms: registry names, e.g. ``["netmax", "adpsgd"]``.
@@ -120,10 +112,9 @@ def run_comparison(
     trainer_kwargs = trainer_kwargs or {}
     return {
         name: run_trainer(
-            name, scenario, workload, config, seed_offset=offset,
-            **trainer_kwargs.get(name, {}),
+            name, scenario, workload, config, **trainer_kwargs.get(name, {})
         )
-        for offset, name in enumerate(algorithms)
+        for name in algorithms
     }
 
 

@@ -16,9 +16,8 @@ scenario) with each scenario's winner. Each artefact is a
 result cache and every execution backend a sweep has. docs/paper_experiments.md
 lists every artefact with the shape its bench entry or smoke test asserts.
 
-A sweep cell seeds its samplers ``[seed, 0, i]`` for every algorithm (common
-random numbers across a comparison), where the harness's sequential
-comparison runner offsets its k-th algorithm to ``[seed, k, i]``.
+Every run seeds its samplers ``[seed, 0, i]`` whatever the algorithm
+(common random numbers across a comparison).
 """
 
 from __future__ import annotations

@@ -238,7 +238,7 @@ class ScenarioFamily:
         fixed_workers: worker count the family is pinned to (``None`` =
             any ``>= 2``).
         has_churn: whether built scenarios carry a churn schedule (lets the
-            sweep engine reject churn-incapable algorithms at spec time).
+            batched backend run those cells one by one without a build).
     """
 
     name: str
@@ -698,14 +698,15 @@ class Workload:
     def num_workers(self) -> int:
         return len(self.shards)
 
-    def make_tasks(self, seed_offset: int = 0) -> list[WorkerTask]:
-        """Fresh tasks: identical initial parameters, reseeded samplers."""
+    def make_tasks(self) -> list[WorkerTask]:
+        """Fresh tasks: identical initial parameters, samplers on the
+        ``[seed, 0, i]`` streams."""
         tasks = []
         for i, (shard, batch) in enumerate(zip(self.shards, self.batch_sizes)):
             model = build_model(self.model_name, self.num_features, self.num_classes)
             model.set_params(self.init_params)
             sampler = BatchSampler(
-                shard, batch, np.random.default_rng([self.seed, seed_offset, i])
+                shard, batch, np.random.default_rng([self.seed, 0, i])
             )
             tasks.append(WorkerTask(model, sampler))
         return tasks

@@ -355,29 +355,10 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one seed")
         if not self.scenarios:
             raise ValueError("a sweep needs at least one scenario")
-        # Fail at spec construction, not cell execution: a churn scenario
-        # paired with a churn-incapable algorithm can never run, so it must
-        # never survive a dry run either.
-        churn_kinds = sorted({
-            spec.kind for spec in self.scenarios
-            if get_scenario_family(spec.kind).has_churn
-        })
-        if churn_kinds:
-            from repro.algorithms.registry import TRAINER_REGISTRY
-
-            incapable = sorted({
-                name for name in self.algorithms
-                if name.lower() in TRAINER_REGISTRY
-                and not TRAINER_REGISTRY[name.lower()].supports_churn
-            })
-            if incapable:
-                raise ValueError(
-                    f"algorithm(s) {incapable} do not support churn and "
-                    f"cannot run scenario(s) {churn_kinds}"
-                )
-        # Same preflight for the time-varying topology axis: an edge_failures
+        # Fail at spec construction, not cell execution: an edge_failures
         # cell paired with a trainer that has no per-edge gossip semantics
-        # (the synchronous baselines) can never run.
+        # (the synchronous baselines) can never run, so it must never
+        # survive a dry run either.
         dynamic_labels = sorted({
             spec.label() for spec in self.scenarios if spec.has_dynamic_edges()
         })

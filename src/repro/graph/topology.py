@@ -730,18 +730,6 @@ class EdgeSchedule:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_events(
-        cls,
-        num_workers: int,
-        events: Iterable[EdgeFlipEvent | tuple[float, int, int, str]],
-        require_connected: bool = True,
-    ) -> "EdgeSchedule":
-        """Explicit deterministic script (the named mirror of
-        :meth:`ChurnSchedule.from_events`): any iterable of
-        :class:`EdgeFlipEvent` or ``(time, a, b, kind)`` tuples."""
-        return cls(num_workers, events, require_connected=require_connected)
-
-    @classmethod
     def from_string(
         cls, num_workers: int, spec: str, require_connected: bool = True
     ) -> "EdgeSchedule":

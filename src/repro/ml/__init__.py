@@ -30,7 +30,7 @@ from repro.ml.models import (
     MLPClassifier,
     build_model,
 )
-from repro.ml.optim import SGDConfig, LRSchedule, ConstantLR, StepDecayLR, PlateauDecayLR, InverseSqrtLR
+from repro.ml.optim import SGDConfig, LRSchedule, ConstantLR, StepDecayLR, PlateauDecayLR
 from repro.ml.problems import QuadraticProblem, make_consensus_quadratics
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "ConstantLR",
     "StepDecayLR",
     "PlateauDecayLR",
-    "InverseSqrtLR",
     "QuadraticProblem",
     "make_consensus_quadratics",
 ]

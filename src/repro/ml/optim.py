@@ -21,7 +21,6 @@ __all__ = [
     "ConstantLR",
     "StepDecayLR",
     "PlateauDecayLR",
-    "InverseSqrtLR",
     "SGDConfig",
     "SGDState",
 ]
@@ -125,29 +124,6 @@ class PlateauDecayLR(LRSchedule):
         if self._stall >= self.patience:
             self._current = max(self.min_lr, self._current * self.factor)
             self._stall = 0
-
-
-@dataclass
-class InverseSqrtLR(LRSchedule):
-    """``alpha_k = c / sqrt(k)`` over *iterations*, as analysed in Theorem 3.
-
-    ``epoch`` here is interpreted as the iteration count scaled by
-    ``iters_per_epoch``; callers that want the pure iteration schedule pass
-    ``iters_per_epoch=1`` and feed iteration numbers.
-    """
-
-    c: float
-    iters_per_epoch: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.iters_per_epoch <= 0:
-            raise ValueError("iters_per_epoch must be positive")
-
-    def lr(self, epoch: float) -> float:
-        k = max(1.0, epoch * self.iters_per_epoch)
-        return self.c / np.sqrt(k)
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,6 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(**kwargs)
 
-    def test_with_overrides(self):
-        config = TrainerConfig(max_sim_time=100.0)
-        other = config.with_overrides(max_sim_time=5.0)
-        assert other.max_sim_time == 5.0
-        assert config.max_sim_time == 100.0
-
 
 class TestWorkerTask:
     def test_sampler_epochs(self):

@@ -90,4 +90,3 @@ class TestOneRoundOnly:
                 BulkSynchronousTrainer, method
             ), f"{trainer_cls.__name__} forks {method}"
         assert trainer_cls._exchange_time is not BulkSynchronousTrainer._exchange_time
-        assert trainer_cls.supports_churn

@@ -213,7 +213,7 @@ class TestOneLoopOnly:
             )
         for hook in ("_select_peer", "_apply_update"):
             assert getattr(trainer_cls, hook) is not getattr(GossipTrainer, hook)
-        assert trainer_cls.supports_churn and trainer_cls.supports_dynamic_edges
+        assert trainer_cls.supports_dynamic_edges
 
 
 class TestOneLivenessRule:

@@ -1,6 +1,6 @@
-"""The figure result containers, the analytic Fig. 3 and the worker-axis
-scalability figure. The paper's trained figures and tables are declarations
-(tests/experiments/test_paper.py).
+"""The figure result containers and the analytic Fig. 3, the one figure
+that is not a declaration. The paper's trained figures and tables are
+declarations (tests/experiments/test_paper.py).
 """
 
 import numpy as np
@@ -36,29 +36,3 @@ class TestFigure3:
         rows = figure3_iteration_time().row_dict()
         assert rows["vgg19"][3] > rows["resnet18"][3]
 
-
-class TestFigureScalability:
-    def test_small_sweep_structure(self):
-        from repro.experiments import figure_scalability
-
-        out = figure_scalability(worker_counts=(8, 16), max_sim_time=5.0)
-        # adpsgd and netmax-local both run at these sizes -> 4 rows.
-        assert len(out.rows) == 4
-        labels = {row[0] for row in out.rows}
-        assert labels == {"adpsgd", "netmax-local"}
-        for row in out.rows:
-            events_per_s = row[3]
-            assert events_per_s > 0
-        by_label = {series.label: series for series in out.series}
-        assert list(by_label["adpsgd"].x) == [8.0, 16.0]
-
-    def test_netmax_capped_above_its_max(self):
-        from repro.experiments.figures_scaling import (
-            NETMAX_LOCAL_MAX_WORKERS,
-            figure_scalability,
-        )
-
-        out = figure_scalability(
-            worker_counts=(NETMAX_LOCAL_MAX_WORKERS * 2,), max_sim_time=2.0
-        )
-        assert {row[0] for row in out.rows} == {"adpsgd"}

@@ -295,7 +295,7 @@ class TestRegistry:
     def test_cli_names_are_the_registry(self):
         figure = build_parser()._subparsers._group_actions[0].choices["figure"]
         (names,) = [a.choices for a in figure._actions if a.dest == "name"]
-        assert set(names) == {*PAPER_EXPERIMENTS, "fig3", "scalability"}
+        assert set(names) == {*PAPER_EXPERIMENTS, "fig3"}
         beyond_paper = {name for name in PAPER_EXPERIMENTS
                         if not re.fullmatch(r"(fig|table)\d+", name)}
         assert beyond_paper == {"dyn-traces", "dyn-churn", "dyn-topology",

@@ -81,6 +81,22 @@ class TestMakeWorkload:
         a[0].model.set_params(np.zeros(a[0].model.dim))
         assert not np.allclose(b[0].model.get_params(), 0.0)
 
+    def test_samplers_on_the_seed_0_i_streams(self):
+        """One seeding rule: worker i of every run draws from the
+        ``[seed, 0, i]`` stream, whichever algorithm trains it."""
+        from repro.ml.data import BatchSampler
+
+        workload = make_workload(num_workers=3, num_samples=512, seed=7)
+        first, again = workload.make_tasks(), workload.make_tasks()
+        for i, (shard, batch) in enumerate(zip(workload.shards, workload.batch_sizes)):
+            reference = BatchSampler(shard, batch, np.random.default_rng([7, 0, i]))
+            for _ in range(3):
+                want = reference.next_batch()
+                for tasks in (first, again):
+                    got = tasks[i].sampler.next_batch()
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+
     def test_segment_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             make_workload(

@@ -401,9 +401,8 @@ class TestScenarioParams:
             ),))
 
     def test_churn_scenario_accepts_every_registry_algorithm(self):
-        """The synchronous trainers run round-based churn now, so a churn
-        grid constructs for the whole registry (the spec-time rejection only
-        fires for a hypothetical future supports_churn=False trainer)."""
+        """Every trainer runs churn (the synchronous ones round-based), so a
+        churn grid constructs for the whole registry."""
         from repro.algorithms.registry import trainer_names
 
         spec = tiny_spec(

@@ -158,16 +158,7 @@ class TestAccessors:
 
 
 class TestEdgeEventsGrammar:
-    """EdgeSchedule.from_events / from_string: the deterministic script axis."""
-
-    def test_from_events_mirrors_constructor(self):
-        from repro.graph import EdgeSchedule
-
-        explicit = EdgeSchedule.from_events(
-            4, [(2.0, 0, 1, "fail"), (4.0, 0, 1, "repair")]
-        )
-        assert explicit == EdgeSchedule.single(4, (0, 1), fail_at=2.0,
-                                               repair_at=4.0)
+    """EdgeSchedule.from_string: the deterministic script axis."""
 
     def test_from_string_parses_episodes(self):
         from repro.graph import EdgeSchedule

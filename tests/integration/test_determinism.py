@@ -10,6 +10,8 @@ caching of results) depends on:
 - the flow-sharing flag draws no randomness of its own.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,7 @@ class TestNoDuplicateFinalEval:
             scenario.topology,
             scenario.links,
             workload.profile,
-            config.with_overrides(max_events=1),  # exactly the t=0 evaluation
+            replace(config, max_events=1),  # exactly the t=0 evaluation
             test_data=workload.test_data,
         )
         result = stopped.run()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.ml.optim import (
     ConstantLR,
-    InverseSqrtLR,
     PlateauDecayLR,
     SGDConfig,
     SGDState,
@@ -71,17 +70,6 @@ class TestPlateauDecayLR:
         schedule.observe_loss(0.5)  # improvement resets
         schedule.observe_loss(0.5)  # stall 1 again
         assert schedule.lr(0) == pytest.approx(0.1)
-
-
-class TestInverseSqrtLR:
-    def test_matches_formula(self):
-        schedule = InverseSqrtLR(c=1.0, iters_per_epoch=1.0)
-        assert schedule.lr(4) == pytest.approx(0.5)
-        assert schedule.lr(100) == pytest.approx(0.1)
-
-    def test_clamped_at_first_iteration(self):
-        schedule = InverseSqrtLR(c=2.0)
-        assert schedule.lr(0) == pytest.approx(2.0)
 
 
 class TestSGDConfig:

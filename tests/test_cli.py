@@ -36,8 +36,6 @@ class TestParser:
         expected |= {"table2", "table3", "table5", "table6"}
         # Beyond-paper dynamics experiments (trace/churn/topology families).
         expected |= {"dyn-traces", "dyn-churn", "dyn-topology", "dyn-edges"}
-        # The worker-axis scaling sweep (ROADMAP item 2).
-        expected |= {"scalability"}
         # The compress-vs-route comparison (ROADMAP item 4).
         expected |= {"compression"}
         assert figure_names() == expected
@@ -86,18 +84,15 @@ class TestCommands:
         (["fig3", "--sim-time", "10"], "--sim-time"),
         (["fig3", "--parallel", "2"], "--parallel"),
         (["fig3", "--seed", "1"], "--seed"),
-        (["scalability", "--samples", "9"], "--samples"),
-        (["scalability", "--parallel", "2"], "--parallel"),
     ])
     def test_figure_flag_it_does_not_read_exits_2(
         self, capsys, monkeypatch, argv, flag
     ):
-        """fig3 reads no flag, scalability only --sim-time and --seed; both
-        used to exit 0 with the rest ignored."""
-        for name in ("figure3_iteration_time", "figure_scalability"):
-            monkeypatch.setattr(
-                experiments, name, lambda **_: pytest.fail("the figure ran")
-            )
+        """fig3 reads no flag; it used to exit 0 with the flag ignored."""
+        monkeypatch.setattr(
+            experiments, "figure3_iteration_time",
+            lambda **_: pytest.fail("the figure ran"),
+        )
         assert main(["figure", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err and err.count("\n") == 1
@@ -184,6 +179,125 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "adpsgd" in out and "allreduce" in out
+
+    @pytest.mark.parametrize("algorithms", [
+        ["gossipx", "adpsgd"],
+        ["adpsgd", "gossipx"],
+        ["adpsgd", "netmax", "gossipx"],
+    ])
+    def test_compare_rejects_unknown_algorithm_upfront(
+        self, capsys, monkeypatch, algorithms
+    ):
+        """Anywhere in the list: compare used to train the algorithms before
+        it and then die in a KeyError traceback."""
+        from repro.experiments.sweeps import SweepCell
+
+        monkeypatch.setattr(
+            SweepCell, "execute", lambda self: pytest.fail("a cell ran")
+        )
+        assert main(["compare", "--algorithms", *algorithms, "--workers", "4",
+                     "--samples", "64", "--sim-time", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: unknown algorithm(s) ['gossipx']")
+
+    def test_compare_netmax_adopts_a_policy(self, monkeypatch, capsys):
+        """A horizon under four monitor periods scales NetMax's period, as
+        `repro sweep` does: at 60 s compare used to run NetMax on its
+        uniform fallback (one tick published, no policy adopted)."""
+        import repro.cli as cli
+
+        sweeps = []
+        real_run_sweep = cli.run_sweep
+
+        def capturing(*args, **kwargs):
+            sweeps.append(real_run_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(cli, "run_sweep", capturing)
+        assert main([
+            "compare", "--algorithms", "adpsgd", "netmax", "--model",
+            "mobilenet", "--dataset", "mnist", "--workers", "4",
+            "--batch-size", "32", "--samples", "256", "--sim-time", "60",
+        ]) == 0
+        assert "monitor_period_s = 15" in capsys.readouterr().err
+        (sweep,) = sweeps
+        adopted = {outcome.cell.algorithm: outcome.result.extras.get("policies_adopted")
+                   for outcome in sweep.outcomes}
+        assert adopted["netmax"] >= 1
+
+    def test_compare_rows_are_the_sweep_cells_rows(self, monkeypatch):
+        """compare is a one-seed sweep: its table is what the paper reducer
+        gives for the cells of the same grid, each executed on its own."""
+        import repro.cli as cli
+        from repro.experiments import paper
+        from repro.experiments.sweeps import (
+            CellOutcome,
+            RunSpec,
+            ScenarioSpec,
+            SweepResult,
+            SweepSpec,
+            WorkloadSpec,
+        )
+
+        tables = []
+        monkeypatch.setattr(
+            cli, "render_table",
+            lambda headers, rows, title: tables.append((headers, rows, title)),
+        )
+        assert main([
+            "compare", "--algorithms", "adpsgd", "allreduce", "--model",
+            "mobilenet", "--dataset", "mnist", "--workers", "4",
+            "--batch-size", "32", "--samples", "256", "--sim-time", "5",
+            "--seed", "3", "--scenario", "homogeneous",
+        ]) == 0
+        ((headers, rows, title),) = tables
+        assert title == "homogeneous-4w: mobilenet on mnist"
+        spec = SweepSpec(
+            algorithms=("adpsgd", "allreduce"), seeds=(3,),
+            scenarios=(ScenarioSpec("homogeneous", 4),),
+            workload=WorkloadSpec("mobilenet", "mnist", 32, 256),
+            run=RunSpec(max_sim_time=5.0),
+        )
+        sweep = SweepResult(spec, [
+            CellOutcome(cell, cell.execute(), False, 0.0) for cell in spec.cells()
+        ])
+        expected = paper._rows([({}, sweep)], headers=headers, speedup_vs="adpsgd")
+        assert headers[-1] == "speedup_vs_adpsgd"
+        np.testing.assert_equal(rows, expected["rows"])
+
+    def test_compare_and_sweep_build_one_spec(self, capsys, monkeypatch):
+        """compare is `sweep --seeds <seed> --scenarios <scenario>`: the same
+        flags give the same SweepSpec, monitor-period note included."""
+        import repro.cli as cli
+
+        specs = []
+
+        def capturing(spec, **_):
+            specs.append(spec)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(cli, "run_sweep", capturing)
+        # The two commands default to different models, so name one.
+        shared = ["--algorithms", "adpsgd", "netmax", "--model", "mobilenet",
+                  "--dataset", "mnist", "--batch-size", "32", "--workers", "4",
+                  "--samples", "64", "--sim-time", "20",
+                  "--scenario-param", "amplitude=0.4"]
+        with pytest.raises(RuntimeError, match="captured"):
+            main(["compare", *shared, "--seed", "5", "--scenario", "trace-diurnal"])
+        compare_err = capsys.readouterr().err
+        assert main(["sweep", *shared, "--seeds", "5",
+                     "--scenarios", "trace-diurnal"]) == 1
+        sweep_note = capsys.readouterr().err.splitlines()[0]
+        compare_spec, sweep_spec = specs
+        assert compare_spec == sweep_spec
+        assert compare_spec.seeds == (5,)
+        assert dict(compare_spec.trainer_kwargs) == {
+            "netmax": (("monitor_period_s", 5.0),)
+        }
+        assert compare_err.splitlines() == [sweep_note]
+        assert "monitor_period_s = 5" in sweep_note
 
     def test_sweep_rejects_unknown_algorithm_upfront(self, capsys):
         code = main(["sweep", "--algorithms", "gossipx", "--dry-run"])
@@ -653,12 +767,14 @@ class TestScenarioParamCLI:
         assert "trace-diurnal-4w" in capsys.readouterr().out
 
     def test_compare_scenario_param_needs_scenario(self, capsys):
+        """--scenario defaults to heterogeneous, which has no amplitude."""
         code = main([
             "compare", "--algorithms", "adpsgd",
             "--scenario-param", "amplitude=0.4",
         ])
         assert code == 2
-        assert "--scenario" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "'amplitude'" in line
 
     @pytest.mark.parametrize("name, markers", [
         ("dyn-traces", ("trace-burst", "trace-diurnal", "heterogeneous-8w")),
@@ -754,6 +870,21 @@ class TestScenarioParamCLI:
         ])
         assert code == 2
         assert "targets family" in capsys.readouterr().err
+
+    def test_compare_rejects_a_multi_valued_param(self, capsys, monkeypatch):
+        """compare runs one scenario; a param grid is a sweep's to run."""
+        from repro.experiments.sweeps import SweepCell
+
+        monkeypatch.setattr(
+            SweepCell, "execute", lambda self: pytest.fail("a cell ran")
+        )
+        code = main([
+            "compare", "--algorithms", "adpsgd", "--workers", "4",
+            "--scenario", "churn", "--scenario-param", "downtime_s=10,30",
+        ])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "single-valued" in line
 
     def test_sweep_compression_axis_dry_run(self, capsys):
         """The compression axis cross-products per cell like any other
