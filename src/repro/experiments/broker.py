@@ -166,7 +166,7 @@ class _FrozenCounters:
                           if key in keys}
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TaskName:
     """Parsed broker filename stem ``<sha256-key>.r<run>.a<attempt>``.
 
@@ -244,6 +244,10 @@ class WorkQueue:
         # ids (counter = the run record's coordinator ``beats``).
         self._lease_watch = _FrozenCounters()
         self._run_watch = _FrozenCounters()
+        # directory -> {filename: parsed name} as of its last listing; each
+        # scan parses only the names it has not seen, then keeps just the
+        # current listing. Scans share the (frozen) parsed names.
+        self._parsed: dict[str, dict[str, _TaskName | None]] = {}
 
     # -- run records -----------------------------------------------------------
 
@@ -359,8 +363,12 @@ class WorkQueue:
         return os.path.join(self.leases_dir, f"{name.stem()}.lease")
 
     def _stems(self, directory: str, suffix: str) -> list[_TaskName]:
-        parsed = (_TaskName.parse(entry) for entry in _names(directory, suffix))
-        return [name for name in parsed if name is not None]
+        known = self._parsed.get(directory, {})
+        parsed = {entry: known[entry] if entry in known
+                  else _TaskName.parse(entry)
+                  for entry in _names(directory, suffix)}
+        self._parsed[directory] = parsed
+        return [name for name in parsed.values() if name is not None]
 
     def pending_tasks(self) -> list[_TaskName]:
         return self._stems(self.tasks_dir, ".task")

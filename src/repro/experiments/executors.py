@@ -358,6 +358,8 @@ class QueueExecutor(SweepExecutor):
     def run(
         self, cells: Sequence[SweepCell], cache_dir: str | None, landed: Landed
     ) -> None:
+        if not cells:
+            return  # fully cached: no run record, no workers to spawn
         if cache_dir is None:
             cache_dir = self.default_cache_dir()
         queue = WorkQueue(self.queue_dir)

@@ -7,13 +7,17 @@ on any host that mounts it, or a local process a
 wins: claim a batch, execute under a lease heartbeat, complete or fail each
 cell, reclaim dead peers' leases when idle. On top of the broker it adds:
 
-- the **lease heartbeat** (:class:`_LeaseHeartbeat`): one counter byte
-  appended to every held lease per beat, the liveness signal that
-  ``reclaim_stale`` watches;
+- the **lease heartbeat** (:class:`_LeaseHeartbeat`): one thread per
+  worker that appends one counter byte per beat to every lease of the batch
+  it holds, the liveness signal that ``reclaim_stale`` watches;
 - the **worker registry** (``registry/<worker_id>.json``,
-  :class:`_WorkerRegistry`): every worker heartbeats a health record (host,
+  :class:`_WorkerRegistry`): every worker keeps a health record (host,
   pid, current cell, cells completed, beat counter) that ``repro sweep``
-  progress output and ``repro sweep-status`` surface;
+  progress output and ``repro sweep-status`` surface. It is rewritten when
+  a cell starts, when the worker goes idle, when a cell fails, on each
+  heartbeat beat and on exit -- a completed cell costs no write of its own,
+  so a cell costs three writes: its start, its result and its
+  telemetry;
 - **deterministic poll jitter and back-off** (:func:`_poll_jitter`,
   :func:`_poll_delay`), so a fleet rescans ``tasks/`` out of phase. The
   back-off governs only that rescan (and ``reclaim_stale``): an idle
@@ -126,7 +130,7 @@ def _append_heartbeat_byte(path: str) -> bool:
 
 
 class _LeaseHeartbeat:
-    """Append one counter byte per beat to each lease while its cell
+    """Append one counter byte per beat to each held lease while its cell
     executes, so a *live* worker's lease counter never freezes no matter
     how long the cell runs; only a dead worker's counter stops moving.
 
@@ -137,38 +141,59 @@ class _LeaseHeartbeat:
     opcode and never reads the tail, so a reclaimed lease re-pickles
     cleanly after its rename back into ``tasks/``.
 
-    One heartbeat serves a whole claimed batch (``lease_paths``); a path
-    that disappears (completed, or reclaimed from under us) is skipped,
-    never recreated. ``on_beat`` lets the worker piggyback its registry
-    heartbeat on the same cadence.
+    One thread serves a whole :func:`run_queue_worker` call: :meth:`hold`
+    hands it a claimed batch's lease paths and beat interval, and
+    :meth:`release` takes them back, so the thread beats only what the
+    worker holds and sleeps between batches. A path that disappears
+    (completed, or reclaimed from under us) is skipped, never recreated.
+    A beat runs under the same lock as :meth:`release`, so once
+    ``release`` returns, no byte reaches the released leases. ``on_beat``
+    lets the worker piggyback its registry heartbeat on the same cadence.
     """
 
-    def __init__(
-        self,
-        lease_paths: Sequence[str],
-        interval_s: float,
-        on_beat: Callable[[], None] | None = None,
-    ):
-        self._lease_paths = list(lease_paths)
-        self._interval_s = max(0.05, interval_s)
+    def __init__(self, on_beat: Callable[[], None] | None = None):
         self._on_beat = on_beat
-        self._stop = threading.Event()
+        self._lease_paths: list[str] = []
+        self._interval_s: float | None = None  # None: nothing held
+        self._stopped = False
+        self._changed = threading.Condition()
         self._thread = threading.Thread(target=self._beat, daemon=True)
 
-    def __enter__(self) -> _LeaseHeartbeat:
+    def start(self) -> None:
         self._thread.start()
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self._stop.set()
+    def stop(self) -> None:
+        with self._changed:
+            self._stopped = True
+            self._changed.notify()
         self._thread.join()
 
+    def hold(self, lease_paths: Sequence[str], interval_s: float) -> None:
+        """Beat ``lease_paths`` every ``interval_s`` from now on."""
+        with self._changed:
+            self._lease_paths = list(lease_paths)
+            self._interval_s = max(0.05, interval_s)
+            self._changed.notify()
+
+    def release(self) -> None:
+        """Stop beating the held leases; the thread idles until the next
+        :meth:`hold`."""
+        with self._changed:
+            self._lease_paths = []
+            self._interval_s = None
+            self._changed.notify()
+
     def _beat(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            for path in self._lease_paths:
-                _append_heartbeat_byte(path)
-            if self._on_beat is not None:
-                self._on_beat()
+        with self._changed:
+            while not self._stopped:
+                if self._interval_s is None:
+                    self._changed.wait()
+                elif not self._changed.wait(self._interval_s):
+                    # A full interval passed with nothing held changing.
+                    for path in self._lease_paths:
+                        _append_heartbeat_byte(path)
+                    if self._on_beat is not None:
+                        self._on_beat()
 
 
 class _WorkerRegistry:
@@ -176,10 +201,14 @@ class _WorkerRegistry:
 
     The record is the service's observability surface: host, pid, what
     the worker is doing right now, how much it has done, where its
-    wall-clock went (``busy_s`` / ``idle_s``, refreshed at every status
-    change and on exit), and a beat counter bumped by the lease heartbeat.
-    Thread-safe because the heartbeat thread calls :meth:`beat` while the
-    worker's main thread updates status. ``last_seen`` is a wall-clock
+    wall-clock went (``busy_s`` / ``idle_s``), and a beat counter bumped
+    by the lease heartbeat. It is written when a cell starts, when the
+    worker goes idle, when a cell fails, on every heartbeat beat and on
+    exit; a completed cell's counters ride on the next of those writes
+    instead of costing one of their own. Its ``status`` on disk is
+    therefore ``executing``, ``idle`` or ``exited``. Thread-safe because
+    the heartbeat thread calls :meth:`beat` while the worker's main thread
+    updates status. ``last_seen`` is a wall-clock
     timestamp for *human* display only -- liveness decisions always use
     the ``beats`` counter (same contract as lease staleness: counters,
     never clocks).
@@ -193,7 +222,7 @@ class _WorkerRegistry:
             "worker": worker,
             "host": socket.gethostname(),
             "pid": os.getpid(),
-            "status": "starting",
+            "status": "idle",
             "current_cell": None,
             "cells_completed": 0,
             "cells_failed": 0,
@@ -215,11 +244,14 @@ class _WorkerRegistry:
 
     def note_finished(self, counter: str) -> None:
         """The current cell ended: bump ``cells_completed`` or
-        ``cells_failed`` (``counter``) and clear ``current_cell``."""
+        ``cells_failed`` (``counter``) and clear ``current_cell``. Only a
+        failure is written at once; a completion waits for the next
+        write."""
         with self._lock:
             self._record[counter] += 1
             self._record["current_cell"] = None
-            self._write()
+            if counter == "cells_failed":
+                self._write()
 
     def _write(self) -> None:
         # repro-lint: allow[RPL020] -- human-facing "last seen" timestamp in
@@ -309,7 +341,9 @@ def run_queue_worker(
         registry.update(status=status, busy_s=summary.busy_s,
                         idle_s=summary.idle_s, **fields)
 
-    set_status("idle")
+    heartbeat = _LeaseHeartbeat(on_beat=registry.beat)
+    heartbeat.start()
+    idle = False  # whether status "idle" is on disk
     try:
         while True:
             remaining = None
@@ -317,10 +351,11 @@ def run_queue_worker(
                 remaining = max_cells - summary.executed
                 if remaining <= 0:
                     break
-            runs = queue.list_runs()
-            active = [record for record in runs if record.get("active")]
-            seen_run = seen_run or any(record["run_id"] not in retired_at_start
-                                       for record in runs)
+            runs = {record["run_id"]: record for record in queue.list_runs()}
+            active = [record for record in runs.values()
+                      if record.get("active")]
+            seen_run = seen_run or any(run_id not in retired_at_start
+                                       for run_id in runs)
             limit = lease_batch if lease_batch is not None else min(
                 (int(record.get("lease_batch", 1)) for record in active),
                 default=1)
@@ -353,6 +388,9 @@ def run_queue_worker(
                     break
                 if time.monotonic() - idle_since > drain_timeout_s:
                     break
+                if not idle:
+                    set_status("idle", current_cell=None)
+                    idle = True
                 idle_polls += 1
                 idle_wait(_poll_delay(
                     poll_interval_s, jitter, idle_polls,
@@ -362,7 +400,9 @@ def run_queue_worker(
             idle_since = time.monotonic()
             idle_polls = 0
             rotation = claims[-1].name.run
-            settings = {run: queue.run_settings(run)
+            # The records listed above; only a run registered since then
+            # is read again.
+            settings = {run: runs.get(run) or queue.run_settings(run)
                         for run in {claim.name.run for claim in claims}}
             for claim in claims:
                 if settings[claim.name.run] is None:
@@ -377,12 +417,12 @@ def run_queue_worker(
                       if settings[claim.name.run] is not None]
             if not claims:
                 continue
-            with _LeaseHeartbeat(
+            heartbeat.hold(
                 [claim.lease_path for claim in claims],
                 min(settings[claim.name.run]["lease_timeout_s"]
                     for claim in claims) / 3.0,
-                on_beat=registry.beat,
-            ):
+            )
+            try:
                 for claim in claims:
                     cfg = settings[claim.name.run]
                     cache = ResultCache(cfg["cache_dir"])
@@ -395,6 +435,7 @@ def run_queue_worker(
                     say(f"executing {claim.cell.label()} "
                         f"(attempt {claim.name.attempt}/{cfg['max_attempts']})")
                     set_status("executing", current_cell=claim.cell.label())
+                    idle = False
                     start = time.perf_counter()
                     try:
                         result = claim.cell.execute()
@@ -416,8 +457,10 @@ def run_queue_worker(
                     queue.complete(claim, cache, result, runtime,
                                    seq=summary.executed)
                     registry.note_finished("cells_completed")
-            set_status("idle", current_cell=None)
+            finally:
+                heartbeat.release()
     finally:
+        heartbeat.stop()
         set_status("exited", current_cell=None,
                    cells_skipped=summary.skipped,
                    cells_reclaimed=summary.reclaimed)

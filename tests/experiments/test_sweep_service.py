@@ -12,6 +12,7 @@ aggregation.
 
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import string
@@ -72,6 +73,16 @@ def make_queue(tmp_path) -> WorkQueue:
     return WorkQueue(str(tmp_path / "queue"))
 
 
+def wait_for_growth(path, size, timeout_s=5.0):
+    """Whether ``path`` grows past ``size`` bytes within ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while os.path.getsize(path) <= size:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 def single_cell_claim(tmp_path):
     """A queue holding one claimed (leased) cell, as a dead peer left it."""
     spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
@@ -127,15 +138,53 @@ class TestCounterStaleness:
         path = str(tmp_path / "gone.lease")
         with open(path, "wb") as handle:
             handle.write(b"payload")
-        with _LeaseHeartbeat([path], interval_s=0.05):
-            deadline = time.monotonic() + 5.0
-            while (os.path.getsize(path) == len(b"payload")
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            assert os.path.getsize(path) > len(b"payload"), "no beat arrived"
+        heartbeat = _LeaseHeartbeat()
+        heartbeat.start()
+        try:
+            heartbeat.hold([path], interval_s=0.05)
+            assert wait_for_growth(path, len(b"payload")), "no beat arrived"
             os.unlink(path)  # completion / reclaim removes the lease
             time.sleep(0.2)
             assert not os.path.exists(path)
+        finally:
+            heartbeat.stop()
+
+    def test_held_lease_keeps_gaining_bytes_across_a_batch(self, tmp_path):
+        """One hold covers a whole claimed batch: while its batch-mates
+        execute and complete one by one, the last lease keeps beating."""
+        paths = [str(tmp_path / f"cell{i}.lease") for i in range(3)]
+        for path in paths:
+            with open(path, "wb") as handle:
+                handle.write(b"payload")
+        heartbeat = _LeaseHeartbeat()
+        heartbeat.start()
+        try:
+            heartbeat.hold(paths, interval_s=0.05)
+            last = paths[-1]
+            for finished in paths[:-1]:
+                size = os.path.getsize(last)
+                assert wait_for_growth(last, size), "the last lease froze"
+                os.unlink(finished)  # this batch-mate completed
+            assert wait_for_growth(last, os.path.getsize(last))
+            assert list(map(os.path.exists, paths)) == [False, False, True]
+        finally:
+            heartbeat.stop()
+
+    def test_released_lease_gains_no_bytes(self, tmp_path):
+        path = str(tmp_path / "done.lease")
+        with open(path, "wb") as handle:
+            handle.write(b"payload")
+        heartbeat = _LeaseHeartbeat()
+        heartbeat.start()
+        try:
+            heartbeat.hold([path], interval_s=0.05)
+            assert wait_for_growth(path, len(b"payload")), "no beat arrived"
+            heartbeat.release()
+            size = os.path.getsize(path)
+            time.sleep(0.3)  # six beat intervals
+            assert os.path.getsize(path) == size
+        finally:
+            heartbeat.stop()
 
     def test_executor_enforces_lease_timeout_floor(self, tmp_path):
         with pytest.raises(ValueError, match="lease_timeout_s"):
@@ -380,6 +429,24 @@ class TestLocalWorkerStartupStop:
             rerun = run_sweep(spec, executor=executor)
             assert time.monotonic() - start < 5.0
             assert rerun.cells_from_cache == len(spec.cells())
+
+    def test_fully_cached_queue_sweep_starts_no_worker(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: with every result cached, the coordinator used to
+        register a run, prune and fork its local workers for nothing."""
+        spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
+        cache_dir = str(tmp_path / "results")
+        run_sweep(spec, cache_dir=cache_dir, executor=InlineExecutor())
+        started = []
+        monkeypatch.setattr(multiprocessing, "Process",
+                            lambda *args, **kwargs: started.append(kwargs))
+        queue_dir = tmp_path / "queue"
+        executor = QueueExecutor(str(queue_dir), num_workers=2)
+        rerun = run_sweep(spec, cache_dir=cache_dir, executor=executor)
+        assert rerun.cells_from_cache == len(spec.cells())
+        assert started == []
+        assert not (queue_dir / "runs").exists()
 
 
 class TestPruneRetired:
@@ -765,6 +832,114 @@ class TestWorkerRegistry:
         assert line.startswith("2 worker(s): ")
         assert "host-1 executing adpsgd/s0/het4w (3 done, 1 failed)" in line
         assert "host-2 idle (2 done)" in line
+
+
+class TestPerCellBrokerCost:
+    """What a worker pays the filesystem around each cell: one registry
+    write (the cell's start), one heartbeat thread for the whole call, and
+    one parse per task name."""
+
+    def enqueued(self, tmp_path, cells):
+        queue = make_queue(tmp_path)
+        queue.write_config(
+            cache_dir=queue.default_results_dir(), max_attempts=3,
+            lease_timeout_s=30.0, run_id="run-1",  # no beat in these tests
+        )
+        for cell in cells:
+            assert queue.enqueue(cell, run="run-1")
+        return queue
+
+    def test_worker_budget_is_three_writes_and_one_thread(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import broker, cache
+
+        cells = tiny_spec().cells()
+        queue = self.enqueued(tmp_path, cells)
+        written, started = [], []
+
+        def counting(write):
+            def wrapper(directory, path, *args):
+                written.append(path)
+                return write(directory, path, *args)
+            return wrapper
+
+        monkeypatch.setattr(broker, "_atomic_write",
+                            counting(broker._atomic_write))
+        monkeypatch.setattr(cache, "_atomic_write",
+                            counting(cache._atomic_write))
+        thread_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: (
+            started.append(thread), thread_start(thread))[-1])
+        summary = run_queue_worker(queue.queue_dir, poll_interval_s=0.02,
+                                   drain_timeout_s=0.0)
+        n = len(cells)
+        assert summary.executed == n
+        # Per cell: its registry record on start, its result, its
+        # telemetry. O(1) on top: going idle and exiting.
+        assert len(written) <= 3 * n + 2, written
+        registry_writes = [path for path in written
+                           if os.path.dirname(path) == queue.registry_dir]
+        assert len(registry_writes) <= n + 2, registry_writes
+        assert len(started) == 1
+
+    def test_drain_writes_only_executing_idle_and_exited(
+        self, tmp_path, monkeypatch
+    ):
+        statuses = []
+        write_json = WorkQueue._atomic_write_json
+
+        def recording(queue, path, payload):
+            if os.path.dirname(path) == queue.registry_dir:
+                statuses.append(payload["status"])
+            write_json(queue, path, payload)
+
+        monkeypatch.setattr(WorkQueue, "_atomic_write_json", recording)
+        cells = tiny_spec(algorithms=("adpsgd",)).cells()
+        queue = self.enqueued(tmp_path, cells)
+        worker = threading.Thread(
+            target=run_queue_worker, args=(queue.queue_dir,),
+            kwargs=dict(poll_interval_s=0.02, drain_timeout_s=30.0),
+            daemon=True,
+        )
+        worker.start()
+        deadline = time.monotonic() + 30.0
+        while "idle" not in statuses and time.monotonic() < deadline:
+            time.sleep(0.01)
+        queue.signal_stop("run-1")  # the sweep ends: the worker drains out
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert statuses == ["executing"] * len(cells) + ["idle", "exited"]
+
+    def test_parse_cache_tracks_the_current_listing(
+        self, tmp_path, monkeypatch
+    ):
+        queue = make_queue(tmp_path)
+        parses = []
+        parse = _TaskName.parse.__func__
+        monkeypatch.setattr(_TaskName, "parse", classmethod(
+            lambda cls, filename: (parses.append(filename),
+                                   parse(cls, filename))[-1]))
+
+        def task_file(index):
+            name = _TaskName(key=f"{index:064x}", attempt=1, run="r")
+            path = queue._task_path(name)
+            with open(path, "wb") as handle:
+                handle.write(b"spec")
+            return name, path
+
+        window = []
+        for index in range(200):  # a changing tasks/ of at most 5 names
+            window.append(task_file(index))
+            if len(window) > 5:
+                os.unlink(window.pop(0)[1])
+            parses.clear()
+            assert queue.pending_tasks() == [name for name, _ in window]
+            assert parses == [os.path.basename(window[-1][1])]
+            assert len(queue._parsed[queue.tasks_dir]) == len(window)
+        parses.clear()
+        queue.pending_tasks()
+        assert parses == []  # an unchanged listing parses nothing
 
 
 class TestStatusSnapshot:
