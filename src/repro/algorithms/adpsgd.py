@@ -21,10 +21,6 @@ __all__ = ["ADPSGDTrainer"]
 class ADPSGDTrainer(GossipTrainer):
     """Asynchronous decentralized PSGD with uniform neighbor selection.
 
-    Extra args:
-        mixing_weight: weight on the pulled model in the averaging step
-            (AD-PSGD uses 1/2; GoSGD-style variants use other values).
-
     The worker loop (``overlap`` included) is
     :class:`~repro.algorithms.gossip.GossipTrainer`'s. Under churn,
     selection renormalizes over the currently active neighbors; a worker
@@ -37,12 +33,11 @@ class ADPSGDTrainer(GossipTrainer):
     # by inheritance, SAPS's -- it only repoints the neighbor cache) for
     # vectorizable cells; the bit-identity suite pins the claim.
     supports_batched = True
+    # Weight on the pulled model in the averaging step: AD-PSGD's 1/2.
+    mixing_weight = 0.5
 
-    def __init__(self, *args, mixing_weight: float = 0.5, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if not 0.0 < mixing_weight < 1.0:
-            raise ValueError(f"mixing_weight must be in (0, 1), got {mixing_weight}")
-        self.mixing_weight = float(mixing_weight)
         self._optimizers = [
             SGDState(self.config.sgd, task.model.dim) for task in self.tasks
         ]

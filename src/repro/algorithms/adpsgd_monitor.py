@@ -19,12 +19,8 @@ class ADPSGDMonitorTrainer(NetMaxTrainer):
     """NetMax's monitor + AD-PSGD's fixed-weight averaging."""
 
     name = "adpsgd-monitor"
-
-    def __init__(self, *args, mixing_weight: float = 0.5, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not 0.0 < mixing_weight < 1.0:
-            raise ValueError(f"mixing_weight must be in (0, 1), got {mixing_weight}")
-        self.mixing_weight = float(mixing_weight)
+    # AD-PSGD's half-and-half average in place of NetMax's 1/p_im weight.
+    mixing_weight = 0.5
 
     def _apply_pull(self, worker: int, peer: int, lr: float, p_selected: float) -> None:
         model = self.tasks[worker].model

@@ -159,8 +159,6 @@ class DecentralizedTrainer(abc.ABC):
         profile: paper-scale cost profile (message bytes, compute time).
         config: run-wide configuration.
         test_data: optional ``(features, labels)`` for accuracy evaluation.
-        flow_sharing: model NIC contention between concurrent transfers
-            (default True; disable for idealized-network ablations).
         churn: optional :class:`~repro.simulation.churn.ChurnSchedule` of
             worker departures/rejoins. Gossip trainers park a
             departed worker's loop (model frozen in place, so a rejoin
@@ -211,7 +209,6 @@ class DecentralizedTrainer(abc.ABC):
         profile: ModelCostProfile,
         config: TrainerConfig,
         test_data: tuple[np.ndarray, np.ndarray] | None = None,
-        flow_sharing: bool = True,
         churn: ChurnSchedule | None = None,
         compression: "CompressionOp | None" = None,
     ):
@@ -247,9 +244,7 @@ class DecentralizedTrainer(abc.ABC):
         self.config = copy.deepcopy(config)
         self.profile = profile
         self.compression = compression
-        self.comm = CommunicationModel(
-            links, flow_sharing=flow_sharing, compression=compression
-        )
+        self.comm = CommunicationModel(links, compression=compression)
         self._message_bytes = self.comm.payload_bytes(profile)
         # Per-worker noise streams of the accuracy-impact model, created
         # only for a lossy op: the default path must consume zero draws.

@@ -39,7 +39,7 @@ class NetMaxTrainer(GossipTrainer):
         monitor_min_coverage: fraction of neighbor pairs that must have a
             time measurement before the monitor publishes. Strictly below 1:
             waiting for *every* directed pair makes the first policy hostage
-            to the slowest unprobed link (a coupon-collector tail measured in
+            to the slowest unmeasured link (a coupon-collector tail measured in
             slow-link round trips), leaving whole runs stuck on the uniform
             fallback; the monitor's conservative gap-filling covers the rest.
 
@@ -66,7 +66,6 @@ class NetMaxTrainer(GossipTrainer):
         monitor_min_coverage: float = 0.9,
         policy_scope: str = "global",
         policy_local_hops: int = 2,
-        monitor_unprobed: str = "pessimistic",
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
@@ -102,7 +101,6 @@ class NetMaxTrainer(GossipTrainer):
             policy_cache=PolicyCache(),
             policy_scope=policy_scope,
             local_hops=policy_local_hops,
-            unprobed=monitor_unprobed,
         )
         self.policies_adopted = 0
 

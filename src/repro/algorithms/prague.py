@@ -1,7 +1,7 @@
 """Prague baseline [Luo et al., ASPLOS 2020]: randomized partial all-reduce.
 
 Workers compute gradients asynchronously; as they become ready they are
-collected into groups of ``group_size``, and each group performs a
+collected into groups of ``group_size`` (3), and each group performs a
 *partial all-reduce* that averages the members' (gradient-updated) models.
 Group operations from different groups run concurrently and compete for
 bandwidth -- the paper singles out precisely this contention, plus the
@@ -14,8 +14,8 @@ communication cost in Fig. 5:
     the link speed."
 
 Both effects are modeled: the group's ring time is governed by its slowest
-internal link, and a multiplicative contention factor grows with the number
-of concurrently running groups.
+internal link, and each concurrently running group inflates it by half
+(a multiplicative contention factor that grows with the number of groups).
 
 Churn semantics are group-based (the group is Prague's "round"): a departed
 worker's compute loop parks and its queued gradient is pruned from the
@@ -40,25 +40,18 @@ __all__ = ["PragueTrainer"]
 
 
 class PragueTrainer(DecentralizedTrainer):
-    """Randomized partial-allreduce training.
-
-    Extra args:
-        group_size: workers per partial-allreduce group (>= 2; clamped to
-            the active-worker count when fewer are up).
-        contention_factor: each additional concurrently-running group
-            inflates communication time by this fraction.
-    """
+    """Randomized partial-allreduce training."""
 
     name = "prague"
+    # Workers per partial-allreduce group (clamped to the active-worker
+    # count when fewer are up).
+    group_size = 3
+    # Each additional concurrently-running group inflates communication
+    # time by this fraction.
+    contention = 0.5
 
-    def __init__(self, *args, group_size: int = 3, contention_factor: float = 0.5, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if group_size < 2:
-            raise ValueError(f"group_size must be >= 2, got {group_size}")
-        if contention_factor < 0:
-            raise ValueError("contention_factor must be >= 0")
-        self.group_size = int(group_size)
-        self.contention_factor = float(contention_factor)
         self._optimizers = [
             SGDState(self.config.sgd, task.model.dim) for task in self.tasks
         ]
@@ -78,7 +71,7 @@ class PragueTrainer(DecentralizedTrainer):
         chunk = self.message_bytes / g
         base = 2 * (g - 1) * (chunk / min(bandwidths) + max(latencies))
         # Congestion from groups already in flight.
-        return base * (1.0 + self.contention_factor * self._active_groups)
+        return base * (1.0 + self.contention * self._active_groups)
 
     def _setup(self) -> None:
         for i in range(self.num_workers):

@@ -7,8 +7,7 @@ cautionary tale (Fig. 2): a link that was fast at T1 may be the slowed link
 at T2, and the fixed topology cannot route around it.
 
 The fast subgraph is the maximum-bandwidth spanning tree of the base
-topology measured at t = 0, optionally densified with the next-fastest
-edges until a target mean degree is reached.
+topology measured at t = 0, SAPS's sparsest configuration.
 """
 
 from __future__ import annotations
@@ -21,23 +20,16 @@ from repro.graph.topology import Topology
 __all__ = ["SAPSTrainer", "initially_fast_subgraph"]
 
 
-def initially_fast_subgraph(
-    topology: Topology,
-    bandwidth_matrix: np.ndarray,
-    extra_edges: int = 0,
-) -> Topology:
-    """Maximum-bandwidth spanning tree plus the next-fastest extra edges.
+def initially_fast_subgraph(topology: Topology, bandwidth_matrix: np.ndarray) -> Topology:
+    """Maximum-bandwidth spanning tree of ``topology``.
 
     Args:
         topology: the physical topology whose edges may be used.
         bandwidth_matrix: bandwidths measured at selection time.
-        extra_edges: how many non-tree edges to add back, fastest first
-            (0 = pure spanning tree, SAPS's sparsest configuration).
     """
     bandwidth_matrix = np.asarray(bandwidth_matrix, dtype=np.float64)
     # Kruskal, fastest edge first. The sort is stable, so equal bandwidths
-    # keep the edge list's (a, b) order -- both for which tied edge enters
-    # the tree and for which rejected edges come back as extras.
+    # keep the edge list's (a, b) order for which tied edge enters the tree.
     ranked = sorted(topology.edges(), key=lambda e: bandwidth_matrix[e], reverse=True)
     root = list(range(topology.num_workers))
 
@@ -47,29 +39,21 @@ def initially_fast_subgraph(
             worker = root[worker]
         return worker
 
-    tree, rejected = [], []
+    tree = []
     for a, b in ranked:
         root_a, root_b = find(a), find(b)
-        if root_a == root_b:
-            rejected.append((a, b))
-        else:
+        if root_a != root_b:
             root[root_a] = root_b
             tree.append((a, b))
-    return Topology.from_edges(
-        topology.num_workers, tree + rejected[: max(extra_edges, 0)]
-    )
+    return Topology.from_edges(topology.num_workers, tree)
 
 
 class SAPSTrainer(ADPSGDTrainer):
-    """AD-PSGD-style gossip pinned to the initially-fast subgraph.
-
-    Extra args:
-        extra_edges: see :func:`initially_fast_subgraph`.
-    """
+    """AD-PSGD-style gossip pinned to the initially-fast subgraph."""
 
     name = "saps"
 
-    def __init__(self, *args, extra_edges: int = 0, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         bandwidth_now = self.comm.links.bandwidth_matrix(0.0)
         # SAPS measures exactly once, so its subgraph is drawn from the edge
@@ -77,7 +61,7 @@ class SAPSTrainer(ADPSGDTrainer):
         # stay in the subgraph -- the paper's cautionary tale -- and only
         # the per-iteration liveness filter keeps transfers off them).
         self.fixed_subgraph = initially_fast_subgraph(
-            self.topology.topology_at(0.0), bandwidth_now, extra_edges=extra_edges
+            self.topology.topology_at(0.0), bandwidth_now
         )
         self._neighbor_cache = [
             self.fixed_subgraph.neighbors(i) for i in range(self.num_workers)

@@ -472,7 +472,8 @@ def _sweep_spec(
 
     Raises ``ValueError`` for anything that cannot run -- an unknown
     algorithm first, before a cell executes or ``--dry-run`` lists one.
-    Prints the monitor-period note (see :func:`_sweep_monitor_period`).
+    Prints the monitor-period note once the spec has built (see
+    :func:`_sweep_monitor_period`).
     """
     from repro.algorithms.registry import trainer_names
 
@@ -480,13 +481,7 @@ def _sweep_spec(
     if unknown:
         raise ValueError(f"unknown algorithm(s) {unknown}; valid: {trainer_names()}")
     monitored, period = _sweep_monitor_period(args.algorithms, args.sim_time)
-    if monitored:
-        print(
-            f"note: --sim-time {args.sim_time:g} is under four monitor periods; "
-            f"{', '.join(monitored)} run with monitor_period_s = {period:g}",
-            file=sys.stderr,
-        )
-    return SweepSpec(
+    spec = SweepSpec(
         algorithms=tuple(args.algorithms),
         seeds=tuple(seeds),
         scenarios=tuple(_scenario_grid(kinds, args.workers, args.scenario_param)),
@@ -501,6 +496,14 @@ def _sweep_spec(
             (name, (("monitor_period_s", period),)) for name in monitored
         ),
     )
+    # After the spec: a grid that cannot run prints its error line alone.
+    if monitored:
+        print(
+            f"note: --sim-time {args.sim_time:g} is under four monitor periods; "
+            f"{', '.join(monitored)} run with monitor_period_s = {period:g}",
+            file=sys.stderr,
+        )
+    return spec
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -623,7 +626,11 @@ def _run_sweep_status(args: argparse.Namespace) -> int:
 
 
 def _run_policy(args: argparse.Namespace) -> int:
-    times = np.loadtxt(args.times, delimiter=",")
+    try:
+        times = np.loadtxt(args.times, delimiter=",")
+    except (OSError, ValueError) as error:
+        # A missing file, a non-numeric cell or a ragged row.
+        return _policy_error(f"cannot read {args.times}: {error}")
     if times.ndim != 2 or times.shape[0] != times.shape[1] or times.shape[0] < 2:
         return _policy_error(f"expected a square CSV matrix, got shape {times.shape}")
     if not np.all(np.isfinite(times) & (times >= 0)):

@@ -241,7 +241,3 @@ class ConsensusWorker:
         return np.array(
             [ema.value if ema.value is not None else np.nan for ema in self._times]
         )
-
-    def has_measured_all_neighbors(self) -> bool:
-        """True once every neighbor has at least one time sample."""
-        return all(self._times[int(n)].count > 0 for n in self.neighbors)

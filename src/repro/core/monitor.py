@@ -68,12 +68,6 @@ class NetworkMonitor:
             signature scheme, so a local solve whose ego graph is the full
             graph is bit-identical to a global solve.
         local_hops: ego-subgraph radius for ``policy_scope="local"``.
-        unprobed: gap-fill stance for neighbor pairs without a measurement.
-            ``"pessimistic"`` (default) assumes the worker's *slowest*
-            observed time, keeping traffic off links nobody has evidence
-            about; ``"optimistic"`` seeds them with the *fastest* observed
-            time so the LP routes probes onto them (exploration at low
-            coverage).
     """
 
     def __init__(
@@ -86,7 +80,6 @@ class NetworkMonitor:
         policy_cache: PolicyCache | None = None,
         policy_scope: str = "global",
         local_hops: int = 2,
-        unprobed: str = "pessimistic",
     ):
         if not 0.0 < min_coverage <= 1.0:
             raise ValueError(f"min_coverage must be in (0, 1], got {min_coverage}")
@@ -96,10 +89,6 @@ class NetworkMonitor:
             )
         if local_hops < 1:
             raise ValueError(f"local_hops must be >= 1, got {local_hops}")
-        if unprobed not in ("pessimistic", "optimistic"):
-            raise ValueError(
-                f"unprobed must be 'pessimistic' or 'optimistic', got {unprobed!r}"
-            )
         self.topology = topology
         self.outer_rounds = outer_rounds
         self.inner_rounds = inner_rounds
@@ -108,7 +97,6 @@ class NetworkMonitor:
         self.policy_cache = policy_cache
         self.policy_scope = policy_scope
         self.local_hops = int(local_hops)
-        self.unprobed = unprobed
         self.stats = MonitorStats()
         self.last_result: PolicyResult | None = None
 
@@ -133,33 +121,23 @@ class NetworkMonitor:
             return None
         m = adjacency.shape[0]
         filled = raw_times.copy()
-        optimistic = self.unprobed == "optimistic"
-        if optimistic:
-            known = adjacency & ~np.isnan(filled)
-            # The fastest time observed anywhere: unprobed links get seeded
-            # with it so the LP has an incentive to route onto (and thereby
-            # probe) them, instead of being pessimistically avoided forever.
-            fastest = float(filled[known].min()) if known.any() else np.nan
         for i in range(m):
             row_known = filled[i][adjacency[i] & ~np.isnan(filled[i])]
             if row_known.size == 0:
                 return None
-            fallback = fastest if optimistic else float(row_known.max())
             missing = adjacency[i] & np.isnan(filled[i])
-            filled[i, missing] = fallback
+            filled[i, missing] = float(row_known.max())
         filled[~adjacency] = 0.0
         return filled
 
     def assemble_time_matrix(self, raw_times: np.ndarray) -> np.ndarray | None:
         """Fill unmeasured neighbor entries conservatively.
 
-        With the default ``unprobed="pessimistic"`` a missing ``t_im`` is
-        replaced by the *largest* time worker ``i`` has observed anywhere --
-        assuming an unprobed link is slow keeps the LP from routing traffic
-        onto links nobody has evidence about. With ``unprobed="optimistic"``
-        it is instead seeded with the globally *fastest* observed time, so
-        low-coverage links get explored. Returns ``None`` when coverage is
-        below ``min_coverage`` or some worker has no measurements at all.
+        A missing ``t_im`` is replaced by the *largest* time worker ``i``
+        has observed anywhere -- assuming an unmeasured link is slow keeps
+        the LP from routing traffic onto links nobody has evidence about.
+        Returns ``None`` when coverage is below ``min_coverage`` or some
+        worker has no measurements at all.
         """
         raw_times = np.asarray(raw_times, dtype=np.float64)
         m = self.topology.num_workers

@@ -80,8 +80,8 @@ def run_trainer(
     """Train once and return the result.
 
     ``trainer_kwargs`` are forwarded to the trainer constructor (e.g.
-    ``adaptive=False`` for the NetMax ablation, ``group_size=2`` for
-    Prague).
+    ``adaptive=False`` for the NetMax ablation, ``overlap=False`` for the
+    serialized gossip loop).
     """
     return build_trainer(
         algorithm, scenario, workload, config, **trainer_kwargs

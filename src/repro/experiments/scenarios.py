@@ -61,7 +61,6 @@ from repro.graph.topology import (
     EdgeSchedule,
     Topology,
     make_topology,
-    validate_topology_request,
 )
 from repro.ml.data import BatchSampler, Dataset, train_test_split
 from repro.ml.models import build_model
@@ -422,11 +421,6 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
         edge_events = params.pop("edge_events")
         compression_name = params.pop("compression")
         compression_param = params.pop("compression_param")
-        # Up front for every kind: "full" keeps the base graph below and
-        # never reaches make_topology, which checks the same request.
-        validate_topology_request(
-            kind, num_workers, edge_probability, degree_skew=degree_skew
-        )
         if edge_failures and edge_events:
             raise ValueError(
                 "edge_events (a deterministic script) and edge_failures (the "
@@ -435,14 +429,16 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
         scenario = builder(num_workers, seed, **params)
         name = scenario.name
         topology = scenario.topology
-        if kind != "full":
-            name = f"{name}-{kind}"
-            if degree_skew:
-                name = f"{name}-skew{degree_skew:g}"
+        # "full" keeps the builder's complete graph rather than building a
+        # second one; make_topology still sees a degree_skew, to reject it.
+        if kind != "full" or degree_skew:
             topology = make_topology(
                 kind, scenario.num_workers, edge_probability=edge_probability,
                 seed=seed, degree_skew=degree_skew,
             )
+            name = f"{name}-{kind}"
+            if degree_skew:
+                name = f"{name}-skew{degree_skew:g}"
         if edge_failures:  # a negative count fails in EdgeSchedule.random
             name = f"{name}-ef{edge_failures}"
             schedule = EdgeSchedule.random(

@@ -198,6 +198,8 @@ class WorkloadSpec:
                 f"num_samples ({self.num_samples}) must be >= the "
                 f"{dataset.num_classes} classes of {dataset.name}"
             )
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         check_partition(self.partition, self.segments_per_worker, self.lost_labels, None)
 
     def build(self, num_workers: int, seed: int) -> Workload:
@@ -230,6 +232,11 @@ class RunSpec:
     max_epochs: float | None = None
     eval_max_samples: int = 256
     lr: tuple = ("plateau", 0.1)
+
+    def __post_init__(self) -> None:
+        # Check by building: a config that cannot be built (a non-positive
+        # horizon, an unknown lr kind, ...) fails here, not in every cell.
+        self.build(0)
 
     def _schedule(self) -> LRSchedule:
         kind, *args = self.lr
@@ -442,12 +449,6 @@ class SweepResult:
     @property
     def cells_executed(self) -> int:
         return len(self.outcomes) - self.cells_from_cache
-
-    def result_for(self, cell: SweepCell) -> TrainingResult:
-        for outcome in self.outcomes:
-            if outcome.cell == cell:
-                return outcome.result
-        raise KeyError(f"cell {cell.label()} not part of this sweep")
 
     def summary(self) -> dict:
         """Machine-readable sweep summary (the ``--json-summary`` payload)."""

@@ -16,7 +16,6 @@ from repro.graph.topology import (
     EdgeSchedule,
     Topology,
     make_topology,
-    validate_topology_request,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "TOPOLOGY_KINDS",
     "RANDOMIZED_TOPOLOGY_KINDS",
     "make_topology",
-    "validate_topology_request",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "EdgeSchedule",
     "DynamicTopology",
     "TOPOLOGY_KINDS",
-    "validate_topology_request",
     "make_topology",
 ]
 
@@ -150,7 +149,7 @@ class Topology:
     def ring(cls, num_workers: int) -> "Topology":
         """Cycle graph, the natural substrate for ring all-reduce."""
         if num_workers < 3:
-            raise ValueError("a ring needs at least 3 workers")
+            raise ValueError("a ring topology needs at least 3 workers")
         node = np.arange(num_workers, dtype=np.int64)
         return cls._from_pairs(num_workers, node, (node + 1) % num_workers)
 
@@ -553,20 +552,12 @@ class Topology:
         """The frozen :class:`Topology` of the edge set live at ``time``."""
         return self
 
-    def neighbors_at(self, worker: int, time: float) -> np.ndarray:
-        """Workers adjacent to ``worker`` over edges live at ``time``."""
-        return self.topology_at(time).neighbors(worker)
-
-    def has_edge_at(self, a: int, b: int, time: float) -> bool:
-        """Whether the undirected edge ``(a, b)`` is live at ``time``."""
-        return self.topology_at(time).has_edge(a, b)
-
     def edge_signature_at(self, time: float) -> bytes:
         """Compact token identifying the live edge set at ``time``.
 
         Equal signatures mean equal live edge sets (over the same worker
-        count); the policy-LP cache keys on it so recurring subgraphs reuse
-        their solved policies.
+        count). The monitor's policy-LP cache does not key on it: its keys
+        come from ``NetworkMonitor._signature`` over the solved subgraph.
         """
         return self.topology_at(time).edge_signature()
 
@@ -902,11 +893,6 @@ class EdgeSchedule:
                 down.discard(event.edge)
         return down
 
-    def edge_active_at(self, a: int, b: int, time: float) -> bool:
-        """Whether the undirected edge ``(a, b)`` is up at ``time``."""
-        key = (a, b) if a < b else (b, a)
-        return key not in self.down_edges_at(time)
-
     def describe(self) -> list[list[object]]:
         """JSON-able event list. Sweep cache keys do not hash it: they hash
         the scenario spec's params (``SweepCell.describe``)."""
@@ -1081,49 +1067,6 @@ def _torus_shape(num_workers: int) -> tuple[int, int]:
     )
 
 
-def validate_topology_request(
-    kind: str,
-    num_workers: int,
-    edge_probability: float,
-    degree_skew: float = 0.0,
-) -> None:
-    """Reject unbuildable ``(kind, num_workers)`` combinations.
-
-    :func:`make_topology` calls it before building, so a ring on 2 workers
-    or a torus on a prime worker count fails with one message whichever
-    family would have tripped over it.
-    """
-    if kind not in TOPOLOGY_KINDS:
-        raise ValueError(
-            f"unknown topology kind {kind!r}; valid: {list(TOPOLOGY_KINDS)}"
-        )
-    if not 0.0 <= edge_probability <= 1.0:
-        raise ValueError(
-            f"edge_probability must be in [0, 1], got {edge_probability}"
-        )
-    if degree_skew < 0.0:
-        raise ValueError(f"degree_skew must be >= 0, got {degree_skew}")
-    if degree_skew > 0.0 and kind not in DEGREE_SKEW_TOPOLOGY_KINDS:
-        raise ValueError(
-            f"degree_skew only applies to {list(DEGREE_SKEW_TOPOLOGY_KINDS)} "
-            f"topologies (kinds with seeded degree sampling), got kind {kind!r}"
-        )
-    if num_workers < 2:
-        raise ValueError("num_workers must be >= 2")
-    if kind == "ring" and num_workers < 3:
-        raise ValueError("a ring topology needs at least 3 workers")
-    if kind == "torus":
-        _torus_shape(num_workers)  # raises for primes and num_workers < 4
-    if kind == "small-world" and num_workers < 4:
-        raise ValueError("a small-world topology needs at least 4 workers")
-    if kind == "hypercube" and (num_workers < 2 or num_workers & (num_workers - 1)):
-        raise ValueError(
-            f"a hypercube needs a power-of-two worker count, got {num_workers}"
-        )
-    if kind == "expander" and num_workers < 4:
-        raise ValueError("an expander topology needs at least 4 workers")
-
-
 def make_topology(
     kind: str,
     num_workers: int,
@@ -1140,10 +1083,20 @@ def make_topology(
     is rejected for every other family. Randomized families draw from a
     dedicated ``[seed, _TOPOLOGY_STREAM]`` stream, so the same scenario seed
     always yields the same graph without touching link or churn randomness.
+
+    The family constructors check their own worker counts and parameters;
+    this checks only what none of them can: the kind itself, and a
+    ``degree_skew`` handed to a family that would ignore it.
     """
-    validate_topology_request(
-        kind, num_workers, edge_probability, degree_skew=degree_skew
-    )
+    if kind not in TOPOLOGY_KINDS:
+        raise ValueError(
+            f"unknown topology kind {kind!r}; valid: {list(TOPOLOGY_KINDS)}"
+        )
+    if degree_skew and kind not in DEGREE_SKEW_TOPOLOGY_KINDS:
+        raise ValueError(
+            f"degree_skew only applies to {list(DEGREE_SKEW_TOPOLOGY_KINDS)} "
+            f"topologies (kinds with seeded degree sampling), got kind {kind!r}"
+        )
     if kind == "full":
         return Topology.fully_connected(num_workers)
     if kind == "ring":

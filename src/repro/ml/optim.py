@@ -56,21 +56,19 @@ class ConstantLR(LRSchedule):
 
 @dataclass
 class StepDecayLR(LRSchedule):
-    """Decay by ``factor`` at each epoch listed in ``milestones``.
+    """Decay by a factor of 10 at each epoch listed in ``milestones``.
 
     Matches "decays by a factor of 10 at epoch 80" (Sec. V-F) with
-    ``StepDecayLR(0.1, milestones=(80,), factor=0.1)``.
+    ``StepDecayLR(0.1, milestones=(80,))``.
     """
 
     base_lr: float
     milestones: tuple[float, ...] = ()
-    factor: float = 0.1
+    factor = 0.1  # a class constant, not a field
 
     def __post_init__(self) -> None:
         if self.base_lr <= 0:
             raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {self.factor}")
         if any(m < 0 for m in self.milestones):
             raise ValueError("milestones must be non-negative")
         object.__setattr__(self, "milestones", tuple(sorted(self.milestones)))
@@ -86,28 +84,19 @@ class PlateauDecayLR(LRSchedule):
     This is the paper's default schedule ("decays by a factor of 10 once the
     loss does not decrease any more"). The loss is considered stalled when
     the best loss seen has not improved by at least ``min_delta`` for
-    ``patience`` consecutive observations.
+    ``patience`` consecutive observations; the rate never falls below
+    ``min_lr``.
     """
 
-    def __init__(
-        self,
-        base_lr: float,
-        factor: float = 0.1,
-        patience: int = 5,
-        min_delta: float = 1e-3,
-        min_lr: float = 1e-5,
-    ):
+    factor = 0.1
+    patience = 5
+    min_delta = 1e-3
+    min_lr = 1e-5
+
+    def __init__(self, base_lr: float):
         if base_lr <= 0:
             raise ValueError(f"base_lr must be positive, got {base_lr}")
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
         self.base_lr = base_lr
-        self.factor = factor
-        self.patience = patience
-        self.min_delta = min_delta
-        self.min_lr = min_lr
         self._current = base_lr
         self._best = float("inf")
         self._stall = 0

@@ -63,10 +63,6 @@ class ClusterSpec:
     def num_workers(self) -> int:
         return sum(self.workers_per_server)
 
-    @property
-    def num_servers(self) -> int:
-        return len(self.workers_per_server)
-
     def placement(self) -> np.ndarray:
         """``placement()[i]`` = server index hosting worker ``i``.
 
@@ -80,10 +76,6 @@ class ClusterSpec:
             out[cursor : cursor + count] = server
             cursor += count
         return out
-
-    def same_server(self, a: int, b: int) -> bool:
-        placement = self.placement()
-        return bool(placement[a] == placement[b])
 
     # -- link matrices ---------------------------------------------------------
 

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.network.links import LinkSpeedModel
 
 if TYPE_CHECKING:  # import cycle: compression builds on this module's types
@@ -110,14 +108,15 @@ class CommunicationModel:
     Self-transfers are free (a worker "pulling from itself" is the paper's
     ``p_ii`` case: no network activity at all).
 
-    **Flow sharing.** Real worker NICs are shared: when several transfers
+    **Shared NICs.** Real worker NICs are shared: when several transfers
     touch the same endpoint concurrently, each gets a fraction of the
     bandwidth (the multi-tenant congestion of Section I). Asynchronous
     trainers therefore bracket transfers with :meth:`begin_transfer` /
-    :meth:`end_transfer`; the duration is computed with the bandwidth
-    divided by the busiest endpoint's concurrent flow count at start time
-    (a standard fair-share approximation -- in-flight transfers are not
-    re-planned when flows come and go).
+    :meth:`end_transfer`, which always models this contention: the duration
+    is computed with the bandwidth divided by the busiest endpoint's
+    concurrent flow count at start time (a standard fair-share
+    approximation -- in-flight transfers are not re-planned when flows come
+    and go). :meth:`comm_time` is the contention-free figure.
 
     **Compression.** An optional
     :class:`~repro.network.compression.CompressionOp` shrinks what a model
@@ -128,14 +127,8 @@ class CommunicationModel:
     float32 size, bit-identical to the pre-compression cost model.
     """
 
-    def __init__(
-        self,
-        links: LinkSpeedModel,
-        flow_sharing: bool = True,
-        compression: "CompressionOp | None" = None,
-    ):
+    def __init__(self, links: LinkSpeedModel, compression: "CompressionOp | None" = None):
         self.links = links
-        self.flow_sharing = flow_sharing
         self.compression = compression
         # NICs are full duplex: a transfer b -> a loads b's uplink and a's
         # downlink, so the two directions are tracked separately. Plain lists:
@@ -196,8 +189,6 @@ class CommunicationModel:
         latency, base = self._latency_and_total(receiver, sender, nbytes, time)
         self._inbound[receiver] += 1
         self._outbound[sender] += 1
-        if not self.flow_sharing:
-            return base
         share = max(self._inbound[receiver], self._outbound[sender])
         return latency + (base - latency) * share
 
@@ -211,16 +202,6 @@ class CommunicationModel:
             )
         self._inbound[receiver] -= 1
         self._outbound[sender] -= 1
-
-    def pairwise_matrix(self, nbytes: float, time: float) -> np.ndarray:
-        """``(M, M)`` matrix of transfer times at ``time`` (diagonal 0)."""
-        m = self.num_workers
-        out = np.zeros((m, m))
-        for a in range(m):
-            for b in range(m):
-                if a != b:
-                    out[a, b] = self.comm_time(a, b, nbytes, time)
-        return out
 
 
 class ComputeModel:

@@ -183,7 +183,6 @@ class _Cell:
         "eval_interval",
         "workers",
         "overlap",
-        "flow_sharing",
         "models",
         "schedule",
         "lr_static",
@@ -222,7 +221,6 @@ class _Cell:
         self.eval_interval = config.eval_interval_s
         self.workers = trainer.num_workers
         self.overlap = trainer.overlap
-        self.flow_sharing = trainer.comm.flow_sharing
         self.models = [task.model for task in trainer.tasks]
         self.schedule = config.lr_schedule
         self.lr_static = type(config.lr_schedule) in _EPOCH_FREE_SCHEDULES
@@ -481,8 +479,6 @@ class BatchedSimulator:
         outbound = cell.outbound
         inbound[worker] += 1
         outbound[peer] += 1
-        if not cell.flow_sharing:
-            return base
         share = inbound[worker]
         if outbound[peer] > share:
             share = outbound[peer]
@@ -525,13 +521,10 @@ class BatchedSimulator:
             outbound = cell.outbound
             inbound[worker] += 1
             outbound[peer] += 1
-            if cell.flow_sharing:
-                share = inbound[worker]
-                if outbound[peer] > share:
-                    share = outbound[peer]
-                network = latency + (base - latency) * share
-            else:
-                network = base
+            share = inbound[worker]
+            if outbound[peer] > share:
+                share = outbound[peer]
+            network = latency + (base - latency) * share
             heapq.heappush(
                 heap, (now + network, seq, _END_TRANSFER, worker, peer, 0.0, 0.0)
             )

@@ -128,7 +128,7 @@ class TestTrainerValidation:
 
     def test_config_deep_copied(self):
         """Trainers must not mutate the caller's (stateful) LR schedule."""
-        schedule = PlateauDecayLR(0.1, patience=1)
+        schedule = PlateauDecayLR(0.1)
         config = TrainerConfig(max_sim_time=10.0, lr_schedule=schedule)
         trainer = NullTrainer(
             make_tasks(4),

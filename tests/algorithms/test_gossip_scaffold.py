@@ -168,7 +168,7 @@ class TestTwoHooksAreEnough:
         assert result.extras["edge_events"]
         assert transfers
         for receiver, sender, time in transfers:
-            assert topology.has_edge_at(receiver, sender, time), (
+            assert topology.topology_at(time).has_edge(receiver, sender), (
                 f"transfer {sender} -> {receiver} at t={time} started on a "
                 "failed edge"
             )

@@ -1,7 +1,7 @@
 """Regression pins for NetMax's monitor-coverage behavior.
 
 PR 1 found that ``min_coverage=1.0`` makes the monitor's first publication
-hostage to the slowest unprobed link (a coupon-collector tail measured in
+hostage to the slowest unmeasured link (a coupon-collector tail measured in
 slow-link round trips): on many seeds the monitor never published within
 the run and NetMax sat on its uniform fallback, erasing its advantage.
 ``NetMaxTrainer`` therefore defaults ``monitor_min_coverage=0.9``. These
@@ -97,27 +97,21 @@ class TestNeverPublishCliffAt1:
 
 
 class TestPolicyScopeWiring:
-    """The neighborhood-local solve mode and unprobed stance through the
-    trainer: defaults pinned, kwargs reach the monitor, and local mode on a
-    full graph with wide hops reproduces the global run bit for bit."""
+    """The neighborhood-local solve mode through the trainer: defaults
+    pinned, kwargs reach the monitor, and local mode on a full graph with
+    wide hops reproduces the global run bit for bit."""
 
     def test_defaults_pinned(self):
         signature = inspect.signature(NetMaxTrainer.__init__)
         assert signature.parameters["policy_scope"].default == "global"
         assert signature.parameters["policy_local_hops"].default == 2
-        assert signature.parameters["monitor_unprobed"].default == "pessimistic"
         trainer = make_trainer()
         assert trainer.monitor.policy_scope == "global"
-        assert trainer.monitor.unprobed == "pessimistic"
 
     def test_kwargs_reach_the_monitor(self):
-        trainer = make_trainer(
-            policy_scope="local", policy_local_hops=3,
-            monitor_unprobed="optimistic",
-        )
+        trainer = make_trainer(policy_scope="local", policy_local_hops=3)
         assert trainer.monitor.policy_scope == "local"
         assert trainer.monitor.local_hops == 3
-        assert trainer.monitor.unprobed == "optimistic"
 
     def _run_quadratic(self, **kwargs):
         from repro.experiments.scenarios import make_quadratic_workload

@@ -146,18 +146,18 @@ class TestTimeTracking:
         assert vector[1] == pytest.approx(3.0)  # 0.5*2 + 0.5*4
         assert np.isnan(vector[2])
 
-    def test_has_measured_all_neighbors(self):
+    def test_neighbor_times_fill_in(self):
         worker = make_worker()
-        assert not worker.has_measured_all_neighbors()
+        assert np.isnan(worker.time_vector()[worker.neighbors]).all()
         for peer in (1, 2, 3):
             worker.record_time(peer, 1.0)
-        assert worker.has_measured_all_neighbors()
+        assert not np.isnan(worker.time_vector()[worker.neighbors]).any()
 
     def test_self_time_not_required_for_coverage(self):
         worker = make_worker()
         for peer in (1, 2, 3):
             worker.record_time(peer, 1.0)
-        assert worker.has_measured_all_neighbors()
+        assert not np.isnan(worker.time_vector()[worker.neighbors]).any()
         assert np.isnan(worker.time_vector()[0])
 
     def test_negative_duration_rejected(self):

@@ -1,7 +1,7 @@
-"""Neighborhood-local policy solves and the unprobed-link stance.
+"""Neighborhood-local policy solves and the monitor's gap filling.
 
 Covers the ``policy_scope="local"`` mode (per-worker ego-subgraph solves)
-and the ``unprobed`` gap-filling option of :class:`NetworkMonitor`:
+and the gap filling of :class:`NetworkMonitor`:
 
 - the headline bit-identity claim: local mode on a full graph with
   ``local_hops >= diameter`` reproduces the global solve exactly (shared
@@ -13,9 +13,8 @@ and the ``unprobed`` gap-filling option of :class:`NetworkMonitor`:
   published policy, the cache's entries and its counters exactly as one
   ``PolicyCache.generate`` per ego in worker order would -- through
   repeated keys, mid-tick evictions and an infeasible ego;
-- ``unprobed="optimistic"`` seeds gaps with the fastest observed time,
-  while the *default stays pessimistic* (regression pin);
-- constructor validation for both options.
+- a gap is filled with the slowest time its row observed (regression pin);
+- constructor validation for ``policy_scope`` and ``local_hops``.
 """
 
 import dataclasses
@@ -243,38 +242,17 @@ class TestBatchedEgoSolves:
             }
 
 
-class TestUnprobedStance:
-    def test_default_is_pessimistic(self, full5, hetero_times5):
-        """Regression pin: the default fill stays the per-row maximum."""
+class TestGapFill:
+    def test_gap_is_the_row_maximum(self, full5, hetero_times5):
+        """Regression pin: an unmeasured neighbor time is filled with the
+        slowest time its row has observed."""
         monitor = NetworkMonitor(full5, min_coverage=0.5)
-        assert monitor.unprobed == "pessimistic"
         raw = hetero_times5.astype(float).copy()
         raw[~full5.adjacency] = np.nan
         raw[0, 1] = np.nan
         assembled = monitor.assemble_time_matrix(raw)
         row_known = raw[0][full5.adjacency[0] & ~np.isnan(raw[0])]
         assert assembled[0, 1] == pytest.approx(row_known.max())
-
-    def test_optimistic_seeds_fastest_observed(self, full5, hetero_times5):
-        monitor = NetworkMonitor(full5, min_coverage=0.5, unprobed="optimistic")
-        raw = hetero_times5.astype(float).copy()
-        raw[~full5.adjacency] = np.nan
-        fastest = np.nanmin(raw)
-        raw[0, 1] = np.nan
-        raw[3, 4] = np.nan
-        assembled = monitor.assemble_time_matrix(raw)
-        assert assembled[0, 1] == pytest.approx(fastest)
-        assert assembled[3, 4] == pytest.approx(fastest)
-
-    def test_optimistic_full_coverage_identical_to_pessimistic(
-        self, full5, hetero_times5
-    ):
-        """With nothing unprobed the stance is inert."""
-        raw = hetero_times5.astype(float).copy()
-        raw[~full5.adjacency] = np.nan
-        a = NetworkMonitor(full5).assemble_time_matrix(raw)
-        b = NetworkMonitor(full5, unprobed="optimistic").assemble_time_matrix(raw)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestValidation:
@@ -285,7 +263,3 @@ class TestValidation:
     def test_bad_local_hops_rejected(self, full5):
         with pytest.raises(ValueError, match="local_hops"):
             NetworkMonitor(full5, local_hops=0)
-
-    def test_bad_unprobed_rejected(self, full5):
-        with pytest.raises(ValueError, match="unprobed"):
-            NetworkMonitor(full5, unprobed="hopeful")

@@ -328,9 +328,9 @@ class TestScenarioRegistry:
         assert scenario.name.endswith("-ring-ev3"), scenario.name
         assert isinstance(scenario.topology, DynamicTopology)
         assert scenario.topology.flip_times() == (2.0, 4.0, 5.0)
-        assert scenario.topology.has_edge_at(0, 1, 1.9)
-        assert not scenario.topology.has_edge_at(0, 1, 2.0)
-        assert scenario.topology.has_edge_at(0, 1, 4.0)
+        assert scenario.topology.topology_at(1.9).has_edge(0, 1)
+        assert not scenario.topology.topology_at(2.0).has_edge(0, 1)
+        assert scenario.topology.topology_at(4.0).has_edge(0, 1)
         other_seed = build_scenario(
             "heterogeneous", 4, seed=7, topology="ring",
             edge_events="0-1@2:4;1-2@5",

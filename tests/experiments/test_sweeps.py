@@ -184,12 +184,6 @@ class TestRunSweep:
         for a, b in zip(sequential.outcomes, again.outcomes):
             assert_results_identical(a.result, b.result)
 
-    def test_result_for(self, sequential):
-        cell = tiny_spec().cells()[0]
-        assert sequential.result_for(cell).algorithm == cell.algorithm
-        with pytest.raises(KeyError):
-            sequential.result_for(tiny_spec(seeds=(9,)).cells()[0])
-
     def test_cache_roundtrip(self, sequential, tmp_path):
         fresh = run_sweep(tiny_spec(), cache_dir=str(tmp_path))
         assert fresh.cells_from_cache == 0

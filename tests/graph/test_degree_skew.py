@@ -8,7 +8,7 @@ Semantics pinned here:
 - skewed graphs are deterministic per seed, connected, and actually
   heterogeneous (degree spread grows with the skew);
 - the factory rejects the parameter where it cannot apply (structured
-  kinds) and rejects negative values, through ``validate_topology_request``;
+  kinds) and rejects negative values, through ``make_topology``;
   a sweep over such a scenario fails at spec construction, which builds it.
 """
 
@@ -20,7 +20,6 @@ from repro.experiments.sweeps import ScenarioSpec, SweepSpec
 from repro.graph.topology import (
     Topology,
     make_topology,
-    validate_topology_request,
 )
 
 
@@ -90,13 +89,11 @@ class TestSpecTimeRejection:
     def test_rejected_for_structured_kinds(self, kind):
         workers = 16
         with pytest.raises(ValueError, match="degree_skew"):
-            validate_topology_request(kind, workers, 0.3, degree_skew=0.5)
-        with pytest.raises(ValueError, match="degree_skew"):
             make_topology(kind, workers, seed=0, degree_skew=0.5)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="degree_skew"):
-            validate_topology_request("random", 8, 0.3, degree_skew=-0.1)
+            make_topology("random", 8, edge_probability=0.3, degree_skew=-0.1)
 
     def test_scenario_registry_rejects_at_spec_time(self):
         skewed_ring = ScenarioSpec(

@@ -1,8 +1,8 @@
 """networkx as a test-only oracle for the two graph searches ``src/`` owns.
 
-``initially_fast_subgraph`` (SAPS's maximum-bandwidth spanning tree plus the
-next-fastest extras) and ``Topology.bridges`` (which edges
-``EdgeSchedule.random`` may never fail) used to call
+``initially_fast_subgraph`` (SAPS's maximum-bandwidth spanning tree) and
+``Topology.bridges`` (which edges ``EdgeSchedule.random`` may never fail)
+used to call
 ``nx.maximum_spanning_tree`` / ``nx.bridges``; ``src/`` now runs Kruskal
 with a union-find and an iterative Tarjan search itself, so that no
 ``repro`` command imports networkx. The golden runs depend on *which* tied
@@ -19,23 +19,14 @@ from repro.algorithms.saps import initially_fast_subgraph
 from repro.graph.topology import Topology, make_topology
 
 
-def networkx_fast_subgraph(topology, bandwidth, extra_edges):
-    """The pre-Kruskal implementation, kept verbatim as the oracle."""
+def networkx_fast_subgraph(topology, bandwidth):
+    """The pre-Kruskal implementation, kept as the oracle."""
     graph = nx.Graph()
     graph.add_nodes_from(range(topology.num_workers))
     for a, b in topology.edges():
         graph.add_edge(a, b, bandwidth=float(bandwidth[a, b]))
     tree = nx.maximum_spanning_tree(graph, weight="bandwidth")
-    chosen = set(frozenset(e) for e in tree.edges())
-    if extra_edges > 0:
-        remaining = sorted(
-            (e for e in graph.edges() if frozenset(e) not in chosen),
-            key=lambda e: graph.edges[e]["bandwidth"],
-            reverse=True,
-        )
-        for edge in remaining[:extra_edges]:
-            chosen.add(frozenset(edge))
-    return sorted(tuple(sorted(e)) for e in chosen)
+    return sorted(tuple(sorted(e)) for e in tree.edges())
 
 
 @st.composite
@@ -59,11 +50,11 @@ def tied_weight_graphs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tied_weight_graphs(), st.sampled_from([0, 1, 3, 100]))
-def test_kruskal_picks_networkx_tree_and_extras(case, extra_edges):
+@given(tied_weight_graphs())
+def test_kruskal_picks_networkx_tree(case):
     topology, bandwidth = case
-    ours = initially_fast_subgraph(topology, bandwidth, extra_edges=extra_edges)
-    assert ours.edges() == networkx_fast_subgraph(topology, bandwidth, extra_edges)
+    ours = initially_fast_subgraph(topology, bandwidth)
+    assert ours.edges() == networkx_fast_subgraph(topology, bandwidth)
 
 
 @settings(max_examples=200, deadline=None)

@@ -84,22 +84,6 @@ class TestRepeatedRuns:
                            test_data=(features[:100], labels[:100]))
         assert_identical_training(full, trimmed, check_accuracy=False)
 
-    def test_flow_sharing_flag_draws_no_randomness(self, algorithm, setup):
-        """With 2 workers no endpoint ever carries two concurrent flows, so
-        toggling flow sharing must leave the run bit-identical -- the flag
-        gates a formula, never an RNG draw."""
-        scenario = heterogeneous_scenario(num_workers=2, seed=3)
-        workload = make_workload(
-            "mobilenet", "mnist", num_workers=2, batch_size=32,
-            num_samples=800, seed=3,
-        )
-        config = TrainerConfig(max_sim_time=20.0, eval_interval_s=5.0, seed=3,
-                               eval_max_samples=64)
-        small = (scenario, workload, config)
-        shared = run_once(small, algorithm, flow_sharing=True)
-        unshared = run_once(small, algorithm, flow_sharing=False)
-        assert_identical_training(shared, unshared)
-
 
 class TestNoDuplicateFinalEval:
     def test_stop_at_eval_event_does_not_double_log(self, setup):

@@ -112,11 +112,12 @@ class TestConservation:
         trainer.run()
         assert transfers, "run produced no transfers at all"
         for receiver, sender, time in transfers:
-            assert scenario.topology.has_edge_at(receiver, sender, time), (
+            assert scenario.topology.topology_at(time).has_edge(receiver, sender), (
                 f"transfer {sender} -> {receiver} at t={time} started on a "
                 "failed edge"
             )
-            assert schedule.edge_active_at(receiver, sender, time)
+            edge = (min(receiver, sender), max(receiver, sender))
+            assert edge not in schedule.down_edges_at(time)
 
     def test_guard_raises_on_failed_edge(self, problem):
         scenario, workload, config = problem
@@ -360,7 +361,7 @@ class TestEdgeEventsAxis:
         trainer.run()
         assert transfers, "run produced no transfers at all"
         for receiver, sender, time in transfers:
-            assert scenario.topology.has_edge_at(receiver, sender, time), (
+            assert scenario.topology.topology_at(time).has_edge(receiver, sender), (
                 f"transfer {sender} -> {receiver} at t={time} started on a "
                 "failed edge"
             )

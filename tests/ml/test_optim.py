@@ -24,7 +24,7 @@ class TestConstantLR:
 
 class TestStepDecayLR:
     def test_decays_at_milestones(self):
-        schedule = StepDecayLR(0.1, milestones=(10, 20), factor=0.1)
+        schedule = StepDecayLR(0.1, milestones=(10, 20))
         assert schedule.lr(5) == pytest.approx(0.1)
         assert schedule.lr(10) == pytest.approx(0.01)
         assert schedule.lr(25) == pytest.approx(0.001)
@@ -33,10 +33,6 @@ class TestStepDecayLR:
         schedule = StepDecayLR(0.1, milestones=(20, 10))
         assert schedule.lr(15) == pytest.approx(0.01)
 
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError, match="factor"):
-            StepDecayLR(0.1, factor=1.5)
-
     def test_rejects_negative_milestone(self):
         with pytest.raises(ValueError, match="milestones"):
             StepDecayLR(0.1, milestones=(-1,))
@@ -44,31 +40,36 @@ class TestStepDecayLR:
 
 class TestPlateauDecayLR:
     def test_no_decay_while_improving(self):
-        schedule = PlateauDecayLR(0.1, patience=2)
-        for loss in [1.0, 0.9, 0.8, 0.7]:
+        schedule = PlateauDecayLR(0.1)
+        for loss in [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4]:
             schedule.observe_loss(loss)
         assert schedule.lr(0) == pytest.approx(0.1)
 
     def test_decays_after_patience_stalls(self):
-        schedule = PlateauDecayLR(0.1, patience=3, factor=0.1)
+        schedule = PlateauDecayLR(0.1)
         schedule.observe_loss(1.0)
-        for _ in range(3):
+        for _ in range(PlateauDecayLR.patience - 1):
             schedule.observe_loss(1.0)  # no improvement
+        assert schedule.lr(0) == pytest.approx(0.1)
+        schedule.observe_loss(1.0)
         assert schedule.lr(0) == pytest.approx(0.01)
 
     def test_respects_min_lr(self):
-        schedule = PlateauDecayLR(0.1, patience=1, factor=0.1, min_lr=0.05)
+        schedule = PlateauDecayLR(0.1)
         schedule.observe_loss(1.0)
-        for _ in range(10):
+        for _ in range(10 * PlateauDecayLR.patience):
             schedule.observe_loss(1.0)
-        assert schedule.lr(0) == pytest.approx(0.05)
+        assert schedule.lr(0) == pytest.approx(PlateauDecayLR.min_lr)
 
     def test_improvement_resets_stall_counter(self):
-        schedule = PlateauDecayLR(0.1, patience=2, min_delta=1e-3)
+        schedule = PlateauDecayLR(0.1)
+        stalls = PlateauDecayLR.patience - 1
         schedule.observe_loss(1.0)
-        schedule.observe_loss(1.0)  # stall 1
+        for _ in range(stalls):
+            schedule.observe_loss(1.0)
         schedule.observe_loss(0.5)  # improvement resets
-        schedule.observe_loss(0.5)  # stall 1 again
+        for _ in range(stalls):
+            schedule.observe_loss(0.5 - PlateauDecayLR.min_delta / 2)  # too small
         assert schedule.lr(0) == pytest.approx(0.1)
 
 

@@ -20,15 +20,10 @@ class TestPlacement:
         spec = ClusterSpec(workers_per_server=(3, 3, 2))
         np.testing.assert_array_equal(spec.placement(), [0, 0, 0, 1, 1, 1, 2, 2])
 
-    def test_same_server(self):
-        spec = ClusterSpec(workers_per_server=(2, 2))
-        assert spec.same_server(0, 1)
-        assert not spec.same_server(1, 2)
-
     def test_counts(self):
         spec = ClusterSpec(workers_per_server=(4, 4))
         assert spec.num_workers == 8
-        assert spec.num_servers == 2
+        assert spec.placement().max() + 1 == 2
 
     def test_empty_server_rejected(self):
         with pytest.raises(ValueError):
@@ -68,17 +63,17 @@ class TestPaperLayouts:
     )
     def test_paper_heterogeneous_server_counts(self, workers, expected_servers):
         spec = ClusterSpec.paper_heterogeneous(workers)
-        assert spec.num_servers == expected_servers
+        assert len(spec.workers_per_server) == expected_servers
         assert spec.num_workers == workers
 
     def test_paper_heterogeneous_other_counts(self):
         spec = ClusterSpec.paper_heterogeneous(6)
         assert spec.num_workers == 6
-        assert spec.num_servers >= 2
+        assert len(spec.workers_per_server) >= 2
 
     def test_paper_homogeneous_single_server(self):
         spec = ClusterSpec.paper_homogeneous(8)
-        assert spec.num_servers == 1
+        assert len(spec.workers_per_server) == 1
         bandwidth = spec.bandwidth_matrix()
         off = ~np.eye(8, dtype=bool)
         assert np.all(bandwidth[off] == bandwidth[0, 1])  # uniform vswitch

@@ -13,7 +13,7 @@ invariants of ``tests/network/test_link_invariants.py``:
    any query order, repeated queries, and fresh instances built from the
    same inputs reproduce the identical graph history (the bit-identical
    replay guarantee rests on this).
-4. **Consistency** -- ``adjacency_at``/``topology_at``/``has_edge_at``/
+4. **Consistency** -- ``adjacency_at``/``topology_at``/
    ``edge_signature_at`` agree with each other and with the schedule's own
    ``down_edges_at`` bookkeeping; the live edge set is always a subset of
    the base graph.
@@ -123,12 +123,11 @@ class TestDynamicTopologyInvariants:
             down = dynamic.schedule.down_edges_at(t)
             for a, b in dynamic.edges():
                 expected = (a, b) not in down
-                assert dynamic.has_edge_at(a, b, t) == expected
+                assert segment.has_edge(a, b) == expected
                 assert bool(live[a, b]) == expected
-                assert dynamic.schedule.edge_active_at(b, a, t) == expected
             for worker in range(dynamic.num_workers):
                 np.testing.assert_array_equal(
-                    dynamic.neighbors_at(worker, t), np.flatnonzero(live[worker])
+                    segment.neighbors(worker), np.flatnonzero(live[worker])
                 )
 
     @given(m=workers, seed=seeds, failures=failure_counts)
@@ -163,8 +162,8 @@ class TestScheduleValidation:
     def test_single_and_flapping_constructors(self):
         single = EdgeSchedule.single(5, (1, 2), fail_at=3.0, repair_at=8.0)
         assert [e.kind for e in single.events] == ["fail", "repair"]
-        assert not single.edge_active_at(1, 2, 5.0)
-        assert single.edge_active_at(1, 2, 8.0)
+        assert single.down_edges_at(5.0) == {(1, 2)}
+        assert single.down_edges_at(8.0) == set()
         with pytest.raises(ValueError, match="after fail_at"):
             EdgeSchedule.single(5, (1, 2), fail_at=3.0, repair_at=2.0)
         flapping = EdgeSchedule.flapping(
@@ -172,8 +171,8 @@ class TestScheduleValidation:
         )
         # 3 full cycles fit: down during [5,10), [15,20), [25,30).
         assert len(flapping) == 6
-        assert not flapping.edge_active_at(0, 1, 6.0)
-        assert flapping.edge_active_at(0, 1, 12.0)
+        assert flapping.down_edges_at(6.0) == {(0, 1)}
+        assert flapping.down_edges_at(12.0) == set()
 
     def test_double_fail_rejected(self):
         with pytest.raises(ValueError, match="fails twice"):

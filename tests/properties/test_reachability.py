@@ -35,7 +35,7 @@ from repro.simulation.churn import ChurnSchedule
 HORIZON_S = 12.0
 TRAINER_KWARGS = {
     "adpsgd": {},
-    "saps": {"extra_edges": 2},
+    "saps": {},
     # A short period and a tiny LP grid: several policies get published,
     # adopted and then re-masked within the horizon, cheaply.
     "netmax": {

@@ -14,7 +14,7 @@ pinned here:
   from the materialized dense matrix (CSR derived *from* dense) hashes and
   compares equal to the sparse-native original;
 - ``DynamicTopology``'s at-time-t views (``adjacency_at``/``topology_at``/
-  ``has_edge_at``/``edge_signature_at``) agree with each other and with a
+  ``edge_signature_at``) agree with each other and with a
   dense round-trip of the live graph.
 """
 
@@ -118,7 +118,7 @@ class TestSparseDenseAgreement:
                 == dynamic.edge_signature_at(t)
             )
             for a, b in base.edges():
-                assert dynamic.has_edge_at(a, b, t) == bool(live_dense[a, b])
+                assert segment.has_edge(a, b) == bool(live_dense[a, b])
 
     @given(m=workers, seed=seeds)
     @settings(max_examples=15, deadline=None)

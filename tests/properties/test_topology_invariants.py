@@ -26,7 +26,6 @@ from repro.graph.topology import (
     TOPOLOGY_KINDS,
     Topology,
     make_topology,
-    validate_topology_request,
 )
 
 workers = st.integers(min_value=4, max_value=12)
@@ -173,28 +172,11 @@ class TestSeedDeterminism:
 
 
 class TestRequestValidation:
-    @given(m=st.integers(min_value=2, max_value=40), p=probabilities)
-    @settings(max_examples=60, deadline=None)
-    def test_validate_agrees_with_build(self, m, p):
-        """validate_topology_request passes iff make_topology succeeds."""
-        for kind in TOPOLOGY_KINDS:
-            try:
-                validate_topology_request(kind, m, p)
-                buildable = True
-            except ValueError:
-                buildable = False
-            if buildable:
-                topology = make_topology(kind, m, edge_probability=p, seed=0)
-                assert topology.num_workers == m
-            else:
-                with pytest.raises(ValueError):
-                    make_topology(kind, m, edge_probability=p, seed=0)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown topology kind"):
-            validate_topology_request("mesh", 8, 0.5)
+            make_topology("mesh", 8, edge_probability=0.5)
 
     def test_torus_rejects_primes(self):
         for m in (5, 7, 11, 13):
             with pytest.raises(ValueError, match="torus"):
-                validate_topology_request("torus", m, 0.5)
+                make_topology("torus", m, edge_probability=0.5)

@@ -169,6 +169,38 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and re.search(message, line), line
 
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param(command, flags, message, id=f"{command} {' '.join(flags)}")
+        for command in ("sweep", "compare")
+        for flags, message in (
+            (["--sim-time", "0"], "max_sim_time must be positive"),
+            (["--sim-time", "-1"], "max_sim_time must be positive"),
+            (["--max-epochs", "0"], "max_epochs must be positive"),
+            (["--batch-size", "0"], "batch_size must be >= 1"),
+        )
+        if not (command == "compare" and flags[0] == "--max-epochs")
+    ])
+    def test_run_settings_that_cannot_run_exit_2(
+        self, capsys, monkeypatch, command, flags, message
+    ):
+        """What --dry-run lists must run: these settings used to pass the
+        dry run and die in a traceback in every cell (compare reads no
+        --max-epochs)."""
+        from repro.experiments.sweeps import SweepCell
+
+        monkeypatch.setattr(
+            SweepCell, "execute", lambda self: pytest.fail("a cell ran")
+        )
+        argv = [command, "--algorithms", "adpsgd", "--workers", "4",
+                "--samples", "64", "--sim-time", "2", *flags]
+        if command == "sweep":
+            argv += ["--seeds", "0", "--dry-run"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line, line
+
     def test_compare_tiny(self, capsys):
         code = main([
             "compare", "--algorithms", "adpsgd", "allreduce",
@@ -534,16 +566,30 @@ class TestCommands:
         )
         assert rows[0, 2] == rows[1, 3] == 0.0  # the ring's two non-edges
 
-    @pytest.mark.parametrize("kind", ["asymmetric", "disconnected", "infeasible"])
+    @pytest.mark.parametrize("kind", [
+        "asymmetric", "disconnected", "infeasible",
+        "missing", "non-numeric", "ragged",
+    ])
     def test_policy_bad_csv_exits_2_with_one_error_line(self, tmp_path, capsys, kind):
         times, flags = self._ring_times(), []
-        if kind == "asymmetric":
-            times[2, 3] = 0.0
-        elif kind == "disconnected":
-            times[1, 2] = times[2, 1] = times[3, 0] = times[0, 3] = 0.0
-        else:  # a one-step rho grid sits on L == U, where no LP is feasible
-            times, flags = np.ones((4, 4)), ["--outer-rounds", "1"]
-        assert self._policy_exit(tmp_path, times, *flags) == 2
+        unreadable = {
+            "missing": None,
+            "non-numeric": "0,1,1\n1,0,x\n1,1,0\n",
+            "ragged": "0,1,1\n1,0\n1,1,0\n",
+        }
+        if kind in unreadable:
+            csv = tmp_path / "times.csv"
+            if unreadable[kind] is not None:
+                csv.write_text(unreadable[kind])
+            assert main(["policy", "--times", str(csv)]) == 2
+        else:
+            if kind == "asymmetric":
+                times[2, 3] = 0.0
+            elif kind == "disconnected":
+                times[1, 2] = times[2, 1] = times[3, 0] = times[0, 3] = 0.0
+            else:  # a one-step rho grid sits on L == U, where no LP is feasible
+                times, flags = np.ones((4, 4)), ["--outer-rounds", "1"]
+            assert self._policy_exit(tmp_path, times, *flags) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
