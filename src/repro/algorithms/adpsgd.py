@@ -87,11 +87,12 @@ class ADPSGDTrainer(GossipTrainer):
             # Average with the pulled model, then apply the local gradient --
             # AD-PSGD computes the gradient at the pre-averaging parameters.
             # pulled_params is the compression accuracy hook; without a
-            # lossy op it is exactly the peer's parameters.
+            # lossy op it is exactly the peer's parameters. Both replicas
+            # are read in place: the mix and the step only read them.
             base = (
-                (1.0 - weight) * model.get_params()
+                (1.0 - weight) * model._params
                 + weight * self.pulled_params(worker, peer)
             )
         else:
-            base = model.get_params()
+            base = model._params
         model.set_params(self._optimizers[worker].step(base, grad, lr))

@@ -28,7 +28,7 @@ class ADPSGDMonitorTrainer(NetMaxTrainer):
         # op it is exactly the peer's parameters.
         peer_params = self.pulled_params(worker, peer)
         blended = (
-            (1.0 - self.mixing_weight) * model.get_params()
+            (1.0 - self.mixing_weight) * model._params
             + self.mixing_weight * peer_params
         )
         model.set_params(blended)

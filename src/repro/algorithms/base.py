@@ -36,7 +36,7 @@ import numpy as np
 from repro.graph.topology import Topology
 from repro.ml.data import BatchSampler
 from repro.ml.models import Model
-from repro.ml.optim import LRSchedule, PlateauDecayLR, SGDConfig
+from repro.ml.optim import EPOCH_FREE_SCHEDULES, LRSchedule, PlateauDecayLR, SGDConfig
 from repro.network.costmodel import CommunicationModel, ComputeModel, ModelCostProfile
 from repro.network.links import LinkSpeedModel
 from repro.simulation.churn import ChurnSchedule
@@ -100,11 +100,6 @@ class WorkerTask:
         if self.sampler is not None:
             return self.sampler.epoch_progress
         return self.iterations / iterations_per_epoch_hint
-
-    def epochs_completed(self, iterations_per_epoch_hint: int) -> int:
-        if self.sampler is not None:
-            return self.sampler.epochs_completed
-        return self.iterations // iterations_per_epoch_hint
 
 
 @dataclass
@@ -275,6 +270,11 @@ class DecentralizedTrainer(abc.ABC):
         self._iterations_total = int(sum(task.iterations for task in tasks))
         self._lr_value = self.config.lr_schedule.lr(self._progress_sum / len(tasks))
         self._lr_dirty = False
+        # Progress can move only a rate that reads the epoch; evaluate()
+        # marks the cache stale for the others.
+        self._lr_follows_epoch = (
+            type(self.config.lr_schedule) not in EPOCH_FREE_SCHEDULES
+        )
         for index, task in enumerate(tasks):
             task.progress_hook = partial(self._on_task_progress, index)
         self._worker_batches = [
@@ -406,12 +406,22 @@ class DecentralizedTrainer(abc.ABC):
     # -- accounting --------------------------------------------------------------
 
     def _on_task_progress(self, worker: int) -> None:
-        """Progress hook: one task just drew a sample (O(1) bookkeeping)."""
-        progress = self.tasks[worker].epoch_progress(self._epoch_hint)
+        """Progress hook: one task just drew a sample (O(1) bookkeeping).
+
+        :meth:`WorkerTask.epoch_progress`, written out: this runs once per
+        iteration.
+        """
+        task = self.tasks[worker]
+        sampler = task.sampler
+        if sampler is None:
+            progress = task.iterations / self._epoch_hint
+        else:
+            progress = sampler.epoch_progress
         self._progress_sum += progress - self._progress[worker]
         self._progress[worker] = progress
         self._iterations_total += 1
-        self._lr_dirty = True
+        if self._lr_follows_epoch:
+            self._lr_dirty = True
 
     def start_transfer(self, receiver: int, sender: int) -> float:
         """One model-sized transfer via the comm model, with churn and
@@ -454,15 +464,19 @@ class DecentralizedTrainer(abc.ABC):
         through here; without a lossy op this returns the peer's
         parameters untouched and draws nothing, so the default path is
         bit-identical to the pre-compression trainers.
+
+        No copy is made: without a lossy op the result *is* the peer's
+        parameter buffer. Every caller only reads it, inside the update
+        that pulls, and must neither write nor keep it.
         """
-        peer_params = self.tasks[peer].model.get_params()
+        peer_params = self.tasks[peer].model._params
         if self._compression_rngs is None:
             return peer_params
         eps = self._compression_error
         scale = (1.0 - eps) + (eps * (1.0 - eps)) ** 0.5 * float(
             self._compression_rngs[worker].standard_normal()
         )
-        own = self.tasks[worker].model.get_params()
+        own = self.tasks[worker].model._params
         return own + scale * (peer_params - own)
 
     # -- churn -----------------------------------------------------------------
@@ -555,7 +569,12 @@ class DecentralizedTrainer(abc.ABC):
     def record_iteration(self, worker: int, compute_time: float, duration: float) -> None:
         """Book one finished local iteration into the cost tracker."""
         self.costs.record_iteration(worker, compute_time, duration)
-        completed = self.tasks[worker].epochs_completed(self._epoch_hint)
+        task = self.tasks[worker]  # whole epochs, as in the progress hook
+        sampler = task.sampler
+        if sampler is None:
+            completed = task.iterations // self._epoch_hint
+        else:
+            completed = sampler.epochs_completed
         while self._epoch_boundaries_seen[worker] < completed:
             self.costs.record_epoch_boundary(worker)
             self._epoch_boundaries_seen[worker] += 1
@@ -609,10 +628,8 @@ class DecentralizedTrainer(abc.ABC):
     # -- the run ---------------------------------------------------------------------
 
     def _should_stop(self) -> bool:
-        return (
-            self.config.max_epochs is not None
-            and self.mean_epoch() >= self.config.max_epochs
-        )
+        """The epoch cap (:meth:`run` asks only when ``max_epochs`` is set)."""
+        return self.mean_epoch() >= self.config.max_epochs
 
     @abc.abstractmethod
     def _setup(self) -> None:
@@ -660,6 +677,9 @@ class DecentralizedTrainer(abc.ABC):
         self.sim.run(
             until_time=self.config.max_sim_time,
             max_events=self.config.max_events,
-            stop_condition=self._should_stop,
+            # Asked before every event, so only when there is an epoch cap.
+            stop_condition=(
+                None if self.config.max_epochs is None else self._should_stop
+            ),
         )
         return self._finalize_result()

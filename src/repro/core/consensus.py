@@ -185,8 +185,8 @@ class ConsensusWorker:
 
     def local_gradient_step(self, grad: np.ndarray, lr: float) -> None:
         """Line 11: first update, ``x <- x - alpha * grad`` with momentum."""
-        params = self.model.get_params()
-        self.model.set_params(self._sgd_state.step(params, grad, lr))
+        # The replica is read in place: the step only reads it.
+        self.model.set_params(self._sgd_state.step(self.model._params, grad, lr))
         self.local_step += 1
 
     def pull_update(
@@ -225,7 +225,7 @@ class ConsensusWorker:
         if coefficient >= 1.0:
             coefficient = 0.999
             self.clip_events += 1
-        params = self.model.get_params()
+        params = self.model._params  # read in place: the move only reads it
         self.model.set_params(params - coefficient * (params - peer_params))
 
     def record_time(self, peer: int, duration: float) -> float:

@@ -362,6 +362,15 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one seed")
         if not self.scenarios:
             raise ValueError("a sweep needs at least one scenario")
+        # A repeat would run the same cell twice and count it as two seeds
+        # (a zero-width spread that is not real).
+        for axis, values in (
+            ("seed", self.seeds),
+            ("algorithm", [name.lower() for name in self.algorithms]),
+        ):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"repeated {axis}(s) {repeated} in the sweep")
         # Fail at spec construction, not cell execution: an edge_failures
         # cell paired with a trainer that has no per-edge gossip semantics
         # (the synchronous baselines) can never run, so it must never
@@ -388,7 +397,7 @@ class SweepSpec:
                 workload.partition, workload.segments_per_worker,
                 workload.lost_labels, scenario.num_workers,
             )
-            for seed in dict.fromkeys(self.seeds):
+            for seed in self.seeds:
                 try:
                     scenario.build(seed)
                 except ValueError as error:

@@ -44,7 +44,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
     Args:
         logits: ``(n, c)`` raw scores.
-        labels: ``(n,)`` integer class labels in ``[0, c)``.
+        labels: ``(n,)`` integer class labels in ``[0, c)`` (not checked).
 
     Returns:
         ``(loss, dloss/dlogits)`` where the gradient already includes the
@@ -57,13 +57,19 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
         raise ValueError("cannot compute cross-entropy of an empty batch")
     # softmax and log_softmax share shift / exp / sum: computed once here,
     # in their order, so both halves equal the two-call formula bit for bit.
-    rows = np.arange(n)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The labelled entries are read and written through flat indices into
+    # the C-ordered rows, and the ufunc reductions are called directly:
+    # ``add.reduce(v) / n`` is ``v.mean()`` and ``b - a`` is ``-(a - b)``,
+    # the same operations on the same values. (Every term is >= 0, so the
+    # one bit that can differ is the sign of a loss that is exactly zero:
+    # 0.0 here, -0.0 from the two-call formula; they compare equal.)
+    picked = np.arange(0, logits.size, logits.shape[1]) + labels
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     grad = np.exp(shifted)
-    total = grad.sum(axis=-1, keepdims=True)
-    loss = float(-(shifted[rows, labels] - np.log(total)[:, 0]).mean())
+    total = np.add.reduce(grad, axis=-1, keepdims=True)
+    loss = float(np.add.reduce(np.log(total)[:, 0] - shifted.ravel()[picked]) / n)
     grad /= total
-    grad[rows, labels] -= 1.0
+    grad.ravel()[picked] -= 1.0
     grad /= n
     return loss, grad
 

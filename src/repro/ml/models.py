@@ -38,6 +38,8 @@ class Model:
     *view* into it, built by :meth:`_bind`. The flat vector the trainers
     speak is therefore the storage itself: reading it is one copy, writing
     it one validated copy into place, and nobody outside ever holds the buffer.
+    (The gossip mixes, which only read a replica inside one expression,
+    read ``_params`` in place and skip the copy; none keeps or writes it.)
     """
 
     _params: np.ndarray
@@ -103,7 +105,9 @@ class MLPClassifier(Model):
 
     The flat buffer is laid out ``W_0, b_0, W_1, b_1, ...``; ``_weights`` and
     ``_biases`` are views of it, and the backward pass writes each layer's
-    gradient straight into the same layout of a fresh flat vector.
+    gradient straight into the same layout of a fresh flat vector. Where
+    each layer sits in that layout, ``_layout``, is worked out once at
+    construction; a call only slices.
     He initialization keeps gradients healthy at the depths used here.
     """
 
@@ -125,9 +129,16 @@ class MLPClassifier(Model):
         self.hidden = tuple(int(h) for h in hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         sizes = (num_features, *self.hidden, num_classes)
-        self._params = np.zeros(
-            sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-        )
+        # Per layer: (weight slice, weight shape, bias slice) of the flat layout.
+        self._layout = []
+        cursor = 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            split = cursor + fan_in * fan_out
+            self._layout.append(
+                (slice(cursor, split), (fan_in, fan_out), slice(split, split + fan_out))
+            )
+            cursor = split + fan_out
+        self._params = np.zeros(cursor)
         self._bind()
         for w in self._weights:
             w[...] = rng.normal(0.0, self._init_scale(w.shape[0]), size=w.shape)
@@ -138,14 +149,10 @@ class MLPClassifier(Model):
 
     def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer ``(W, b)`` views of a flat vector in parameter layout."""
-        sizes = (self.num_features, *self.hidden, self.num_classes)
         weights, biases = [], []
-        cursor = 0
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            split = cursor + fan_in * fan_out
-            weights.append(flat[cursor:split].reshape(fan_in, fan_out))
-            cursor = split + fan_out
-            biases.append(flat[split:cursor])
+        for weight, shape, bias in self._layout:
+            weights.append(flat[weight].reshape(shape))
+            biases.append(flat[bias])
         return weights, biases
 
     def _bind(self) -> None:

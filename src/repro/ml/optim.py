@@ -115,6 +115,12 @@ class PlateauDecayLR(LRSchedule):
             self._stall = 0
 
 
+# Schedules whose lr() ignores its epoch argument: the rate moves only
+# through observe_loss, so a caller may cache it between evaluations
+# (exact classes, not isinstance: a subclass could override lr).
+EPOCH_FREE_SCHEDULES = (ConstantLR, PlateauDecayLR)
+
+
 @dataclass(frozen=True)
 class SGDConfig:
     """Hyper-parameters shared by all workers of a training run.

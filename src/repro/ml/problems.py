@@ -28,8 +28,14 @@ class QuadraticProblem(Model):
     drive it exactly like a classifier; the ``features``/``labels`` batch
     arguments are ignored (the loss is deterministic up to injected noise).
 
+    ``A`` is diagonal: every problem the reproduction builds is (its
+    eigenvalues are the coordinates' curvatures), so ``A v`` is the
+    elementwise ``curvature * v`` -- bitwise what the dense product gives,
+    whose off-diagonal terms are exact zeros -- and ``mu`` / ``L`` are the
+    smallest and largest curvature.
+
     Attributes:
-        matrix: the positive definite ``A``.
+        curvature: the positive diagonal of ``A``.
         target: the minimizer ``b``.
         noise_std: per-coordinate standard deviation of the additive noise
             ``xi`` of Assumption 1 (zero-mean, bounded variance).
@@ -50,34 +56,39 @@ class QuadraticProblem(Model):
             raise ValueError("target dimension must match matrix")
         if not np.allclose(matrix, matrix.T):
             raise ValueError("matrix must be symmetric")
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        if eigenvalues.min() <= 0:
+        curvature = np.diagonal(matrix).copy()
+        if np.count_nonzero(matrix - np.diag(curvature)):
+            raise ValueError("matrix must be diagonal")
+        if curvature.min() <= 0:
             raise ValueError("matrix must be positive definite")
         if noise_std < 0:
             raise ValueError("noise_std must be >= 0")
-        self.matrix = matrix
+        self.curvature = curvature
         self.target = target
         self.noise_std = float(noise_std)
         self._params = np.zeros_like(target)
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._mu = float(eigenvalues.min())
-        self._lipschitz = float(eigenvalues.max())
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The positive definite ``A``, as a dense (diagonal) matrix."""
+        return np.diag(self.curvature)
 
     # -- theory accessors ----------------------------------------------------
 
     @property
     def mu(self) -> float:
         """Strong convexity constant (smallest eigenvalue of A)."""
-        return self._mu
+        return float(self.curvature.min())
 
     @property
     def lipschitz(self) -> float:
         """Gradient Lipschitz constant (largest eigenvalue of A)."""
-        return self._lipschitz
+        return float(self.curvature.max())
 
     def stable_lr_upper_bound(self) -> float:
         """The ``2 / (mu + L)`` learning-rate ceiling of Theorem 1."""
-        return 2.0 / (self._mu + self._lipschitz)
+        return 2.0 / (self.mu + self.lipschitz)
 
     # -- Model interface -----------------------------------------------------
 
@@ -90,15 +101,15 @@ class QuadraticProblem(Model):
         The batch arguments exist only for interface compatibility.
         """
         diff = self._params - self.target
-        loss = 0.5 * float(diff @ self.matrix @ diff)
-        grad = self.matrix @ diff
+        grad = self.curvature * diff  # A @ diff, and diff @ A
+        loss = 0.5 * float(grad @ diff)
         if self.noise_std:
-            grad = grad + self._rng.normal(0.0, self.noise_std, size=grad.shape)
+            grad += self._rng.normal(0.0, self.noise_std, size=grad.shape)
         return loss, grad
 
     def loss(self, features=None, labels=None) -> float:
         diff = self._params - self.target
-        return 0.5 * float(diff @ self.matrix @ diff)
+        return 0.5 * float((self.curvature * diff) @ diff)
 
     def accuracy(self, features=None, labels=None) -> float:
         raise NotImplementedError("quadratic problems have no accuracy")

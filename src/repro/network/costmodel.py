@@ -155,25 +155,19 @@ class CommunicationModel:
             return profile.message_bytes
         return self.compression.compressed_bytes(profile)
 
-    def _latency_and_total(
-        self, a: int, b: int, nbytes: float, time: float
-    ) -> tuple[float, float]:
-        """``(latency, latency + nbytes / bandwidth)`` of one uncontended
-        transfer ``b -> a``: one bandwidth and one latency query."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if a == b:
-            return 0.0, 0.0
-        bandwidth = self.links.bandwidth(a, b, time)
-        latency = self.links.latency(a, b, time)
-        return latency, latency + nbytes / bandwidth
-
     def comm_time(self, a: int, b: int, nbytes: float, time: float) -> float:
-        """Seconds to move ``nbytes`` from ``b`` to ``a`` starting at ``time``.
+        """Seconds to move ``nbytes`` from ``b`` to ``a`` starting at ``time``:
+        ``latency + nbytes / bandwidth``, one query of each.
 
         Contention-free figure; use :meth:`begin_transfer` for shared flows.
         """
-        return self._latency_and_total(a, b, nbytes, time)[1]
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if a == b:
+            return 0.0
+        bandwidth = self.links.bandwidth(a, b, time)
+        latency = self.links.latency(a, b, time)
+        return latency + nbytes / bandwidth
 
     def begin_transfer(self, receiver: int, sender: int, nbytes: float, time: float) -> float:
         """Register a transfer ``sender -> receiver``; return its duration.
@@ -186,7 +180,12 @@ class CommunicationModel:
         """
         if receiver == sender:
             return 0.0
-        latency, base = self._latency_and_total(receiver, sender, nbytes, time)
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        # comm_time's figure, written out: this is the per-pull call.
+        bandwidth = self.links.bandwidth(receiver, sender, time)
+        latency = self.links.latency(receiver, sender, time)
+        base = latency + nbytes / bandwidth
         self._inbound[receiver] += 1
         self._outbound[sender] += 1
         share = max(self._inbound[receiver], self._outbound[sender])

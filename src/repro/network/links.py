@@ -170,6 +170,8 @@ class ClusterLinks(LinkSpeedModel):
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
         self._placement = cluster.placement()
+        # The same placement as Python ints, for the scalar queries.
+        self._servers = self._placement.tolist()
         self._intra_bandwidth = gbps_to_bytes_per_s(cluster.intra_gbps)
         self._inter_bandwidth = gbps_to_bytes_per_s(cluster.inter_gbps)
         self._intra_latency = float(cluster.intra_latency_s)
@@ -183,7 +185,7 @@ class ClusterLinks(LinkSpeedModel):
         self._check_pair(a, b)
         if a == b:
             return float(np.inf)
-        if self._placement[a] == self._placement[b]:
+        if self._servers[a] == self._servers[b]:
             return self._intra_bandwidth
         return self._inter_bandwidth
 
@@ -201,7 +203,7 @@ class ClusterLinks(LinkSpeedModel):
         self._check_pair(a, b)
         if a == b:
             return 0.0
-        if self._placement[a] == self._placement[b]:
+        if self._servers[a] == self._servers[b]:
             return self._intra_latency
         return self._inter_latency
 

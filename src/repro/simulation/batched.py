@@ -16,16 +16,17 @@ sequence)`` with sequence assigned in the same order the inline trainer
 would have scheduled them -- so every cell replays its inline run event
 for event.
 
-A cell is vectorizable when every task is a sampler-less diagonal
-:class:`~repro.ml.problems.QuadraticProblem` and its model dimension is the
-batch's. Parameters, velocities, targets, curvatures, and all progress/cost
-counters then live in ``[cells, workers, dim]`` / ``[cells, workers]``
-arrays, and one round's completions are processed with a handful of
-vectorized operations. Any other accepted cell (MLP tasks, sampler-backed
-or non-diagonal quadratics) is not mirrored at all: once the lockstep cells
-are done, :meth:`BatchedSimulator.run` calls that cell's own
-``trainer.run()``, so it equals the inline run by construction and at
-per-event speed. The engine mirrors only what it vectorizes.
+A cell is vectorizable when every task is a sampler-less
+:class:`~repro.ml.problems.QuadraticProblem` (whose curvature is diagonal)
+and its model dimension is the batch's. Parameters, velocities, targets,
+curvatures, and all progress/cost counters then live in
+``[cells, workers, dim]`` / ``[cells, workers]`` arrays, and one round's
+completions are processed with a handful of vectorized operations. Any
+other accepted cell (MLP tasks or sampler-backed quadratics) is not
+mirrored at all: once the lockstep cells are done,
+:meth:`BatchedSimulator.run` calls that cell's own ``trainer.run()``, so
+it equals the inline run by construction and at per-event speed. The
+engine mirrors only what it vectorizes.
 
 Determinism contract (pinned by the bit-identity suite):
 
@@ -55,7 +56,7 @@ import heapq
 
 import numpy as np
 
-from repro.ml.optim import ConstantLR, PlateauDecayLR
+from repro.ml.optim import EPOCH_FREE_SCHEDULES
 from repro.ml.problems import QuadraticProblem
 from repro.network.links import ClusterLinks, DynamicSlowdownLinks, StaticLinks
 from repro.simulation.records import TrainingResult
@@ -73,11 +74,6 @@ _SERIAL_PULL = 3
 # Peer draws are prefetched per (cell, worker) selection stream
 # in blocks of this many variates (see the determinism contract above).
 _PEER_BLOCK = 512
-
-# Schedules whose lr() ignores the epoch argument between evaluations, so
-# the engine may cache the rate per cell and refresh it only after each
-# evaluation (exact classes, not isinstance: a subclass could override).
-_EPOCH_FREE_SCHEDULES = (ConstantLR, PlateauDecayLR)
 
 
 def _query_pair_tables(links, num_workers, nbytes, time):
@@ -223,7 +219,9 @@ class _Cell:
         self.overlap = trainer.overlap
         self.models = [task.model for task in trainer.tasks]
         self.schedule = config.lr_schedule
-        self.lr_static = type(config.lr_schedule) in _EPOCH_FREE_SCHEDULES
+        # The engine caches the rate per cell and refreshes it only after
+        # each evaluation.
+        self.lr_static = type(config.lr_schedule) in EPOCH_FREE_SCHEDULES
         self.neighbors = [
             [int(n) for n in cached] for cached in trainer._neighbor_cache
         ]
@@ -295,10 +293,7 @@ class _BatchState:
             [[opt.velocity for opt in t._optimizers] for t in trainers]
         )
         self.diag = np.stack(
-            [
-                [np.diagonal(task.model.matrix) for task in t.tasks]
-                for t in trainers
-            ]
+            [[task.model.curvature for task in t.tasks] for t in trainers]
         )
         self.targets = np.stack(
             [[task.model.target for task in t.tasks] for t in trainers]
@@ -463,10 +458,7 @@ class BatchedSimulator:
         for task in trainer.tasks:
             if task.sampler is not None:
                 return False
-            model = task.model
-            if type(model) is not QuadraticProblem:
-                return False
-            if np.count_nonzero(model.matrix - np.diag(np.diagonal(model.matrix))):
+            if type(task.model) is not QuadraticProblem:
                 return False
         return True
 
@@ -590,9 +582,8 @@ class BatchedSimulator:
                         float(st.progress_sum[cell.row]) / cell.workers
                     )
 
-        # sample_loss_and_grad() on a diagonal quadratic: A @ (x - b) is
-        # elementwise diag * diff (bitwise: the off-diagonal matmul terms
-        # are exact zeros); the discarded loss is never computed.
+        # sample_loss_and_grad() on a quadratic: QuadraticProblem's own
+        # curvature * diff; the discarded loss is never computed.
         x = st.params[rows, widx]
         diff = x - st.targets[rows, widx]
         grad = st.diag[rows, widx] * diff

@@ -59,12 +59,22 @@ class Simulator:
         self._sequence += 1
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` after a non-negative finite ``delay``."""
-        if not math.isfinite(delay):
-            raise ValueError(f"delay must be finite, got {delay}")
+        """Schedule ``callback`` after a non-negative finite ``delay``.
+
+        :meth:`schedule_at`'s guards, pushed here directly (this is the
+        per-event call): a finite ``now + delay`` is the finite-time guard
+        -- it also catches a finite delay that overflows the clock -- and a
+        non-negative delay is the past-scheduling guard.
+        """
+        time = self._now + delay
+        if not math.isfinite(time):
+            if not math.isfinite(delay):
+                raise ValueError(f"delay must be finite, got {delay}")
+            raise ValueError(f"event time must be finite, got {time}")
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self.schedule_at(self._now + delay, callback)
+        heapq.heappush(self._queue, (time, self._sequence, callback))
+        self._sequence += 1
 
     def advance_to(self, time: float, *, events: int = 0) -> None:
         """Move the clock forward without draining the queue.

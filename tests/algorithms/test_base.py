@@ -79,14 +79,13 @@ class TestWorkerTask:
         task = make_tasks(1)[0]
         for _ in range(4):  # 16 samples / batch 4 = one epoch
             task.sample_loss_and_grad()
-        assert task.epochs_completed(50) == 1
+        assert task.epoch_progress(50) == pytest.approx(1.0)
 
     def test_samplerless_epochs_use_hint(self):
         task = make_tasks(1, with_data=False)[0]
         for _ in range(10):
             task.sample_loss_and_grad()
         assert task.epoch_progress(5) == pytest.approx(2.0)
-        assert task.epochs_completed(5) == 2
 
     def test_batch_size(self):
         assert make_tasks(1)[0].batch_size == 4
@@ -168,13 +167,19 @@ class TestTrainerQueries:
         assert len(result.history) >= 2  # t=0 eval + final eval
         assert result.algorithm == "null"
 
-    def test_record_iteration_tracks_epoch_boundaries(self):
-        trainer = make_trainer()
+    @pytest.mark.parametrize("with_data", [True, False], ids=["sampler", "samplerless"])
+    def test_record_iteration_tracks_epoch_boundaries(self, with_data):
+        """An epoch is one pass over the shard (16 samples at batch 4), or
+        ``iterations_per_epoch_hint`` draws for a sampler-less task."""
+        trainer = make_trainer(
+            make_tasks(4, with_data=with_data), iterations_per_epoch_hint=4
+        )
         task = trainer.tasks[0]
-        for _ in range(4):  # one epoch of the 16-sample shard at batch 4
+        for step in range(1, 10):
             task.sample_loss_and_grad()
             trainer.record_iteration(0, 0.1, 0.2)
-        assert trainer.costs.epochs_completed[0] == 1
+            assert trainer.costs.epochs_completed[0] == step // 4
+            assert trainer.mean_epoch() == pytest.approx(step / 4 / 4)
 
 
 class TestEdgeFlipCost:

@@ -14,6 +14,10 @@ Two contracts of the flat-buffer models:
   ``clone``, ``copy.deepcopy`` and a pickle round trip, where numpy would
   otherwise restore a view as a detached array and training would silently
   stop moving the parameters.
+- **Fresh gradients.** What ``loss_and_grad`` returns is a new array the
+  next call never touches (Prague and the bulk-synchronous round hold
+  gradients across calls), and a model keeps no gradient buffer that a
+  copy could carry.
 """
 
 import copy
@@ -209,6 +213,18 @@ class TestOneOwner:
             model.set_params(model.get_params() - 0.1 * grad)
         assert restored.get_params().tobytes() == model.get_params().tobytes()
 
+    def test_a_returned_gradient_outlives_the_next_call(self, model):
+        """Prague's groups and the bulk-synchronous round hold a gradient
+        while the same model computes the next one."""
+        batch = _batch(model)
+        _, first = model.loss_and_grad(*batch)
+        kept = first.copy()
+        model.set_params(model.get_params() + 0.5)
+        _, second = model.loss_and_grad(*batch)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not np.array_equal(first, second)
+
     def test_wrong_shape_rejected(self, model):
         with pytest.raises(ValueError, match="flat parameter vector"):
             model.set_params(np.zeros(model.dim + 1))
@@ -223,6 +239,28 @@ def test_layer_views_live_in_the_buffer_after_every_copy():
         for view in (*copied._weights, *copied._biases):
             assert np.shares_memory(view, copied._params)
             assert copied is model or not np.shares_memory(view, model._params)
+
+
+@pytest.mark.parametrize("name", ["mlp", "softmax"])
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copies_carry_no_gradient_buffer(name, roundtrip):
+    """A model keeps no gradient between calls: after a backward pass its
+    state holds one array of its size, the parameters, so a copy carries
+    nothing else, and the copy's backward pass gives the same bytes."""
+    model = MODEL_FACTORIES[name]()
+    _, grad = model.loss_and_grad(*_batch(model))
+    sized = [
+        key for key, value in model.__getstate__().items()
+        if isinstance(value, np.ndarray) and value.size == model.dim
+    ]
+    assert sized == ["_params"]
+    restored = roundtrip(model)
+    _, restored_grad = restored.loss_and_grad(*_batch(restored))
+    assert restored_grad.tobytes() == grad.tobytes()
 
 
 def test_pickle_carries_the_buffer_once():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ml.problems import QuadraticProblem, make_consensus_quadratics
 
@@ -62,6 +63,51 @@ class TestQuadraticProblem:
             problem.predict_logits(np.zeros((1, 2)))
         with pytest.raises(NotImplementedError):
             problem.accuracy()
+
+
+def dense_reference(matrix, target, params, noise):
+    """The dense formula: ``0.5 * diff @ A @ diff`` and ``A @ diff + noise``."""
+    diff = params - target
+    return 0.5 * float(diff @ matrix @ diff), matrix @ diff + noise
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestDiagonalCurvature:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 16).flatmap(lambda dim: st.tuples(
+            st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim),
+            st.lists(finite, min_size=dim, max_size=dim),
+            st.lists(finite, min_size=dim, max_size=dim),
+        )),
+        st.sampled_from([0.0, 0.1, 3.0]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_loss_and_grad_equal_the_dense_product_bit_for_bit(
+        self, case, noise_std, seed
+    ):
+        curvature, target, params = (np.array(values) for values in case)
+        matrix = np.diag(curvature)
+        problem = QuadraticProblem(
+            matrix, target, noise_std=noise_std, rng=np.random.default_rng(seed)
+        )
+        problem.set_params(params)
+        loss, grad = problem.loss_and_grad()
+        noise = (
+            np.random.default_rng(seed).normal(0.0, noise_std, size=curvature.size)
+            if noise_std else 0.0
+        )
+        ref_loss, ref_grad = dense_reference(matrix, target, params, noise)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert problem.loss() == ref_loss
+        assert problem.matrix.tobytes() == matrix.tobytes()
+
+    def test_symmetric_non_diagonal_matrix_rejected(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            QuadraticProblem(np.array([[2.0, 0.5], [0.5, 2.0]]), np.zeros(2))
 
 
 class TestMakeConsensusQuadratics:

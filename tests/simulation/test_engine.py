@@ -80,6 +80,21 @@ class TestScheduling:
         sim.run(until_time=2.0)
         assert fired == [1]
 
+    def test_schedule_in_rejects_a_finite_delay_that_overflows_the_clock(self):
+        """``now + delay`` is checked, not only ``delay``: a finite delay
+        past the float range would park the event (and the clock) at inf."""
+        sim = Simulator()
+        sim.advance_to(1e308)
+        sim.schedule_in(1.0, lambda: None)
+        queue_before = list(sim._queue)
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule_in(1e308, lambda: None)
+        assert sim._queue == queue_before and sim.pending == 1
+        fired = []
+        sim.schedule_in(0.0, lambda: fired.append(sim.now))
+        sim.run(max_events=2)
+        assert fired == [1e308]
+
 
 class TestAdvanceTo:
     def test_moves_clock_and_event_counter(self):

@@ -177,29 +177,37 @@ class TestCommands:
             (["--sim-time", "-1"], "max_sim_time must be positive"),
             (["--max-epochs", "0"], "max_epochs must be positive"),
             (["--batch-size", "0"], "batch_size must be >= 1"),
+            (["--algorithms", "adpsgd", "adpsgd"], "repeated algorithm(s) ['adpsgd']"),
+            (["--algorithms", "netmax", "adpsgd", "NetMax"],
+             "repeated algorithm(s) ['netmax']"),
+            (["--seeds", "0", "1", "0"], "repeated seed(s) [0]"),
         )
-        if not (command == "compare" and flags[0] == "--max-epochs")
+        if not (command == "compare" and flags[0] in ("--max-epochs", "--seeds"))
     ])
     def test_run_settings_that_cannot_run_exit_2(
         self, capsys, monkeypatch, command, flags, message
     ):
         """What --dry-run lists must run: these settings used to pass the
         dry run and die in a traceback in every cell (compare reads no
-        --max-epochs)."""
+        --max-epochs). A repeated seed or algorithm used to run its cells
+        twice and report the repeat as a second seed with zero spread."""
         from repro.experiments.sweeps import SweepCell
 
         monkeypatch.setattr(
             SweepCell, "execute", lambda self: pytest.fail("a cell ran")
         )
         argv = [command, "--algorithms", "adpsgd", "--workers", "4",
-                "--samples", "64", "--sim-time", "2", *flags]
+                "--samples", "64", "--sim-time", "2"]
         if command == "sweep":
-            argv += ["--seeds", "0", "--dry-run"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: ") and message in line, line
+            argv += ["--seeds", "0"]
+        argv += flags  # a repeated flag overrides the default above
+        spellings = [argv, argv + ["--dry-run"]] if command == "sweep" else [argv]
+        for spelled in spellings:
+            assert main(spelled) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ") and message in line, line
 
     def test_compare_tiny(self, capsys):
         code = main([
