@@ -52,8 +52,16 @@ def highs_policy_lp():
             a_eq = np.ones((2, 1 + neighbors.size))
             a_eq[0] = np.concatenate(([0.0], times[i, neighbors]))
             bounds = [(0.0, 1.0)] + [(floor, 1.0) for floor in floors]
+            # HiGHS's default feasibility tolerance (1e-7, absolute) lets it
+            # miss Eq. (10) by enough to zero a p_ii of ~5e-7 the exact
+            # optimum keeps; the oracle is held to round-off instead.
             solution = linprog(
-                cost, A_eq=a_eq, b_eq=[m * t_bar, 1.0], bounds=bounds, method="highs"
+                cost,
+                A_eq=a_eq,
+                b_eq=[m * t_bar, 1.0],
+                bounds=bounds,
+                method="highs",
+                options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
             )
             if not solution.success:
                 return None
