@@ -39,9 +39,8 @@ Examples::
         --scenario-param trace-diurnal:amplitude=0.3,0.8 \
         --scenario-param churn:downtime_s=10,30 --dry-run
 
-    # Every family accepts the topology axis (full|ring|star|random|torus|
-    # small-world|hypercube|expander); comma-separated values sweep graph
-    # families per cell
+    # Every family accepts the topology axis (full|ring|star|random|
+    # expander); comma-separated values sweep graph families per cell
     python -m repro sweep --algorithms netmax adpsgd allreduce --seeds 0 1 \
         --scenarios heterogeneous --scenario-param topology=full,ring,random
 

@@ -6,8 +6,7 @@
 - :mod:`repro.core.policy` -- Algorithm 3: feasible intervals (Appendix A),
   the per-worker LP of Eq. (14), and the nested grid search minimizing
   predicted convergence time.
-- :mod:`repro.core.convergence` -- Theorems 1-3 bounds and the Appendix B
-  approximation ratio.
+- :mod:`repro.core.convergence` -- Theorems 1-3 bounds.
 - :mod:`repro.core.consensus` -- the worker-side consensus SGD state machine
   of Algorithm 2 (two-step update, EMA iteration times).
 - :mod:`repro.core.monitor` -- the Network Monitor of Algorithm 1.
@@ -15,7 +14,6 @@
 
 from repro.core.mixing import (
     gamma_matrix,
-    worker_step_probabilities,
     expected_mixing_matrix,
     sampled_mixing_matrix,
     random_update_matrix,
@@ -39,14 +37,12 @@ from repro.core.convergence import (
     iterations_to_epsilon,
     convergence_time,
     stable_lr_upper_bound,
-    approximation_ratio_bound,
 )
 from repro.core.consensus import ConsensusWorker
 from repro.core.monitor import NetworkMonitor
 
 __all__ = [
     "gamma_matrix",
-    "worker_step_probabilities",
     "expected_mixing_matrix",
     "sampled_mixing_matrix",
     "random_update_matrix",
@@ -66,7 +62,6 @@ __all__ = [
     "iterations_to_epsilon",
     "convergence_time",
     "stable_lr_upper_bound",
-    "approximation_ratio_bound",
     "ConsensusWorker",
     "NetworkMonitor",
 ]

@@ -1,4 +1,4 @@
-"""Theorems 1-3 bounds and the Appendix B approximation ratio.
+"""Theorems 1-3 bounds.
 
 These closed forms let the policy generator predict convergence time
 (``T_conv = t * ln(eps) / ln(lambda_2)``, Algorithm 3 line 21) and let the
@@ -14,7 +14,6 @@ __all__ = [
     "iterations_to_epsilon",
     "convergence_time",
     "stable_lr_upper_bound",
-    "approximation_ratio_bound",
 ]
 
 
@@ -86,32 +85,3 @@ def stable_lr_upper_bound(mu: float, lipschitz: float) -> float:
         raise ValueError("Lipschitz constant cannot be below strong convexity constant")
     return 2.0 / (mu + lipschitz)
 
-
-def approximation_ratio_bound(
-    upper_t: float, lower_t: float, num_workers: int, min_positive_entry: float
-) -> float:
-    """Appendix B bound (Eq. 38) on Algorithm 3's sub-optimality.
-
-    ``l(lambda_2) / l(lambda*) <= (U / L) *
-    (ln(M-1) - ln(M-3)) / (ln(1 - 2a + a^M) - ln(1 - 2a + a^{M+1}))``
-
-    valid for a fully-connected heterogeneous network with ``M > 3`` workers,
-    where ``a`` is the minimum positive entry of ``Y_P``.
-    """
-    if num_workers <= 3:
-        raise ValueError("the Appendix B bound requires more than 3 workers")
-    if not 0 < lower_t <= upper_t:
-        raise ValueError("need 0 < L <= U")
-    a = min_positive_entry
-    if not 0.0 < a < 0.5:
-        raise ValueError(
-            f"min positive entry must be in (0, 0.5) for the bound, got {a}"
-        )
-    numerator = np.log(num_workers - 1) - np.log(num_workers - 3)
-    # ln(1-2a+a^M) - ln(1-2a+a^(M+1)) = log1p(a^M (1-a) / (1-2a+a^(M+1))),
-    # computed via log1p because a^M underflows against 1-2a for large M.
-    base = 1.0 - 2.0 * a + a ** (num_workers + 1)
-    denominator = np.log1p(a**num_workers * (1.0 - a) / base)
-    if denominator <= 0:
-        raise ValueError("degenerate denominator; a is too small to bound lambda_2 away from 1")
-    return float((upper_t / lower_t) * numerator / denominator)

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "gamma_matrix",
-    "worker_step_probabilities",
     "random_update_matrix",
     "expected_mixing_matrix",
     "sampled_mixing_matrix",
@@ -72,29 +71,6 @@ def _gamma(policy: np.ndarray, indicator: np.ndarray) -> np.ndarray:
         where=(indicator > 0) & (policy > 0),
     )
     return gamma
-
-
-def worker_step_probabilities(policy: np.ndarray, times: np.ndarray, indicator: np.ndarray) -> np.ndarray:
-    """``p_i`` of Eq. (2)-(3): how likely worker ``i`` owns a global step.
-
-    ``t_i = sum_m t_im p_im d_im`` is worker ``i``'s mean iteration time and
-    ``p_i = (1/t_i) / sum_m (1/t_m)``: faster-iterating workers take more of
-    the global steps.
-    """
-    policy, indicator = _validate_policy(policy, indicator)
-    times = np.asarray(times, dtype=np.float64)
-    if times.shape != policy.shape:
-        raise ValueError("times shape must match policy")
-    if np.any(times < 0):
-        raise ValueError("iteration times must be non-negative")
-    mean_iteration = np.sum(times * policy * indicator, axis=1)
-    if np.any(mean_iteration <= 0):
-        raise ValueError(
-            "every worker needs positive expected iteration time "
-            "(a worker that never communicates has undefined frequency)"
-        )
-    rates = 1.0 / mean_iteration
-    return rates / rates.sum()
 
 
 def random_update_matrix(

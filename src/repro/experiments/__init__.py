@@ -49,7 +49,7 @@ from repro.experiments.sweeps import (
     run_sweep,
     aggregate_sweep,
 )
-from repro.experiments.reporting import render_table, format_seconds
+from repro.experiments.reporting import render_table
 from repro.experiments.common import ExperimentOutput, Series
 from repro.experiments.paper import (
     PAPER_EXPERIMENTS,
@@ -95,7 +95,6 @@ __all__ = [
     "make_executor",
     "run_queue_worker",
     "render_table",
-    "format_seconds",
     "ExperimentOutput",
     "Series",
     "PAPER_EXPERIMENTS",

@@ -12,11 +12,9 @@ import numpy as np
 
 __all__ = [
     "render_table",
-    "format_seconds",
     "format_mean_std",
     "format_worker_health",
     "mean_std",
-    "downsample_series",
 ]
 
 
@@ -93,22 +91,6 @@ def format_mean_std(mean: float, std: float, float_format: str = "{:.3g}") -> st
     return rendered
 
 
-def format_seconds(seconds: float) -> str:
-    """Human-readable duration (``95.3s``, ``12.4min``, ``3.1h``)."""
-    if np.isnan(seconds):
-        return "-"
-    if np.isinf(seconds):
-        return "inf"
-    if seconds < 0:
-        raise ValueError("durations cannot be negative")
-    if seconds < 120:
-        return f"{seconds:.1f}s"
-    minutes = seconds / 60
-    if minutes < 120:
-        return f"{minutes:.1f}min"
-    return f"{minutes / 60:.1f}h"
-
-
 def format_worker_health(records: Sequence[dict]) -> str:
     """One-line fleet health view from queue-registry worker records.
 
@@ -134,18 +116,3 @@ def format_worker_health(records: Sequence[dict]) -> str:
         parts.append(piece)
     return f"{len(records)} worker(s): " + ", ".join(parts)
 
-
-def downsample_series(
-    x: np.ndarray, y: np.ndarray, max_points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Thin a series to at most ``max_points`` (keeping endpoints)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have the same shape")
-    if max_points < 2:
-        raise ValueError("max_points must be >= 2")
-    if len(x) <= max_points:
-        return x, y
-    idx = np.unique(np.linspace(0, len(x) - 1, max_points).astype(int))
-    return x[idx], y[idx]

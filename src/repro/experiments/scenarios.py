@@ -349,13 +349,7 @@ _SHARED_AXIS_PARAMS = (
         "communication graph family: " + "|".join(TOPOLOGY_KINDS),
     ),
     ScenarioParam(
-        "edge_probability", 0.25,
-        "edge probability (random) / rewire probability (small-world)",
-    ),
-    ScenarioParam(
-        "degree_skew", 0.0,
-        "per-node degree heterogeneity for random/expander graphs "
-        "(0 = homogeneous; log-normal propensity / Poisson extra stubs)",
+        "edge_probability", 0.25, "edge probability of the random graph",
     ),
     ScenarioParam(
         "edge_failures", 0,
@@ -368,11 +362,6 @@ _SHARED_AXIS_PARAMS = (
     ScenarioParam(
         "edge_horizon_s", 600.0,
         "window the edge failures are spread over",
-    ),
-    ScenarioParam(
-        "edge_events", "",
-        "deterministic fail/repair script 'A-B@FAIL[:REPAIR];...' "
-        "(e.g. '0-1@2:4;1-2@5'); mutually exclusive with edge_failures",
     ),
     # The shared compression axis rides along with the graph axis: every
     # family accepts it, the _topology_aware wrapper consumes it.
@@ -414,31 +403,21 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
     def wrapped(num_workers: int, seed: int, **params) -> Scenario:
         kind = params.pop("topology")
         edge_probability = params.pop("edge_probability")
-        degree_skew = params.pop("degree_skew")
         edge_failures = params.pop("edge_failures")
         edge_downtime_s = params.pop("edge_downtime_s")
         edge_horizon_s = params.pop("edge_horizon_s")
-        edge_events = params.pop("edge_events")
         compression_name = params.pop("compression")
         compression_param = params.pop("compression_param")
-        if edge_failures and edge_events:
-            raise ValueError(
-                "edge_events (a deterministic script) and edge_failures (the "
-                "seeded random process) are mutually exclusive; set one"
-            )
         scenario = builder(num_workers, seed, **params)
         name = scenario.name
         topology = scenario.topology
         # "full" keeps the builder's complete graph rather than building a
-        # second one; make_topology still sees a degree_skew, to reject it.
-        if kind != "full" or degree_skew:
+        # second one.
+        if kind != "full":
             topology = make_topology(
-                kind, scenario.num_workers, edge_probability=edge_probability,
-                seed=seed, degree_skew=degree_skew,
+                kind, scenario.num_workers, edge_probability, seed
             )
             name = f"{name}-{kind}"
-            if degree_skew:
-                name = f"{name}-skew{degree_skew:g}"
         if edge_failures:  # a negative count fails in EdgeSchedule.random
             name = f"{name}-ef{edge_failures}"
             schedule = EdgeSchedule.random(
@@ -448,14 +427,6 @@ def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]
                 downtime_s=edge_downtime_s,
                 seed=seed,
             )
-            topology = DynamicTopology(topology, schedule)
-        elif edge_events:
-            # The deterministic mirror of edge_failures: the script is data,
-            # so no stream is consumed and the same spec replays bit-for-bit
-            # on every seed. DynamicTopology checks edge membership and
-            # per-segment connectivity against the graph built above.
-            schedule = EdgeSchedule.from_string(scenario.num_workers, edge_events)
-            name = f"{name}-ev{len(schedule)}"
             topology = DynamicTopology(topology, schedule)
         compression = None
         if compression_name != "none":

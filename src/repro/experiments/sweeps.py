@@ -137,14 +137,9 @@ class ScenarioSpec:
     def has_dynamic_edges(self) -> bool:
         """Whether built scenarios carry a time-varying topology.
 
-        After canonicalization ``edge_failures`` (the seeded random process)
-        and ``edge_events`` (a deterministic script) survive in ``params``
-        iff they are non-zero/non-empty, so this is a pure spec-level query
-        (no build)."""
-        return any(
-            key in ("edge_failures", "edge_events") and value
-            for key, value in self.params
-        )
+        After canonicalization ``edge_failures`` survives in ``params``
+        iff it is non-zero, so this is a pure spec-level query (no build)."""
+        return any(key == "edge_failures" for key, _ in self.params)
 
     def has_compression(self) -> bool:
         """Whether built scenarios carry a (lossy) compression op.

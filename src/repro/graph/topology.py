@@ -8,10 +8,9 @@ which :meth:`Topology.require_connected` enforces at trainer construction.
 
 Internally a :class:`Topology` stores the graph as CSR-style neighbor lists
 (``indptr``/``indices``), so construction and :meth:`Topology.neighbors` are
-O(N·deg) for the sparse structured families (ring, torus, hypercube,
-expander, small-world) rather than O(N²); the dense boolean ``adjacency``
-matrix is materialized lazily, only for the callers that still want the full
-``d_im`` table (the policy LP, the NetMax monitor). Membership queries
+O(N·deg) for the sparse structured families (ring, star, expander) rather
+than O(N²); the dense boolean ``adjacency`` matrix is materialized lazily,
+only for the callers that still want the full ``d_im`` table (the policy LP, the NetMax monitor). Membership queries
 (:meth:`Topology.has_edge`) and row reads (:meth:`Topology.neighbors`) are
 answered straight from the neighbor lists.
 
@@ -29,7 +28,6 @@ uniformly.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -154,16 +152,12 @@ class Topology:
         return cls._from_pairs(num_workers, node, (node + 1) % num_workers)
 
     @classmethod
-    def star(cls, num_workers: int, center: int = 0) -> "Topology":
-        """Star graph: everyone adjacent to ``center`` only (PS-like shape)."""
+    def star(cls, num_workers: int) -> "Topology":
+        """Star graph: everyone adjacent to worker 0 only (PS-like shape)."""
         if num_workers < 2:
             raise ValueError("need at least 2 workers")
-        if not 0 <= center < num_workers:
-            raise ValueError(f"center {center} out of range")
-        leaves = np.delete(np.arange(num_workers, dtype=np.int64), center)
-        return cls._from_pairs(
-            num_workers, leaves, np.full(leaves.size, center, dtype=np.int64)
-        )
+        leaves = np.arange(1, num_workers, dtype=np.int64)
+        return cls._from_pairs(num_workers, leaves, np.zeros_like(leaves))
 
     @classmethod
     def random_connected(
@@ -171,7 +165,6 @@ class Topology:
         num_workers: int,
         edge_probability: float,
         rng: np.random.Generator,
-        degree_skew: float = 0.0,
     ) -> "Topology":
         """Erdos-Renyi graph resampled (then patched) until connected.
 
@@ -181,34 +174,15 @@ class Topology:
         Sampling is row-by-row (each row consumes exactly ``num_workers``
         uniforms, reproducing the historical ``rng.random((M, M))`` draw
         sequence) so transient memory stays O(N + E), never O(N²).
-
-        ``degree_skew > 0`` draws per-node degree propensities ``m_i =
-        exp(Normal(0, degree_skew))`` from the same stream *before* edge
-        sampling and scales the pair probability to ``min(1, p *
-        sqrt(m_i * m_j))``: expected degree varies across nodes (lognormal
-        skew) while ``degree_skew=0`` consumes no extra draws and keeps the
-        historical graph bit-identical.
         """
         if num_workers < 2:
             raise ValueError("need at least 2 workers")
         if not 0.0 <= edge_probability <= 1.0:
             raise ValueError(f"edge_probability must be in [0, 1], got {edge_probability}")
-        if degree_skew < 0.0:
-            raise ValueError(f"degree_skew must be >= 0, got {degree_skew}")
-        propensity: np.ndarray | None = None
-        if degree_skew > 0.0:
-            propensity = np.exp(rng.normal(0.0, degree_skew, size=num_workers))
         sources: list[np.ndarray] = []
         targets: list[np.ndarray] = []
         for node in range(num_workers):
-            draws = rng.random(num_workers)
-            if propensity is None:
-                cols = np.flatnonzero(draws < edge_probability)
-            else:
-                row_probability = np.minimum(
-                    1.0, edge_probability * np.sqrt(propensity[node] * propensity)
-                )
-                cols = np.flatnonzero(draws < row_probability)
+            cols = np.flatnonzero(rng.random(num_workers) < edge_probability)
             cols = cols[cols > node]
             if cols.size:
                 sources.append(np.full(cols.size, node, dtype=np.int64))
@@ -221,165 +195,23 @@ class Topology:
         )
 
     @classmethod
-    def torus(cls, num_workers: int) -> "Topology":
-        """2D torus (wrap-around grid) on the most-square factorization.
+    def expander(cls, num_workers: int, rng: np.random.Generator) -> "Topology":
+        """Random expander: the union of two seeded random Hamiltonian cycles.
 
-        ``num_workers`` must factor as ``rows x cols`` with both sides at
-        least 2 (so primes and ``num_workers < 4`` are rejected); the grid
-        uses the factor pair closest to square, which maximizes the torus's
-        bisection symmetry. Degree is 4 (2-length dimensions collapse the
-        duplicate wrap edge).
-        """
-        rows, cols = _torus_shape(num_workers)
-        node = np.arange(num_workers, dtype=np.int64)
-        row, col = node // cols, node % cols
-        down = ((row + 1) % rows) * cols + col
-        right = row * cols + (col + 1) % cols
-        a = np.concatenate([node, node])
-        b = np.concatenate([down, right])
-        keep = a != b
-        return cls._from_pairs(num_workers, a[keep], b[keep])
-
-    @classmethod
-    def small_world(
-        cls,
-        num_workers: int,
-        rewire_probability: float,
-        rng: np.random.Generator,
-        base_degree: int = 4,
-        max_tries: int = 100,
-    ) -> "Topology":
-        """Watts-Strogatz small world: ring lattice with random rewiring.
-
-        Each node starts connected to its ``base_degree`` nearest ring
-        neighbors (clamped for tiny graphs); every lattice edge is then
-        rewired with probability ``rewire_probability`` to a uniformly random
-        non-neighbor. The construction is resampled (from the same ``rng``
-        stream) until connected, so the result always satisfies Assumption 1.
-
-        Bookkeeping is per-node neighbor sets (O(N + E) memory); the
-        rewiring draws are taken in the exact order of the historical dense
-        implementation, so graphs are bit-identical per stream.
-        """
-        if num_workers < 4:
-            raise ValueError("a small-world topology needs at least 4 workers")
-        if not 0.0 <= rewire_probability <= 1.0:
-            raise ValueError(
-                f"rewire_probability must be in [0, 1], got {rewire_probability}"
-            )
-        half = max(1, min(base_degree, num_workers - 1) // 2)
-        all_nodes = frozenset(range(num_workers))
-        for _ in range(max_tries):
-            neighbor_sets: list[set[int]] = [set() for _ in range(num_workers)]
-            for node in range(num_workers):
-                for offset in range(1, half + 1):
-                    peer = (node + offset) % num_workers
-                    neighbor_sets[node].add(peer)
-                    neighbor_sets[peer].add(node)
-            for node in range(num_workers):
-                for offset in range(1, half + 1):
-                    peer = (node + offset) % num_workers
-                    if peer not in neighbor_sets[node]:
-                        continue  # this lattice edge was already rewired away
-                    if rng.random() >= rewire_probability:
-                        continue
-                    candidates = np.fromiter(
-                        sorted(all_nodes - neighbor_sets[node] - {node}),
-                        dtype=np.int64,
-                    )
-                    if candidates.size == 0:
-                        continue
-                    target = int(candidates[rng.integers(candidates.size)])
-                    neighbor_sets[node].discard(peer)
-                    neighbor_sets[peer].discard(node)
-                    neighbor_sets[node].add(target)
-                    neighbor_sets[target].add(node)
-            if _neighbor_sets_connected(neighbor_sets):
-                sources = np.fromiter(
-                    (
-                        node
-                        for node in range(num_workers)
-                        for _ in neighbor_sets[node]
-                    ),
-                    dtype=np.int64,
-                )
-                targets = np.fromiter(
-                    (
-                        peer
-                        for node in range(num_workers)
-                        for peer in neighbor_sets[node]
-                    ),
-                    dtype=np.int64,
-                )
-                return cls._from_pairs(num_workers, sources, targets)
-        raise ValueError(
-            f"could not draw a connected small-world graph in {max_tries} tries"
-        )
-
-    @classmethod
-    def hypercube(cls, num_workers: int) -> "Topology":
-        """Boolean hypercube: workers are bit strings, edges flip one bit.
-
-        ``num_workers`` must be a power of two (``2^d`` nodes of degree
-        ``d``). Hypercubes are the classic low-diameter, high-bisection
-        gossip substrate (diameter ``d = log2 M``), sitting between the ring
-        and the complete graph in both degree and mixing time.
-        """
-        if num_workers < 2 or num_workers & (num_workers - 1):
-            raise ValueError(
-                f"a hypercube needs a power-of-two worker count, got {num_workers}"
-            )
-        dim = num_workers.bit_length() - 1
-        node = np.arange(num_workers, dtype=np.int64)
-        a = np.tile(node, dim)
-        b = np.concatenate([node ^ (1 << bit) for bit in range(dim)])
-        return cls._from_pairs(num_workers, a, b)
-
-    @classmethod
-    def expander(
-        cls,
-        num_workers: int,
-        rng: np.random.Generator,
-        num_cycles: int = 2,
-        degree_skew: float = 0.0,
-    ) -> "Topology":
-        """Random expander: the union of seeded random Hamiltonian cycles.
-
-        Overlaying ``num_cycles`` independent random cycles (Bollobas-style
-        union of permutations) yields a sparse graph -- degree at most
-        ``2 * num_cycles`` -- that is connected by construction (each cycle
-        alone spans every node) and an expander with high probability. A
-        pure function of the ``rng`` stream, so the same seed always yields
-        the identical graph.
-
-        ``degree_skew > 0`` additionally draws per-node extra edge stubs
-        ``Poisson(degree_skew)`` from the same stream and pairs them
-        uniformly at random (configuration-model style, self-pairs dropped),
-        so expected degree varies across nodes while the underlying cycles
-        keep the graph connected; ``degree_skew=0`` consumes no extra draws.
+        Overlaying independent random cycles (Bollobas-style union of
+        permutations) yields a sparse graph -- degree at most 4 -- that is
+        connected by construction (each cycle alone spans every node) and an
+        expander with high probability. A pure function of the ``rng``
+        stream, so the same seed always yields the identical graph.
         """
         if num_workers < 4:
             raise ValueError("an expander topology needs at least 4 workers")
-        if num_cycles < 1:
-            raise ValueError("num_cycles must be >= 1")
-        if degree_skew < 0.0:
-            raise ValueError(f"degree_skew must be >= 0, got {degree_skew}")
         sources: list[np.ndarray] = []
         targets: list[np.ndarray] = []
-        for _ in range(num_cycles):
+        for _ in range(2):
             order = rng.permutation(num_workers).astype(np.int64)
             sources.append(order)
             targets.append(np.roll(order, -1))
-        if degree_skew > 0.0:
-            stubs = rng.poisson(degree_skew, size=num_workers)
-            endpoints = np.repeat(np.arange(num_workers, dtype=np.int64), stubs)
-            endpoints = endpoints[rng.permutation(endpoints.size)]
-            paired = endpoints.size - (endpoints.size % 2)
-            extra_a = endpoints[0:paired:2]
-            extra_b = endpoints[1:paired:2]
-            keep = extra_a != extra_b
-            sources.append(extra_a[keep])
-            targets.append(extra_b[keep])
         return cls._from_pairs(
             num_workers, np.concatenate(sources), np.concatenate(targets)
         )
@@ -604,19 +436,6 @@ class Topology:
         return f"Topology(M={self.num_workers}, edges={self.num_edges()})"
 
 
-def _neighbor_sets_connected(neighbor_sets: list[set[int]]) -> bool:
-    """BFS connectivity over per-node neighbor sets (small-world resampling)."""
-    seen = {0}
-    queue: deque[int] = deque([0])
-    while queue:
-        node = queue.popleft()
-        for peer in neighbor_sets[node]:
-            if peer not in seen:
-                seen.add(peer)
-                queue.append(peer)
-    return len(seen) == len(neighbor_sets)
-
-
 # -- time-varying topologies ---------------------------------------------------
 
 FAIL = "fail"
@@ -719,73 +538,6 @@ class EdgeSchedule:
                 down.remove(event.edge)
 
     # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def from_string(
-        cls, num_workers: int, spec: str, require_connected: bool = True
-    ) -> "EdgeSchedule":
-        """Parse the compact scenario-parameter grammar.
-
-        ``spec`` is ``;``-separated episodes ``A-B@FAIL:REPAIR`` (or
-        ``A-B@FAIL`` for an edge that never recovers): the undirected edge
-        ``(A, B)`` fails at time ``FAIL`` and is repaired at ``REPAIR``.
-        Example: ``"0-1@2:4;1-2@5:7.5"``. The separators avoid ``,`` so a
-        spec survives the CLI's ``--scenario-param key=v1,v2`` value-grid
-        splitting as one value.
-        """
-        events: list[EdgeFlipEvent] = []
-        for episode in spec.split(";"):
-            episode = episode.strip()
-            if not episode:
-                continue
-            edge_part, at, times_part = episode.partition("@")
-            a_part, dash, b_part = edge_part.partition("-")
-            if not at or not dash:
-                raise ValueError(
-                    f"bad edge_events episode {episode!r}; expected "
-                    "'A-B@FAIL[:REPAIR]', e.g. '0-1@2:4'"
-                )
-            try:
-                a, b = int(a_part), int(b_part)
-                fail_at, colon, repair_part = times_part.partition(":")
-                fail = float(fail_at)
-                repair = float(repair_part) if colon else None
-            except ValueError as error:
-                raise ValueError(
-                    f"bad edge_events episode {episode!r}: {error}"
-                ) from error
-            events.append(EdgeFlipEvent(fail, a, b, FAIL))
-            if repair is not None:
-                if repair <= fail:
-                    raise ValueError(
-                        f"edge_events episode {episode!r}: repair time "
-                        f"{repair} must be after the failure at {fail}"
-                    )
-                events.append(EdgeFlipEvent(repair, a, b, REPAIR))
-        if not events:
-            raise ValueError(
-                f"edge_events spec {spec!r} contains no episodes; expected "
-                "';'-separated 'A-B@FAIL[:REPAIR]' entries"
-            )
-        return cls(num_workers, events, require_connected=require_connected)
-
-    @classmethod
-    def single(
-        cls,
-        num_workers: int,
-        edge: tuple[int, int],
-        fail_at: float,
-        repair_at: float | None = None,
-        require_connected: bool = True,
-    ) -> "EdgeSchedule":
-        """One edge failing (and optionally recovering) -- the unit scenario."""
-        a, b = edge
-        events: list[EdgeFlipEvent] = [EdgeFlipEvent(fail_at, a, b, FAIL)]
-        if repair_at is not None:
-            if repair_at <= fail_at:
-                raise ValueError("repair_at must be after fail_at")
-            events.append(EdgeFlipEvent(repair_at, a, b, REPAIR))
-        return cls(num_workers, events, require_connected=require_connected)
 
     @classmethod
     def flapping(
@@ -1034,20 +786,13 @@ class DynamicTopology(Topology):
 # -- the topology-family factory -----------------------------------------------
 
 # Graph families the scenario registry exposes as its ``topology`` axis.
-TOPOLOGY_KINDS = (
-    "full", "ring", "star", "random", "torus", "small-world",
-    "hypercube", "expander",
-)
+TOPOLOGY_KINDS = ("full", "ring", "star", "random", "expander")
 
 # The kinds whose construction actually consumes ``edge_probability``; for
 # every other kind the parameter is inert, so spec canonicalization drops it
 # to keep cache keys/labels identical. (``expander`` consumes the
 # seed-derived topology stream but not ``edge_probability``.)
-RANDOMIZED_TOPOLOGY_KINDS = ("random", "small-world")
-
-# The kinds whose construction consumes ``degree_skew`` (per-node degree
-# heterogeneity); for every other kind the parameter must be absent.
-DEGREE_SKEW_TOPOLOGY_KINDS = ("random", "expander")
+RANDOMIZED_TOPOLOGY_KINDS = ("random",)
 
 # Seed-sequence tag separating topology sampling from every other stream
 # derived from a scenario seed (links, churn, data) -- adding a random graph
@@ -1055,47 +800,26 @@ DEGREE_SKEW_TOPOLOGY_KINDS = ("random", "expander")
 _TOPOLOGY_STREAM = 0x7090
 
 
-def _torus_shape(num_workers: int) -> tuple[int, int]:
-    """Most-square ``rows x cols = num_workers`` with both sides >= 2."""
-    if num_workers >= 4:
-        for rows in range(int(np.sqrt(num_workers)), 1, -1):
-            if num_workers % rows == 0:
-                return rows, num_workers // rows
-    raise ValueError(
-        f"a torus needs num_workers = rows x cols with both sides >= 2; "
-        f"{num_workers} does not factor that way"
-    )
-
-
 def make_topology(
     kind: str,
     num_workers: int,
     edge_probability: float = 0.25,
     seed: int = 0,
-    degree_skew: float = 0.0,
 ) -> Topology:
     """Build a topology family by name (the scenario registry's graph axis).
 
-    ``edge_probability`` doubles as the Erdos-Renyi edge probability for
-    ``"random"`` and the rewire probability for ``"small-world"``; the other
-    families ignore it. ``degree_skew`` adds per-node degree heterogeneity
-    for ``"random"``/``"expander"`` (see the constructors for semantics) and
-    is rejected for every other family. Randomized families draw from a
-    dedicated ``[seed, _TOPOLOGY_STREAM]`` stream, so the same scenario seed
-    always yields the same graph without touching link or churn randomness.
+    ``edge_probability`` is the Erdos-Renyi edge probability for
+    ``"random"``; the other families ignore it. Randomized families draw
+    from a dedicated ``[seed, _TOPOLOGY_STREAM]`` stream, so the same
+    scenario seed always yields the same graph without touching link or
+    churn randomness.
 
     The family constructors check their own worker counts and parameters;
-    this checks only what none of them can: the kind itself, and a
-    ``degree_skew`` handed to a family that would ignore it.
+    this checks only what none of them can: the kind itself.
     """
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(
             f"unknown topology kind {kind!r}; valid: {list(TOPOLOGY_KINDS)}"
-        )
-    if degree_skew and kind not in DEGREE_SKEW_TOPOLOGY_KINDS:
-        raise ValueError(
-            f"degree_skew only applies to {list(DEGREE_SKEW_TOPOLOGY_KINDS)} "
-            f"topologies (kinds with seeded degree sampling), got kind {kind!r}"
         )
     if kind == "full":
         return Topology.fully_connected(num_workers)
@@ -1103,15 +827,7 @@ def make_topology(
         return Topology.ring(num_workers)
     if kind == "star":
         return Topology.star(num_workers)
-    if kind == "torus":
-        return Topology.torus(num_workers)
-    if kind == "hypercube":
-        return Topology.hypercube(num_workers)
     rng = np.random.default_rng([seed, _TOPOLOGY_STREAM])
     if kind == "random":
-        return Topology.random_connected(
-            num_workers, edge_probability, rng, degree_skew=degree_skew
-        )
-    if kind == "expander":
-        return Topology.expander(num_workers, rng, degree_skew=degree_skew)
-    return Topology.small_world(num_workers, edge_probability, rng)
+        return Topology.random_connected(num_workers, edge_probability, rng)
+    return Topology.expander(num_workers, rng)

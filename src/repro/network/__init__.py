@@ -23,7 +23,6 @@ from repro.network.links import (
     diurnal_trace,
     random_walk_trace,
     burst_congestion_trace,
-    record_link_trace,
 )
 from repro.network.costmodel import (
     ModelCostProfile,
@@ -44,7 +43,6 @@ __all__ = [
     "diurnal_trace",
     "random_walk_trace",
     "burst_congestion_trace",
-    "record_link_trace",
     "ModelCostProfile",
     "MODEL_ZOO",
     "get_cost_profile",

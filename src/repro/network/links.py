@@ -51,7 +51,6 @@ __all__ = [
     "diurnal_trace",
     "random_walk_trace",
     "burst_congestion_trace",
-    "record_link_trace",
 ]
 
 
@@ -125,10 +124,9 @@ class StaticLinks(LinkSpeedModel):
         if latency.shape != bandwidth.shape:
             raise ValueError("latency and bandwidth shapes must match")
         off_diag = ~np.eye(bandwidth.shape[0], dtype=bool)
-        if np.any(bandwidth[off_diag] <= 0):
+        if not np.all(bandwidth[off_diag] > 0):
             raise ValueError("off-diagonal bandwidths must be positive")
-        if np.any(latency < 0):
-            raise ValueError("latencies must be non-negative")
+        _check_latency(latency)
         self._bandwidth = bandwidth
         self._latency = latency
 
@@ -340,6 +338,8 @@ class TraceLinks(LinkSpeedModel):
         starts = [s for s, _ in segments]
         if starts[0] != 0.0:
             raise ValueError("first segment must start at time 0")
+        if not np.all(np.isfinite(starts)):
+            raise ValueError(f"segment start times must be finite, got {starts}")
         if any(b <= a for a, b in zip(starts[:-1], starts[1:])):
             raise ValueError("segment start times must be strictly increasing")
         matrices = [np.asarray(m, dtype=np.float64) for _, m in segments]
@@ -350,7 +350,8 @@ class TraceLinks(LinkSpeedModel):
             raise ValueError("all trace matrices must share a shape")
         off_diag = ~np.eye(shape[0], dtype=bool)
         for start, matrix in zip(starts, matrices):
-            if np.any(matrix[off_diag] <= 0):
+            # "not > 0" rather than "<= 0", so a NaN bandwidth fails here too.
+            if not np.all(matrix[off_diag] > 0):
                 raise ValueError(
                     f"segment at t={start}: off-diagonal bandwidths must be positive"
                 )
@@ -367,8 +368,7 @@ class TraceLinks(LinkSpeedModel):
         latency = np.asarray(latency, dtype=np.float64)
         if latency.shape != shape:
             raise ValueError("latency shape must match trace matrices")
-        if np.any(latency < 0):
-            raise ValueError("latencies must be non-negative")
+        _check_latency(latency)
         self._starts = np.asarray(starts)
         self._matrices = matrices
         self._latency = latency
@@ -389,8 +389,8 @@ class TraceLinks(LinkSpeedModel):
             }
 
         Scalar ``bandwidth``/``latency`` values broadcast to every
-        off-diagonal entry. Segment starts must begin at 0 and strictly
-        increase.
+        off-diagonal entry. Segment starts must be finite, begin at 0 and
+        strictly increase.
         """
         if isinstance(source, dict):
             payload = source
@@ -522,83 +522,10 @@ class TraceLinks(LinkSpeedModel):
         return float(self._latency[a, b])
 
 
-def record_link_trace(
-    trainer,
-    step_s: float | None = None,
-    end_time: float | None = None,
-    path: str | None = None,
-) -> dict:
-    """Capture a run's per-pair link speeds as a replayable JSON trace.
-
-    Samples the trainer's link model (``trainer.comm.links``) on a uniform
-    grid over ``[0, end_time]`` -- by default the run's final virtual time
-    ``trainer.sim.now`` in 100 steps -- and emits the
-    :meth:`TraceLinks.from_json` payload::
-
-        {
-          "num_workers": M,
-          "latency": [[...]],              # MxM one-way latency, seconds
-          "segments": [                    # piecewise-constant carry-forward
-            {"start": t, "bandwidth": [[...]]},   # MxM, bytes/second
-            ...
-          ]
-        }
-
-    Consecutive identical snapshots are collapsed into one segment, so a
-    static network records a single segment regardless of ``step_s``. The
-    grid resolution bounds the capture's fidelity: dynamics faster than
-    ``step_s`` (and any latency variation -- latency is snapshotted at
-    ``t = 0``) are flattened to the sampled values. Diagonal entries are
-    written as 0 for JSON portability; :class:`TraceLinks` never reads
-    them.
-
-    Args:
-        trainer: a (finished or fresh) trainer exposing ``comm.links`` and
-            ``sim.now`` -- only those two attributes are touched, so any
-            duck-typed carrier works.
-        step_s: sampling step (default ``end_time / 100``).
-        end_time: capture horizon (default ``trainer.sim.now``; the last
-            segment holds beyond it on replay).
-        path: optional file to write the JSON payload to.
-
-    Returns:
-        The payload dict, directly loadable via ``TraceLinks.from_json``.
-    """
-    links = trainer.comm.links
-    if end_time is None:
-        end_time = float(trainer.sim.now)
-    if end_time <= 0:
-        raise ValueError(
-            f"end_time must be positive (run the trainer first?), got {end_time}"
-        )
-    if step_s is None:
-        step_s = end_time / 100.0
-    if step_s <= 0:
-        raise ValueError(f"step_s must be positive, got {step_s}")
-    m = links.num_workers
-    latency = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                latency[a, b] = links.latency(a, b, 0.0)
-    segments = []
-    previous = None
-    for start in np.arange(0.0, end_time, step_s):
-        matrix = links.bandwidth_matrix(float(start))
-        np.fill_diagonal(matrix, 0.0)  # json has no Infinity; never read back
-        if previous is not None and np.array_equal(matrix, previous):
-            continue
-        segments.append({"start": float(start), "bandwidth": matrix.tolist()})
-        previous = matrix
-    payload = {
-        "num_workers": m,
-        "latency": latency.tolist(),
-        "segments": segments,
-    }
-    if path is not None:
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-    return payload
+def _check_latency(latency: np.ndarray) -> None:
+    """Latencies become event delays, which must be finite and >= 0."""
+    if not np.all(np.isfinite(latency) & (latency >= 0)):
+        raise ValueError("latencies must be finite and non-negative")
 
 
 def _broadcast_matrix(value, m: int, name: str, diagonal: float) -> np.ndarray:

@@ -1,10 +1,8 @@
-"""Unit tests for the convergence theory helpers (Theorems 1-3, Appendix B)."""
+"""Unit tests for the convergence theory helpers (Theorems 1-3)."""
 
-import numpy as np
 import pytest
 
 from repro.core.convergence import (
-    approximation_ratio_bound,
     convergence_time,
     deviation_bound,
     iterations_to_epsilon,
@@ -76,25 +74,3 @@ class TestStableLR:
         with pytest.raises(ValueError):
             stable_lr_upper_bound(3.0, 1.0)
 
-
-class TestApproximationRatio:
-    def test_at_least_u_over_l(self):
-        ratio = approximation_ratio_bound(2.0, 1.0, 8, 0.05)
-        assert ratio >= 2.0
-
-    def test_requires_more_than_three_workers(self):
-        with pytest.raises(ValueError, match="more than 3"):
-            approximation_ratio_bound(2.0, 1.0, 3, 0.05)
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            approximation_ratio_bound(1.0, 2.0, 8, 0.05)
-
-    def test_rejects_bad_entry(self):
-        with pytest.raises(ValueError):
-            approximation_ratio_bound(2.0, 1.0, 8, 1.5)
-
-    def test_finite_for_reasonable_inputs(self):
-        ratio = approximation_ratio_bound(3.0, 1.5, 16, 0.01)
-        assert np.isfinite(ratio)
-        assert ratio > 1.0

@@ -10,7 +10,6 @@ from repro.core.mixing import (
     random_update_matrix,
     sampled_mixing_matrix,
     second_largest_eigenvalue,
-    worker_step_probabilities,
 )
 from repro.core.policy import generate_policy, uniform_policy
 from repro.graph import Topology
@@ -40,27 +39,6 @@ class TestGammaMatrix:
         policy = uniform_policy(full5.indicator()) * 0.5
         with pytest.raises(ValueError, match="sum to 1"):
             gamma_matrix(policy, full5.indicator())
-
-
-class TestWorkerStepProbabilities:
-    def test_uniform_times_give_uniform_probs(self, full5):
-        policy = uniform_policy(full5.indicator())
-        times = np.ones((5, 5))
-        probs = worker_step_probabilities(policy, times, full5.indicator())
-        np.testing.assert_allclose(probs, 0.2)
-
-    def test_faster_worker_takes_more_steps(self, full5):
-        policy = uniform_policy(full5.indicator())
-        times = np.ones((5, 5)) * 2.0
-        times[0, :] = 0.5  # worker 0 is 4x faster
-        probs = worker_step_probabilities(policy, times, full5.indicator())
-        assert probs[0] == pytest.approx(4 * probs[1])
-        assert probs.sum() == pytest.approx(1.0)
-
-    def test_rejects_zero_iteration_time(self, full5):
-        policy = uniform_policy(full5.indicator())
-        with pytest.raises(ValueError, match="positive expected iteration"):
-            worker_step_probabilities(policy, np.zeros((5, 5)), full5.indicator())
 
 
 class TestRandomUpdateMatrix:

@@ -597,7 +597,9 @@ class TestWorkQueuePrimitives:
         )
         assert summary.executed == 0
 
-    def test_stop_marker_ends_workers_immediately(self, tmp_path, monkeypatch):
+    def test_ended_run_stops_a_backed_off_worker_within_one_base_poll(
+        self, tmp_path, monkeypatch
+    ):
         """A run that *ends during the worker's lifetime* (its record turns
         ``active: false``) ends it within a base poll interval, however far
         the worker has backed off (the local-worker shutdown path)."""

@@ -1,14 +1,6 @@
 """Unit tests for reporting helpers."""
 
-import numpy as np
-import pytest
-
-from repro.experiments.reporting import (
-    downsample_series,
-    format_mean_std,
-    format_seconds,
-    render_table,
-)
+from repro.experiments.reporting import format_mean_std, render_table
 
 
 class TestRenderTable:
@@ -35,41 +27,6 @@ class TestRenderTable:
     def test_empty_rows_ok(self):
         text = render_table(["a", "b"], [])
         assert "a" in text
-
-
-class TestFormatSeconds:
-    @pytest.mark.parametrize(
-        "value,expected",
-        [(5.0, "5.0s"), (119.0, "119.0s"), (600.0, "10.0min"), (7200.0, "2.0h")],
-    )
-    def test_units(self, value, expected):
-        assert format_seconds(value) == expected
-
-    def test_nan_and_inf(self):
-        assert format_seconds(float("nan")) == "-"
-        assert format_seconds(float("inf")) == "inf"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_seconds(-1.0)
-
-
-class TestDownsample:
-    def test_short_series_untouched(self):
-        x = np.arange(5.0)
-        out_x, out_y = downsample_series(x, x, 10)
-        np.testing.assert_array_equal(out_x, x)
-
-    def test_long_series_thinned_keeping_endpoints(self):
-        x = np.arange(100.0)
-        out_x, _ = downsample_series(x, x, 10)
-        assert len(out_x) <= 10
-        assert out_x[0] == 0.0
-        assert out_x[-1] == 99.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            downsample_series(np.arange(3.0), np.arange(4.0), 2)
 
 
 class TestFormatMeanStd:

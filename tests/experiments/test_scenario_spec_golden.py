@@ -1,8 +1,8 @@
 """Golden table for the canonical form of scenario specs.
 
 Every spelling below -- each registry family but ``trace-file`` (which
-needs a file on disk), crossed with the shared topology, edge-failure,
-edge-event and compression axes, defaults and inert values included --
+needs a file on disk), crossed with the shared topology, edge-failure
+and compression axes, defaults and inert values included --
 maps to a pinned canonical ``params`` tuple, ``label()`` and
 ``SweepCell.cache_key()``. A change to coercion, the inert-parameter rules
 or the cache-key payload moves an entry and fails here; a change that only
@@ -39,15 +39,11 @@ AXIS_SPELLINGS = (
     (("topology", "full"), ("edge_probability", 0.9)),
     (("topology", "ring"), ("edge_probability", "0.6")),
     (("topology", "star"),),
-    (("topology", "torus"), ("degree_skew", 0.0)),
     (("topology", "random"), ("edge_probability", "0.5")),
-    (("topology", "random"), ("edge_probability", 0.25), ("degree_skew", "1.5")),
-    (("topology", "small-world"), ("edge_probability", 0.3)),
-    (("topology", "expander"), ("degree_skew", 0.5)),
+    (("topology", "expander"),),
     (("edge_failures", 0), ("edge_downtime_s", 5.0), ("edge_horizon_s", "50")),
     (("edge_failures", "2"), ("edge_downtime_s", 5.0), ("edge_horizon_s", 100.0)),
-    (("topology", "ring"), ("edge_events", "0-1@2:4;1-2@5")),
-    (("edge_events", ""), ("compression", "none"), ("compression_param", 0.5)),
+    (("compression", "none"), ("compression_param", 0.5)),
     (("compression", "topk"), ("compression_param", "0.1")),
     (("topology", "ring"), ("edge_failures", 1), ("compression", "qsgd"),
      ("compression_param", 4)),

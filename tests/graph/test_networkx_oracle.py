@@ -35,7 +35,7 @@ def tied_weight_graphs(draw):
     a symmetric bandwidth matrix over very few distinct values."""
     n = draw(st.integers(4, 14))
     seed = draw(st.integers(0, 10_000))
-    kind = draw(st.sampled_from(["full", "ring", "random", "small-world", "star", "loose"]))
+    kind = draw(st.sampled_from(["full", "ring", "random", "expander", "star", "loose"]))
     rng = np.random.default_rng(seed)
     if kind == "loose":
         pairs = rng.integers(0, n, size=(draw(st.integers(1, 2 * n)), 2))

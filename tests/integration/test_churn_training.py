@@ -172,7 +172,7 @@ class TestComputeOnlySurvival:
         config = TrainerConfig(max_sim_time=30.0, eval_interval_s=10.0, seed=0)
         trainer = ADPSGDTrainer(
             tasks,
-            Topology.star(3, center=0),
+            Topology.star(3),
             links,
             profile,
             config,

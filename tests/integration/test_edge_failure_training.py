@@ -14,6 +14,8 @@ The dynamic-edge layer's promises, mirroring the churn suite:
    policy cache turns recurring subgraphs into hits.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,50 +294,37 @@ class TestSweepEngine:
             SweepSpec(algorithms=("adpsgd",), seeds=(0,), scenarios=(star,))
 
 
-class TestEdgeEventsAxis:
-    """The deterministic event-list spelling of the dynamic-edge axis."""
+class TestScriptedSchedule:
+    """A hand-written EdgeSchedule on a ring: the failure windows are known
+    exactly, and the same script replays bit for bit."""
 
     @staticmethod
-    def _spec(script: str = "0-1@3:6;1-2@8:12") -> SweepSpec:
-        return SweepSpec(
-            algorithms=("adpsgd",),
-            seeds=(0,),
-            scenarios=(ScenarioSpec(
-                kind="heterogeneous",
-                num_workers=M,
-                params=(("topology", "ring"), ("edge_events", script)),
-            ),),
-            workload=WorkloadSpec(num_samples=256),
-            run=RunSpec(max_sim_time=10.0, eval_interval_s=5.0),
+    def _scenario() -> Scenario:
+        schedule = EdgeSchedule(M, [
+            (3.0, 0, 1, "fail"), (6.0, 0, 1, "repair"),
+            (8.0, 1, 2, "fail"), (12.0, 1, 2, "repair"),
+        ])
+        return replace(
+            build_scenario("heterogeneous", M, seed=0),
+            topology=DynamicTopology(Topology.ring(M), schedule),
         )
 
     def test_scripted_run_replays_bit_identically(self):
-        a = run_sweep(self._spec())
-        b = run_sweep(self._spec())
-        for x, y in zip(a.outcomes, b.outcomes):
-            assert_results_identical(x.result, y.result)
-
-    def test_cache_key_tracks_the_script(self):
-        cell = self._spec().cells()[0]
-        moved = self._spec("0-1@3:7;1-2@8:12").cells()[0]
-        assert cell.cache_key() != moved.cache_key()
-
-    def test_sync_algorithms_rejected_at_spec_time(self):
-        with pytest.raises(ValueError, match="time-varying"):
-            SweepSpec(
-                algorithms=("ps-syn",),
-                seeds=(0,),
-                scenarios=self._spec().scenarios,
-            )
+        workload = make_workload(
+            "mobilenet", "mnist", num_workers=M, batch_size=32,
+            num_samples=256, seed=0,
+        )
+        config = TrainerConfig(max_sim_time=10.0, eval_interval_s=5.0, seed=0)
+        first = run_trainer("adpsgd", self._scenario(), workload, config)
+        second = run_trainer("adpsgd", self._scenario(), workload, config)
+        assert_results_identical(first, second)
+        assert first.extras["edge_events"] == second.extras["edge_events"]
+        assert [event[0] for event in first.extras["edge_events"]] == [3.0, 6.0, 8.0]
 
     def test_conservation_no_transfer_starts_on_a_failed_edge(self):
-        """Mirrors the edge_failures conservation check: with a scripted
-        schedule the failure windows are known exactly, so no transfer may
+        """Mirrors the edge_failures conservation check: no transfer may
         begin on (0, 1) during [3, 6) or on (1, 2) during [8, 12)."""
-        scenario = build_scenario(
-            "heterogeneous", M, seed=0, topology="ring",
-            edge_events="0-1@3:6;1-2@8:12",
-        )
+        scenario = self._scenario()
         workload = make_workload(
             "mobilenet", "mnist", num_workers=M, batch_size=32,
             num_samples=256, seed=0,

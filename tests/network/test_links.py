@@ -9,7 +9,6 @@ from repro.network.links import (
     StaticLinks,
     TraceLinks,
     multi_cloud_links,
-    record_link_trace,
 )
 
 
@@ -47,6 +46,11 @@ class TestStaticLinks:
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError, match="non-negative"):
             StaticLinks(np.ones((2, 2)), -np.ones((2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_latency(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            StaticLinks(np.ones((2, 2)), np.full((2, 2), value))
 
     def test_out_of_range_pair(self):
         links = make_static(num_workers=3)
@@ -308,65 +312,22 @@ class TestTraceGenerators:
                 "segments": [{"start": 0.0, "bandwidth": [[0, 1e2], [1.0, 0]]}],
             })
 
+    @pytest.mark.parametrize("latency, segments, message", [
+        (float("nan"), [(0.0, 1e8)], "latencies must be finite"),
+        (float("inf"), [(0.0, 1e8)], "latencies must be finite"),
+        (0.0, [(0.0, 1e8), (float("nan"), 2e8)], "start times must be finite"),
+        (0.0, [(0.0, 1e8), (float("inf"), 2e8)], "start times must be finite"),
+        (0.0, [(0.0, float("nan"))], "bandwidths must be positive"),
+    ])
+    def test_non_finite_trace_rejected(self, latency, segments, message):
+        """A NaN or infinite latency used to build and then fail as an event
+        delay mid-run; a NaN start passed the strictly-increasing check."""
+        with pytest.raises(ValueError, match=message):
+            TraceLinks.from_json({
+                "num_workers": 3, "latency": latency,
+                "segments": [
+                    {"start": start, "bandwidth": bandwidth}
+                    for start, bandwidth in segments
+                ],
+            })
 
-class _TrainerShim:
-    """The two attributes record_link_trace reads off a trainer."""
-
-    class _Comm:
-        def __init__(self, links):
-            self.links = links
-
-    class _Sim:
-        def __init__(self, now):
-            self.now = now
-
-    def __init__(self, links, now):
-        self.comm = self._Comm(links)
-        self.sim = self._Sim(now)
-
-
-class TestRecordLinkTrace:
-    def test_round_trip_through_trace_links(self, tmp_path):
-        """Capture -> JSON -> TraceLinks replays the captured history."""
-        links = DynamicSlowdownLinks(make_static(), period_s=10.0, seed=3)
-        trainer = _TrainerShim(links, now=60.0)
-        path = tmp_path / "trace.json"
-        record_link_trace(trainer, step_s=2.0, path=str(path))
-        replayed = TraceLinks.from_json(str(path))
-        assert replayed.num_workers == links.num_workers
-        for t in np.arange(0.0, 60.0, 2.0):
-            np.testing.assert_array_equal(
-                replayed.bandwidth_matrix(float(t)), links.bandwidth_matrix(float(t))
-            )
-        for a in range(4):
-            for b in range(4):
-                if a != b:
-                    assert replayed.latency(a, b, 0.0) == links.latency(a, b, 0.0)
-
-    def test_static_network_collapses_to_one_segment(self):
-        trainer = _TrainerShim(make_static(), now=50.0)
-        payload = record_link_trace(trainer, step_s=1.0)
-        assert len(payload["segments"]) == 1
-        assert payload["segments"][0]["start"] == 0.0
-
-    def test_sub_step_dynamics_flatten_to_samples(self):
-        """Fidelity is bounded by step_s: a capture at the rotation period
-        still replays exactly the sampled snapshots."""
-        links = DynamicSlowdownLinks(make_static(), period_s=5.0, seed=1)
-        trainer = _TrainerShim(links, now=40.0)
-        payload = record_link_trace(trainer, step_s=5.0)
-        replayed = TraceLinks.from_json(payload)
-        for t in np.arange(0.0, 40.0, 5.0):
-            np.testing.assert_array_equal(
-                replayed.bandwidth_matrix(float(t)), links.bandwidth_matrix(float(t))
-            )
-
-    def test_unrun_trainer_rejected(self):
-        trainer = _TrainerShim(make_static(), now=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            record_link_trace(trainer)
-
-    def test_bad_step_rejected(self):
-        trainer = _TrainerShim(make_static(), now=10.0)
-        with pytest.raises(ValueError, match="step_s"):
-            record_link_trace(trainer, step_s=0.0)

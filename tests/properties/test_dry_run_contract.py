@@ -3,7 +3,7 @@
 ``SweepSpec`` construction builds every (scenario, seed) of its grid, so a
 spec either raises ``ValueError`` there -- which ``repro sweep --dry-run``
 reports as one ``error:`` line -- or its cells run. Generated over family x
-topology x the dynamic-edge axes x compression x worker count x seeds.
+topology x the edge-failure axis x compression x worker count x seeds.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -25,15 +25,10 @@ def grids(draw):
         "topology": draw(st.sampled_from(TOPOLOGY_KINDS)),
         "edge_probability": draw(st.sampled_from((0.05, 0.25, 0.6))),
     }
-    dynamic = draw(st.sampled_from(("none", "failures", "failures", "events", "both")))
-    if dynamic in ("failures", "both"):
+    if draw(st.sampled_from((False, True, True))):
         params["edge_failures"] = draw(st.integers(-1, 3))
         params["edge_horizon_s"] = draw(st.sampled_from((0.4, 600.0)))
         params["edge_downtime_s"] = draw(st.sampled_from((0.1, 30.0)))
-    if dynamic in ("events", "both"):
-        params["edge_events"] = draw(
-            st.sampled_from(("0-1@0.1:0.3", "0-2@0.2", "1-2@0.1;2-3@0.2:0.4"))
-        )
     params["compression"], params["compression_param"] = draw(st.sampled_from((
         ("none", 0.0), ("none", 2.5), ("topk", 0.1), ("topk", 2.5),
         ("qsgd", 4.0), ("qsgd", 2.5), ("gzip", 0.0),

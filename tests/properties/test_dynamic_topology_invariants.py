@@ -37,11 +37,7 @@ failure_counts = st.integers(min_value=1, max_value=4)
 
 def _base(m: int, seed: int) -> Topology:
     """A 2-edge-connected base graph (ring + chords) -- every edge failable."""
-    kind = ("full", "ring", "torus", "hypercube", "expander")[seed % 5]
-    if kind == "torus":
-        m = 4 * (1 + m % 3)  # 4, 8, 12: all factor as rows x cols >= 2
-    if kind == "hypercube":
-        m = 2 ** (2 + m % 2)
+    kind = ("full", "ring", "expander")[seed % 3]
     return make_topology(kind, m, seed=seed)
 
 
@@ -159,13 +155,7 @@ class TestDynamicTopologyInvariants:
 
 
 class TestScheduleValidation:
-    def test_single_and_flapping_constructors(self):
-        single = EdgeSchedule.single(5, (1, 2), fail_at=3.0, repair_at=8.0)
-        assert [e.kind for e in single.events] == ["fail", "repair"]
-        assert single.down_edges_at(5.0) == {(1, 2)}
-        assert single.down_edges_at(8.0) == set()
-        with pytest.raises(ValueError, match="after fail_at"):
-            EdgeSchedule.single(5, (1, 2), fail_at=3.0, repair_at=2.0)
+    def test_flapping_constructor(self):
         flapping = EdgeSchedule.flapping(
             5, (0, 1), period_s=10.0, horizon_s=35.0
         )

@@ -34,15 +34,6 @@ workers = st.integers(min_value=4, max_value=12)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def _workers_for(kind: str, m: int) -> int:
-    """Coerce a drawn worker count into the family's validity domain."""
-    if kind == "torus":
-        return 4 * (1 + m % 3)  # 4, 8, 12: all factor as rows x cols >= 2
-    if kind == "hypercube":
-        return 2 ** (2 + m % 2)
-    return m
-
-
 def _assert_sparse_dense_agree(topology: Topology) -> None:
     dense = topology.adjacency  # materializes the lazy dense matrix
     m = topology.num_workers
@@ -77,26 +68,13 @@ class TestSparseDenseAgreement:
     @given(m=workers, seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_every_topology_kind(self, kind, m, seed):
-        topology = make_topology(
-            kind, _workers_for(kind, m), edge_probability=0.3, seed=seed
-        )
-        _assert_sparse_dense_agree(topology)
-
-    @pytest.mark.parametrize("kind", ("random", "expander"))
-    @given(m=workers, seed=seeds, skew=st.floats(min_value=0.1, max_value=2.0))
-    @settings(max_examples=15, deadline=None)
-    def test_degree_skewed_kinds(self, kind, m, seed, skew):
-        topology = make_topology(
-            kind, m, edge_probability=0.3, seed=seed, degree_skew=skew
-        )
+        topology = make_topology(kind, m, edge_probability=0.3, seed=seed)
         _assert_sparse_dense_agree(topology)
 
     @given(m=workers, seed=seeds, failures=st.integers(min_value=1, max_value=4))
     @settings(max_examples=15, deadline=None)
     def test_dynamic_topology_segments(self, m, seed, failures):
-        base = make_topology(("full", "torus", "expander")[seed % 3],
-                             _workers_for("torus", m) if seed % 3 == 1 else m,
-                             seed=seed)
+        base = make_topology(("full", "ring", "expander")[seed % 3], m, seed=seed)
         schedule = EdgeSchedule.random(
             base, horizon_s=100.0, num_failures=failures,
             downtime_s=10.0, seed=seed,

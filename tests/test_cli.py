@@ -124,20 +124,22 @@ class TestCommands:
         ("heterogeneous", 4, ["slowdown_low=0.5"], ["0"], "1 <= low <= high"),
         ("churn", 4, ["downtime_s=700"], ["0"], "does not fit 2 departure window"),
         ("heterogeneous", 4, ["edge_failures=-1"], ["0"], "num_failures must be >= 0"),
-        ("heterogeneous", 4, ["topology=ring", "edge_events=0-1@2", "edge_failures=1"],
-         ["0"], "mutually exclusive"),
         # Seed 0 draws a tree: no edge can fail without disconnecting it.
         ("heterogeneous", 6,
          ["topology=random", "edge_probability=0.05", "edge_failures=1"],
          ["0", "1", "2", "3", "4", "5"], "at seed 0: .*bridge"),
         ("heterogeneous", 4, ["topology=star", "edge_failures=1"], ["0"], "bridge"),
         ("homogeneous", 2, ["topology=ring"], ["0"], "ring topology needs at least 3"),
-        ("heterogeneous", 5, ["topology=torus"], ["0"], "torus needs"),
+        ("heterogeneous", 3, ["topology=expander"], ["0"],
+         "expander topology needs at least 4"),
+        ("heterogeneous", 4, ["topology=torus"], ["0"], "unknown topology kind 'torus'"),
         ("heterogeneous", 4, ["compression=gzip"], ["0"], "unknown compression op"),
         ("trace-file", 4, [], ["0"], "needs path="),
         ("trace-file", 5, ["path={csv}"], ["0"], "describes 3 workers"),
         ("heterogeneous", 8, ["topology=ring", "degree_skew=0.5"], ["0"],
-         "degree_skew only applies"),
+         "parameter 'degree_skew'"),
+        ("heterogeneous", 4, ["topology=ring", "edge_events=0-1@2"], ["0"],
+         "parameter 'edge_events'"),
         ("heterogeneous", 4, ["period_s=nan"], ["0"], "'period_s' must be finite"),
     ])
     def test_unbuildable_scenario_fails_the_dry_run(
@@ -181,21 +183,47 @@ class TestCommands:
             (["--algorithms", "netmax", "adpsgd", "NetMax"],
              "repeated algorithm(s) ['netmax']"),
             (["--seeds", "0", "1", "0"], "repeated seed(s) [0]"),
+            (["--scenarios", "trace-file", "--scenario-param",
+              "path={nan_latency}"], "latencies must be finite"),
+            (["--scenarios", "trace-file", "--scenario-param",
+              "path={inf_latency}"], "latencies must be finite"),
+            (["--scenarios", "trace-file", "--scenario-param",
+              "path={nan_start}"], "start times must be finite"),
+            (["--scenarios", "trace-file", "--scenario-param",
+              "path={nan_bandwidth}"], "bandwidths must be positive"),
         )
         if not (command == "compare" and flags[0] in ("--max-epochs", "--seeds"))
     ])
     def test_run_settings_that_cannot_run_exit_2(
-        self, capsys, monkeypatch, command, flags, message
+        self, tmp_path, capsys, monkeypatch, command, flags, message
     ):
         """What --dry-run lists must run: these settings used to pass the
         dry run and die in a traceback in every cell (compare reads no
         --max-epochs). A repeated seed or algorithm used to run its cells
-        twice and report the repeat as a second seed with zero spread."""
+        twice and report the repeat as a second seed with zero spread. A
+        trace with a NaN or infinite latency died as an event delay; a NaN
+        segment start ran; a NaN bandwidth was called asymmetric."""
         from repro.experiments.sweeps import SweepCell
 
         monkeypatch.setattr(
             SweepCell, "execute", lambda self: pytest.fail("a cell ran")
         )
+        traces = {}
+        for name, latency, segments in (
+            ("nan_latency", "NaN", '{"start": 0, "bandwidth": 1e8}'),
+            ("inf_latency", "Infinity", '{"start": 0, "bandwidth": 1e8}'),
+            ("nan_start", "0.001", '{"start": 0, "bandwidth": 1e8}, '
+                                   '{"start": NaN, "bandwidth": 2e8}'),
+            ("nan_bandwidth", "0.001", '{"start": 0, "bandwidth": NaN}'),
+        ):
+            traces[name] = tmp_path / f"{name}.json"
+            traces[name].write_text(
+                f'{{"num_workers": 4, "latency": {latency}, '
+                f'"segments": [{segments}]}}'
+            )
+        flags = [flag.format(**traces) for flag in flags]
+        if command == "compare":
+            flags = ["--scenario" if f == "--scenarios" else f for f in flags]
         argv = [command, "--algorithms", "adpsgd", "--workers", "4",
                 "--samples", "64", "--sim-time", "2"]
         if command == "sweep":
@@ -907,14 +935,14 @@ class TestScenarioParamCLI:
         assert "4 cell(s)" in out
 
     def test_sweep_unbuildable_topology_fails_dry_run(self, capsys):
-        """A torus on a prime worker count must die at spec time."""
+        """A ring on two workers must die at spec time."""
         code = main([
             "sweep", "--algorithms", "netmax", "--seeds", "0",
-            "--workers", "5", "--scenarios", "heterogeneous",
-            "--scenario-param", "topology=torus", "--dry-run",
+            "--workers", "2", "--scenarios", "heterogeneous",
+            "--scenario-param", "topology=ring", "--dry-run",
         ])
         assert code == 2
-        assert "torus" in capsys.readouterr().err
+        assert "ring topology needs at least 3" in capsys.readouterr().err
 
     def test_compare_rejects_foreign_family_prefix(self, capsys):
         code = main([
