@@ -47,6 +47,16 @@ AXIS_SPELLINGS = (
     (("compression", "topk"), ("compression_param", "0.1")),
     (("topology", "ring"), ("edge_failures", 1), ("compression", "qsgd"),
      ("compression_param", 4)),
+    (("topology", "random"),),
+    (("topology", "expander"), ("edge_probability", "0.5"), ("compression", "qsgd"),
+     ("compression_param", 8)),
+    (("topology", "star"), ("edge_failures", 0), ("compression", "topk"),
+     ("compression_param", "0.25")),
+    (("topology", "expander"), ("edge_failures", 2), ("edge_downtime_s", "10"),
+     ("edge_horizon_s", 200.0)),
+    (("topology", "ring"), ("edge_failures", "1"), ("edge_downtime_s", 2.5)),
+    (("compression", "qsgd"),),
+    (("topology", "full"), ("compression", "topk")),
 )
 
 

@@ -253,6 +253,20 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match="expander topology needs at least 4"):
             build_scenario("heterogeneous", 3, seed=0, topology="expander")
 
+    @pytest.mark.parametrize("params, message", [
+        ({"topology": "torus"}, "unknown topology kind 'torus'"),
+        ({"topology": "small-world"}, "unknown topology kind 'small-world'"),
+        ({"topology": "hypercube"}, "unknown topology kind 'hypercube'"),
+        ({"topology": "random", "degree_skew": 0.5}, "no parameter 'degree_skew'"),
+        ({"topology": "ring", "edge_events": "0-1@2"}, "no parameter 'edge_events'"),
+    ])
+    def test_retired_spellings_rejected_at_build(self, params, message):
+        """Graph kinds and axes that no figure uses are gone: spelling one
+        is an error, never a silent fall-back to the complete graph."""
+        from repro.experiments.scenarios import build_scenario
+        with pytest.raises(ValueError, match=message):
+            build_scenario("heterogeneous", 8, seed=0, **params)
+
     def test_every_family_accepts_the_edge_failure_axis(self, tmp_path):
         """Each registered family promotes its graph to a DynamicTopology
         when edge_failures > 0, suffixes the scenario name, and keeps its

@@ -70,6 +70,8 @@ def test_bridges_match_networkx(case):
     [
         (Topology.ring(6), set()),
         (Topology.star(5), {(0, 1), (0, 2), (0, 3), (0, 4)}),
+        (Topology.star(2), {(0, 1)}),
+        (Topology.fully_connected(4), set()),
         # two triangles joined by one edge, plus a pendant and an isolated worker
         (
             Topology.from_edges(
@@ -78,7 +80,7 @@ def test_bridges_match_networkx(case):
             {(2, 3), (5, 6)},
         ),
     ],
-    ids=["ring", "star", "barbell"],
+    ids=["ring", "star", "single-edge", "full", "barbell"],
 )
 def test_bridges_by_hand(topology, expected):
     assert topology.bridges() == expected

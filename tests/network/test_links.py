@@ -47,7 +47,7 @@ class TestStaticLinks:
         with pytest.raises(ValueError, match="non-negative"):
             StaticLinks(np.ones((2, 2)), -np.ones((2, 2)))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_latency(self, value):
         with pytest.raises(ValueError, match="finite"):
             StaticLinks(np.ones((2, 2)), np.full((2, 2), value))
@@ -315,6 +315,8 @@ class TestTraceGenerators:
     @pytest.mark.parametrize("latency, segments, message", [
         (float("nan"), [(0.0, 1e8)], "latencies must be finite"),
         (float("inf"), [(0.0, 1e8)], "latencies must be finite"),
+        (float("-inf"), [(0.0, 1e8)], "latencies must be finite"),
+        (-0.5, [(0.0, 1e8)], "latencies must be finite and non-negative"),
         (0.0, [(0.0, 1e8), (float("nan"), 2e8)], "start times must be finite"),
         (0.0, [(0.0, 1e8), (float("inf"), 2e8)], "start times must be finite"),
         (0.0, [(0.0, float("nan"))], "bandwidths must be positive"),
@@ -330,4 +332,12 @@ class TestTraceGenerators:
                     for start, bandwidth in segments
                 ],
             })
+
+    def test_one_non_finite_latency_entry_rejected(self):
+        """The latency check covers every pair, not just a scalar spelling."""
+        bandwidth = np.full((3, 3), 1e8)
+        latency = np.zeros((3, 3))
+        latency[1, 2] = latency[2, 1] = np.nan
+        with pytest.raises(ValueError, match="latencies must be finite"):
+            TraceLinks([(0.0, bandwidth)], latency)
 

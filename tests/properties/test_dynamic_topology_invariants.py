@@ -176,6 +176,50 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="time > 0"):
             EdgeSchedule(4, [(0.0, 0, 1, "fail")])
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="time > 0"):
+            EdgeSchedule(4, [(-1.0, 0, 1, "fail")])
+
+    @pytest.mark.parametrize("a, b", [(0, 9), (9, 0), (-1, 2)])
+    def test_out_of_range_edge_rejected(self, a, b):
+        with pytest.raises(ValueError, match="out of range for M=4"):
+            EdgeSchedule(4, [(1.0, a, b, "fail")])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            EdgeSchedule(4, [(1.0, 2, 2, "fail")])
+
+    def test_unknown_event_kind_rejected(self):
+        with pytest.raises(ValueError, match="'fail' or 'repair'"):
+            EdgeSchedule(4, [(1.0, 0, 1, "drop")])
+
+    def test_too_few_workers_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 workers"):
+            EdgeSchedule(1, [])
+
+    def test_repair_scheduled_before_its_fail_rejected(self):
+        """Events are ordered by time, so a repair listed after its fail but
+        timed before it is a repair of an edge that is still up."""
+        with pytest.raises(ValueError, match="still up"):
+            EdgeSchedule(4, [(4.0, 0, 1, "fail"), (2.0, 0, 1, "repair")])
+
+    def test_event_and_endpoint_order_normalized(self):
+        """Input order and endpoint order do not matter: the schedule sorts
+        by (time, edge) and stores each edge as (low, high)."""
+        a = EdgeSchedule(4, [(5.0, 2, 1, "fail"), (4.0, 1, 0, "repair"),
+                             (2.0, 1, 0, "fail")])
+        b = EdgeSchedule(4, [(2.0, 0, 1, "fail"), (4.0, 0, 1, "repair"),
+                             (5.0, 1, 2, "fail")])
+        assert a == b and hash(a) == hash(b)
+        assert [event.edge for event in a.events] == [(0, 1), (0, 1), (1, 2)]
+        assert a.down_edges_at(3.0) == {(0, 1)}
+        assert a.down_edges_at(6.0) == {(1, 2)}
+
+    def test_schedule_for_another_worker_count_rejected(self):
+        schedule = EdgeSchedule(5, [(1.0, 0, 1, "fail")])
+        with pytest.raises(ValueError, match="schedule is for 5 workers"):
+            DynamicTopology(Topology.ring(6), schedule)
+
     def test_unknown_edge_rejected_by_dynamic_topology(self):
         ring = Topology.ring(5)
         schedule = EdgeSchedule(5, [(1.0, 0, 2, "fail")])  # not a ring edge

@@ -71,6 +71,18 @@ class TestSparseDenseAgreement:
         topology = make_topology(kind, m, edge_probability=0.3, seed=seed)
         _assert_sparse_dense_agree(topology)
 
+    @pytest.mark.parametrize("kind, m", [
+        ("full", 2), ("ring", 3), ("star", 2), ("random", 2), ("expander", 4),
+    ])
+    @given(seed=seeds, p=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=15, deadline=None)
+    def test_smallest_graph_of_every_kind(self, kind, m, seed, p):
+        """Each kind at its fewest workers. Two Hamiltonian cycles over four
+        workers must share an edge (K4 has only six), so the expander's pair
+        list always repeats edges there; CSR must dedupe them."""
+        topology = make_topology(kind, m, edge_probability=p, seed=seed)
+        _assert_sparse_dense_agree(topology)
+
     @given(m=workers, seed=seeds, failures=st.integers(min_value=1, max_value=4))
     @settings(max_examples=15, deadline=None)
     def test_dynamic_topology_segments(self, m, seed, failures):

@@ -64,6 +64,22 @@ CONSTRUCTOR_BUILDERS = {
 # path, but the constructor itself makes no such promise).
 CONNECTIVITY_PROMISED = sorted(set(CONSTRUCTOR_BUILDERS) - {"from_edges"})
 
+# constructor name -> (m, worker) -> inclusive degree bounds. The structured
+# families pin each degree exactly; the expander overlays two Hamiltonian
+# cycles (2..4 distinct neighbors); a connected random graph has >= 1.
+DEGREE_BOUNDS = {
+    "fully_connected": lambda m, worker: (m - 1, m - 1),
+    "ring": lambda m, worker: (2, 2),
+    "star": lambda m, worker: (m - 1, m - 1) if worker == 0 else (1, 1),
+    "expander": lambda m, worker: (2, 4),
+    "random_connected": lambda m, worker: (1, m - 1),
+}
+
+# make_topology kind -> the fewest workers it builds.
+SMALLEST_WORKER_COUNT = {
+    "full": 2, "ring": 3, "star": 2, "random": 2, "expander": 4,
+}
+
 
 def test_every_constructor_covered():
     """Adding a Topology constructor without invariant coverage fails here."""
@@ -118,6 +134,18 @@ class TestConstructorInvariants:
             )
             assert topology.degree(worker) == len(topology.neighbors(worker))
 
+    @pytest.mark.parametrize("name", sorted(DEGREE_BOUNDS))
+    @given(m=workers, seed=seeds, p=probabilities)
+    @settings(max_examples=25, deadline=None)
+    def test_degrees_within_family_bounds(self, name, m, seed, p):
+        topology = CONSTRUCTOR_BUILDERS[name](m, seed, p)
+        for worker in range(m):
+            low, high = DEGREE_BOUNDS[name](m, worker)
+            assert low <= topology.degree(worker) <= high, (
+                f"{name}: worker {worker} of {m} has degree "
+                f"{topology.degree(worker)}, outside [{low}, {high}]"
+            )
+
 
 class TestSeedDeterminism:
     @given(m=workers, seed=seeds, p=probabilities)
@@ -161,3 +189,14 @@ class TestRequestValidation:
             make_topology("ring", 2, edge_probability=0.5)
         with pytest.raises(ValueError, match="expander topology needs at least 4"):
             make_topology("expander", 3, edge_probability=0.5)
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_smallest_worker_count(self, kind):
+        """Each kind builds a connected graph at its floor and rejects one
+        worker fewer with a ValueError, never a half-built graph."""
+        smallest = SMALLEST_WORKER_COUNT[kind]
+        topology = make_topology(kind, smallest, edge_probability=0.5)
+        assert topology.num_workers == smallest
+        assert topology.is_connected()
+        with pytest.raises(ValueError, match="at least"):
+            make_topology(kind, smallest - 1, edge_probability=0.5)

@@ -141,6 +141,10 @@ class TestCommands:
         ("heterogeneous", 4, ["topology=ring", "edge_events=0-1@2"], ["0"],
          "parameter 'edge_events'"),
         ("heterogeneous", 4, ["period_s=nan"], ["0"], "'period_s' must be finite"),
+        ("homogeneous", 8, ["topology=small-world"], ["0"],
+         "unknown topology kind 'small-world'"),
+        ("multi-cloud", 6, ["topology=hypercube"], ["0"],
+         "unknown topology kind 'hypercube'"),
     ])
     def test_unbuildable_scenario_fails_the_dry_run(
         self, tmp_path, capsys, kind, workers, params, seeds, message
