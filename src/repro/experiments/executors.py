@@ -31,6 +31,7 @@ every public name of the other three is re-exported here.
 from __future__ import annotations
 
 import abc
+import math
 import os
 import time
 import uuid
@@ -55,6 +56,8 @@ from repro.experiments.worker import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweeps -> executors)
+    from multiprocessing.synchronize import Event
+
     from repro.experiments.sweeps import SweepCell
     from repro.simulation.records import TrainingResult
 
@@ -332,18 +335,22 @@ class QueueExecutor(SweepExecutor):
     ):
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 = external workers only)")
-        if lease_timeout_s < MIN_LEASE_TIMEOUT_S:
+        if not (math.isfinite(lease_timeout_s)
+                and lease_timeout_s >= MIN_LEASE_TIMEOUT_S):
             raise ValueError(
-                f"lease_timeout_s must be >= {MIN_LEASE_TIMEOUT_S} "
+                f"lease_timeout_s must be finite and >= {MIN_LEASE_TIMEOUT_S} "
                 "(below that, heartbeat-counter observations race filesystem "
-                "latency and healthy workers can be presumed dead)"
+                "latency and healthy workers can be presumed dead), got "
+                f"{lease_timeout_s}"
             )
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
-        if not poll_interval_s > 0:
-            raise ValueError("poll_interval_s must be > 0")
+        if not (math.isfinite(poll_interval_s) and poll_interval_s > 0):
+            raise ValueError(
+                f"poll_interval_s must be finite and > 0, got {poll_interval_s}"
+            )
         self.queue_dir = str(queue_dir)
         self.num_workers = num_workers
         self.lease_timeout_s = lease_timeout_s
@@ -388,10 +395,18 @@ class QueueExecutor(SweepExecutor):
 
         import multiprocessing
 
+        # Local workers and this coordinator wake each other instead of
+        # sleeping out a poll interval: a worker sets `idle` as it goes
+        # idle, which ends the wait in _drain, and `stop`, set below once
+        # the run is retired, ends the workers' idle wait. The files stay
+        # the only record; an event only cuts a wait short.
+        idle = stop = None
+        if self.num_workers:
+            idle, stop = multiprocessing.Event(), multiprocessing.Event()
         workers = [
             multiprocessing.Process(
                 target=_local_worker_entry,
-                args=(self.queue_dir, self.poll_interval_s, run_id),
+                args=(self.queue_dir, self.poll_interval_s, run_id, idle, stop),
                 daemon=True,
             )
             for _ in range(self.num_workers)
@@ -400,9 +415,11 @@ class QueueExecutor(SweepExecutor):
             worker.start()
         try:
             self._drain(queue, ResultCache(cache_dir), cells, keys, run_id,
-                        landed)
+                        landed, idle)
         finally:
             queue.signal_stop(run_id)
+            if stop is not None:
+                stop.set()
             for worker in workers:
                 worker.join(timeout=30.0)
                 if worker.is_alive():  # pragma: no cover - last-resort cleanup
@@ -416,6 +433,7 @@ class QueueExecutor(SweepExecutor):
         keys: Sequence[str],
         run_id: str,
         landed: Landed,
+        idle: Event | None,
     ) -> None:
         """Poll until every cell has landed, loading each result once.
 
@@ -431,6 +449,13 @@ class QueueExecutor(SweepExecutor):
         back onto the queue while the workers are still up, at most
         ``max_attempts`` times, instead of aborting the sweep after the
         whole grid already ran.
+
+        Between scans it waits up to ``poll_interval_s``: on ``idle``, the
+        event its local workers ring as they go idle, so the scan after a
+        worker's last completion runs at once; with no local workers (only
+        external ``repro sweep-worker`` processes, which ring nothing), in
+        ``time.sleep``. ``idle`` is cleared before each scan, so a ring
+        that lands during a scan cuts the next wait short.
         """
         waiting: dict[str, list[int]] = {}  # key -> grid indexes, grid order
         for index, key in enumerate(keys):
@@ -443,6 +468,8 @@ class QueueExecutor(SweepExecutor):
         # age out a coordinator that dies without signal_stop.
         beat_interval = self.lease_timeout_s / 3.0
         while waiting:
+            if idle is not None:
+                idle.clear()
             on_disk = [key for key in waiting
                        if os.path.exists(cache.path(key))]
             held = queue.held_keys(run_id) if on_disk else set()
@@ -511,7 +538,10 @@ class QueueExecutor(SweepExecutor):
                     self._progress(
                         f"{done}/{len(keys)} cell(s) done; " + health
                     )
-            time.sleep(self.poll_interval_s)
+            if idle is None:
+                time.sleep(self.poll_interval_s)
+            else:
+                idle.wait(self.poll_interval_s)
 
 
 def make_executor(

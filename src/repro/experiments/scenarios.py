@@ -666,16 +666,16 @@ class Workload:
         return len(self.shards)
 
     def make_tasks(self) -> list[WorkerTask]:
-        """Fresh tasks: identical initial parameters, samplers on the
-        ``[seed, 0, i]`` streams."""
+        """Fresh tasks: clones of one model set to ``init_params``, samplers
+        on the ``[seed, 0, i]`` streams."""
+        template = build_model(self.model_name, self.num_features, self.num_classes)
+        template.set_params(self.init_params)
         tasks = []
         for i, (shard, batch) in enumerate(zip(self.shards, self.batch_sizes)):
-            model = build_model(self.model_name, self.num_features, self.num_classes)
-            model.set_params(self.init_params)
             sampler = BatchSampler(
                 shard, batch, np.random.default_rng([self.seed, 0, i])
             )
-            tasks.append(WorkerTask(model, sampler))
+            tasks.append(WorkerTask(template.clone(), sampler))
         return tasks
 
 

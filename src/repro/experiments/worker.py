@@ -24,7 +24,16 @@ cell, reclaim dead peers' leases when idle. On top of the broker it adds:
   worker waits it out in slices of the base cadence and reads the set of
   active run ids after each (:func:`_idle_wait`), so a drained sweep's
   workers see its run record go inactive within one base interval, however
-  far they have backed off.
+  far they have backed off;
+- **wake events for local workers**: a worker that a
+  :class:`~repro.experiments.executors.QueueExecutor` spawns shares two
+  events with it. The worker sets ``idle`` whenever it writes its ``idle``
+  status -- once it finds nothing left to claim, so right after the
+  sweep's last completion too -- which ends the coordinator's wait between
+  drain scans; the coordinator sets ``stop`` after retiring its run, which
+  ends the worker's idle wait. A ring only cuts a wait short: every
+  decision is still read from the files. ``repro sweep-worker`` processes
+  share no event and poll.
 
 Everything a worker knows about a sweep comes from its run record
 ``runs/<run_id>.json``: each claimed task's settings, and whether the sweep
@@ -33,21 +42,27 @@ is over. A worker leaves when nothing is claimable, no run is live
 a run that was not already retired when it started.
 
 Imports :mod:`~repro.experiments.cache` and :mod:`~repro.experiments.broker`;
-the poll loop sleeps through the ``time`` module's ``sleep`` attribute.
+without wake events the poll loop sleeps through the ``time`` module's
+``sleep`` attribute.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import socket
 import threading
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.experiments.broker import MIN_LEASE_TIMEOUT_S, WorkQueue, _worker_id
 from repro.experiments.cache import ResultCache
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from multiprocessing.synchronize import Event
 
 __all__ = ["WorkerSummary", "run_queue_worker"]
 
@@ -84,7 +99,8 @@ def _poll_delay(
 
 
 def _idle_wait(
-    queue: WorkQueue, delay_s: float, slice_s: float, active: set[str]
+    queue: WorkQueue, delay_s: float, slice_s: float, active: set[str],
+    stop: Event | None = None,
 ) -> bool:
     """Wait up to ``delay_s`` before the next rescan, reading the active
     run ids after every ``slice_s``.
@@ -93,12 +109,21 @@ def _idle_wait(
     caller last scanned under) -- a sweep ended or a new one registered --
     so the caller's rescan and exit test run within one base interval
     instead of after an 8x back-off; ``False`` once the full delay has
-    elapsed. At most ``ceil(delay_s / slice_s)`` reads of ``runs/`` per
+    elapsed. At most ``ceil(delay_s / slice_s) + 1`` reads of ``runs/`` per
     wait, never a busy spin.
+
+    A slice is slept through ``time.sleep``, or -- for a local worker,
+    which gets its coordinator's ``stop`` event -- waited on ``stop``, so
+    the run ids are read as soon as the coordinator signals the end. The
+    event stays set, so once it has cut one slice short, the rest of this
+    wait sleeps.
     """
     deadline = time.monotonic() + delay_s
     while (left := deadline - time.monotonic()) > 0:
-        time.sleep(min(slice_s, left))
+        if stop is None:
+            time.sleep(min(slice_s, left))
+        elif stop.wait(min(slice_s, left)):
+            stop = None
         if set(queue.active_run_ids()) != active:
             return True
     return False
@@ -287,6 +312,7 @@ def run_queue_worker(
     progress: Callable[[str], None] | None = None,
     lease_batch: int | None = None,
     coordinator_run: str | None = None,
+    wake: tuple[Event, Event] | None = None,
 ) -> WorkerSummary:
     """Join a queue directory and execute cells until it drains.
 
@@ -312,9 +338,15 @@ def run_queue_worker(
     waits for it. ``coordinator_run`` is for :class:`QueueExecutor` alone:
     the run that spawned this worker counts as seen, however early it
     ends (a fully cached sweep retires its run before its workers are up).
+    ``wake`` is :class:`QueueExecutor`'s ``(idle, stop)`` event pair: the
+    worker sets ``idle`` each time it writes its ``idle`` status, and its
+    idle wait ends once ``stop`` is set (:func:`_idle_wait`). Without it
+    the worker only polls, sleeping through ``time.sleep``.
     """
-    if not poll_interval_s > 0:
-        raise ValueError(f"poll_interval_s must be > 0, got {poll_interval_s}")
+    if not (math.isfinite(poll_interval_s) and poll_interval_s > 0):
+        raise ValueError(
+            f"poll_interval_s must be finite and > 0, got {poll_interval_s}"
+        )
     if not drain_timeout_s >= 0:
         raise ValueError(f"drain_timeout_s must be >= 0, got {drain_timeout_s}")
     if lease_batch is not None and lease_batch < 1:
@@ -331,10 +363,11 @@ def run_queue_worker(
     retired_at_start = {record["run_id"] for record in queue.list_runs()
                         if not record.get("active")}
     seen_run = coordinator_run is not None
+    idle_event, stop_event = wake if wake is not None else (None, None)
 
     def idle_wait(delay_s: float, active: set[str]) -> None:
         start = time.monotonic()
-        _idle_wait(queue, delay_s, base_s, active)
+        _idle_wait(queue, delay_s, base_s, active, stop_event)
         summary.idle_s += time.monotonic() - start
 
     def set_status(status: str, **fields: object) -> None:
@@ -391,6 +424,8 @@ def run_queue_worker(
                 if not idle:
                     set_status("idle", current_cell=None)
                     idle = True
+                    if idle_event is not None:
+                        idle_event.set()
                 idle_polls += 1
                 idle_wait(_poll_delay(
                     poll_interval_s, jitter, idle_polls,
@@ -468,7 +503,8 @@ def run_queue_worker(
 
 
 def _local_worker_entry(
-    queue_dir: str, poll_interval_s: float, run_id: str
+    queue_dir: str, poll_interval_s: float, run_id: str,
+    idle: Event, stop: Event,
 ) -> None:
     """Top-level target for coordinator-spawned local worker processes."""
     # Local workers live as long as the coordinator keeps the queue open:
@@ -478,4 +514,5 @@ def _local_worker_entry(
         poll_interval_s=poll_interval_s,
         drain_timeout_s=float("inf"),
         coordinator_run=run_id,
+        wake=(idle, stop),
     )

@@ -88,6 +88,15 @@ class TestMakeExecutor:
         with pytest.raises(ValueError, match="max_attempts"):
             QueueExecutor("/tmp/q", max_attempts=0)
 
+    @pytest.mark.parametrize("name", ["lease_timeout_s", "poll_interval_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_queue_timings_rejected(self, name, value):
+        """Regression: NaN passed the lease-timeout floor test and made
+        every live lease look stale; an infinite lease timeout or poll
+        interval overflowed the first wait that used it."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            QueueExecutor("/tmp/q", **{name: value})
+
 
 class TestBackendEquivalence:
     """queue == process == inline, bit for bit (the tentpole criterion)."""
@@ -777,6 +786,70 @@ class TestLanding:
                 tmp_path, num_workers=0, max_attempts=2))
         worker.join(timeout=30.0)
         assert not worker.is_alive()
+
+
+class TestWakeEvents:
+    """A coordinator and the workers it spawns wake each other; anyone
+    else polls through ``time.sleep``."""
+
+    def test_local_sweep_returns_inside_one_poll_interval(
+        self, tmp_path, monkeypatch
+    ):
+        """The coordinator's wait ends on a local worker going idle, and the
+        workers' idle wait on the coordinator's stop, so with a 5 s poll
+        interval a 4-cell sweep returns well before any one wait runs
+        out (it used to sleep one full interval at least). The ring is
+        cleared before each scan: the coordinator scans once up front and
+        once per worker going idle, never in a spin."""
+        scans = []
+        reclaim = WorkQueue.reclaim_stale
+
+        def counting(queue, *args):
+            scans.append(os.getpid())
+            return reclaim(queue, *args)
+
+        monkeypatch.setattr(WorkQueue, "reclaim_stale", counting)
+        spec = tiny_spec()
+        assert len(spec.cells()) == 4
+        start = time.monotonic()
+        queued = run_sweep(spec, executor=queue_executor(
+            tmp_path, num_workers=2, poll_interval_s=5.0))
+        assert time.monotonic() - start < 5.0
+        assert queued.cells_executed == 4
+        # Every scan but the last ends in a reclaim pass; the workers'
+        # passes happen in their own processes and do not show here.
+        assert 1 <= len(scans) <= 3, scans
+        inline = run_sweep(spec)
+        for a, b in zip(queued.outcomes, inline.outcomes):
+            assert_results_identical(a.result, b.result)
+
+    def test_without_local_workers_both_sides_sleep(self, tmp_path, monkeypatch):
+        """A coordinator with ``num_workers=0`` and a worker started through
+        ``run_queue_worker`` itself wait in ``time.sleep`` -- where the
+        ledger's traced pass times waiting apart from work."""
+        sleeps = Counter()
+        sleep = time.sleep
+
+        def counting(seconds):
+            sleeps[threading.current_thread().name] += 1
+            sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", counting)
+        me = threading.current_thread().name
+        # Alone on an empty queue, a worker waits until its drain timeout.
+        summary = run_queue_worker(str(tmp_path / "empty"),
+                                   poll_interval_s=0.02, drain_timeout_s=0.1)
+        assert summary.executed == 0
+        assert sleeps[me] >= 1
+        # The coordinator waits between scans (its first scan comes right
+        # after the enqueue, long before the cell can have run).
+        sleeps.clear()
+        worker = _serving_worker(tmp_path)
+        run_sweep(tiny_spec(algorithms=("adpsgd",), seeds=(0,)),
+                  executor=queue_executor(tmp_path, num_workers=0))
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert sleeps[me] >= 1
 
 
 _BACKENDS = {

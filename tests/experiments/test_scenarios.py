@@ -74,6 +74,43 @@ class TestMakeWorkload:
                 task.model.get_params(), tasks[0].model.get_params()
             )
 
+    def test_task_models_hold_init_params_on_their_own_buffers(
+        self, monkeypatch
+    ):
+        """Each worker's model starts at ``init_params`` on a buffer of its
+        own: no two workers, and no worker and the model it was cloned
+        from, share parameter memory -- views included."""
+        from repro.experiments import scenarios
+
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(build_model(*args, **kwargs))
+            return built[-1]
+
+        build_model = scenarios.build_model
+        monkeypatch.setattr(scenarios, "build_model", recording)
+        workload = make_workload(model="mobilenet", dataset="mnist",
+                                 num_workers=3, num_samples=256, seed=0)
+        built.clear()
+        tasks = workload.make_tasks()
+        # Distinct objects: any template make_tasks cloned from, and the
+        # workers' models.
+        models = {id(model): model for model in built}
+        models.update((id(task.model), task.model) for task in tasks)
+        models = list(models.values())
+        for task in tasks:
+            np.testing.assert_array_equal(task.model.get_params(),
+                                          workload.init_params)
+            assert not np.shares_memory(task.model._params, workload.init_params)
+            for view in (*task.model._weights, *task.model._biases):
+                assert np.shares_memory(view, task.model._params)
+        for i, a in enumerate(models):
+            for b in models[i + 1:]:
+                assert not np.shares_memory(a._params, b._params)
+                for view in (*b._weights, *b._biases):
+                    assert not np.shares_memory(a._params, view)
+
     def test_make_tasks_independent_copies(self):
         workload = make_workload(num_workers=2, num_samples=512, seed=0)
         a = workload.make_tasks()

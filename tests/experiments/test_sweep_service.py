@@ -388,7 +388,9 @@ class TestLocalWorkerStartupStop:
     ):
         queue = self.finished_run(tmp_path, "run-r")
         worker = threading.Thread(
-            target=_local_worker_entry, args=(queue.queue_dir, 0.02, "run-r"),
+            target=_local_worker_entry,
+            args=(queue.queue_dir, 0.02, "run-r",
+                  multiprocessing.Event(), multiprocessing.Event()),
             daemon=True,  # a regression must fail the test, not hang pytest
         )
         start = time.monotonic()
@@ -587,6 +589,40 @@ class TestEventDrivenDrain:
         slice_s = 0.05
         assert _idle_wait(queue, delay_s, slice_s, set()) is False
         assert 1 <= len(reads) <= math.ceil(delay_s / slice_s) + 1
+
+    def test_a_stop_event_ends_the_wait_at_once(self, tmp_path):
+        """A local worker's wait ends as its coordinator sets ``stop``
+        (after retiring its run), not at the end of the slice."""
+        queue = self.runs(tmp_path, ["live-run"], [])
+        stop = multiprocessing.Event()
+
+        def coordinator_ends():
+            queue.signal_stop("live-run")
+            stop.set()
+
+        timer = threading.Timer(0.1, coordinator_ends)
+        start = time.monotonic()
+        timer.start()
+        try:
+            assert _idle_wait(queue, 30.0, 10.0, {"live-run"}, stop) is True
+        finally:
+            timer.cancel()
+        assert time.monotonic() - start < 5.0
+
+    def test_a_set_stop_event_never_spins(self, tmp_path, monkeypatch):
+        """``stop`` stays set: with the run set unchanged (another run still
+        live) it cuts one slice short, and the wait sleeps out the rest --
+        at most ceil(delay / base) + 1 reads of runs/."""
+        queue = make_queue(tmp_path)
+        reads = []
+        monkeypatch.setattr(queue, "active_run_ids",
+                            lambda: reads.append(1) or ["other-run"])
+        stop = multiprocessing.Event()
+        stop.set()
+        start = time.monotonic()
+        assert _idle_wait(queue, 0.3, 0.05, {"other-run"}, stop) is False
+        assert time.monotonic() - start >= 0.3
+        assert 1 <= len(reads) <= math.ceil(0.3 / 0.05) + 1
 
 
 class TestTaskNames:

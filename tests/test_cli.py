@@ -657,6 +657,10 @@ class TestSweepService:
     @pytest.mark.parametrize("flag, value, name", [
         ("--poll-interval-s", "0", "poll_interval_s"),
         ("--poll-interval-s", "-1", "poll_interval_s"),
+        # Regression: inf died in the idle wait with an OverflowError
+        # traceback; nan was already rejected by the > 0 test.
+        ("--poll-interval-s", "inf", "poll_interval_s"),
+        ("--poll-interval-s", "nan", "poll_interval_s"),
         ("--drain-timeout-s", "-1", "drain_timeout_s"),
         ("--lease-batch", "0", "lease_batch"),
     ])
@@ -709,6 +713,30 @@ class TestSweepService:
         ])
         assert code == 2
         assert "lease_timeout_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lease_timeout_rejected_with_exit_2(
+        self, tmp_path, capsys, value
+    ):
+        """Regression: a NaN lease timeout passed the floor test (every
+        comparison with NaN is False) and then made every live lease look
+        stale, failing a healthy cell ("heartbeat frozen for 0.0s"); an
+        infinite one killed the lease heartbeat thread with an
+        OverflowError. Both now exit 2 with one error line, before the
+        queue directory is made."""
+        code = main([
+            "sweep", "--algorithms", "saps", "--seeds", "0",
+            "--scenarios", "heterogeneous-static", "--workers", "8",
+            "--samples", "512", "--sim-time", "60", "--backend", "queue",
+            "--queue-dir", str(tmp_path / "q"), "--num-queue-workers", "1",
+            "--lease-timeout-s", value, "--max-attempts", "1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "lease_timeout_s" in line
+        assert not (tmp_path / "q").exists()
 
     def test_sweep_status_reports_prepared_queue(self, tmp_path, capsys):
         from repro.experiments.executors import WorkQueue
