@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--sim-time", type=float, default=300.0)
     compare.add_argument("--scenario", choices=sorted(SCENARIO_KINDS),
                          default="heterogeneous",
-                         help="scenario family from the registry")
+                         help="scenario family from the catalog")
     compare.add_argument("--scenario-param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one scenario parameter (repeatable)")
@@ -357,7 +357,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     print(render_table(
         table["headers"],
         table["rows"],
-        title=f"{scenario.build(args.seed).name}: {args.model} on {args.dataset}",
+        title=f"{scenario.label()}: {args.model} on {args.dataset}",
     ))
     return 0
 

@@ -17,7 +17,6 @@ from repro.experiments.scenarios import (
     ScenarioFamily,
     ScenarioParam,
     SCENARIO_FAMILIES,
-    register_scenario_family,
     scenario_names,
     get_scenario_family,
     build_scenario,
@@ -69,7 +68,6 @@ __all__ = [
     "ScenarioFamily",
     "ScenarioParam",
     "SCENARIO_FAMILIES",
-    "register_scenario_family",
     "scenario_names",
     "get_scenario_family",
     "build_scenario",

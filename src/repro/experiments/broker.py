@@ -61,6 +61,7 @@ import os
 import pickle
 import re
 import socket
+import threading
 import time
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, replace
@@ -80,6 +81,25 @@ __all__ = ["MIN_LEASE_TIMEOUT_S", "ClaimedTask", "QueueCellError", "WorkQueue"]
 #: approaches filesystem latency on shared mounts and a healthy worker's
 #: lease could look frozen between two observations.
 MIN_LEASE_TIMEOUT_S = 1.0
+
+#: Ceilings that keep every queue wait within ``threading.TIMEOUT_MAX``, the
+#: longest timeout a ``threading`` wait accepts (``time.sleep`` and a
+#: ``multiprocessing.Event`` wait take it too): a lease heartbeat waits a
+#: third of the lease timeout, and an idle worker up to 12x its poll
+#: interval (8x back-off times a jitter under 1.5x).
+MAX_LEASE_TIMEOUT_S = 3.0 * threading.TIMEOUT_MAX
+MAX_POLL_INTERVAL_S = threading.TIMEOUT_MAX / 12.0
+
+
+def check_poll_interval(poll_interval_s: float) -> None:
+    """Reject a queue poll interval that is not finite and positive or that
+    would overflow a wait (NaN fails every comparison, so it is caught)."""
+    if not 0 < poll_interval_s <= MAX_POLL_INTERVAL_S:
+        raise ValueError(
+            f"poll_interval_s must be finite and in (0, {MAX_POLL_INTERVAL_S:g}], "
+            f"got {poll_interval_s}"
+        )
+
 
 #: The run-id alphabet. A run id is part of every task filename, between
 #: ``.r`` and ``.a<attempt>``: a ``.`` inside it would make the name parse
@@ -494,12 +514,6 @@ class WorkQueue:
                     remaining = True
             rank += 1
         return order
-
-    def claim(self) -> ClaimedTask | None:
-        """Atomically claim one pending task (the scheduling order's first
-        task that this process wins the rename race for)."""
-        claims = self.claim_batch(1)
-        return claims[0] if claims else None
 
     def claim_batch(
         self, limit: int, rotation: str | None = None

@@ -31,7 +31,6 @@ every public name of the other three is re-exported here.
 from __future__ import annotations
 
 import abc
-import math
 import os
 import time
 import uuid
@@ -43,10 +42,12 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.experiments.broker import (
+    MAX_LEASE_TIMEOUT_S,
     MIN_LEASE_TIMEOUT_S,
     QueueCellError,
     WorkQueue,
     _worker_id,
+    check_poll_interval,
 )
 from repro.experiments.cache import ResultCache
 from repro.experiments.worker import (
@@ -335,22 +336,19 @@ class QueueExecutor(SweepExecutor):
     ):
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 = external workers only)")
-        if not (math.isfinite(lease_timeout_s)
-                and lease_timeout_s >= MIN_LEASE_TIMEOUT_S):
+        if not MIN_LEASE_TIMEOUT_S <= lease_timeout_s <= MAX_LEASE_TIMEOUT_S:
             raise ValueError(
-                f"lease_timeout_s must be finite and >= {MIN_LEASE_TIMEOUT_S} "
-                "(below that, heartbeat-counter observations race filesystem "
-                "latency and healthy workers can be presumed dead), got "
+                f"lease_timeout_s must be finite and in [{MIN_LEASE_TIMEOUT_S}, "
+                f"{MAX_LEASE_TIMEOUT_S:g}] (below that, heartbeat-counter "
+                "observations race filesystem latency and healthy workers can "
+                "be presumed dead; above it, a heartbeat wait overflows), got "
                 f"{lease_timeout_s}"
             )
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
-        if not (math.isfinite(poll_interval_s) and poll_interval_s > 0):
-            raise ValueError(
-                f"poll_interval_s must be finite and > 0, got {poll_interval_s}"
-            )
+        check_poll_interval(poll_interval_s)
         self.queue_dir = str(queue_dir)
         self.num_workers = num_workers
         self.lease_timeout_s = lease_timeout_s

@@ -46,7 +46,7 @@ from repro.experiments.sweeps import (
 )
 from repro.network.cluster import ClusterSpec
 from repro.network.costmodel import CommunicationModel, ComputeModel, get_cost_profile
-from repro.network.links import StaticLinks
+from repro.network.links import ClusterLinks
 from repro.simulation.records import TrainingResult
 
 __all__ = [
@@ -430,8 +430,8 @@ def figure3_iteration_time(
     for model in models:
         profile = get_cost_profile(model)
         compute = ComputeModel(profile, 2)
-        intra = CommunicationModel(StaticLinks.from_cluster(ClusterSpec((2,))))
-        inter = CommunicationModel(StaticLinks.from_cluster(ClusterSpec((1, 1))))
+        intra = CommunicationModel(ClusterLinks(ClusterSpec((2,))))
+        inter = CommunicationModel(ClusterLinks(ClusterSpec((1, 1))))
         c = compute.compute_time(0, batch_size)
         t_intra = max(c, intra.comm_time(0, 1, profile.message_bytes, 0.0))
         t_inter = max(c, inter.comm_time(0, 1, profile.message_bytes, 0.0))

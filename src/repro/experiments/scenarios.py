@@ -7,13 +7,12 @@ test set, and the paper-scale cost profile. The harness combines one of
 each with an algorithm name.
 
 Beyond the direct builder functions, this module hosts the **scenario
-registry**: every scenario *family* (``"heterogeneous"``,
-``"trace-diurnal"``, ``"churn"``, ...) registers a declarative
-:class:`ScenarioFamily` -- builder plus typed parameter schema -- and
-:func:`build_scenario` instantiates any family by name with
-string-coercible parameter overrides. The registry is what the sweep
-engine's per-cell scenario-parameter grids and the CLI's
-``--scenario`` / ``--scenario-param`` flags resolve against.
+catalog** :data:`SCENARIO_FAMILIES`, a literal table of :class:`ScenarioFamily`
+entries -- builder plus typed parameter schema -- that
+:func:`build_scenario` instantiates by name with string-coercible parameter
+overrides. The catalog is what the sweep engine's per-cell
+scenario-parameter grids and the CLI's ``--scenario`` / ``--scenario-param``
+flags resolve against.
 
 Scenario families (see each family's description for parameters):
 
@@ -28,18 +27,23 @@ Scenario families (see each family's description for parameters):
 - ``churn`` -- the heterogeneous network plus scheduled worker
   departures/rejoins (:class:`repro.simulation.churn.ChurnSchedule`).
 
-Every family additionally accepts the shared graph axis: ``topology`` /
+Every family additionally accepts the shared axes, which
+:meth:`ScenarioFamily.build` applies to whatever the family's builder
+returns and which no builder sees: the graph axis -- ``topology`` /
 ``edge_probability`` select the communication-graph family, and
 ``edge_failures`` / ``edge_downtime_s`` / ``edge_horizon_s`` promote the
 graph to a time-varying :class:`~repro.graph.topology.DynamicTopology`
-with a seeded random edge fail/repair schedule (gossip algorithms only);
-and the shared compression axis: ``compression`` / ``compression_param``
-attach a :class:`~repro.network.compression.CompressionOp` shrinking every
-model transfer (see :mod:`repro.network.compression`).
+with a seeded random edge fail/repair schedule (gossip algorithms only) --
+and the compression axis: ``compression`` / ``compression_param`` attach
+a :class:`~repro.network.compression.CompressionOp` shrinking every model
+transfer (see :mod:`repro.network.compression`). A built scenario is named
+``{family}-{num_workers}w``; :meth:`~repro.experiments.sweeps.ScenarioSpec.label`
+spells its parameters too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Callable, Sequence
@@ -76,7 +80,6 @@ from repro.network.links import (
     ClusterLinks,
     DynamicSlowdownLinks,
     LinkSpeedModel,
-    StaticLinks,
     TraceLinks,
     burst_congestion_trace,
     diurnal_trace,
@@ -93,7 +96,6 @@ __all__ = [
     "ScenarioParam",
     "ScenarioFamily",
     "SCENARIO_FAMILIES",
-    "register_scenario_family",
     "scenario_names",
     "get_scenario_family",
     "build_scenario",
@@ -141,9 +143,8 @@ def heterogeneous_scenario(
     (paper: 1 link, 5 minutes).
     """
     cluster = ClusterSpec.paper_heterogeneous(num_workers)
-    # Placement-implied links: bit-identical queries to
-    # StaticLinks.from_cluster(cluster) with O(N) state, so the scenario
-    # scales to thousands of workers without dense matrices.
+    # Placement-implied links: bit-identical queries to dense matrices with
+    # O(N) state, so the scenario scales to thousands of workers.
     links: LinkSpeedModel = ClusterLinks(cluster)
     if dynamic:
         links = DynamicSlowdownLinks(
@@ -166,7 +167,7 @@ def homogeneous_scenario(num_workers: int = 8) -> Scenario:
     return Scenario(
         name=f"homogeneous-{num_workers}w",
         topology=Topology.fully_connected(num_workers),
-        links=StaticLinks.from_cluster(cluster),
+        links=ClusterLinks(cluster),
     )
 
 
@@ -180,7 +181,7 @@ def multi_cloud_scenario() -> Scenario:
     )
 
 
-# -- the scenario registry -----------------------------------------------------
+# -- the scenario catalog ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -219,130 +220,11 @@ class ScenarioParam:
         return coerced
 
 
-@dataclass(frozen=True)
-class ScenarioFamily:
-    """A named, parameterizable scenario builder.
-
-    The family owns the schema (names, types, the worker count) and the
-    canonical form of an override set; whether a parameter set can be built
-    is for the builder alone to say, and
-    :class:`~repro.experiments.sweeps.SweepSpec` asks it by building.
-
-    Attributes:
-        name: registry key (also the sweep/CLI scenario "kind").
-        description: one-line catalog entry.
-        builder: ``(num_workers, seed, **params) -> Scenario``.
-        params: the declared parameter schema; overrides outside it are
-            rejected.
-        fixed_workers: worker count the family is pinned to (``None`` =
-            any ``>= 2``).
-        has_churn: whether built scenarios carry a churn schedule (lets the
-            batched backend run those cells one by one without a build).
-    """
-
-    name: str
-    description: str
-    builder: Callable[..., Scenario]
-    params: tuple[ScenarioParam, ...] = ()
-    fixed_workers: int | None = None
-    has_churn: bool = False
-
-    def param(self, name: str) -> ScenarioParam:
-        for parameter in self.params:
-            if parameter.name == name:
-                return parameter
-        raise ValueError(
-            f"scenario family {self.name!r} has no parameter {name!r}; "
-            f"valid: {[p.name for p in self.params]}"
-        )
-
-    def param_names(self) -> list[str]:
-        return [parameter.name for parameter in self.params]
-
-    def merge(self, overrides: dict) -> dict:
-        """The schema defaults with the overrides on top, each override
-        checked against the schema and coerced to its parameter's type."""
-        merged = {parameter.name: parameter.default for parameter in self.params}
-        merged.update(
-            (key, self.param(key).coerce(value)) for key, value in overrides.items()
-        )
-        return merged
-
-    def canonical_params(self, overrides: dict) -> tuple[tuple[str, object], ...]:
-        """The overrides as sorted ``(name, value)`` pairs, without any that
-        builds the same scenario as leaving it out.
-
-        Dropped: a value equal to the schema default; ``edge_probability``
-        unless the topology is one of the randomized kinds (a ring spelled
-        with any edge probability is the same ring); the edge-failure shape
-        parameters while ``edge_failures`` is 0 (the graph stays frozen);
-        and ``compression_param`` while the op is ``"none"``.
-        """
-        merged = self.merge(overrides)
-        inert = set()
-        if merged.get("topology") not in RANDOMIZED_TOPOLOGY_KINDS:
-            inert.add("edge_probability")
-        if not merged.get("edge_failures"):
-            inert.update(("edge_downtime_s", "edge_horizon_s"))
-        if merged.get("compression", "none") == "none":
-            inert.add("compression_param")
-        return tuple(sorted(
-            (key, merged[key]) for key in overrides
-            if key not in inert and merged[key] != self.param(key).default
-        ))
-
-    def validate_workers(self, num_workers: int) -> None:
-        if num_workers < 2:
-            raise ValueError("num_workers must be >= 2")
-        if self.fixed_workers is not None and num_workers != self.fixed_workers:
-            raise ValueError(
-                f"the {self.name} scenario is fixed at {self.fixed_workers} "
-                f"workers, got num_workers={num_workers}"
-            )
-
-    def build(self, num_workers: int = 8, seed: int = 0, **overrides) -> Scenario:
-        self.validate_workers(num_workers)
-        return self.builder(num_workers, seed, **self.merge(overrides))
-
-
-SCENARIO_FAMILIES: dict[str, ScenarioFamily] = {}
-
-
-def register_scenario_family(family: ScenarioFamily) -> ScenarioFamily:
-    """Add a family to the registry (name collisions are a programming error)."""
-    if family.name in SCENARIO_FAMILIES:
-        raise ValueError(f"scenario family {family.name!r} already registered")
-    SCENARIO_FAMILIES[family.name] = family
-    return family
-
-
-def scenario_names() -> list[str]:
-    """All registered family names, sorted."""
-    return sorted(SCENARIO_FAMILIES)
-
-
-def get_scenario_family(name: str) -> ScenarioFamily:
-    if name not in SCENARIO_FAMILIES:
-        raise ValueError(
-            f"unknown scenario kind {name!r}; valid: {scenario_names()}"
-        )
-    return SCENARIO_FAMILIES[name]
-
-
-def build_scenario(name: str, num_workers: int = 8, seed: int = 0, **params) -> Scenario:
-    """Instantiate a registered scenario family by name."""
-    return get_scenario_family(name).build(num_workers, seed, **params)
-
-
-def _named(base: Scenario, family: str, num_workers: int) -> Scenario:
-    """Stamp the family's canonical name onto a built scenario."""
-    return replace(base, name=f"{family}-{num_workers}w")
-
-
-# Shared graph axis: every scenario family accepts these parameters and runs
-# on any TOPOLOGY_KINDS graph instead of the paper's complete graph --
-# optionally a *time-varying* one: edge_failures > 0 overlays a seeded
-# random fail/repair schedule (DynamicTopology) on the chosen graph.
+# The shared axes every family accepts on top of its own parameters. The
+# graph axis runs the family on any TOPOLOGY_KINDS graph instead of the
+# paper's complete graph -- optionally a *time-varying* one: edge_failures > 0
+# overlays a seeded random fail/repair schedule (DynamicTopology) on the
+# chosen graph. The compression axis attaches a message-compression op.
 _SHARED_AXIS_PARAMS = (
     ScenarioParam(
         "topology", "full",
@@ -363,8 +245,6 @@ _SHARED_AXIS_PARAMS = (
         "edge_horizon_s", 600.0,
         "window the edge failures are spread over",
     ),
-    # The shared compression axis rides along with the graph axis: every
-    # family accepts it, the _topology_aware wrapper consumes it.
     ScenarioParam(
         "compression", "none",
         "message-compression op: " + "|".join(compression_op_names()),
@@ -378,87 +258,165 @@ _SHARED_AXIS_PARAMS = (
 )
 
 
-def _topology_aware(builder: Callable[..., Scenario]) -> Callable[..., Scenario]:
-    """Wrap a family builder so the shared axes apply to it.
+@dataclass(frozen=True)
+class ScenarioFamily:
+    """A named, parameterizable scenario builder.
 
-    The wrapper pops the graph-axis parameters out of the merged set (the
-    base builders never see them), builds the scenario on its default
-    complete graph, swaps in the requested graph family, and -- when
-    ``edge_failures > 0`` -- promotes the graph to a
-    :class:`~repro.graph.topology.DynamicTopology` with a seeded random
-    fail/repair schedule (always-connected per segment, at most one edge
-    down at a time; see :meth:`EdgeSchedule.random`). Links and churn are
-    untouched: the link model describes the physical network, the topology
-    describes who is *allowed* to gossip over it and when.
+    The family owns the schema (its own ``params`` plus the shared axes,
+    the worker count) and the canonical form of an override set; whether a
+    parameter set can be built is for building alone to say, and
+    :class:`~repro.experiments.sweeps.SweepSpec` asks it by building.
 
-    It also consumes the shared compression axis: a lossy ``compression``
-    op is built via :func:`make_compression_op` and attached to the
-    scenario with a ``-c{op}`` name suffix; ``compression="none"`` (the
-    default) attaches nothing and leaves the scenario untouched.
-
-    Every check on these axes happens here or in the constructors called
-    here, so building a scenario is how a sweep checks that it can run.
+    Attributes:
+        name: catalog key (also the sweep/CLI scenario "kind").
+        description: one-line catalog entry.
+        builder: ``(num_workers, seed, **params) -> Scenario`` over the
+            family's own ``params`` only, on the complete graph;
+            :meth:`build` applies the shared axes and the name.
+        params: the family's own parameters; overrides outside them and
+            the shared axes are rejected.
+        fixed_workers: worker count the family is pinned to (``None`` =
+            any ``>= 2``).
+        has_churn: whether built scenarios carry a churn schedule (lets the
+            batched backend run those cells one by one without a build).
     """
 
-    def wrapped(num_workers: int, seed: int, **params) -> Scenario:
-        kind = params.pop("topology")
-        edge_probability = params.pop("edge_probability")
-        edge_failures = params.pop("edge_failures")
-        edge_downtime_s = params.pop("edge_downtime_s")
-        edge_horizon_s = params.pop("edge_horizon_s")
-        compression_name = params.pop("compression")
-        compression_param = params.pop("compression_param")
-        scenario = builder(num_workers, seed, **params)
-        name = scenario.name
-        topology = scenario.topology
-        # "full" keeps the builder's complete graph rather than building a
-        # second one.
-        if kind != "full":
-            topology = make_topology(
-                kind, scenario.num_workers, edge_probability, seed
+    name: str
+    description: str
+    builder: Callable[..., Scenario]
+    params: tuple[ScenarioParam, ...] = ()
+    fixed_workers: int | None = None
+    has_churn: bool = False
+
+    @property
+    def schema(self) -> tuple[ScenarioParam, ...]:
+        return self.params + _SHARED_AXIS_PARAMS
+
+    def param(self, name: str) -> ScenarioParam:
+        for parameter in self.schema:
+            if parameter.name == name:
+                return parameter
+        raise ValueError(
+            f"scenario family {self.name!r} has no parameter {name!r}; "
+            f"valid: {self.param_names()}"
+        )
+
+    def param_names(self) -> list[str]:
+        return [parameter.name for parameter in self.schema]
+
+    def merge(self, overrides: dict) -> dict:
+        """The schema defaults with the overrides on top, each override
+        checked against the schema and coerced to its parameter's type."""
+        merged = {parameter.name: parameter.default for parameter in self.schema}
+        merged.update(
+            (key, self.param(key).coerce(value)) for key, value in overrides.items()
+        )
+        return merged
+
+    def canonical_params(self, overrides: dict) -> tuple[tuple[str, object], ...]:
+        """The overrides as sorted ``(name, value)`` pairs, without any that
+        builds the same scenario as leaving it out.
+
+        Dropped: a value equal to the schema default; ``edge_probability``
+        unless the topology is one of the randomized kinds (a ring spelled
+        with any edge probability is the same ring); the edge-failure shape
+        parameters while ``edge_failures`` is 0 (the graph stays frozen);
+        and ``compression_param`` while the op is ``"none"``.
+        """
+        merged = self.merge(overrides)
+        inert = set()
+        if merged["topology"] not in RANDOMIZED_TOPOLOGY_KINDS:
+            inert.add("edge_probability")
+        if not merged["edge_failures"]:
+            inert.update(("edge_downtime_s", "edge_horizon_s"))
+        if merged["compression"] == "none":
+            inert.add("compression_param")
+        return tuple(sorted(
+            (key, merged[key]) for key in overrides
+            if key not in inert and merged[key] != self.param(key).default
+        ))
+
+    def validate_workers(self, num_workers: int) -> None:
+        if num_workers < 2:
+            raise ValueError("num_workers must be >= 2")
+        if self.fixed_workers is not None and num_workers != self.fixed_workers:
+            raise ValueError(
+                f"the {self.name} scenario is fixed at {self.fixed_workers} "
+                f"workers, got num_workers={num_workers}"
             )
-            name = f"{name}-{kind}"
-        if edge_failures:  # a negative count fails in EdgeSchedule.random
-            name = f"{name}-ef{edge_failures}"
+
+    def build(self, num_workers: int = 8, seed: int = 0, **overrides) -> Scenario:
+        """The family's scenario on the requested shared axes, named
+        ``{family}-{num_workers}w``.
+
+        The builder sees only the family's own parameters and builds on the
+        complete graph. A ``topology`` other than ``"full"`` swaps in that
+        graph family; ``edge_failures > 0`` promotes the graph to a
+        :class:`~repro.graph.topology.DynamicTopology` with a seeded random
+        fail/repair schedule (always-connected per segment, at most one edge
+        down at a time; see :meth:`EdgeSchedule.random`). Links and churn are
+        untouched: the link model describes the physical network, the
+        topology who is *allowed* to gossip over it and when. A lossy
+        ``compression`` op is built via :func:`make_compression_op` and
+        attached; ``"none"`` (the default) attaches nothing.
+
+        Every check on these axes happens here or in the constructors called
+        here, so building a scenario is how a sweep checks that it can run.
+        """
+        self.validate_workers(num_workers)
+        params = self.merge(overrides)
+        scenario = self.builder(
+            num_workers, seed, **{p.name: params[p.name] for p in self.params}
+        )
+        topology = scenario.topology
+        if params["topology"] != "full":  # "full" keeps the builder's graph
+            topology = make_topology(
+                params["topology"], num_workers, params["edge_probability"], seed
+            )
+        if params["edge_failures"]:  # a negative count fails in EdgeSchedule.random
             schedule = EdgeSchedule.random(
                 topology,
-                horizon_s=edge_horizon_s,
-                num_failures=edge_failures,
-                downtime_s=edge_downtime_s,
+                horizon_s=params["edge_horizon_s"],
+                num_failures=params["edge_failures"],
+                downtime_s=params["edge_downtime_s"],
                 seed=seed,
             )
             topology = DynamicTopology(topology, schedule)
         compression = None
-        if compression_name != "none":
-            compression = make_compression_op(compression_name, compression_param)
-            name = f"{name}-c{compression.describe()}"
-        if topology is scenario.topology and compression is None:
-            return scenario
-        return replace(scenario, name=name, topology=topology, compression=compression)
+        if params["compression"] != "none":
+            compression = make_compression_op(
+                params["compression"], params["compression_param"]
+            )
+        return replace(
+            scenario,
+            name=f"{self.name}-{num_workers}w",
+            topology=topology,
+            compression=compression,
+        )
 
-    return wrapped
 
-
-def _build_heterogeneous(num_workers, seed, **params):
+def _build_heterogeneous(
+    num_workers, seed, period_s, slowdown_low, slowdown_high, num_slow_links
+):
     return heterogeneous_scenario(
         num_workers,
         dynamic=True,
-        slowdown_period_s=params["period_s"],
-        slowdown_range=(params["slowdown_low"], params["slowdown_high"]),
+        slowdown_period_s=period_s,
+        slowdown_range=(slowdown_low, slowdown_high),
         seed=seed,
-        num_slow_links=params["num_slow_links"],
+        num_slow_links=num_slow_links,
     )
 
 
-def _build_trace(generator, trace_kwargs, num_workers, seed, params):
+def _build_trace(generator, num_workers, seed, base_gbps, **params):
+    """A trace family: its parameters go straight to ``generator``, except
+    that bandwidth is spelled in Gbps and the burst range as two floats."""
+    if "burst_factor_low" in params:
+        params["burst_factor_range"] = (
+            params.pop("burst_factor_low"), params.pop("burst_factor_high")
+        )
     links = generator(
-        num_workers,
-        duration_s=params["duration_s"],
-        step_s=params["step_s"],
-        base_bandwidth=gbps_to_bytes_per_s(params["base_gbps"]),
-        latency_s=params["latency_s"],
-        seed=seed,
-        **trace_kwargs(params),
+        num_workers, base_bandwidth=gbps_to_bytes_per_s(base_gbps), seed=seed, **params
     )
     return Scenario(
         name="trace",
@@ -467,8 +425,7 @@ def _build_trace(generator, trace_kwargs, num_workers, seed, params):
     )
 
 
-def _build_trace_file(num_workers, seed, **params):
-    path = params["path"]
+def _build_trace_file(num_workers, seed, path, latency_s):
     if not path:
         raise ValueError("the trace-file scenario needs path=<file.json|file.csv>")
     if not os.path.exists(path):
@@ -476,7 +433,7 @@ def _build_trace_file(num_workers, seed, **params):
     if path.endswith(".csv"):
         # Worker count is inferred from the file, then checked below, so a
         # mismatch reports the same way for both formats.
-        links = TraceLinks.from_csv(path, latency=params["latency_s"])
+        links = TraceLinks.from_csv(path, latency=latency_s)
     else:
         links = TraceLinks.from_json(path)
     if links.num_workers != num_workers:
@@ -491,22 +448,22 @@ def _build_trace_file(num_workers, seed, **params):
     )
 
 
-def _build_churn(num_workers, seed, **params):
+def _build_churn(
+    num_workers, seed, num_departures, downtime_s, horizon_s, min_active,
+    dynamic, period_s,
+):
     base = heterogeneous_scenario(
-        num_workers,
-        dynamic=params["dynamic"],
-        slowdown_period_s=params["period_s"],
-        seed=seed,
+        num_workers, dynamic=dynamic, slowdown_period_s=period_s, seed=seed
     )
     churn = ChurnSchedule.random(
         num_workers,
-        horizon_s=params["horizon_s"],
-        num_departures=params["num_departures"],
-        downtime_s=params["downtime_s"],
+        horizon_s=horizon_s,
+        num_departures=num_departures,
+        downtime_s=downtime_s,
         seed=seed,
-        min_active=params["min_active"],
+        min_active=min_active,
     )
-    return replace(base, name="churn", churn=churn)
+    return replace(base, churn=churn)
 
 
 _TRACE_COMMON = (
@@ -516,122 +473,105 @@ _TRACE_COMMON = (
     ScenarioParam("latency_s", 0.001, "one-way link latency, seconds"),
 )
 
-register_scenario_family(ScenarioFamily(
-    name="homogeneous",
-    description="Section V-A single-server 10 Gbps virtual switch",
-    builder=_topology_aware(lambda num_workers, seed, **_: _named(
-        homogeneous_scenario(num_workers), "homogeneous", num_workers
-    )),
-    params=_SHARED_AXIS_PARAMS,
-))
-register_scenario_family(ScenarioFamily(
-    name="heterogeneous",
-    description="Section V-A multi-tenant cluster, rotating slowed link",
-    builder=_topology_aware(lambda num_workers, seed, **params: _named(
-        _build_heterogeneous(num_workers, seed, **params),
-        "heterogeneous", num_workers,
-    )),
-    params=(
-        ScenarioParam("period_s", 300.0, "slow-link rotation period (paper: 300 s)"),
-        ScenarioParam("slowdown_low", 2.0, "minimum slowdown factor"),
-        ScenarioParam("slowdown_high", 100.0, "maximum slowdown factor"),
-        ScenarioParam("num_slow_links", 1, "simultaneously slowed links"),
-    ) + _SHARED_AXIS_PARAMS,
-))
-register_scenario_family(ScenarioFamily(
-    name="heterogeneous-static",
-    description="the heterogeneous cluster with the slowdown frozen off",
-    builder=_topology_aware(lambda num_workers, seed, **_: _named(
-        heterogeneous_scenario(num_workers, dynamic=False),
-        "heterogeneous-static", num_workers,
-    )),
-    params=_SHARED_AXIS_PARAMS,
-))
-register_scenario_family(ScenarioFamily(
-    name="multi-cloud",
-    description="Appendix G six-region WAN (fixed at 6 workers)",
-    builder=_topology_aware(lambda num_workers, seed, **_: multi_cloud_scenario()),
-    params=_SHARED_AXIS_PARAMS,
-    fixed_workers=6,
-))
-register_scenario_family(ScenarioFamily(
-    name="trace-diurnal",
-    description="sinusoidal daily-cycle bandwidth, per-pair phase offsets",
-    builder=_topology_aware(lambda num_workers, seed, **params: _named(
-        _build_trace(
-            diurnal_trace,
-            lambda p: {"amplitude": p["amplitude"], "period_s": p["period_s"]},
-            num_workers, seed, params,
+SCENARIO_FAMILIES: dict[str, ScenarioFamily] = {family.name: family for family in (
+    ScenarioFamily(
+        name="homogeneous",
+        description="Section V-A single-server 10 Gbps virtual switch",
+        builder=lambda num_workers, seed: homogeneous_scenario(num_workers),
+    ),
+    ScenarioFamily(
+        name="heterogeneous",
+        description="Section V-A multi-tenant cluster, rotating slowed link",
+        builder=_build_heterogeneous,
+        params=(
+            ScenarioParam("period_s", 300.0, "slow-link rotation period (paper: 300 s)"),
+            ScenarioParam("slowdown_low", 2.0, "minimum slowdown factor"),
+            ScenarioParam("slowdown_high", 100.0, "maximum slowdown factor"),
+            ScenarioParam("num_slow_links", 1, "simultaneously slowed links"),
         ),
-        "trace-diurnal", num_workers,
-    )),
-    params=_TRACE_COMMON + (
-        ScenarioParam("amplitude", 0.6, "sine amplitude as a fraction of base"),
-        ScenarioParam("period_s", 1800.0, "diurnal cycle length, seconds"),
-    ) + _SHARED_AXIS_PARAMS,
-))
-register_scenario_family(ScenarioFamily(
-    name="trace-random-walk",
-    description="log-space multiplicative random walk per link",
-    builder=_topology_aware(lambda num_workers, seed, **params: _named(
-        _build_trace(
-            random_walk_trace,
-            lambda p: {"sigma": p["sigma"]},
-            num_workers, seed, params,
+    ),
+    ScenarioFamily(
+        name="heterogeneous-static",
+        description="the heterogeneous cluster with the slowdown frozen off",
+        builder=lambda num_workers, seed: heterogeneous_scenario(
+            num_workers, dynamic=False
         ),
-        "trace-random-walk", num_workers,
-    )),
-    params=_TRACE_COMMON + (
-        ScenarioParam("sigma", 0.15, "per-step log-normal walk std"),
-    ) + _SHARED_AXIS_PARAMS,
-))
-register_scenario_family(ScenarioFamily(
-    name="trace-burst",
-    description="links intermittently crushed by bursty cross-traffic",
-    builder=_topology_aware(lambda num_workers, seed, **params: _named(
-        _build_trace(
-            burst_congestion_trace,
-            lambda p: {
-                "burst_probability": p["burst_probability"],
-                "burst_factor_range": (p["burst_factor_low"], p["burst_factor_high"]),
-            },
-            num_workers, seed, params,
+    ),
+    ScenarioFamily(
+        name="multi-cloud",
+        description="Appendix G six-region WAN (fixed at 6 workers)",
+        builder=lambda num_workers, seed: multi_cloud_scenario(),
+        fixed_workers=6,
+    ),
+    ScenarioFamily(
+        name="trace-diurnal",
+        description="sinusoidal daily-cycle bandwidth, per-pair phase offsets",
+        builder=functools.partial(_build_trace, diurnal_trace),
+        params=_TRACE_COMMON + (
+            ScenarioParam("amplitude", 0.6, "sine amplitude as a fraction of base"),
+            ScenarioParam("period_s", 1800.0, "diurnal cycle length, seconds"),
         ),
-        "trace-burst", num_workers,
-    )),
-    params=_TRACE_COMMON + (
-        ScenarioParam("burst_probability", 0.08, "per-step burst start probability"),
-        ScenarioParam("burst_factor_low", 5.0, "minimum burst slowdown factor"),
-        ScenarioParam("burst_factor_high", 50.0, "maximum burst slowdown factor"),
-    ) + _SHARED_AXIS_PARAMS,
-))
-register_scenario_family(ScenarioFamily(
-    name="trace-file",
-    description="replay a JSON/CSV bandwidth trace from disk",
-    builder=_topology_aware(lambda num_workers, seed, **params: _named(
-        _build_trace_file(num_workers, seed, **params), "trace-file", num_workers
-    )),
-    params=(
-        ScenarioParam("path", "", "trace file (.json or .csv; format in links.py)"),
-        ScenarioParam("latency_s", 0.001, "link latency for CSV traces, seconds"),
-    ) + _SHARED_AXIS_PARAMS,
-))
-register_scenario_family(ScenarioFamily(
-    name="churn",
-    description="heterogeneous network plus scheduled worker departures/rejoins",
-    builder=_topology_aware(lambda num_workers, seed, **params: _named(
-        _build_churn(num_workers, seed, **params), "churn", num_workers
-    )),
-    params=(
-        ScenarioParam("num_departures", 2, "how many departures over the horizon"),
-        ScenarioParam("downtime_s", 60.0, "seconds a departed worker stays away"),
-        ScenarioParam("horizon_s", 600.0, "window the departures are spread over"),
-        ScenarioParam("min_active", 2, "validated floor on active workers"),
-        ScenarioParam("dynamic", True, "keep the rotating slowed link too"),
-        ScenarioParam("period_s", 300.0, "slow-link rotation period, seconds"),
-    ) + _SHARED_AXIS_PARAMS,
-    has_churn=True,
-))
+    ),
+    ScenarioFamily(
+        name="trace-random-walk",
+        description="log-space multiplicative random walk per link",
+        builder=functools.partial(_build_trace, random_walk_trace),
+        params=_TRACE_COMMON + (
+            ScenarioParam("sigma", 0.15, "per-step log-normal walk std"),
+        ),
+    ),
+    ScenarioFamily(
+        name="trace-burst",
+        description="links intermittently crushed by bursty cross-traffic",
+        builder=functools.partial(_build_trace, burst_congestion_trace),
+        params=_TRACE_COMMON + (
+            ScenarioParam("burst_probability", 0.08, "per-step burst start probability"),
+            ScenarioParam("burst_factor_low", 5.0, "minimum burst slowdown factor"),
+            ScenarioParam("burst_factor_high", 50.0, "maximum burst slowdown factor"),
+        ),
+    ),
+    ScenarioFamily(
+        name="trace-file",
+        description="replay a JSON/CSV bandwidth trace from disk",
+        builder=_build_trace_file,
+        params=(
+            ScenarioParam("path", "", "trace file (.json or .csv; format in links.py)"),
+            ScenarioParam("latency_s", 0.001, "link latency for CSV traces, seconds"),
+        ),
+    ),
+    ScenarioFamily(
+        name="churn",
+        description="heterogeneous network plus scheduled worker departures/rejoins",
+        builder=_build_churn,
+        params=(
+            ScenarioParam("num_departures", 2, "how many departures over the horizon"),
+            ScenarioParam("downtime_s", 60.0, "seconds a departed worker stays away"),
+            ScenarioParam("horizon_s", 600.0, "window the departures are spread over"),
+            ScenarioParam("min_active", 2, "validated floor on active workers"),
+            ScenarioParam("dynamic", True, "keep the rotating slowed link too"),
+            ScenarioParam("period_s", 300.0, "slow-link rotation period, seconds"),
+        ),
+        has_churn=True,
+    ),
+)}
+
+
+def scenario_names() -> list[str]:
+    """All family names, sorted."""
+    return sorted(SCENARIO_FAMILIES)
+
+
+def get_scenario_family(name: str) -> ScenarioFamily:
+    if name not in SCENARIO_FAMILIES:
+        raise ValueError(
+            f"unknown scenario kind {name!r}; valid: {scenario_names()}"
+        )
+    return SCENARIO_FAMILIES[name]
+
+
+def build_scenario(name: str, num_workers: int = 8, seed: int = 0, **params) -> Scenario:
+    """Build a catalog family by name."""
+    return get_scenario_family(name).build(num_workers, seed, **params)
 
 
 # Seed-sequence tag separating model-parameter initialization from the data

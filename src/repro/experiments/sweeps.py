@@ -96,9 +96,8 @@ __all__ = [
 CACHE_VERSION = 6
 
 
-# Backed by the scenario registry (repro.experiments.scenarios); evaluated at
-# import time for CLI choices -- families registered later are still valid in
-# ScenarioSpec, which consults the registry directly.
+# The scenario catalog's family names (repro.experiments.scenarios), for CLI
+# choices.
 SCENARIO_KINDS = tuple(scenario_names())
 
 
@@ -111,7 +110,7 @@ class ScenarioSpec:
     plus declarative parameter overrides.
 
     ``params`` is a tuple of ``(name, value)`` pairs resolved against the
-    family's registered schema and stored in the family's canonical form
+    family's schema and stored in the family's canonical form
     (:meth:`~repro.experiments.scenarios.ScenarioFamily.canonical_params`):
     coerced, key-sorted, and without overrides that build the same scenario
     as leaving them out -- so two spellings of the same cell (including

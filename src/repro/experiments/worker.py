@@ -49,7 +49,6 @@ without wake events the poll loop sleeps through the ``time`` module's
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import socket
 import threading
@@ -58,7 +57,12 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.experiments.broker import MIN_LEASE_TIMEOUT_S, WorkQueue, _worker_id
+from repro.experiments.broker import (
+    MIN_LEASE_TIMEOUT_S,
+    WorkQueue,
+    _worker_id,
+    check_poll_interval,
+)
 from repro.experiments.cache import ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -343,10 +347,7 @@ def run_queue_worker(
     idle wait ends once ``stop`` is set (:func:`_idle_wait`). Without it
     the worker only polls, sleeping through ``time.sleep``.
     """
-    if not (math.isfinite(poll_interval_s) and poll_interval_s > 0):
-        raise ValueError(
-            f"poll_interval_s must be finite and > 0, got {poll_interval_s}"
-        )
+    check_poll_interval(poll_interval_s)
     if not drain_timeout_s >= 0:
         raise ValueError(f"drain_timeout_s must be >= 0, got {drain_timeout_s}")
     if lease_batch is not None and lease_batch < 1:

@@ -645,11 +645,6 @@ class EdgeSchedule:
                 down.discard(event.edge)
         return down
 
-    def describe(self) -> list[list[object]]:
-        """JSON-able event list. Sweep cache keys do not hash it: they hash
-        the scenario spec's params (``SweepCell.describe``)."""
-        return [[e.time, e.a, e.b, e.kind] for e in self.events]
-
     def __len__(self) -> int:
         return len(self.events)
 

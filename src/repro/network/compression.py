@@ -57,7 +57,6 @@ __all__ = [
     "QSGD",
     "Layerwise",
     "COMPRESSION_OPS",
-    "register_compression_op",
     "compression_op_names",
     "make_compression_op",
 ]
@@ -99,29 +98,14 @@ class CompressionOp(abc.ABC):
             )
         return cls()
 
-    def describe(self) -> str:
-        """Compact label for scenario names (the ``-c{op}`` suffix)."""
-        return self.name
-
-
-COMPRESSION_OPS: dict[str, type[CompressionOp]] = {}
-
-
-def register_compression_op(cls: type[CompressionOp]) -> type[CompressionOp]:
-    """Class decorator adding an op to the registry (collisions are bugs)."""
-    if cls.name in COMPRESSION_OPS:
-        raise ValueError(f"compression op {cls.name!r} already registered")
-    COMPRESSION_OPS[cls.name] = cls
-    return cls
-
 
 def compression_op_names() -> list[str]:
-    """All registered op names, sorted."""
+    """All op names, sorted."""
     return sorted(COMPRESSION_OPS)
 
 
 def make_compression_op(name: str, param: float = 0.0) -> CompressionOp:
-    """Instantiate a registered op from ``(name, compression_param)``.
+    """Instantiate an op from ``(name, compression_param)``.
 
     The single numeric parameter is the op's fidelity knob (``topk``: kept
     fraction ``k``; ``qsgd``: bits ``b``; ``layerwise``: layer fraction);
@@ -137,7 +121,6 @@ def make_compression_op(name: str, param: float = 0.0) -> CompressionOp:
     return COMPRESSION_OPS[name].from_param(float(param))
 
 
-@register_compression_op
 @dataclass(frozen=True)
 class NoCompression(CompressionOp):
     """The identity op: dense float32, zero error, zero RNG draws.
@@ -156,7 +139,6 @@ class NoCompression(CompressionOp):
         return 0.0
 
 
-@register_compression_op
 @dataclass(frozen=True)
 class TopK(CompressionOp):
     """Top-k sparsification: ship the largest-magnitude ``k`` fraction.
@@ -191,11 +173,7 @@ class TopK(CompressionOp):
         # (top-k selection keeps >= k of it by construction).
         return 1.0 - self.k
 
-    def describe(self) -> str:
-        return f"{self.name}{self.k:g}"
 
-
-@register_compression_op
 @dataclass(frozen=True)
 class QSGD(CompressionOp):
     """QSGD-style stochastic uniform quantization to ``bits`` per value.
@@ -239,11 +217,7 @@ class QSGD(CompressionOp):
             return 0.0
         return 2.0 ** (-self.bits)
 
-    def describe(self) -> str:
-        return f"{self.name}{self.bits}"
 
-
-@register_compression_op
 @dataclass(frozen=True)
 class Layerwise(CompressionOp):
     """L-FGADMM-style layer-wise alternating exchange.
@@ -276,5 +250,7 @@ class Layerwise(CompressionOp):
     def error_factor(self) -> float:
         return 1.0 - self.fraction
 
-    def describe(self) -> str:
-        return f"{self.name}{self.fraction:g}"
+
+COMPRESSION_OPS: dict[str, type[CompressionOp]] = {
+    op.name: op for op in (NoCompression, TopK, QSGD, Layerwise)
+}

@@ -130,10 +130,6 @@ class StaticLinks(LinkSpeedModel):
         self._bandwidth = bandwidth
         self._latency = latency
 
-    @classmethod
-    def from_cluster(cls, cluster: ClusterSpec) -> "StaticLinks":
-        return cls(cluster.bandwidth_matrix(), cluster.latency_matrix())
-
     @property
     def num_workers(self) -> int:
         return self._bandwidth.shape[0]
@@ -156,13 +152,14 @@ class StaticLinks(LinkSpeedModel):
 class ClusterLinks(LinkSpeedModel):
     """Placement-implied links with O(N) state (no dense matrices).
 
-    Answers exactly the same queries as
-    ``StaticLinks.from_cluster(cluster)`` -- intra-server pairs get the
-    cluster's intra bandwidth/latency, cross-server pairs the inter values,
-    computed from the same :func:`gbps_to_bytes_per_s` conversion so every
-    float is bit-identical -- but stores only the per-worker placement
-    vector. This is what lets the heterogeneous scenario scale to thousands
-    of workers without two O(N²) matrices per cell.
+    Answers exactly the same queries as a dense :class:`StaticLinks` over
+    ``cluster.bandwidth_matrix()`` and ``cluster.latency_matrix()`` --
+    intra-server pairs get the cluster's intra bandwidth/latency,
+    cross-server pairs the inter values, computed from the same
+    :func:`gbps_to_bytes_per_s` conversion so every float is bit-identical
+    -- but stores only the per-worker placement vector. This is what lets
+    the heterogeneous scenario scale to thousands of workers without two
+    O(N²) matrices per cell.
     """
 
     def __init__(self, cluster: ClusterSpec):

@@ -122,23 +122,6 @@ class ChurnSchedule:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def single(
-        cls,
-        num_workers: int,
-        worker: int,
-        leave_at: float,
-        rejoin_at: float | None = None,
-        min_active: int = 2,
-    ) -> "ChurnSchedule":
-        """One worker leaving (and optionally rejoining) -- the unit scenario."""
-        events = [ChurnEvent(leave_at, worker, LEAVE)]
-        if rejoin_at is not None:
-            if rejoin_at <= leave_at:
-                raise ValueError("rejoin_at must be after leave_at")
-            events.append(ChurnEvent(rejoin_at, worker, JOIN))
-        return cls(num_workers, events, min_active=min_active)
-
-    @classmethod
     def random(
         cls,
         num_workers: int,
@@ -196,11 +179,6 @@ class ChurnSchedule:
                 break
             active[event.worker] = event.kind == JOIN
         return active
-
-    def describe(self) -> list[list[object]]:
-        """JSON-able event list. Sweep cache keys do not hash it: they hash
-        the scenario spec's params (``SweepCell.describe``)."""
-        return [[e.time, e.worker, e.kind] for e in self.events]
 
     def __len__(self) -> int:
         return len(self.events)

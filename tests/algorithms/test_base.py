@@ -16,7 +16,7 @@ from repro.ml.optim import PlateauDecayLR
 from repro.ml.problems import QuadraticProblem
 from repro.network.cluster import ClusterSpec
 from repro.network.costmodel import get_cost_profile
-from repro.network.links import StaticLinks
+from repro.network.links import ClusterLinks
 
 
 class NullTrainer(DecentralizedTrainer):
@@ -48,7 +48,7 @@ def make_trainer(tasks=None, num_workers=4, **config_kwargs):
     return NullTrainer(
         tasks,
         Topology.fully_connected(len(tasks)),
-        StaticLinks.from_cluster(ClusterSpec.paper_heterogeneous(len(tasks))),
+        ClusterLinks(ClusterSpec.paper_heterogeneous(len(tasks))),
         get_cost_profile("resnet18"),
         TrainerConfig(max_sim_time=10.0, **config_kwargs),
     )
@@ -98,7 +98,7 @@ class TestTrainerValidation:
             NullTrainer(
                 make_tasks(3),
                 Topology.fully_connected(4),
-                StaticLinks.from_cluster(ClusterSpec.paper_heterogeneous(4)),
+                ClusterLinks(ClusterSpec.paper_heterogeneous(4)),
                 get_cost_profile("resnet18"),
                 TrainerConfig(),
             )
@@ -108,7 +108,7 @@ class TestTrainerValidation:
             NullTrainer(
                 make_tasks(4),
                 Topology.from_edges(4, [(0, 1), (2, 3)]),
-                StaticLinks.from_cluster(ClusterSpec.paper_heterogeneous(4)),
+                ClusterLinks(ClusterSpec.paper_heterogeneous(4)),
                 get_cost_profile("resnet18"),
                 TrainerConfig(),
             )
@@ -120,7 +120,7 @@ class TestTrainerValidation:
             NullTrainer(
                 tasks,
                 Topology.fully_connected(4),
-                StaticLinks.from_cluster(ClusterSpec.paper_heterogeneous(4)),
+                ClusterLinks(ClusterSpec.paper_heterogeneous(4)),
                 get_cost_profile("resnet18"),
                 TrainerConfig(),
             )
@@ -132,7 +132,7 @@ class TestTrainerValidation:
         trainer = NullTrainer(
             make_tasks(4),
             Topology.fully_connected(4),
-            StaticLinks.from_cluster(ClusterSpec.paper_heterogeneous(4)),
+            ClusterLinks(ClusterSpec.paper_heterogeneous(4)),
             get_cost_profile("resnet18"),
             config,
         )

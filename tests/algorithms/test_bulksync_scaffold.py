@@ -67,7 +67,7 @@ class TestOneHookIsEnough:
             )
 
     def test_churned_rounds_run_over_the_active_members(self):
-        churn = ChurnSchedule.single(M, worker=2, leave_at=2.0, rejoin_at=6.0)
+        churn = ChurnSchedule(M, [(2.0, 2, "leave"), (6.0, 2, "join")])
         trainer = build(churn=churn)
         trainer.run()
         sizes = {members for _, members in trainer.rounds}

@@ -23,7 +23,7 @@ from repro.experiments import (
     make_workload,
     run_trainer,
 )
-from repro.network.compression import make_compression_op
+from repro.network.compression import TopK, make_compression_op
 
 GOSSIP_ALGORITHMS = ("adpsgd", "saps", "netmax", "adpsgd-monitor")
 
@@ -135,7 +135,7 @@ class TestScenarioThreading:
         scenario = build_scenario(
             "heterogeneous", 4, 1, compression="topk", compression_param=0.1
         )
-        assert scenario.name.endswith("-ctopk0.1")
+        assert scenario.compression == TopK(k=0.1)
         result = run_trainer("adpsgd", scenario, workload, quick_config())
         baseline = run_trainer(
             "adpsgd", build_scenario("heterogeneous", 4, 1), workload,

@@ -185,7 +185,7 @@ class TestTwoHooksAreEnough:
 
     def test_stale_epoch_continuations_do_nothing(self):
         trainer, transfers = build(
-            churn=ChurnSchedule.single(M, worker=0, leave_at=1.0, rejoin_at=2.0),
+            churn=ChurnSchedule(M, [(1.0, 0, "leave"), (2.0, 0, "join")]),
             overlap=False,
         )
         stale = trainer._churn_epoch[0]

@@ -97,6 +97,34 @@ class TestMakeExecutor:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             QueueExecutor("/tmp/q", **{name: value})
 
+    @pytest.mark.parametrize("name", ["lease_timeout_s", "poll_interval_s"])
+    def test_queue_timings_that_overflow_a_wait_rejected(self, name):
+        """Regression: 1e300 is finite, so it passed, and then overflowed
+        the first wait that used it (a lease heartbeat waits a third of the
+        lease timeout; an idle worker up to 12x the poll interval). The
+        constructor rejects it, before any process or thread starts."""
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"{name} must be finite and in"):
+            QueueExecutor("/tmp/q", **{name: 1e300})
+        assert threading.active_count() == threads
+
+    def test_wait_ceilings_fit_the_longest_timeout(self):
+        from repro.experiments.broker import (
+            MAX_LEASE_TIMEOUT_S,
+            MAX_POLL_INTERVAL_S,
+            check_poll_interval,
+        )
+
+        assert MAX_LEASE_TIMEOUT_S / 3.0 <= threading.TIMEOUT_MAX
+        assert MAX_POLL_INTERVAL_S * 8 * 1.5 <= threading.TIMEOUT_MAX
+        check_poll_interval(MAX_POLL_INTERVAL_S)
+        QueueExecutor("/tmp/q", lease_timeout_s=MAX_LEASE_TIMEOUT_S)
+        with pytest.raises(ValueError, match="poll_interval_s"):
+            check_poll_interval(math.nextafter(MAX_POLL_INTERVAL_S, math.inf))
+        with pytest.raises(ValueError, match="lease_timeout_s"):
+            QueueExecutor("/tmp/q", lease_timeout_s=math.nextafter(
+                MAX_LEASE_TIMEOUT_S, math.inf))
+
 
 class TestBackendEquivalence:
     """queue == process == inline, bit for bit (the tentpole criterion)."""
@@ -320,8 +348,8 @@ class TestStaleLeaseReclaim:
             run_id="test-run",
         )
         assert queue.enqueue(cell, run="test-run")
-        claim = queue.claim()  # "worker" claims, then dies: no heartbeat
-        assert claim is not None and queue.pending_tasks() == []
+        (claim,) = queue.claim_batch(1)  # "worker" claims, then dies: no heartbeat
+        assert queue.pending_tasks() == []
 
         # Staleness needs an observation window: the first call records the
         # heartbeat counter, and only a counter unchanged across a full
@@ -346,7 +374,7 @@ class TestStaleLeaseReclaim:
         (cell,) = spec.cells()
         queue = WorkQueue(str(tmp_path / "queue"))
         assert queue.enqueue(cell, run="t", attempt=3)
-        assert queue.claim() is not None
+        assert len(queue.claim_batch(1)) == 1
         assert queue.reclaim_stale(lease_timeout_s=0.2, max_attempts=3) == 0
         time.sleep(0.3)
         assert queue.reclaim_stale(lease_timeout_s=0.2, max_attempts=3) == 1
@@ -421,8 +449,7 @@ class TestStaleLeaseReclaim:
             run_id="test-run",
         )
         queue.enqueue(cell, run="test-run")
-        claim = queue.claim()  # dead peer: claims, then never heartbeats
-        assert claim is not None
+        (claim,) = queue.claim_batch(1)  # dead peer: claims, then never heartbeats
 
         summary = run_queue_worker(
             str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.5
@@ -555,8 +582,8 @@ class TestWorkQueuePrimitives:
         queue = WorkQueue(str(tmp_path / "queue"))
         assert queue.enqueue(cell, run="t")
         assert not queue.enqueue(cell, run="t")  # already queued: dedup
-        assert queue.claim() is not None
-        assert queue.claim() is None  # second claimant loses
+        assert len(queue.claim_batch(1)) == 1
+        assert queue.claim_batch(1) == []  # second claimant loses
         assert not queue.enqueue(cell, run="t")  # leased: still dedup
 
     def test_unreadable_task_spec_fails_terminally_not_the_worker(self, tmp_path):

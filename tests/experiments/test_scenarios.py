@@ -9,8 +9,15 @@ from repro.experiments.scenarios import (
     make_quadratic_workload,
     make_workload,
     multi_cloud_scenario,
+    scenario_names,
 )
 from repro.network.links import ClusterLinks, DynamicSlowdownLinks, StaticLinks
+
+# The seven parameters every family accepts and ScenarioFamily.build applies.
+SHARED_AXES = {
+    "topology", "edge_probability", "edge_failures", "edge_downtime_s",
+    "edge_horizon_s", "compression", "compression_param",
+}
 
 
 class TestScenarios:
@@ -22,8 +29,8 @@ class TestScenarios:
 
     def test_heterogeneous_static_option(self):
         scenario = heterogeneous_scenario(4, dynamic=False)
-        # The implicit O(N)-state form; bit-identical to the dense
-        # StaticLinks.from_cluster it replaced (pinned in the link suite).
+        # The implicit O(N)-state form; bit-identical to dense StaticLinks
+        # over the cluster's matrices (pinned in the link suite).
         assert isinstance(scenario.links, ClusterLinks)
         assert not isinstance(scenario.links, StaticLinks)
 
@@ -187,6 +194,53 @@ class TestScenarioRegistry:
             assert scenario.links.bandwidth(0, 1, 0.0) > 0
             assert (scenario.churn is not None) == (name == "churn")
 
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_build_applies_the_shared_axes_and_names_the_scenario(
+        self, name, tmp_path
+    ):
+        """ScenarioFamily.build is the one place a scenario gets its shared
+        axes and its name: the builder sees only the family's own
+        parameters, and the graph, edge schedule and op are the ones the
+        axis constructors build by hand at the same seed."""
+        import dataclasses
+        import json
+        from repro.experiments.scenarios import get_scenario_family
+        from repro.graph.topology import DynamicTopology, EdgeSchedule, make_topology
+        from repro.network.compression import make_compression_op
+
+        family = get_scenario_family(name)
+        workers = family.fixed_workers or 4
+        params = {}
+        if name == "trace-file":
+            trace = tmp_path / "trace.json"
+            trace.write_text(json.dumps({
+                "num_workers": workers, "latency": 0.001,
+                "segments": [{"start": 0.0, "bandwidth": 1e8}],
+            }))
+            params = {"path": str(trace)}
+        received = []
+
+        def recording(num_workers, seed, **kwargs):
+            received.append(kwargs)
+            return family.builder(num_workers, seed, **kwargs)
+
+        seed = 3
+        scenario = dataclasses.replace(family, builder=recording).build(
+            workers, seed, topology="ring", edge_failures=1,
+            compression="topk", **params,
+        )
+        assert scenario.name == f"{name}-{workers}w"
+        (keywords,) = received
+        assert not set(keywords) & SHARED_AXES
+        assert set(keywords) == {parameter.name for parameter in family.params}
+        ring = make_topology("ring", workers, seed=seed)
+        schedule = EdgeSchedule.random(
+            ring, horizon_s=600.0, num_failures=1, downtime_s=30.0, seed=seed
+        )
+        assert scenario.topology == DynamicTopology(ring, schedule)
+        assert scenario.topology.schedule == schedule
+        assert scenario.compression == make_compression_op("topk")
+
     def test_builds_are_deterministic_in_seed(self):
         from repro.experiments.scenarios import build_scenario
         a = build_scenario("trace-burst", 4, seed=3)
@@ -213,13 +267,6 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match="no parameter"):
             build_scenario("homogeneous", 4, 0, warp=1)
 
-    def test_duplicate_registration_rejected(self):
-        from repro.experiments.scenarios import (
-            SCENARIO_FAMILIES, register_scenario_family,
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario_family(SCENARIO_FAMILIES["homogeneous"])
-
     def test_trace_file_family_csv_and_mismatch(self, tmp_path):
         from repro.experiments.scenarios import build_scenario
         csv = tmp_path / "trace.csv"
@@ -234,12 +281,13 @@ class TestScenarioRegistry:
             build_scenario("trace-file", 5, 0, path=str(csv))
 
     def test_every_family_accepts_the_topology_axis(self, tmp_path):
-        """Each registered family builds on a non-complete graph, keeps its
-        link model, and stamps the graph kind into the scenario name."""
+        """Each family builds on a non-complete graph and keeps its link
+        model."""
         import json
         from repro.experiments.scenarios import (
             build_scenario, get_scenario_family, scenario_names,
         )
+        from repro.graph.topology import make_topology
 
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps({
@@ -256,7 +304,7 @@ class TestScenarioRegistry:
             scenario = build_scenario(
                 name, num_workers=workers, seed=1, topology="ring", **params
             )
-            assert scenario.name.endswith("-ring"), scenario.name
+            assert scenario.topology == make_topology("ring", workers), name
             assert all(
                 scenario.topology.degree(i) == 2 for i in range(workers)
             ), name
@@ -305,14 +353,14 @@ class TestScenarioRegistry:
             build_scenario("heterogeneous", 8, seed=0, **params)
 
     def test_every_family_accepts_the_edge_failure_axis(self, tmp_path):
-        """Each registered family promotes its graph to a DynamicTopology
-        when edge_failures > 0, suffixes the scenario name, and keeps its
-        link model untouched."""
+        """Each family promotes its graph to a DynamicTopology over the
+        requested graph when edge_failures > 0, and keeps its link model
+        untouched."""
         import json
         from repro.experiments.scenarios import (
             build_scenario, get_scenario_family, scenario_names,
         )
-        from repro.graph.topology import DynamicTopology
+        from repro.graph.topology import DynamicTopology, make_topology
 
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps({
@@ -331,8 +379,10 @@ class TestScenarioRegistry:
                 edge_failures=2, edge_horizon_s=100.0, edge_downtime_s=10.0,
                 **params,
             )
-            assert scenario.name.endswith("-ring-ef2"), scenario.name
             assert isinstance(scenario.topology, DynamicTopology)
+            np.testing.assert_array_equal(  # the union graph is the ring
+                scenario.topology.adjacency, make_topology("ring", workers).adjacency
+            )
             assert len(scenario.topology.flip_times()) == 4  # 2 fail + 2 repair
             assert scenario.links.num_workers == workers
 
@@ -379,9 +429,9 @@ class TestScenarioRegistry:
         assert len(result.extras["churn_events"]) == 2
 
     def test_every_family_accepts_the_compression_axis(self, tmp_path):
-        """Each registered family declares the shared compression axis,
-        attaches the op, and stamps the ``-c{op}`` suffix into the name;
-        ``compression="none"`` builds the identical scenario object."""
+        """Each family accepts the shared compression axis and attaches the
+        op; ``compression="none"`` attaches nothing and leaves the graph
+        as it is."""
         import json
         from repro.experiments.scenarios import (
             build_scenario, get_scenario_family, scenario_names,
@@ -404,23 +454,23 @@ class TestScenarioRegistry:
                 name, num_workers=workers, seed=1,
                 compression="topk", compression_param=0.25, **params,
             )
-            assert scenario.name.endswith("-ctopk0.25"), scenario.name
             assert scenario.compression == TopK(k=0.25)
             plain = build_scenario(
                 name, num_workers=workers, seed=1, compression="none", **params
             )
             assert plain.compression is None
-            assert not plain.name.endswith("-cnone"), plain.name
+            assert plain.topology == scenario.topology, name
 
     def test_compression_composes_with_the_topology_axis(self):
         from repro.experiments.scenarios import build_scenario
+        from repro.graph.topology import make_topology
         from repro.network.compression import QSGD
 
         scenario = build_scenario(
             "heterogeneous", 4, 1,
             topology="ring", compression="qsgd", compression_param=4,
         )
-        assert scenario.name.endswith("-ring-cqsgd4"), scenario.name
+        assert scenario.topology == make_topology("ring", 4)
         assert scenario.compression == QSGD(bits=4)
         assert all(scenario.topology.degree(i) == 2 for i in range(4))
 

@@ -89,8 +89,7 @@ def single_cell_claim(tmp_path):
     (cell,) = spec.cells()
     queue = make_queue(tmp_path)
     assert queue.enqueue(cell, run="t")
-    claim = queue.claim()
-    assert claim is not None
+    (claim,) = queue.claim_batch(1)
     return queue, claim
 
 
@@ -130,8 +129,7 @@ class TestCounterStaleness:
         with open(claim.lease_path, "ab") as handle:
             handle.write(b"\0" * 17)
         assert queue.fail(claim, "RuntimeError: boom", max_attempts=3)
-        reclaimed = queue.claim()
-        assert reclaimed is not None
+        (reclaimed,) = queue.claim_batch(1)
         assert reclaimed.cell.cache_key() == claim.cell.cache_key()
 
     def test_heartbeat_never_resurrects_a_removed_lease(self, tmp_path):
@@ -257,8 +255,7 @@ class TestPerRunReclaimSettings:
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         (cell,) = spec.cells()
         assert queue.enqueue(cell, run=run_id)
-        claim = queue.claim()
-        assert claim is not None
+        (claim,) = queue.claim_batch(1)
         return claim
 
     def test_short_timeout_tenant_cannot_reclaim_other_runs_live_lease(
@@ -515,6 +512,17 @@ class TestEventDrivenDrain:
     """The drain-tail fix: back-off paces the ``tasks/`` rescan only; an
     idle worker reads the active run ids every base interval, so a drained
     sweep ends within one base interval of its last cell."""
+
+    def test_poll_interval_that_overflows_a_wait_rejected(self, tmp_path):
+        """Regression: 1e300 is finite, so it passed, and the idle wait
+        then died with an OverflowError. The worker rejects it before it
+        touches the queue directory or starts its heartbeat thread."""
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="poll_interval_s must be finite"):
+            run_queue_worker(str(tmp_path / "queue"), poll_interval_s=1e300,
+                             drain_timeout_s=0.1)
+        assert threading.active_count() == threads
+        assert not (tmp_path / "queue").exists()
 
     def test_backed_off_worker_sees_stop_within_one_base_interval(
         self, tmp_path, monkeypatch
@@ -990,7 +998,7 @@ class TestStatusSnapshot:
         )
         for cell in cells[:3]:
             queue.enqueue(cell, run="run-1")
-        queue.claim()
+        queue.claim_batch(1)
         snapshot = queue.status_snapshot()
         assert snapshot["pending"] == 2
         assert snapshot["leased"] == 1
@@ -1019,7 +1027,7 @@ class TestStatusSnapshot:
         )
         for cell in cells[:2]:
             queue.enqueue(cell, run="run-1")
-        queue.claim()  # ... by a worker that then died silently
+        queue.claim_batch(1)  # ... by a worker that then died silently
         reclaimer = WorkQueue(queue.queue_dir)
         assert reclaimer.reclaim_stale(0.1, 3) == 0
         time.sleep(0.15)

@@ -148,7 +148,7 @@ class TestRejoinResumes:
             workload.profile,
             config,
             test_data=workload.test_data,
-            churn=ChurnSchedule.single(4, worker=1, leave_at=5.0, rejoin_at=14.0),
+            churn=ChurnSchedule(4, [(5.0, 1, "leave"), (14.0, 1, "join")]),
         )
         trainer.run()
         # Nothing touched the replica or its iteration count while away...
@@ -176,7 +176,7 @@ class TestComputeOnlySurvival:
             links,
             profile,
             config,
-            churn=ChurnSchedule.single(3, worker=0, leave_at=2.0, rejoin_at=25.0),
+            churn=ChurnSchedule(3, [(2.0, 0, "leave"), (25.0, 0, "join")]),
         )
         before = [task.iterations for task in tasks]
         trainer.run()
@@ -273,7 +273,7 @@ class TestSynchronousChurn:
         with pytest.raises(ValueError, match="churn schedule is for"):
             run_trainer(
                 "adpsgd", scenario, workload, config,
-                churn=ChurnSchedule.single(6, 1, leave_at=5.0),
+                churn=ChurnSchedule(6, [(5.0, 1, "leave")]),
             )
 
 
@@ -303,7 +303,7 @@ class TestChurnOnSparseTopology:
             workload.profile,
             config,
             test_data=workload.test_data,
-            churn=ChurnSchedule.single(4, worker=0, leave_at=3.0, rejoin_at=15.0),
+            churn=ChurnSchedule(4, [(3.0, 0, "leave"), (15.0, 0, "join")]),
         )
         result = trainer.run()
         assert [kind for _, _, kind in trainer.churn_log] == ["leave", "join"]
@@ -334,7 +334,7 @@ class TestRejoinDuringInFlightIteration:
         links = StaticLinks(bandwidth, np.zeros((m, m)))
         config = TrainerConfig(max_sim_time=40.0, eval_interval_s=10.0, seed=0)
         # Leave at 1.0, rejoin at 2.0: well inside the first ~4 s transfer.
-        churn = ChurnSchedule.single(3, worker=1, leave_at=1.0, rejoin_at=2.0)
+        churn = ChurnSchedule(3, [(1.0, 1, "leave"), (2.0, 1, "join")])
         return trainer_cls(
             tasks, Topology.fully_connected(3), links, profile, config,
             churn=churn, **kwargs,

@@ -10,7 +10,7 @@ from repro.network.costmodel import (
     ModelCostProfile,
     get_cost_profile,
 )
-from repro.network.links import StaticLinks
+from repro.network.links import ClusterLinks
 
 
 class TestModelZoo:
@@ -41,7 +41,7 @@ class TestModelZoo:
 
 class TestCommunicationModel:
     def make_comm(self):
-        links = StaticLinks.from_cluster(ClusterSpec((2, 2), intra_gbps=8.0, inter_gbps=1.0))
+        links = ClusterLinks(ClusterSpec((2, 2), intra_gbps=8.0, inter_gbps=1.0))
         return CommunicationModel(links)
 
     def test_comm_time_formula(self):

@@ -40,8 +40,12 @@ from repro.network.links import (
 PROBE_TIMES = (0.0, 1.0, 9.9, 10.0, 15.5, 29.9, 30.0, 61.0, 299.0, 1e6)
 
 
+def _dense(cluster):
+    return StaticLinks(cluster.bandwidth_matrix(), cluster.latency_matrix())
+
+
 def _static():
-    return StaticLinks.from_cluster(ClusterSpec((2, 2)))
+    return _dense(ClusterSpec((2, 2)))
 
 
 def _dynamic_slowdown():
@@ -50,7 +54,7 @@ def _dynamic_slowdown():
 
 def _dynamic_multi_link():
     return DynamicSlowdownLinks(
-        StaticLinks.from_cluster(ClusterSpec((3, 3))),
+        _dense(ClusterSpec((3, 3))),
         period_s=10.0, num_slow_links=3, seed=5,
     )
 
@@ -119,12 +123,12 @@ def test_every_subclass_covered():
 
 
 def test_cluster_links_bit_identical_to_static_from_cluster():
-    """ClusterLinks answers every query exactly like the dense
-    StaticLinks.from_cluster it replaces -- same cluster, O(N) state."""
+    """ClusterLinks answers every query exactly like dense StaticLinks over
+    the cluster's matrices -- same cluster, O(N) state."""
     for layout in ((2, 2), (3, 2), (4, 4, 4, 4)):
         cluster = ClusterSpec(layout)
         implicit = ClusterLinks(cluster)
-        dense = StaticLinks.from_cluster(cluster)
+        dense = StaticLinks(cluster.bandwidth_matrix(), cluster.latency_matrix())
         m = cluster.num_workers
         for t in (0.0, 17.5, 1e6):
             np.testing.assert_array_equal(

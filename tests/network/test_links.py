@@ -27,7 +27,8 @@ class TestStaticLinks:
         assert links.latency(1, 2, 0.0) == 0.002
 
     def test_from_cluster(self):
-        links = StaticLinks.from_cluster(ClusterSpec((2, 2)))
+        cluster = ClusterSpec((2, 2))
+        links = StaticLinks(cluster.bandwidth_matrix(), cluster.latency_matrix())
         assert links.num_workers == 4
         assert links.bandwidth(0, 1, 0.0) > links.bandwidth(0, 2, 0.0)
 

@@ -40,6 +40,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             ChurnSchedule(3, [(1.0, 3, "leave")])
 
+    def test_leave_without_rejoin(self):
+        schedule = ChurnSchedule(4, [(10.0, 2, "leave")])
+        assert len(schedule) == 1
+
     def test_tie_order_is_stable(self):
         a = ChurnSchedule(5, [(1.0, 2, "leave"), (1.0, 1, "leave")])
         b = ChurnSchedule(5, [(1.0, 1, "leave"), (1.0, 2, "leave")])
@@ -48,18 +52,6 @@ class TestValidation:
 
 
 class TestConstructors:
-    def test_single(self):
-        schedule = ChurnSchedule.single(4, worker=2, leave_at=10.0, rejoin_at=20.0)
-        assert schedule.describe() == [[10.0, 2, "leave"], [20.0, 2, "join"]]
-
-    def test_single_without_rejoin(self):
-        schedule = ChurnSchedule.single(4, worker=2, leave_at=10.0)
-        assert len(schedule) == 1
-
-    def test_single_rejoin_must_follow_leave(self):
-        with pytest.raises(ValueError, match="after leave_at"):
-            ChurnSchedule.single(4, 2, leave_at=10.0, rejoin_at=10.0)
-
     def test_random_is_deterministic(self):
         a = ChurnSchedule.random(6, horizon_s=300.0, num_departures=3, downtime_s=20.0, seed=9)
         b = ChurnSchedule.random(6, horizon_s=300.0, num_departures=3, downtime_s=20.0, seed=9)
@@ -86,7 +78,7 @@ class TestConstructors:
 
 class TestActiveAt:
     def test_transitions_apply_at_their_timestamp(self):
-        schedule = ChurnSchedule.single(3, worker=1, leave_at=5.0, rejoin_at=9.0)
+        schedule = ChurnSchedule(3, [(5.0, 1, "leave"), (9.0, 1, "join")])
         np.testing.assert_array_equal(schedule.active_at(4.9), [True, True, True])
         np.testing.assert_array_equal(schedule.active_at(5.0), [True, False, True])
         np.testing.assert_array_equal(schedule.active_at(8.9), [True, False, True])
@@ -103,8 +95,8 @@ class TestActiveAt:
 class TestHashability:
     def test_schedule_and_scenario_are_hashable(self):
         from repro.experiments.scenarios import build_scenario
-        a = ChurnSchedule.single(4, 1, leave_at=5.0, rejoin_at=9.0)
-        b = ChurnSchedule.single(4, 1, leave_at=5.0, rejoin_at=9.0)
+        a = ChurnSchedule(4, [(5.0, 1, "leave"), (9.0, 1, "join")])
+        b = ChurnSchedule(4, [(5.0, 1, "leave"), (9.0, 1, "join")])
         assert hash(a) == hash(b) and a == b
         assert len({a, b}) == 1
         # The frozen Scenario dataclass embedding a schedule stays hashable.

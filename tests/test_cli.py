@@ -661,6 +661,9 @@ class TestSweepService:
         # traceback; nan was already rejected by the > 0 test.
         ("--poll-interval-s", "inf", "poll_interval_s"),
         ("--poll-interval-s", "nan", "poll_interval_s"),
+        # Regression: finite but so long that the idle wait overflowed
+        # ("timestamp out of range for platform time_t").
+        ("--poll-interval-s", "1e300", "poll_interval_s"),
         ("--drain-timeout-s", "-1", "drain_timeout_s"),
         ("--lease-batch", "0", "lease_batch"),
     ])
@@ -714,7 +717,7 @@ class TestSweepService:
         assert code == 2
         assert "lease_timeout_s" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])
     def test_non_finite_lease_timeout_rejected_with_exit_2(
         self, tmp_path, capsys, value
     ):
@@ -722,8 +725,9 @@ class TestSweepService:
         comparison with NaN is False) and then made every live lease look
         stale, failing a healthy cell ("heartbeat frozen for 0.0s"); an
         infinite one killed the lease heartbeat thread with an
-        OverflowError. Both now exit 2 with one error line, before the
-        queue directory is made."""
+        OverflowError, and so did a finite one whose heartbeat wait (a
+        third of it) exceeds the longest timeout a wait takes. Each now
+        exits 2 with one error line, before the queue directory is made."""
         code = main([
             "sweep", "--algorithms", "saps", "--seeds", "0",
             "--scenarios", "heterogeneous-static", "--workers", "8",
@@ -757,7 +761,7 @@ class TestSweepService:
         )
         for cell in spec.cells():
             queue.enqueue(cell, run="status-run")
-        queue.claim()
+        queue.claim_batch(1)
 
         assert main(["sweep-status", "--queue-dir", str(tmp_path / "q")]) == 0
         out = capsys.readouterr().out
@@ -1049,4 +1053,7 @@ class TestScenarioParamCLI:
             "--scenario-param", "compression_param=0.1",
         ])
         assert code == 0
-        assert "heterogeneous-4w-ctopk0.1" in capsys.readouterr().out
+        assert (
+            "heterogeneous-4w[compression=topk,compression_param=0.1]"
+            in capsys.readouterr().out
+        )
