@@ -29,7 +29,7 @@ def build_trace_scenario(num_workers: int = 8, flip_time: float = 150.0) -> Scen
     links = TraceLinks(
         [(0.0, before), (flip_time, after)], cluster.latency_matrix()
     )
-    return Scenario("fig2-trace", Topology.fully_connected(num_workers), links)
+    return Scenario(Topology.fully_connected(num_workers), links)
 
 
 def main() -> None:

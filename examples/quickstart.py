@@ -27,8 +27,8 @@ def main() -> None:
     )
     config = TrainerConfig(max_sim_time=240.0, eval_interval_s=20.0, seed=42)
 
-    print(f"scenario: {scenario.name}   workload: {workload.model_name} "
-          f"on {workload.dataset_name} ({workload.num_workers} workers)")
+    print(f"workload: {workload.model_name} on {workload.dataset_name} "
+          f"({workload.num_workers} workers)")
     result = run_trainer("netmax", scenario, workload, config, monitor_period_s=30.0)
 
     print("\nloss trajectory (virtual time):")

@@ -21,8 +21,24 @@ prices the exchange.
 from __future__ import annotations
 
 from repro.algorithms.bulksync import BulkSynchronousTrainer
+from repro.network.links import LinkSpeedModel
 
-__all__ = ["AllreduceTrainer"]
+__all__ = ["AllreduceTrainer", "ring_allreduce_time"]
+
+
+def ring_allreduce_time(
+    links: LinkSpeedModel, members: list[int], nbytes: float, time: float
+) -> float:
+    """Duration of one ring all-reduce of ``nbytes`` over ``members`` on
+    ``links``, starting at ``time``: ``2 (g - 1)`` steps, each moving a
+    ``1/g`` chunk over the ring's slowest link plus its worst latency."""
+    g = len(members)
+    if g < 2:
+        return 0.0  # a lone member has nothing to reduce
+    ring = [(members[i], members[(i + 1) % g]) for i in range(g)]
+    bandwidths = [links.bandwidth(a, b, time) for a, b in ring]
+    latencies = [links.latency(a, b, time) for a, b in ring]
+    return 2 * (g - 1) * (nbytes / g / min(bandwidths) + max(latencies))
 
 
 class AllreduceTrainer(BulkSynchronousTrainer):
@@ -30,18 +46,5 @@ class AllreduceTrainer(BulkSynchronousTrainer):
 
     name = "allreduce"
 
-    def ring_allreduce_time(self, time: float, members: list[int] | None = None) -> float:
-        """Duration of one ring all-reduce over ``members`` starting at ``time``."""
-        if members is None:
-            members = list(range(self.num_workers))
-        m = len(members)
-        if m < 2:
-            return 0.0  # a lone survivor has nothing to reduce
-        ring = [(members[i], members[(i + 1) % m]) for i in range(m)]
-        bandwidths = [self.comm.links.bandwidth(a, b, time) for a, b in ring]
-        latencies = [self.comm.links.latency(a, b, time) for a, b in ring]
-        chunk = self.message_bytes / m
-        steps = 2 * (m - 1)
-        return steps * (chunk / min(bandwidths) + max(latencies))
-
-    _exchange_time = ring_allreduce_time
+    def _exchange_time(self, time: float, members: list[int]) -> float:
+        return ring_allreduce_time(self.comm.links, members, self.message_bytes, time)

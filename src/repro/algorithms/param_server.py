@@ -64,10 +64,8 @@ class PSSynTrainer(_ParameterServerMixin, BulkSynchronousTrainer):
 
     name = "ps-syn"
 
-    def exchange_time(self, time: float, members: list[int] | None = None) -> float:
+    def _exchange_time(self, time: float, members: list[int]) -> float:
         """One full push-gradients + pull-model synchronous exchange."""
-        if members is None:
-            members = list(range(self.num_workers))
         size = self.message_bytes
         slowest = max(
             size / self.ps_bandwidth(w, time) + self.ps_latency(w, time)
@@ -77,8 +75,6 @@ class PSSynTrainer(_ParameterServerMixin, BulkSynchronousTrainer):
         # Push phase + pull phase, each bounded by the worse of incast
         # serialization at the PS NIC and the slowest individual link.
         return 2.0 * max(incast, slowest)
-
-    _exchange_time = exchange_time
 
 
 class PSAsynTrainer(_ParameterServerMixin, DecentralizedTrainer):

@@ -33,6 +33,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.algorithms.allreduce import ring_allreduce_time
 from repro.algorithms.base import DecentralizedTrainer
 from repro.ml.optim import SGDState
 
@@ -59,19 +60,6 @@ class PragueTrainer(DecentralizedTrainer):
         self._pending: list[tuple[int, np.ndarray, float, int]] = []
         self._active_groups = 0
         self.groups_formed = 0
-
-    def group_allreduce_time(self, members: list[int], time: float) -> float:
-        """Ring partial-allreduce over the group's internal links."""
-        g = len(members)
-        if g < 2:
-            return 0.0  # a churn-degenerate solo "group" is a local update
-        ring = [(members[i], members[(i + 1) % g]) for i in range(g)]
-        bandwidths = [self.comm.links.bandwidth(a, b, time) for a, b in ring]
-        latencies = [self.comm.links.latency(a, b, time) for a, b in ring]
-        chunk = self.message_bytes / g
-        base = 2 * (g - 1) * (chunk / min(bandwidths) + max(latencies))
-        # Congestion from groups already in flight.
-        return base * (1.0 + self.contention * self._active_groups)
 
     def _setup(self) -> None:
         for i in range(self.num_workers):
@@ -133,7 +121,11 @@ class PragueTrainer(DecentralizedTrainer):
 
     def _form_group(self, members: list[tuple[int, np.ndarray, float, int]]) -> None:
         ids = [worker for worker, _, _, _ in members]
-        comm_time = self.group_allreduce_time(ids, self.sim.now)
+        # Ring partial-allreduce over the group's internal links, inflated
+        # by the groups already in flight.
+        comm_time = ring_allreduce_time(
+            self.comm.links, ids, self.message_bytes, self.sim.now
+        ) * (1.0 + self.contention * self._active_groups)
         self._active_groups += 1
         self.groups_formed += 1
         self.sim.schedule_in(comm_time, partial(self._group_done, members, comm_time))

@@ -524,6 +524,18 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print("error: --backend queue requires --queue-dir", file=sys.stderr)
         return 2
     try:
+        # Before the spec, so a dry run checks the executor settings too and
+        # an unrunnable setting prints its error line without the note.
+        executor = make_executor(
+            backend,
+            parallel=args.parallel or 0,
+            queue_dir=args.queue_dir,
+            num_queue_workers=args.num_queue_workers,
+            lease_timeout_s=args.lease_timeout_s,
+            max_attempts=args.max_attempts,
+            progress=lambda message: print(message, file=sys.stderr),
+            lease_batch=args.lease_batch,
+        )
         spec = _sweep_spec(args, seeds=args.seeds, kinds=args.scenarios)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -541,21 +553,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             "backend": "dry-run", "wall_s": 0.0,
         })
         return 0
-    try:
-        executor = make_executor(
-            backend,
-            parallel=args.parallel or 0,
-            queue_dir=args.queue_dir,
-            num_queue_workers=args.num_queue_workers,
-            lease_timeout_s=args.lease_timeout_s,
-            max_attempts=args.max_attempts,
-            progress=lambda message: print(message, file=sys.stderr),
-            lease_batch=args.lease_batch,
-        )
-    except ValueError as error:
-        # e.g. a lease timeout below the staleness-observation floor.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     stream = _make_stream(args) if (args.json_summary is not None
                                     or args.stream_interval_s > 0) else None
     try:

@@ -23,7 +23,6 @@ Scenario families (see each family's description for parameters):
 - ``multi-cloud`` -- Appendix G's six-region WAN (fixed at 6 workers);
 - ``trace-diurnal`` / ``trace-random-walk`` / ``trace-burst`` -- synthetic
   trace-driven link dynamics (:mod:`repro.network.links` generators);
-- ``trace-file`` -- replay a JSON/CSV bandwidth trace from disk;
 - ``churn`` -- the heterogeneous network plus scheduled worker
   departures/rejoins (:class:`repro.simulation.churn.ChurnSchedule`).
 
@@ -36,16 +35,18 @@ graph to a time-varying :class:`~repro.graph.topology.DynamicTopology`
 with a seeded random edge fail/repair schedule (gossip algorithms only) --
 and the compression axis: ``compression`` / ``compression_param`` attach
 a :class:`~repro.network.compression.CompressionOp` shrinking every model
-transfer (see :mod:`repro.network.compression`). A built scenario is named
-``{family}-{num_workers}w``; :meth:`~repro.experiments.sweeps.ScenarioSpec.label`
-spells its parameters too.
+transfer (see :mod:`repro.network.compression`).
+:meth:`~repro.experiments.sweeps.ScenarioSpec.label` is the one spelling of
+a family, worker count and parameter set.
+
+Every scenario is a pure function of its family, worker count, parameters
+and seed: no builder reads anything else, the filesystem included.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -80,7 +81,6 @@ from repro.network.links import (
     ClusterLinks,
     DynamicSlowdownLinks,
     LinkSpeedModel,
-    TraceLinks,
     burst_congestion_trace,
     diurnal_trace,
     multi_cloud_links,
@@ -115,7 +115,6 @@ class Scenario:
     axis, so spelling it out can never change a cache key or a result.
     """
 
-    name: str
     topology: Topology
     links: LinkSpeedModel
     churn: ChurnSchedule | None = None
@@ -154,31 +153,19 @@ def heterogeneous_scenario(
             seed=seed,
             num_slow_links=num_slow_links,
         )
-    return Scenario(
-        name=f"heterogeneous-{num_workers}w" + ("-dynamic" if dynamic else ""),
-        topology=Topology.fully_connected(num_workers),
-        links=links,
-    )
+    return Scenario(Topology.fully_connected(num_workers), links)
 
 
 def homogeneous_scenario(num_workers: int = 8) -> Scenario:
     """Section V-A's homogeneous setting: one server, 10 Gbps virtual switch."""
     cluster = ClusterSpec.paper_homogeneous(num_workers)
-    return Scenario(
-        name=f"homogeneous-{num_workers}w",
-        topology=Topology.fully_connected(num_workers),
-        links=ClusterLinks(cluster),
-    )
+    return Scenario(Topology.fully_connected(num_workers), ClusterLinks(cluster))
 
 
 def multi_cloud_scenario() -> Scenario:
     """Appendix G: six workers, one per cloud region, WAN links."""
     links = multi_cloud_links()
-    return Scenario(
-        name="multi-cloud-6r",
-        topology=Topology.fully_connected(links.num_workers),
-        links=links,
-    )
+    return Scenario(Topology.fully_connected(links.num_workers), links)
 
 
 # -- the scenario catalog ------------------------------------------------------
@@ -272,7 +259,7 @@ class ScenarioFamily:
         description: one-line catalog entry.
         builder: ``(num_workers, seed, **params) -> Scenario`` over the
             family's own ``params`` only, on the complete graph;
-            :meth:`build` applies the shared axes and the name.
+            :meth:`build` applies the shared axes.
         params: the family's own parameters; overrides outside them and
             the shared axes are rejected.
         fixed_workers: worker count the family is pinned to (``None`` =
@@ -346,8 +333,7 @@ class ScenarioFamily:
             )
 
     def build(self, num_workers: int = 8, seed: int = 0, **overrides) -> Scenario:
-        """The family's scenario on the requested shared axes, named
-        ``{family}-{num_workers}w``.
+        """The family's scenario on the requested shared axes.
 
         The builder sees only the family's own parameters and builds on the
         complete graph. A ``topology`` other than ``"full"`` swaps in that
@@ -387,12 +373,7 @@ class ScenarioFamily:
             compression = make_compression_op(
                 params["compression"], params["compression_param"]
             )
-        return replace(
-            scenario,
-            name=f"{self.name}-{num_workers}w",
-            topology=topology,
-            compression=compression,
-        )
+        return replace(scenario, topology=topology, compression=compression)
 
 
 def _build_heterogeneous(
@@ -418,34 +399,7 @@ def _build_trace(generator, num_workers, seed, base_gbps, **params):
     links = generator(
         num_workers, base_bandwidth=gbps_to_bytes_per_s(base_gbps), seed=seed, **params
     )
-    return Scenario(
-        name="trace",
-        topology=Topology.fully_connected(num_workers),
-        links=links,
-    )
-
-
-def _build_trace_file(num_workers, seed, path, latency_s):
-    if not path:
-        raise ValueError("the trace-file scenario needs path=<file.json|file.csv>")
-    if not os.path.exists(path):
-        raise ValueError(f"trace file not found: {path!r}")
-    if path.endswith(".csv"):
-        # Worker count is inferred from the file, then checked below, so a
-        # mismatch reports the same way for both formats.
-        links = TraceLinks.from_csv(path, latency=latency_s)
-    else:
-        links = TraceLinks.from_json(path)
-    if links.num_workers != num_workers:
-        raise ValueError(
-            f"trace file {path!r} describes {links.num_workers} workers, "
-            f"scenario asked for {num_workers}"
-        )
-    return Scenario(
-        name="trace-file",
-        topology=Topology.fully_connected(num_workers),
-        links=links,
-    )
+    return Scenario(Topology.fully_connected(num_workers), links)
 
 
 def _build_churn(
@@ -528,15 +482,6 @@ SCENARIO_FAMILIES: dict[str, ScenarioFamily] = {family.name: family for family i
             ScenarioParam("burst_probability", 0.08, "per-step burst start probability"),
             ScenarioParam("burst_factor_low", 5.0, "minimum burst slowdown factor"),
             ScenarioParam("burst_factor_high", 50.0, "maximum burst slowdown factor"),
-        ),
-    ),
-    ScenarioFamily(
-        name="trace-file",
-        description="replay a JSON/CSV bandwidth trace from disk",
-        builder=_build_trace_file,
-        params=(
-            ScenarioParam("path", "", "trace file (.json or .csv; format in links.py)"),
-            ScenarioParam("latency_s", 0.001, "link latency for CSV traces, seconds"),
         ),
     ),
     ScenarioFamily(

@@ -18,23 +18,22 @@ hidden randomness, so any query order reproduces the same network history
 (``tests/network/test_link_invariants.py`` enforces this for every subclass).
 
 Beyond the paper's rotating slowdown, :class:`TraceLinks` replays arbitrary
-piecewise-constant bandwidth traces. Traces come from three sources:
+piecewise-constant bandwidth traces. Traces come from two sources:
 
 - explicit segments (tests, scripted examples);
-- files, via :meth:`TraceLinks.from_json` / :meth:`TraceLinks.from_csv`
-  (formats documented on those methods);
 - the synthetic generators :func:`diurnal_trace` (tenant load following a
   smooth daily cycle, per-pair phase offsets), :func:`random_walk_trace`
   (log-space multiplicative drift per link), and
   :func:`burst_congestion_trace` (links intermittently crushed by bursty
   cross-traffic) -- all deterministic in their seed because every segment is
   precomputed at construction time.
+
+Every trace is therefore a pure function of the arguments that built it;
+none is read from disk.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from collections.abc import Sequence
 
 import numpy as np
@@ -320,9 +319,13 @@ class TraceLinks(LinkSpeedModel):
 
     Used by tests and the dynamic-network example to script exact link-speed
     changes (e.g. the Fig. 2 scenario where the fast link at T1 turns slow
-    at T2), and as the replay substrate for file-loaded and synthetic traces
-    (:meth:`from_json`, :meth:`from_csv`, :func:`diurnal_trace`,
-    :func:`random_walk_trace`, :func:`burst_congestion_trace`).
+    at T2), and as the replay substrate for the synthetic traces
+    (:func:`diurnal_trace`, :func:`random_walk_trace`,
+    :func:`burst_congestion_trace`).
+
+    Segment starts must be finite, begin at 0 and strictly increase; every
+    matrix must be square, symmetric and positive off the diagonal; the
+    latency matrix must share their shape and be finite and non-negative.
     """
 
     def __init__(
@@ -370,126 +373,6 @@ class TraceLinks(LinkSpeedModel):
         self._matrices = matrices
         self._latency = latency
 
-    @classmethod
-    def from_json(cls, source) -> "TraceLinks":
-        """Load a trace from a JSON file path, file object, or parsed dict.
-
-        Schema::
-
-            {
-              "num_workers": 4,               // required when scalars are used
-              "latency": 0.001,               // scalar or MxM matrix, seconds
-              "segments": [
-                {"start": 0.0,   "bandwidth": 1.25e8},   // scalar or MxM,
-                {"start": 300.0, "bandwidth": [[...]]}   // bytes/second
-              ]
-            }
-
-        Scalar ``bandwidth``/``latency`` values broadcast to every
-        off-diagonal entry. Segment starts must be finite, begin at 0 and
-        strictly increase.
-        """
-        if isinstance(source, dict):
-            payload = source
-        elif hasattr(source, "read"):
-            payload = json.load(source)
-        else:
-            with open(source) as handle:
-                payload = json.load(handle)
-        if "segments" not in payload or not payload["segments"]:
-            raise ValueError("trace JSON needs a non-empty 'segments' list")
-        m = payload.get("num_workers")
-        if m is None:
-            for value in [payload.get("latency"), *(
-                s.get("bandwidth") for s in payload["segments"]
-            )]:
-                if isinstance(value, (list, tuple)):
-                    m = len(value)
-                    break
-            else:
-                raise ValueError(
-                    "trace JSON with scalar entries needs 'num_workers'"
-                )
-        m = int(m)
-        segments = []
-        for entry in payload["segments"]:
-            if "start" not in entry or "bandwidth" not in entry:
-                raise ValueError("each segment needs 'start' and 'bandwidth'")
-            segments.append(
-                (float(entry["start"]),
-                 _broadcast_matrix(entry["bandwidth"], m, "bandwidth", np.inf))
-            )
-        latency = _broadcast_matrix(payload.get("latency", 0.0), m, "latency", 0.0)
-        return cls(segments, latency)
-
-    @classmethod
-    def from_csv(cls, source, num_workers: int | None = None,
-                 latency: float | np.ndarray = 0.0) -> "TraceLinks":
-        """Load a trace from long-format CSV: ``time,src,dst,bandwidth`` rows.
-
-        Each row sets the (undirected) ``src <-> dst`` bandwidth in
-        bytes/second from ``time`` onward; unlisted pairs carry their previous
-        value forward (piecewise-constant replay). The ``time=0`` rows must
-        cover every worker pair so the trace is total. A header row is
-        detected and skipped automatically.
-
-        Args:
-            source: file path or open file object.
-            num_workers: worker count; inferred from the largest index if
-                omitted.
-            latency: scalar seconds or an ``(M, M)`` matrix (CSV traces carry
-                bandwidth only).
-        """
-        if hasattr(source, "read"):
-            rows = list(csv.reader(source))
-        else:
-            with open(source, newline="") as handle:
-                rows = list(csv.reader(handle))
-        parsed: list[tuple[float, int, int, float]] = []
-        for index, row in enumerate(rows):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                time, src, dst, bandwidth = (
-                    float(row[0]), int(row[1]), int(row[2]), float(row[3])
-                )
-            except (ValueError, IndexError):
-                if index == 0:  # header row
-                    continue
-                raise ValueError(f"malformed CSV trace row {index}: {row!r}")
-            parsed.append((time, src, dst, bandwidth))
-        if not parsed:
-            raise ValueError("CSV trace contains no data rows")
-        if num_workers is None:
-            num_workers = max(max(s, d) for _, s, d, _ in parsed) + 1
-        m = int(num_workers)
-        by_start: dict[float, list[tuple[int, int, float]]] = {}
-        for time, src, dst, bandwidth in parsed:
-            if src == dst:
-                raise ValueError(f"CSV trace row sets a self-link ({src}, {dst})")
-            if not (0 <= src < m and 0 <= dst < m):
-                raise ValueError(f"worker pair ({src}, {dst}) out of range for M={m}")
-            by_start.setdefault(time, []).append((src, dst, bandwidth))
-        starts = sorted(by_start)
-        if starts[0] != 0.0:
-            raise ValueError("CSV trace must start at time 0")
-        current = np.full((m, m), np.nan)
-        np.fill_diagonal(current, np.inf)
-        segments = []
-        for start in starts:
-            current = current.copy()
-            for src, dst, bandwidth in by_start[start]:
-                current[src, dst] = current[dst, src] = bandwidth
-            if start == 0.0 and np.any(np.isnan(current)):
-                missing = np.argwhere(np.isnan(current))
-                raise ValueError(
-                    "CSV trace's time-0 rows must cover every pair; missing "
-                    f"{[tuple(p) for p in missing[:4].tolist()]}..."
-                )
-            segments.append((start, current))
-        latency_matrix = _broadcast_matrix(latency, m, "latency", 0.0)
-        return cls(segments, latency_matrix)
-
     @property
     def num_workers(self) -> int:
         return self._latency.shape[0]
@@ -525,16 +408,10 @@ def _check_latency(latency: np.ndarray) -> None:
         raise ValueError("latencies must be finite and non-negative")
 
 
-def _broadcast_matrix(value, m: int, name: str, diagonal: float) -> np.ndarray:
-    """Scalar -> full off-diagonal matrix; matrix -> validated copy."""
-    if np.isscalar(value):
-        matrix = np.full((m, m), float(value))
-        np.fill_diagonal(matrix, diagonal)
-        return matrix
-    matrix = np.asarray(value, dtype=np.float64)
-    if matrix.shape != (m, m):
-        raise ValueError(f"{name} must be a scalar or ({m}, {m}) matrix, "
-                         f"got shape {matrix.shape}")
+def _latency_matrix(latency_s: float, m: int) -> np.ndarray:
+    """One latency on every off-diagonal entry, zero on the diagonal."""
+    matrix = np.full((m, m), float(latency_s))
+    np.fill_diagonal(matrix, 0.0)
     return matrix
 
 
@@ -606,7 +483,7 @@ def diurnal_trace(
         2.0 * np.pi * (starts[:, None] + phases[None, :]) / period_s
     )
     segments = _segments_from_factors(starts, factors, pairs, num_workers, base_bandwidth)
-    latency = _broadcast_matrix(latency_s, num_workers, "latency", 0.0)
+    latency = _latency_matrix(latency_s, num_workers)
     return TraceLinks(segments, latency)
 
 
@@ -640,7 +517,7 @@ def random_walk_trace(
     factors = np.exp(np.cumsum(log_steps, axis=0))
     factors = np.clip(factors, low, high)
     segments = _segments_from_factors(starts, factors, pairs, num_workers, base_bandwidth)
-    latency = _broadcast_matrix(latency_s, num_workers, "latency", 0.0)
+    latency = _latency_matrix(latency_s, num_workers)
     return TraceLinks(segments, latency)
 
 
@@ -688,7 +565,7 @@ def burst_congestion_trace(
         bursting = started | continued
         factors[index] = np.where(bursting, 1.0 / current, 1.0)
     segments = _segments_from_factors(starts, factors, pairs, num_workers, base_bandwidth)
-    latency = _broadcast_matrix(latency_s, num_workers, "latency", 0.0)
+    latency = _latency_matrix(latency_s, num_workers)
     return TraceLinks(segments, latency)
 
 

@@ -27,12 +27,17 @@ def hetero_times5():
     return times
 
 
+# scipy.optimize.linprog's status codes that are a verdict on the LP.
+_SOLVED, _INFEASIBLE = 0, 2
+
+
 @pytest.fixture(scope="session")
 def highs_policy_lp():
     """The Eq. (14) LP handed to scipy's HiGHS, worker by worker: the oracle
     the closed-form ``solve_policy_lp`` is checked against (``src/`` itself
     no longer imports scipy). Returns the raw solver rows, or ``None`` when
-    any worker's LP is infeasible."""
+    HiGHS proves some worker's LP infeasible; raises when it reaches no
+    verdict on a worker at either tolerance."""
     from scipy.optimize import linprog
 
     from repro.core.policy import _STRICT_MARGIN
@@ -54,16 +59,26 @@ def highs_policy_lp():
             bounds = [(0.0, 1.0)] + [(floor, 1.0) for floor in floors]
             # HiGHS's default feasibility tolerance (1e-7, absolute) lets it
             # miss Eq. (10) by enough to zero a p_ii of ~5e-7 the exact
-            # optimum keeps; the oracle is held to round-off instead.
-            solution = linprog(
-                cost,
-                A_eq=a_eq,
-                b_eq=[m * t_bar, 1.0],
-                bounds=bounds,
-                method="highs",
-                options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-            )
-            if not solution.success:
+            # optimum keeps; the oracle is held to round-off instead. At
+            # 1e-10 HiGHS can stop without a verdict (status 4, "model_status
+            # is Unknown"); such a worker is solved again at 1e-9.
+            for tolerance in (1e-10, 1e-9):
+                solution = linprog(
+                    cost,
+                    A_eq=a_eq,
+                    b_eq=[m * t_bar, 1.0],
+                    bounds=bounds,
+                    method="highs",
+                    options={"primal_feasibility_tolerance": tolerance,
+                             "dual_feasibility_tolerance": tolerance},
+                )
+                if solution.status in (_SOLVED, _INFEASIBLE):
+                    break
+            else:
+                raise RuntimeError(
+                    f"HiGHS reached no verdict on worker {i}: {solution.message}"
+                )
+            if solution.status == _INFEASIBLE:
                 return None
             policy[i, i] = solution.x[0]
             policy[i, neighbors] = solution.x[1:]

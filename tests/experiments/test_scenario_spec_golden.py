@@ -1,9 +1,8 @@
 """Golden table for the canonical form of scenario specs.
 
-Every spelling below -- each registry family but ``trace-file`` (which
-needs a file on disk), crossed with the shared topology, edge-failure
-and compression axes, defaults and inert values included --
-maps to a pinned canonical ``params`` tuple, ``label()`` and
+Every spelling below -- each registry family, crossed with the shared
+topology, edge-failure and compression axes, defaults and inert values
+included -- maps to a pinned canonical ``params`` tuple, ``label()`` and
 ``SweepCell.cache_key()``. A change to coercion, the inert-parameter rules
 or the cache-key payload moves an entry and fails here; a change that only
 moves where a check lives does not.

@@ -175,49 +175,31 @@ class TestScenarioRegistry:
         # (the dynamic-scenario subsystem's acceptance criterion).
         assert {"heterogeneous", "homogeneous", "heterogeneous-static",
                 "multi-cloud", "trace-diurnal", "trace-random-walk",
-                "trace-burst", "trace-file", "churn"} <= names
+                "trace-burst", "churn"} <= names
 
-    def test_every_family_builds(self, tmp_path):
-        import json
+    def test_every_family_builds(self):
         from repro.experiments.scenarios import build_scenario, scenario_names
 
-        trace = tmp_path / "trace.json"
-        trace.write_text(json.dumps({
-            "num_workers": 4, "latency": 0.001,
-            "segments": [{"start": 0.0, "bandwidth": 1e8}],
-        }))
         for name in scenario_names():
             workers = 6 if name == "multi-cloud" else 4
-            params = {"path": str(trace)} if name == "trace-file" else {}
-            scenario = build_scenario(name, num_workers=workers, seed=1, **params)
+            scenario = build_scenario(name, num_workers=workers, seed=1)
             assert scenario.num_workers == workers
             assert scenario.links.bandwidth(0, 1, 0.0) > 0
             assert (scenario.churn is not None) == (name == "churn")
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_build_applies_the_shared_axes_and_names_the_scenario(
-        self, name, tmp_path
-    ):
+    def test_build_applies_the_shared_axes(self, name):
         """ScenarioFamily.build is the one place a scenario gets its shared
-        axes and its name: the builder sees only the family's own
-        parameters, and the graph, edge schedule and op are the ones the
-        axis constructors build by hand at the same seed."""
+        axes: the builder sees only the family's own parameters, and the
+        graph, edge schedule and op are the ones the axis constructors build
+        by hand at the same seed."""
         import dataclasses
-        import json
         from repro.experiments.scenarios import get_scenario_family
         from repro.graph.topology import DynamicTopology, EdgeSchedule, make_topology
         from repro.network.compression import make_compression_op
 
         family = get_scenario_family(name)
         workers = family.fixed_workers or 4
-        params = {}
-        if name == "trace-file":
-            trace = tmp_path / "trace.json"
-            trace.write_text(json.dumps({
-                "num_workers": workers, "latency": 0.001,
-                "segments": [{"start": 0.0, "bandwidth": 1e8}],
-            }))
-            params = {"path": str(trace)}
         received = []
 
         def recording(num_workers, seed, **kwargs):
@@ -226,10 +208,8 @@ class TestScenarioRegistry:
 
         seed = 3
         scenario = dataclasses.replace(family, builder=recording).build(
-            workers, seed, topology="ring", edge_failures=1,
-            compression="topk", **params,
+            workers, seed, topology="ring", edge_failures=1, compression="topk",
         )
-        assert scenario.name == f"{name}-{workers}w"
         (keywords,) = received
         assert not set(keywords) & SHARED_AXES
         assert set(keywords) == {parameter.name for parameter in family.params}
@@ -267,43 +247,28 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match="no parameter"):
             build_scenario("homogeneous", 4, 0, warp=1)
 
-    def test_trace_file_family_csv_and_mismatch(self, tmp_path):
-        from repro.experiments.scenarios import build_scenario
-        csv = tmp_path / "trace.csv"
-        csv.write_text(
-            "time,src,dst,bandwidth\n"
-            "0,0,1,1e8\n0,0,2,1e8\n0,1,2,1e8\n"
-            "30,0,1,1e7\n"
-        )
-        scenario = build_scenario("trace-file", 3, 0, path=str(csv))
-        assert scenario.links.bandwidth(0, 1, 31.0) == 1e7
-        with pytest.raises(ValueError, match="describes 3 workers"):
-            build_scenario("trace-file", 5, 0, path=str(csv))
+    def test_trace_file_is_not_a_family(self):
+        """Every family builds from its parameters and seed alone: none
+        replays a trace from disk."""
+        from repro.experiments.sweeps import ScenarioSpec
+        with pytest.raises(ValueError, match="unknown scenario kind 'trace-file'"):
+            ScenarioSpec("trace-file", 4)
 
-    def test_every_family_accepts_the_topology_axis(self, tmp_path):
+    def test_every_family_accepts_the_topology_axis(self):
         """Each family builds on a non-complete graph and keeps its link
         model."""
-        import json
         from repro.experiments.scenarios import (
             build_scenario, get_scenario_family, scenario_names,
         )
         from repro.graph.topology import make_topology
 
-        trace = tmp_path / "trace.json"
-        trace.write_text(json.dumps({
-            "num_workers": 4, "latency": 0.001,
-            "segments": [{"start": 0.0, "bandwidth": 1e8}],
-        }))
         for name in scenario_names():
             family = get_scenario_family(name)
             assert "topology" in family.param_names(), (
                 f"family {name!r} does not declare the shared topology axis"
             )
             workers = 6 if name == "multi-cloud" else 4
-            params = {"path": str(trace)} if name == "trace-file" else {}
-            scenario = build_scenario(
-                name, num_workers=workers, seed=1, topology="ring", **params
-            )
+            scenario = build_scenario(name, num_workers=workers, seed=1, topology="ring")
             assert scenario.topology == make_topology("ring", workers), name
             assert all(
                 scenario.topology.degree(i) == 2 for i in range(workers)
@@ -352,32 +317,24 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match=message):
             build_scenario("heterogeneous", 8, seed=0, **params)
 
-    def test_every_family_accepts_the_edge_failure_axis(self, tmp_path):
+    def test_every_family_accepts_the_edge_failure_axis(self):
         """Each family promotes its graph to a DynamicTopology over the
         requested graph when edge_failures > 0, and keeps its link model
         untouched."""
-        import json
         from repro.experiments.scenarios import (
             build_scenario, get_scenario_family, scenario_names,
         )
         from repro.graph.topology import DynamicTopology, make_topology
 
-        trace = tmp_path / "trace.json"
-        trace.write_text(json.dumps({
-            "num_workers": 4, "latency": 0.001,
-            "segments": [{"start": 0.0, "bandwidth": 1e8}],
-        }))
         for name in scenario_names():
             family = get_scenario_family(name)
             assert "edge_failures" in family.param_names(), (
                 f"family {name!r} does not declare the shared edge axis"
             )
             workers = 6 if name == "multi-cloud" else 4
-            params = {"path": str(trace)} if name == "trace-file" else {}
             scenario = build_scenario(
                 name, num_workers=workers, seed=1, topology="ring",
                 edge_failures=2, edge_horizon_s=100.0, edge_downtime_s=10.0,
-                **params,
             )
             assert isinstance(scenario.topology, DynamicTopology)
             np.testing.assert_array_equal(  # the union graph is the ring
@@ -428,35 +385,28 @@ class TestScenarioRegistry:
         result = run_trainer("adpsgd", scenario, workload, config)
         assert len(result.extras["churn_events"]) == 2
 
-    def test_every_family_accepts_the_compression_axis(self, tmp_path):
+    def test_every_family_accepts_the_compression_axis(self):
         """Each family accepts the shared compression axis and attaches the
         op; ``compression="none"`` attaches nothing and leaves the graph
         as it is."""
-        import json
         from repro.experiments.scenarios import (
             build_scenario, get_scenario_family, scenario_names,
         )
         from repro.network.compression import TopK
 
-        trace = tmp_path / "trace.json"
-        trace.write_text(json.dumps({
-            "num_workers": 4, "latency": 0.001,
-            "segments": [{"start": 0.0, "bandwidth": 1e8}],
-        }))
         for name in scenario_names():
             family = get_scenario_family(name)
             assert "compression" in family.param_names(), (
                 f"family {name!r} does not declare the shared compression axis"
             )
             workers = 6 if name == "multi-cloud" else 4
-            params = {"path": str(trace)} if name == "trace-file" else {}
             scenario = build_scenario(
                 name, num_workers=workers, seed=1,
-                compression="topk", compression_param=0.25, **params,
+                compression="topk", compression_param=0.25,
             )
             assert scenario.compression == TopK(k=0.25)
             plain = build_scenario(
-                name, num_workers=workers, seed=1, compression="none", **params
+                name, num_workers=workers, seed=1, compression="none"
             )
             assert plain.compression is None
             assert plain.topology == scenario.topology, name

@@ -384,16 +384,6 @@ class TestScenarioParams:
         assert cached.cells_from_cache == 1
         assert_results_identical(fresh.outcomes[0].result, cached.outcomes[0].result)
 
-    def test_trace_file_without_path_fails_at_spec_time(self):
-        """An unrunnable trace-file cell must die at spec construction (and
-        therefore in --dry-run), not hours into a sweep."""
-        with pytest.raises(ValueError, match="path"):
-            tiny_spec(scenarios=(ScenarioSpec("trace-file", 4),))
-        with pytest.raises(ValueError, match="not found"):
-            tiny_spec(scenarios=(ScenarioSpec(
-                "trace-file", 4, params=(("path", "/no/such/trace.json"),)
-            ),))
-
     def test_churn_scenario_accepts_every_registry_algorithm(self):
         """Every trainer runs churn (the synchronous ones round-based), so a
         churn grid constructs for the whole registry."""

@@ -25,7 +25,7 @@ def trap_scenario():
     poisoned = base.copy()
     poisoned[0, 1] = poisoned[1, 0] = base[0, 1] / 100.0
     links = TraceLinks([(0.0, base), (WARMUP, poisoned)], cluster.latency_matrix())
-    return Scenario("trap", Topology.fully_connected(4), links)
+    return Scenario(Topology.fully_connected(4), links)
 
 
 @pytest.fixture(scope="module")

@@ -164,7 +164,7 @@ class TestConservation:
             num_samples=256, seed=0,
         )
         config = TrainerConfig(max_sim_time=15.0, eval_interval_s=5.0, seed=0)
-        scenario = Scenario(name="isolated", topology=topology, links=links)
+        scenario = Scenario(topology=topology, links=links)
         result = run_trainer("adpsgd", scenario, workload, config)
         assert result.global_steps > 0
         assert np.all(np.isfinite(result.final_params))

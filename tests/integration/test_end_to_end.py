@@ -22,7 +22,7 @@ def severe_scenario():
     bandwidth = cluster.bandwidth_matrix()
     bandwidth[0, 3] = bandwidth[3, 0] = bandwidth[0, 3] / 40.0
     links = TraceLinks([(0.0, bandwidth)], cluster.latency_matrix())
-    return Scenario("severe", Topology.fully_connected(8), links)
+    return Scenario(Topology.fully_connected(8), links)
 
 
 @pytest.fixture(scope="module")

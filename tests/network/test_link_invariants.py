@@ -67,15 +67,15 @@ def _trace_explicit():
     return TraceLinks([(0.0, fast), (30.0, slow), (60.0, fast)], latency)
 
 
-def _trace_json():
-    return TraceLinks.from_json({
-        "num_workers": 3,
-        "latency": 0.002,
-        "segments": [
-            {"start": 0.0, "bandwidth": 1e8},
-            {"start": 10.0, "bandwidth": 5e7},
-        ],
-    })
+def _trace_uniform():
+    """Three workers, every pair at one bandwidth per segment."""
+    fast = np.full((3, 3), 1e8)
+    slow = np.full((3, 3), 5e7)
+    np.fill_diagonal(fast, np.inf)
+    np.fill_diagonal(slow, np.inf)
+    latency = np.full((3, 3), 0.002)
+    np.fill_diagonal(latency, 0.0)
+    return TraceLinks([(0.0, fast), (10.0, slow)], latency)
 
 
 # name -> zero-argument factory; every LinkSpeedModel subclass must appear
@@ -90,7 +90,7 @@ MODEL_FACTORIES = {
     "dynamic-slowdown": _dynamic_slowdown,
     "dynamic-multi-link": _dynamic_multi_link,
     "trace-explicit": _trace_explicit,
-    "trace-json": _trace_json,
+    "trace-uniform": _trace_uniform,
     "trace-diurnal": lambda: diurnal_trace(4, duration_s=120.0, step_s=10.0, seed=7),
     "trace-random-walk": lambda: random_walk_trace(4, duration_s=120.0, step_s=10.0, seed=7),
     "trace-burst": lambda: burst_congestion_trace(

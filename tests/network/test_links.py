@@ -12,6 +12,19 @@ from repro.network.links import (
 )
 
 
+def make_trace(latency, segments, num_workers=3):
+    """A trace with one bandwidth per segment and one latency on every pair,
+    as ``[(start, bandwidth), ...]`` -- the scalar spelling of a trace."""
+    lat = np.full((num_workers, num_workers), latency)
+    np.fill_diagonal(lat, 0.0)
+    matrices = []
+    for start, bandwidth in segments:
+        matrix = np.full((num_workers, num_workers), bandwidth)
+        np.fill_diagonal(matrix, np.inf)
+        matrices.append((start, matrix))
+    return TraceLinks(matrices, lat)
+
+
 def make_static(num_workers=4, bandwidth=100.0, latency=0.001):
     bw = np.full((num_workers, num_workers), bandwidth)
     np.fill_diagonal(bw, np.inf)
@@ -209,55 +222,6 @@ class TestMultiCloudLinks:
             multi_cloud_links(("us-west", "mars"))
 
 
-class TestTraceLoaders:
-    def test_json_missing_segments_rejected(self):
-        import io
-        with pytest.raises(ValueError, match="segments"):
-            TraceLinks.from_json({"num_workers": 2, "latency": 0.0})
-
-    def test_json_scalar_without_num_workers_rejected(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            TraceLinks.from_json({
-                "latency": 0.0,
-                "segments": [{"start": 0.0, "bandwidth": 1e8}],
-            })
-
-    def test_json_file_roundtrip(self, tmp_path):
-        import json
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps({
-            "num_workers": 3, "latency": 0.01,
-            "segments": [{"start": 0.0, "bandwidth": 2e8},
-                         {"start": 10.0, "bandwidth": 4e7}],
-        }))
-        trace = TraceLinks.from_json(str(path))
-        assert trace.bandwidth(0, 2, 5.0) == 2e8
-        assert trace.bandwidth(0, 2, 10.0) == 4e7
-        assert trace.latency(1, 2, 0.0) == 0.01
-
-    def test_csv_time_zero_must_cover_all_pairs(self):
-        import io
-        with pytest.raises(ValueError, match="cover every pair"):
-            TraceLinks.from_csv(io.StringIO("0,0,1,100\n"), num_workers=3)
-
-    def test_csv_must_start_at_zero(self):
-        import io
-        with pytest.raises(ValueError, match="start at time 0"):
-            TraceLinks.from_csv(io.StringIO("5,0,1,100\n"), num_workers=2)
-
-    def test_csv_self_link_rejected(self):
-        import io
-        with pytest.raises(ValueError, match="self-link"):
-            TraceLinks.from_csv(io.StringIO("0,1,1,100\n"), num_workers=2)
-
-    def test_nonpositive_trace_bandwidth_rejected(self):
-        matrix = np.full((2, 2), 100.0)
-        bad = matrix.copy()
-        bad[0, 1] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            TraceLinks([(0.0, matrix), (5.0, bad)], np.zeros((2, 2)))
-
-
 class TestTraceGenerators:
     def test_diurnal_oscillates_within_amplitude(self):
         from repro.network.links import diurnal_trace
@@ -303,15 +267,21 @@ class TestTraceGenerators:
                 saw_burst = True
         assert saw_burst
 
+    def test_nonpositive_trace_bandwidth_rejected(self):
+        matrix = np.full((2, 2), 100.0)
+        bad = matrix.copy()
+        bad[0, 1] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            TraceLinks([(0.0, matrix), (5.0, bad)], np.zeros((2, 2)))
+
     def test_asymmetric_trace_rejected(self):
         asym = np.array([[0.0, 100.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             TraceLinks([(0.0, asym)], np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="symmetric"):
-            TraceLinks.from_json({
-                "num_workers": 2, "latency": 0.0,
-                "segments": [{"start": 0.0, "bandwidth": [[0, 1e2], [1.0, 0]]}],
-            })
+        # Every segment is checked, not only the first.
+        sym = np.array([[np.inf, 1e2], [1e2, np.inf]])
+        with pytest.raises(ValueError, match="t=10.0: bandwidth matrix must be symmetric"):
+            TraceLinks([(0.0, sym), (10.0, asym)], np.zeros((2, 2)))
 
     @pytest.mark.parametrize("latency, segments, message", [
         (float("nan"), [(0.0, 1e8)], "latencies must be finite"),
@@ -326,13 +296,7 @@ class TestTraceGenerators:
         """A NaN or infinite latency used to build and then fail as an event
         delay mid-run; a NaN start passed the strictly-increasing check."""
         with pytest.raises(ValueError, match=message):
-            TraceLinks.from_json({
-                "num_workers": 3, "latency": latency,
-                "segments": [
-                    {"start": start, "bandwidth": bandwidth}
-                    for start, bandwidth in segments
-                ],
-            })
+            make_trace(latency, segments)
 
     def test_one_non_finite_latency_entry_rejected(self):
         """The latency check covers every pair, not just a scalar spelling."""

@@ -12,8 +12,7 @@ from repro.experiments.scenarios import scenario_names
 from repro.experiments.sweeps import RunSpec, ScenarioSpec, SweepSpec, WorkloadSpec
 from repro.graph.topology import TOPOLOGY_KINDS
 
-# trace-file needs a file on disk; its checks are pinned in test_cli.py.
-FAMILIES = tuple(name for name in scenario_names() if name != "trace-file")
+FAMILIES = tuple(scenario_names())
 
 WORKLOAD = WorkloadSpec(num_samples=64)
 RUN = RunSpec(max_sim_time=0.5, eval_interval_s=0.5, eval_max_samples=16)

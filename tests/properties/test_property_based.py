@@ -170,6 +170,9 @@ def _row_objectives(times, indicator, policy):
 class TestClosedFormPolicyLP:
     @given(draw=lp_draws)
     @settings(max_examples=80, deadline=None)
+    # At the oracle's 1e-10 tolerances HiGHS stops on worker 8 with no
+    # verdict; the closed form is feasible here to round-off.
+    @example(draw=("full", 24, 294, 100.0, False, 0.01, 0.125, 0.1328125))
     def test_matches_highs_oracle(self, draw, highs_policy_lp):
         times, indicator, alpha, rho, t_bar = lp_case(*draw)
         m = times.shape[0]

@@ -134,8 +134,6 @@ class TestCommands:
          "expander topology needs at least 4"),
         ("heterogeneous", 4, ["topology=torus"], ["0"], "unknown topology kind 'torus'"),
         ("heterogeneous", 4, ["compression=gzip"], ["0"], "unknown compression op"),
-        ("trace-file", 4, [], ["0"], "needs path="),
-        ("trace-file", 5, ["path={csv}"], ["0"], "describes 3 workers"),
         ("heterogeneous", 8, ["topology=ring", "degree_skew=0.5"], ["0"],
          "parameter 'degree_skew'"),
         ("heterogeneous", 4, ["topology=ring", "edge_events=0-1@2"], ["0"],
@@ -147,7 +145,7 @@ class TestCommands:
          "unknown topology kind 'hypercube'"),
     ])
     def test_unbuildable_scenario_fails_the_dry_run(
-        self, tmp_path, capsys, kind, workers, params, seeds, message
+        self, capsys, kind, workers, params, seeds, message
     ):
         """Any spec that passes --dry-run must run: SweepSpec builds every
         (scenario, seed), so these fail there with one error line."""
@@ -155,9 +153,6 @@ class TestCommands:
 
         from repro.experiments.sweeps import ScenarioSpec, SweepSpec
 
-        csv = tmp_path / "trace.csv"
-        csv.write_text("time,src,dst,bandwidth\n0,0,1,1e8\n0,0,2,1e8\n0,1,2,1e8\n")
-        params = [param.format(csv=csv) for param in params]
         with pytest.raises(ValueError, match=message):
             SweepSpec(
                 algorithms=("adpsgd",), seeds=tuple(map(int, seeds)),
@@ -187,45 +182,21 @@ class TestCommands:
             (["--algorithms", "netmax", "adpsgd", "NetMax"],
              "repeated algorithm(s) ['netmax']"),
             (["--seeds", "0", "1", "0"], "repeated seed(s) [0]"),
-            (["--scenarios", "trace-file", "--scenario-param",
-              "path={nan_latency}"], "latencies must be finite"),
-            (["--scenarios", "trace-file", "--scenario-param",
-              "path={inf_latency}"], "latencies must be finite"),
-            (["--scenarios", "trace-file", "--scenario-param",
-              "path={nan_start}"], "start times must be finite"),
-            (["--scenarios", "trace-file", "--scenario-param",
-              "path={nan_bandwidth}"], "bandwidths must be positive"),
         )
         if not (command == "compare" and flags[0] in ("--max-epochs", "--seeds"))
     ])
     def test_run_settings_that_cannot_run_exit_2(
-        self, tmp_path, capsys, monkeypatch, command, flags, message
+        self, capsys, monkeypatch, command, flags, message
     ):
         """What --dry-run lists must run: these settings used to pass the
         dry run and die in a traceback in every cell (compare reads no
         --max-epochs). A repeated seed or algorithm used to run its cells
-        twice and report the repeat as a second seed with zero spread. A
-        trace with a NaN or infinite latency died as an event delay; a NaN
-        segment start ran; a NaN bandwidth was called asymmetric."""
+        twice and report the repeat as a second seed with zero spread."""
         from repro.experiments.sweeps import SweepCell
 
         monkeypatch.setattr(
             SweepCell, "execute", lambda self: pytest.fail("a cell ran")
         )
-        traces = {}
-        for name, latency, segments in (
-            ("nan_latency", "NaN", '{"start": 0, "bandwidth": 1e8}'),
-            ("inf_latency", "Infinity", '{"start": 0, "bandwidth": 1e8}'),
-            ("nan_start", "0.001", '{"start": 0, "bandwidth": 1e8}, '
-                                   '{"start": NaN, "bandwidth": 2e8}'),
-            ("nan_bandwidth", "0.001", '{"start": 0, "bandwidth": NaN}'),
-        ):
-            traces[name] = tmp_path / f"{name}.json"
-            traces[name].write_text(
-                f'{{"num_workers": 4, "latency": {latency}, '
-                f'"segments": [{segments}]}}'
-            )
-        flags = [flag.format(**traces) for flag in flags]
         if command == "compare":
             flags = ["--scenario" if f == "--scenarios" else f for f in flags]
         argv = [command, "--algorithms", "adpsgd", "--workers", "4",
@@ -742,6 +713,25 @@ class TestSweepService:
         assert line.startswith("error: ") and "lease_timeout_s" in line
         assert not (tmp_path / "q").exists()
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_executor_settings_fail_before_the_note_and_the_dry_run(
+        self, tmp_path, capsys, dry_run
+    ):
+        """Regression: the executor was built after the grid, so a dry run
+        listed cells its real run refused (exit 0, then exit 2), and a real
+        run printed netmax's monitor-period note before its error line."""
+        code = main([
+            "sweep", "--algorithms", "netmax", "--seeds", "0",
+            "--backend", "queue", "--queue-dir", str(tmp_path / "q"),
+            "--lease-timeout-s", "1e300", *dry_run,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "lease_timeout_s" in line
+        assert not (tmp_path / "q").exists()
+
     def test_sweep_status_reports_prepared_queue(self, tmp_path, capsys):
         from repro.experiments.executors import WorkQueue
         from repro.experiments.sweeps import (
@@ -912,14 +902,6 @@ class TestScenarioParamCLI:
         assert f"[{name}]" in out
         for marker in markers:
             assert marker in out
-
-    def test_sweep_trace_file_without_path_fails_dry_run(self, capsys):
-        code = main([
-            "sweep", "--algorithms", "adpsgd", "--seeds", "0",
-            "--scenarios", "trace-file", "--dry-run",
-        ])
-        assert code == 2
-        assert "path" in capsys.readouterr().err
 
     def test_compare_churn_with_synchronous_algorithm_runs(self, capsys):
         """Synchronous trainers run churn round-based now (no carve-out)."""
