@@ -324,6 +324,16 @@ class TestScenarioParams:
         with pytest.raises(ValueError, match="no parameter"):
             ScenarioSpec("trace-diurnal", 4, params=(("warp", 9),))
 
+    def test_no_family_reads_a_file(self):
+        """Every scenario builds from its spec and seed alone: no family takes
+        a path, whose file's bytes a cache key would not cover."""
+        from repro.experiments.scenarios import get_scenario_family, scenario_names
+
+        for kind in scenario_names():
+            assert "path" not in get_scenario_family(kind).param_names()
+        with pytest.raises(ValueError, match="no parameter"):
+            ScenarioSpec("trace-diurnal", 4, params=(("path", "trace.json"),))
+
     @pytest.mark.parametrize("value", [float("nan"), "nan", "inf", float("-inf")])
     def test_non_finite_float_params_fail_at_spec_time(self, value):
         """No builder means anything by NaN or infinity: a NaN rotation

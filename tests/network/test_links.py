@@ -274,6 +274,23 @@ class TestTraceGenerators:
         with pytest.raises(ValueError, match="positive"):
             TraceLinks([(0.0, matrix), (5.0, bad)], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("segments, latency, message", [
+        ([], np.zeros((2, 2)), "at least one trace segment"),
+        ([(5.0, np.full((2, 2), 1e8))], np.zeros((2, 2)), "start at time 0"),
+        ([(0.0, np.full((2, 2), 1e8)), (10.0, np.full((2, 2), 2e8)),
+          (5.0, np.full((2, 2), 3e8))], np.zeros((2, 2)), "strictly increasing"),
+        ([(0.0, np.full((2, 3), 1e8))], np.zeros((2, 3)), "must be square"),
+        ([(0.0, np.full((2, 2), 1e8)), (5.0, np.full((3, 3), 1e8))],
+         np.zeros((2, 2)), "share a shape"),
+        ([(0.0, np.full((2, 2), 1e8))], np.zeros((3, 3)), "latency shape"),
+    ], ids=["no-segments", "late-start", "decreasing-starts", "non-square",
+            "mixed-shapes", "latency-shape"])
+    def test_malformed_trace_rejected(self, segments, latency, message):
+        """A hand-scripted trace (the Fig. 2 example's kind) that cannot be
+        replayed fails at construction, not as a wrong segment at query time."""
+        with pytest.raises(ValueError, match=message):
+            TraceLinks(segments, latency)
+
     def test_asymmetric_trace_rejected(self):
         asym = np.array([[0.0, 100.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):

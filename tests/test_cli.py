@@ -143,6 +143,11 @@ class TestCommands:
          "unknown topology kind 'small-world'"),
         ("multi-cloud", 6, ["topology=hypercube"], ["0"],
          "unknown topology kind 'hypercube'"),
+        ("trace-diurnal", 4, ["latency_s=-0.5"], ["0"],
+         "latencies must be finite and non-negative"),
+        ("trace-burst", 4, ["base_gbps=0"], ["0"], "bandwidth must be positive"),
+        ("trace-random-walk", 4, ["step_s=0"], ["0"],
+         "duration_s and step_s must be positive"),
     ])
     def test_unbuildable_scenario_fails_the_dry_run(
         self, capsys, kind, workers, params, seeds, message
@@ -182,6 +187,14 @@ class TestCommands:
             (["--algorithms", "netmax", "adpsgd", "NetMax"],
              "repeated algorithm(s) ['netmax']"),
             (["--seeds", "0", "1", "0"], "repeated seed(s) [0]"),
+            (["--scenarios", "trace-diurnal", "--scenario-param", "latency_s=nan"],
+             "'latency_s' must be finite"),
+            (["--scenarios", "trace-random-walk", "--scenario-param", "latency_s=inf"],
+             "'latency_s' must be finite"),
+            (["--scenarios", "trace-burst", "--scenario-param", "base_gbps=nan"],
+             "'base_gbps' must be finite"),
+            (["--scenarios", "trace-diurnal", "--scenario-param", "step_s=inf"],
+             "'step_s' must be finite"),
         )
         if not (command == "compare" and flags[0] in ("--max-epochs", "--seeds"))
     ])
@@ -191,7 +204,9 @@ class TestCommands:
         """What --dry-run lists must run: these settings used to pass the
         dry run and die in a traceback in every cell (compare reads no
         --max-epochs). A repeated seed or algorithm used to run its cells
-        twice and report the repeat as a second seed with zero spread."""
+        twice and report the repeat as a second seed with zero spread. A
+        trace family's NaN or infinite latency, bandwidth or step is refused
+        before any cell runs, not as an event delay mid-run."""
         from repro.experiments.sweeps import SweepCell
 
         monkeypatch.setattr(
