@@ -9,7 +9,7 @@ filesystem, so the recorded speedup is hardware-independent and gated
 with zero tolerance in ``baselines.json``.
 
 Claims only -- no cell executes: this isolates the broker data plane
-(scan, rename, unpickle) from simulation throughput, which
+(scan, rename, task parse) from simulation throughput, which
 ``bench_simulator.py`` owns.
 """
 

@@ -74,7 +74,12 @@ import time
 import numpy as np
 
 from repro import experiments
-from repro.experiments import get_scenario_family, paper, render_table
+from repro.experiments import (
+    get_scenario_family,
+    paper,
+    render_table,
+    scenario_names,
+)
 from repro.experiments.executors import (
     MIN_LEASE_TIMEOUT_S,
     QueueExecutor,
@@ -84,7 +89,6 @@ from repro.experiments.executors import (
 )
 from repro.experiments.reporting import format_worker_health
 from repro.experiments.sweeps import (
-    SCENARIO_KINDS,
     RunSpec,
     ScenarioSpec,
     SweepProgress,
@@ -200,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--batch-size", type=int, default=128)
     compare.add_argument("--samples", type=int, default=4096)
     compare.add_argument("--sim-time", type=float, default=300.0)
-    compare.add_argument("--scenario", choices=sorted(SCENARIO_KINDS),
-                         default="heterogeneous",
-                         help="scenario family from the catalog")
+    compare.add_argument("--scenario", default="heterogeneous",
+                         help="scenario family from the catalog: "
+                              f"{', '.join(scenario_names())}")
     compare.add_argument("--scenario-param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one scenario parameter (repeatable)")
@@ -210,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(max_epochs=None)
 
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
-    figure.add_argument("name", choices=sorted({*experiments.PAPER_EXPERIMENTS, "fig3"}))
+    figure.add_argument(
+        "name",
+        help=", ".join(sorted({*experiments.PAPER_EXPERIMENTS, "fig3"})),
+    )
     figure.add_argument("--sim-time", type=float, default=None)
     figure.add_argument("--samples", type=int, default=None)
     figure.add_argument("--seed", type=int, default=None, help="default 0")
@@ -222,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--algorithms", nargs="+", default=["netmax", "adpsgd"])
     sweep.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2, 3])
-    sweep.add_argument("--scenarios", nargs="+", choices=sorted(SCENARIO_KINDS),
-                       default=["heterogeneous"])
+    sweep.add_argument("--scenarios", nargs="+", default=["heterogeneous"],
+                       help="scenario families from the catalog: "
+                            f"{', '.join(scenario_names())}")
     sweep.add_argument("--scenario-param", action="append", default=[],
                        metavar="[FAMILY:]KEY=V1[,V2...]",
                        help="per-cell scenario parameter grid: repeatable; "
@@ -240,10 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process backend: worker processes; without "
                             "--backend, > 1 selects the process backend and "
                             "0/1 the inline one")
-    sweep.add_argument("--backend",
-                       choices=["inline", "process", "queue", "batched"],
-                       default=None,
-                       help="execution backend (default: inline, or process "
+    sweep.add_argument("--backend", default=None,
+                       help="execution backend: inline, process, queue or "
+                            "batched (default: inline, or process "
                             "when --parallel > 1); all backends produce "
                             "bit-identical results (batched advances "
                             "compatible cells in lockstep through one "
@@ -370,7 +377,10 @@ def _run_figure(args: argparse.Namespace) -> int:
         function, reads = experiments.figure3_iteration_time, set()
     else:
         function = functools.partial(experiments.regenerate, args.name)
-        reads = {"seed", "parallel", *experiments.PAPER_EXPERIMENTS[args.name].scale}
+        experiment = experiments.PAPER_EXPERIMENTS.get(args.name)
+        # An unknown id reads every flag, so regenerate's error names it.
+        reads = (set(_FIGURE_FLAGS.values()) if experiment is None
+                 else {"seed", "parallel", *experiment.scale})
     kwargs = {
         keyword: getattr(args, flag)
         for flag, keyword in _FIGURE_FLAGS.items()

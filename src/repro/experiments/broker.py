@@ -7,12 +7,16 @@ the life of a cell is a walk through the directory layout (drawn in
 
 - **enqueue**: the coordinator registers its sweep in ``runs/<run>.json``,
   then writes each missing cell to ``tasks/<key>.r<run>.a1.task`` (temp
-  file + rename, so readers never observe a partial spec);
+  file + rename, so readers never observe a partial spec). A task is one
+  line, the cell's ``describe()`` JSON, whose hash is ``<key>``;
 - **claim**: a worker renames the task into ``leases/`` (same stem,
   ``.lease``); rename succeeds for exactly one claimant, which is the whole
   mutual-exclusion story. A worker claims up to ``lease_batch`` cells per
   directory scan (one rename each, one scan amortized across the batch),
-  never more than it may still execute;
+  never more than it may still execute. The claimant rebuilds the cell
+  from the task's line and recomputes its key: a line that does not parse,
+  or whose key is not the filename's (a task written by another version
+  of the code), fails terminally as an unreadable task spec, unexecuted;
 - **complete**: the worker stores the result through the cache's
   temp+rename write, records timing telemetry in ``meta/<key>.json``, and
   deletes its lease -- in that order, so a cell whose run holds neither a
@@ -29,10 +33,11 @@ the life of a cell is a walk through the directory layout (drawn in
   staleness never compares one host's wall clock against another host's
   mtime (NFS clock skew and coarse mtime granularity cannot spuriously
   reclaim a live lease);
-- **fail**: a cell whose retry budget is exhausted moves to
-  ``failed/<key>.err`` (error text + provenance) where the coordinator
-  surfaces it as a hard error, until a re-run of its sweep clears it
-  (``clear_failures``).
+- **fail** (:meth:`WorkQueue._fail_terminally`, the only writer of
+  ``failed/``): an unreadable task, or a cell whose retry budget is
+  exhausted, leaves ``failed/<key>.err`` (error text + provenance) and
+  drops its lease; the coordinator surfaces the record as a hard error,
+  until a re-run of its sweep clears it (``clear_failures``).
 
 Because results are idempotent (bit-identical regardless of which worker
 executes a cell, enforced by the determinism test suite), the races left
@@ -49,7 +54,8 @@ and their task files can never collide. The run record
 and ``active`` -- the coordinator flips it to ``false`` on exit, which is
 how every worker learns that the sweep is over.
 
-Imports :mod:`repro.experiments.cache` only; the worker loop that drives
+Imports :mod:`repro.experiments.cache` (and, to rebuild a claimed cell,
+:mod:`repro.experiments.sweeps` at call time); the worker loop that drives
 these transitions is :mod:`repro.experiments.worker`, the coordinator is
 :class:`repro.experiments.executors.QueueExecutor`.
 """
@@ -58,7 +64,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import re
 import socket
 import threading
@@ -225,14 +230,31 @@ class ClaimedTask:
     cell: SweepCell
 
 
+def _read_task(name: _TaskName, path: str) -> SweepCell:
+    """The cell a task or lease file holds: its first line is the cell's
+    ``describe()`` JSON (heartbeat bytes follow it). Raises when the line
+    does not rebuild a cell, or rebuilds one whose key is not the
+    filename's -- a task written by other code or for another cell."""
+    from repro.experiments.sweeps import SweepCell  # import cycle guard
+
+    with open(path, "rb") as handle:
+        cell = SweepCell.from_describe(json.loads(handle.readline()))
+    if cell.cache_key() != name.key:
+        raise ValueError(
+            f"task {name.key} holds the cell of key {cell.cache_key()}"
+        )
+    return cell
+
+
 class WorkQueue:
     """Rename-based file work broker over a shared directory.
 
     Layout under ``queue_dir`` (see docs/distributed_sweeps.md)::
 
-        tasks/       claimable cells:   <key>.r<run>.a<n>.task
-        leases/      in-flight cells:   same stem, .lease (task bytes plus
-                     one appended heartbeat byte per beat)
+        tasks/       claimable cells:   <key>.r<run>.a<n>.task, one line:
+                     the cell's describe() JSON, which hashes to <key>
+        leases/      in-flight cells:   same stem, .lease (the task's line
+                     plus one appended heartbeat byte per beat)
         failed/      exhausted cells:   <key>.err               (JSON)
         meta/        per-cell telemetry <key>.json              (JSON)
         runs/        one record per coordinator sweep: <run_id>.json with
@@ -240,11 +262,14 @@ class WorkQueue:
                      results directory, lease batch), ``active`` and the
                      coordinator's ``beats``
         registry/    worker health records: <worker_id>.json
-        results/     default ResultCache directory (sha256-keyed pickles)
+        results/     default ResultCache directory (one file per key)
 
     Every transition is a single atomic rename, so any number of workers on
     any number of hosts (sharing the directory, e.g. over NFS) coordinate
-    without locks: exactly one claimant wins each task file.
+    without locks: exactly one claimant wins each task file. A worker checks
+    each claimed task against its key, so tasks left by an older version of
+    the code (another task format or ``CACHE_VERSION``) fail as unreadable:
+    drain or clear a queue directory before upgrading the hosts that use it.
     """
 
     def __init__(self, queue_dir: str):
@@ -451,9 +476,10 @@ class WorkQueue:
         elif key in self.present_keys(run):
             return False
         name = _TaskName(key=key, attempt=attempt, run=run)
+        line = json.dumps(cell.describe(), sort_keys=True) + "\n"
         _atomic_write(
-            self.queue_dir, self._task_path(name), "wb",
-            lambda handle: pickle.dump(cell, handle),
+            self.queue_dir, self._task_path(name), "w",
+            lambda handle: handle.write(line),
         )
         if present is not None:
             present.add(key)
@@ -537,17 +563,16 @@ class WorkQueue:
             except FileNotFoundError:
                 continue  # somebody else won this one
             try:
-                with open(lease_path, "rb") as handle:
-                    cell = pickle.load(handle)
+                cell = _read_task(name, lease_path)
             except Exception as error:
-                # Unpickling foreign bytes can raise nearly anything
-                # (torn write, version-skewed worker). An unreadable task
-                # spec can never execute: fail it terminally rather than
-                # letting it crash worker after worker.
-                self._record_failure(
-                    name, f"unreadable task spec: {error!r}", cell_label=None
+                # Rebuilding a cell from foreign bytes runs the spec
+                # constructors' checks, which raise nearly anything. An
+                # unreadable task spec can never execute: fail it
+                # terminally rather than letting it crash worker after
+                # worker.
+                self._fail_terminally(
+                    name, lease_path, f"unreadable task spec: {error!r}", None
                 )
-                os.unlink(lease_path)
                 continue
             claims.append(ClaimedTask(name=name, lease_path=lease_path, cell=cell))
         return claims
@@ -598,13 +623,18 @@ class WorkQueue:
         if claim.name.attempt < max_attempts:
             self._return_lease(claim.name, claim.lease_path)
             return True
-        self._record_failure(claim.name, error_text, claim.cell.label())
-        self._drop_lease(claim.lease_path)
+        self._fail_terminally(
+            claim.name, claim.lease_path, error_text, claim.cell.label()
+        )
         return False
 
-    def _record_failure(
-        self, name: _TaskName, error_text: str, cell_label: str | None
+    def _fail_terminally(
+        self, name: _TaskName, lease_path: str, error_text: str,
+        cell_label: str | None,
     ) -> None:
+        """The one terminal transition: record ``failed/<key>.err``, then
+        drop the lease. ``cell_label`` is ``None`` when the task did not
+        rebuild a cell."""
         self._atomic_write_json(
             os.path.join(self.failed_dir, f"{name.key}.err"),
             {
@@ -615,6 +645,7 @@ class WorkQueue:
                 "worker": _worker_id(),
             },
         )
+        self._drop_lease(lease_path)
 
     def clear_failures(self, keys: Iterable[str]) -> None:
         """Delete the terminal failure records of ``keys``: a re-run of a
@@ -673,23 +704,20 @@ class WorkQueue:
                 continue
             if name.attempt >= attempt_budget:
                 try:
-                    with open(lease_path, "rb") as handle:
-                        label = pickle.load(handle).label()
-                # repro-lint: allow[RPL040] -- unpickling foreign bytes can
-                # raise nearly anything (torn write, version-skewed worker)
-                # and the file can vanish mid-read; nothing is swallowed:
-                # the terminal-failure record written just below still
-                # identifies the cell by key
+                    label = _read_task(name, lease_path).label()
+                # repro-lint: allow[RPL040] -- rebuilding a cell from foreign
+                # bytes can raise nearly anything and the file can vanish
+                # mid-read; nothing is swallowed: the terminal-failure
+                # record written just below still identifies the cell by key
                 except Exception:
                     label = None
-                self._record_failure(
-                    name,
+                self._fail_terminally(
+                    name, lease_path,
                     f"worker heartbeat frozen for {stale_for:.1f}s on final "
                     f"attempt {name.attempt}/{attempt_budget} "
                     "(worker presumed dead)",
                     label,
                 )
-                self._drop_lease(lease_path)
             elif not self._return_lease(name, lease_path):
                 continue  # another reclaimer (or the worker itself) won
             self._lease_watch.forget(stem)

@@ -576,4 +576,7 @@ def make_executor(
             **{name: value for name, value in settings.items()
                if value is not None},
         )
-    raise ValueError(f"unknown sweep backend {backend!r}")
+    raise ValueError(
+        f"unknown sweep backend {backend!r}; valid: "
+        "['batched', 'inline', 'process', 'queue']"
+    )

@@ -109,8 +109,14 @@ def regenerate(
     not declare is a ``TypeError``); ``parallel`` and ``cache_dir`` are
     :func:`~repro.experiments.sweeps.run_sweep`'s. Everything that can be
     wrong with the request -- an unbuildable spec, a missing required
-    algorithm -- raises ``ValueError`` before any cell runs.
+    algorithm, an unknown ``experiment_id`` -- raises ``ValueError``
+    before any cell runs.
     """
+    if experiment_id not in PAPER_EXPERIMENTS:
+        raise ValueError(
+            f"unknown experiment {experiment_id!r}; valid: "
+            f"{sorted(PAPER_EXPERIMENTS)}"
+        )
     experiment = PAPER_EXPERIMENTS[experiment_id]
     unknown = sorted(set(scale) - set(experiment.scale))
     if unknown:

@@ -6,7 +6,8 @@ module provides the scale-out layer, and every figure and table of the
 paper (:mod:`repro.experiments.paper`) is declared in its spec types:
 
 - :class:`SweepSpec` describes a grid declaratively (plain strings and
-  numbers, so every cell is hashable and picklable);
+  numbers, so every cell is hashable and its :meth:`SweepCell.describe`
+  JSON rebuilds it exactly);
 - :func:`run_sweep` executes the grid through a pluggable
   :class:`~repro.experiments.executors.SweepExecutor` backend -- inline,
   local process pool, or the multi-host file-queue broker -- with
@@ -52,7 +53,6 @@ from repro.experiments.scenarios import (
     check_partition,
     get_scenario_family,
     make_workload,
-    scenario_names,
 )
 from repro.ml.optim import ConstantLR, LRSchedule, PlateauDecayLR, StepDecayLR
 from repro.network.costmodel import MODEL_ZOO
@@ -60,7 +60,6 @@ from repro.simulation.records import TrainingResult
 
 __all__ = [
     "CACHE_VERSION",
-    "SCENARIO_KINDS",
     "ScenarioSpec",
     "WorkloadSpec",
     "RunSpec",
@@ -94,11 +93,6 @@ __all__ = [
 # link times now share their mass equally and the fast-link tie-break is
 # exact, so netmax/adpsgd-monitor policies can differ from v5's.
 CACHE_VERSION = 6
-
-
-# The scenario catalog's family names (repro.experiments.scenarios), for CLI
-# choices.
-SCENARIO_KINDS = tuple(scenario_names())
 
 
 # -- declarative grid specs ----------------------------------------------------
@@ -256,6 +250,16 @@ class RunSpec:
         )
 
 
+def _tuples(value):
+    """``value`` read back from JSON with every list turned into the tuple
+    it was written from (dicts are walked)."""
+    if isinstance(value, list):
+        return tuple(_tuples(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _tuples(item) for key, item in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class SweepCell:
     """One point of the grid; executing it is a pure function of this spec."""
@@ -268,7 +272,8 @@ class SweepCell:
     trainer_kwargs: tuple[tuple[str, object], ...] = ()
 
     def describe(self) -> dict:
-        """Canonical JSON-able description (the cache-key payload)."""
+        """The cell's one serialized form: the cache-key payload, and (as a
+        JSON line) the queue's task file. :meth:`from_describe` inverts it."""
         return {
             "cache_version": CACHE_VERSION,
             "algorithm": self.algorithm,
@@ -297,8 +302,28 @@ class SweepCell:
             "trainer_kwargs": [[k, v] for k, v in self.trainer_kwargs],
         }
 
+    @classmethod
+    def from_describe(cls, description: dict) -> SweepCell:
+        """The cell whose :meth:`describe` is ``description`` (as read back
+        from JSON: lists stand for tuples). A description written under
+        another ``CACHE_VERSION`` raises ``ValueError``: its numerics are not
+        this version's."""
+        version = description["cache_version"]
+        if version != CACHE_VERSION:
+            raise ValueError(
+                f"cell of cache_version {version!r}, not {CACHE_VERSION}"
+            )
+        return cls(
+            algorithm=description["algorithm"],
+            seed=description["seed"],
+            scenario=ScenarioSpec(**_tuples(description["scenario"])),
+            workload=WorkloadSpec(**_tuples(description["workload"])),
+            run=RunSpec(**_tuples(description["run"])),
+            trainer_kwargs=_tuples(description["trainer_kwargs"]),
+        )
+
     def cache_key(self) -> str:
-        payload = json.dumps(self.describe(), sort_keys=True, default=str)
+        payload = json.dumps(self.describe(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def label(self) -> str:
@@ -399,6 +424,19 @@ class SweepSpec:
                         f"scenario {scenario.label()} does not build at seed "
                         f"{seed}: {error}"
                     ) from error
+        # A cell travels as its describe() JSON (cache key, queue task): a
+        # value JSON cannot carry exactly would give the cell a second key
+        # or a task that rebuilds another cell.
+        for cell in self.cells():
+            try:
+                text = json.dumps(cell.describe(), sort_keys=True)
+            except TypeError as error:
+                raise ValueError(f"cell {cell.label()}: {error}") from error
+            if SweepCell.from_describe(json.loads(text)) != cell:
+                raise ValueError(
+                    f"cell {cell.label()} holds a value its JSON form does "
+                    "not carry exactly"
+                )
 
     def cells(self) -> list[SweepCell]:
         """The full grid in deterministic (scenario, algorithm, seed) order."""

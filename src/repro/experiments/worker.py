@@ -139,7 +139,7 @@ def _append_heartbeat_byte(path: str) -> bool:
     Opened without ``O_CREAT`` on purpose: completion or a reclaimer may
     remove the lease at any moment, and an ``open(path, "ab")`` racing
     that removal would silently *recreate* it as a ghost lease holding
-    nothing but heartbeat bytes -- unpicklable, so once reclaimed and
+    nothing but heartbeat bytes -- no cell line, so once reclaimed and
     re-claimed it would be recorded as a bogus terminal failure for a
     cell that actually completed. Without ``O_CREAT`` the open itself
     fails once the file is gone, closing the check-then-append race at
@@ -166,9 +166,10 @@ class _LeaseHeartbeat:
     Appending (rather than touching mtime) keeps the liveness signal
     inside the file where every observer reads the same value -- there is
     no cross-host clock or mtime-granularity dependence. The appended
-    bytes are invisible to consumers: ``pickle.load`` stops at its STOP
-    opcode and never reads the tail, so a reclaimed lease re-pickles
-    cleanly after its rename back into ``tasks/``.
+    bytes are invisible to consumers: a task is the cell's JSON line and
+    its reader takes that first line only (then checks the cell against
+    the key in the filename), so a reclaimed lease parses cleanly after
+    its rename back into ``tasks/``.
 
     One thread serves a whole :func:`run_queue_worker` call: :meth:`hold`
     hands it a claimed batch's lease paths and beat interval, and

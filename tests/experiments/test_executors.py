@@ -6,6 +6,8 @@ stale-lease reclaim (simulated *and* via a real SIGKILLed worker), retry
 exhaustion surfacing a clear error, and corrupt-result quarantine.
 """
 
+import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -603,6 +605,46 @@ class TestWorkQueuePrimitives:
         assert summary.executed == 0
         failure = queue.read_failure("deadbeef" * 8)
         assert "unreadable task spec" in failure["error"]
+        assert queue.pending_tasks() == [] and queue.active_leases() == []
+
+    @pytest.mark.parametrize("forgery", [
+        "another-cells-key", "cache-version-5", "cache-version-5-current-key",
+    ])
+    def test_a_task_that_is_not_its_key_fails_terminally(self, tmp_path, forgery):
+        """A task runs only as the cell its filename names. Cell A's task
+        renamed to cell B's key (what a host running other code writes), or
+        a cell written under another CACHE_VERSION, fails terminally naming
+        the mismatch: nothing executes, no result is stored under any key."""
+        cell_a, cell_b = tiny_spec(algorithms=("adpsgd",), seeds=(0, 1)).cells()
+        queue = WorkQueue(str(tmp_path / "queue"))
+        queue.write_config(
+            cache_dir=queue.default_results_dir(),
+            max_attempts=3, lease_timeout_s=30.0, run_id="test-run",
+        )
+        key_a = cell_a.cache_key()
+        if forgery == "another-cells-key":
+            assert queue.enqueue(cell_a, run="test-run")
+            key, mismatch = cell_b.cache_key(), key_a
+            (entry,) = os.listdir(queue.tasks_dir)
+            os.rename(os.path.join(queue.tasks_dir, entry),
+                      os.path.join(queue.tasks_dir, entry.replace(key_a, key)))
+        else:
+            line = json.dumps(dict(cell_a.describe(), cache_version=5),
+                              sort_keys=True)
+            key = (hashlib.sha256(line.encode()).hexdigest()
+                   if forgery == "cache-version-5" else key_a)
+            mismatch = "cache_version 5"
+            path = os.path.join(queue.tasks_dir, f"{key}.rtest-run.a1.task")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(line + "\n")
+        summary = run_queue_worker(
+            str(tmp_path / "queue"), poll_interval_s=0.02, drain_timeout_s=0.2
+        )
+        assert summary.executed == 0
+        failure = queue.read_failure(key)
+        assert "unreadable task spec" in failure["error"]
+        assert mismatch in failure["error"]
+        assert len(ResultCache(queue.default_results_dir())) == 0
         assert queue.pending_tasks() == [] and queue.active_leases() == []
 
     def test_worker_skips_already_completed_cells(self, tmp_path):

@@ -122,9 +122,9 @@ class TestCounterStaleness:
         (task,) = queue.pending_tasks()
         assert task.attempt == 2
 
-    def test_reclaimed_lease_with_heartbeat_tail_still_unpickles(self, tmp_path):
+    def test_reclaimed_lease_with_heartbeat_tail_still_parses(self, tmp_path):
         """Heartbeat bytes appended to the lease must be invisible to the
-        next claimant: pickle stops at its STOP opcode."""
+        next claimant: it reads the task's first line, the cell's JSON."""
         queue, claim = single_cell_claim(tmp_path)
         with open(claim.lease_path, "ab") as handle:
             handle.write(b"\0" * 17)

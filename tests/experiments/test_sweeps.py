@@ -491,7 +491,7 @@ class TestScenarioParams:
         for stale_version in (1, 2, 3, 4, 5):
             stale_payload = dict(payload, cache_version=stale_version)
             stale_key = hashlib.sha256(
-                json.dumps(stale_payload, sort_keys=True, default=str).encode()
+                json.dumps(stale_payload, sort_keys=True).encode()
             ).hexdigest()
             assert stale_key != cell.cache_key()
 

@@ -43,6 +43,18 @@ def test_unparseable_command_fails(tmp_path, capsys):
     assert "does not parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "sweep --scenarios no-such-family --seeds 0",
+    "compare --scenario no-such-family",
+    "sweep --backend no-such-backend",
+], ids=["sweep-scenario", "compare-scenario", "backend"])
+def test_unknown_registry_name_fails(command, tmp_path, capsys):
+    """argparse checks no registry name, so the gate looks each one up."""
+    (tmp_path / "bad.md").write_text(f"```sh\npython -m repro {command}\n```\n")
+    assert run_check(tmp_path) == 1
+    assert "no-such-" in capsys.readouterr().err
+
+
 def test_bad_dry_run_grid_fails(tmp_path, capsys):
     doc = tmp_path / "bad.md"
     doc.write_text(

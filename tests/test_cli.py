@@ -10,10 +10,16 @@ from repro.cli import build_parser, main
 
 
 def figure_names():
-    """The names ``repro figure`` accepts."""
-    figure = build_parser()._subparsers._group_actions[0].choices["figure"]
-    (names,) = [action.choices for action in figure._actions if action.dest == "name"]
-    return set(names)
+    """The names ``repro figure`` accepts: the registry, plus the analytic
+    Fig. 3."""
+    return {*experiments.PAPER_EXPERIMENTS, "fig3"}
+
+
+def one_error_line(capsys) -> str:
+    """The one stderr line a rejected command printed."""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    return line
 
 
 class TestParser:
@@ -26,9 +32,10 @@ class TestParser:
         assert args.algorithms == ["netmax", "adpsgd"]
         assert args.workers == 8
 
-    def test_figure_name_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig99"])
+    def test_figure_name_validated(self, capsys):
+        assert main(["figure", "fig99"]) == 2
+        line = one_error_line(capsys)
+        assert "'fig99'" in line and "fig5" in line
 
     def test_every_paper_artifact_registered(self):
         expected = {f"fig{n}" for n in (3, 5, 6, 7, 8, 9, 10, 11, 12, 13,
@@ -52,17 +59,23 @@ class TestParser:
         assert args.num_queue_workers is None
         assert args.json_summary is None
 
-    def test_sweep_backend_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--backend", "slurm"])
+    def test_sweep_backend_validated(self, capsys):
+        assert main(["sweep", "--backend", "slurm", "--dry-run"]) == 2
+        line = one_error_line(capsys)
+        assert "'slurm'" in line and "queue" in line
 
     def test_sweep_worker_requires_queue_dir(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep-worker"])
 
-    def test_sweep_scenario_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--scenarios", "mesh"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--scenarios", "mesh", "--dry-run"],
+        ["compare", "--scenario", "mesh"],
+    ], ids=["sweep", "compare"])
+    def test_sweep_scenario_validated(self, argv, capsys):
+        assert main(argv) == 2
+        line = one_error_line(capsys)
+        assert "'mesh'" in line and "heterogeneous" in line
 
 
 class TestCommands:

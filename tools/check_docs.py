@@ -5,9 +5,11 @@ Two checks over every markdown file in the docs directory:
 
 1. **CLI commands parse.** Each ``python -m repro ...`` (or bare
    ``repro ...``) command inside a fenced code block is fed to the real
-   ``repro.cli.build_parser()``. A renamed flag, removed subcommand, or
-   stale scenario/figure name fails the build instead of rotting on the
-   page. Commands that carry ``--dry-run`` are additionally *executed*
+   ``repro.cli.build_parser()``, and the names argparse leaves to the
+   registries (figure id, scenario families, sweep backend) are looked up
+   there. A renamed flag, removed subcommand, or stale scenario/figure/
+   backend name fails the build instead of rotting on the page.
+   Commands that carry ``--dry-run`` are additionally *executed*
    through ``repro.cli.main`` (dry runs stop at spec validation, so this
    is cheap) and must exit 0 -- which also validates their
    ``--scenario-param`` grids at spec time.
@@ -107,6 +109,21 @@ def iter_doc_commands(text: str):
                 yield command.strip(), argv
 
 
+def check_names(args: argparse.Namespace) -> None:
+    """Raise ``ValueError`` for a name the parser leaves to the registries:
+    a figure id, scenario family or sweep backend that does not exist."""
+    from repro.experiments import PAPER_EXPERIMENTS, get_scenario_family
+    from repro.experiments.executors import make_executor
+
+    if args.command == "figure" and args.name not in {*PAPER_EXPERIMENTS, "fig3"}:
+        raise ValueError(f"unknown figure {args.name!r}")
+    for kind in getattr(args, "scenarios", None) or [getattr(args, "scenario", None)]:
+        if kind is not None:
+            get_scenario_family(kind)
+    if getattr(args, "backend", None) is not None:
+        make_executor(args.backend, queue_dir=args.queue_dir)
+
+
 def check_commands(doc: Path, errors: list[str]) -> int:
     """Parse (and dry-run where marked) every CLI example in one doc."""
     from repro.cli import build_parser, main
@@ -116,9 +133,12 @@ def check_commands(doc: Path, errors: list[str]) -> int:
     for command, argv in iter_doc_commands(doc.read_text()):
         checked += 1
         try:
-            parser.parse_args(argv)
+            check_names(parser.parse_args(argv))
         except SystemExit:
             errors.append(f"{doc}: does not parse: {command}")
+            continue
+        except ValueError as error:
+            errors.append(f"{doc}: does not parse: {command} ({error})")
             continue
         if "--dry-run" in argv:
             import contextlib
