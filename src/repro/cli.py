@@ -91,10 +91,11 @@ from repro.experiments.reporting import format_worker_health
 from repro.experiments.sweeps import (
     RunSpec,
     ScenarioSpec,
-    SweepProgress,
+    SweepResult,
     SweepSpec,
     WorkloadSpec,
     aggregate_sweep,
+    monitor_period,
     run_sweep,
 )
 from repro.core.policy import PolicyGenerationError, generate_policy
@@ -417,61 +418,26 @@ def _write_json_summary(path: str | None, payload: dict) -> None:
 def _make_stream(args: argparse.Namespace):
     """Incremental progress hook for ``repro sweep``.
 
-    Every snapshot refreshes ``--json-summary`` (same keys as the final
-    summary plus ``"in_progress": true``, so file-watching orchestration
-    can distinguish a mid-drain summary from the finished one -- the final
-    write drops the marker). With ``--stream-interval-s > 0`` the
-    aggregate table also re-renders to stderr, rate-limited, as cells
-    land. The final snapshot of a sweep is bit-identical to the batch
-    aggregation (it is built from the same outcomes), so streaming never
-    changes what the run prints at the end.
+    Every streamed snapshot refreshes ``--json-summary`` with its
+    :meth:`~repro.experiments.sweeps.SweepResult.summary` (which carries
+    ``"in_progress": true``, so file-watching orchestration can tell a
+    mid-drain summary from the finished one, written by the caller). With
+    ``--stream-interval-s > 0`` the aggregate table also re-renders to
+    stderr, rate-limited, as cells land.
     """
-    start = time.monotonic()
-    last_render = start
+    last_render = time.monotonic()
 
-    def stream(progress: SweepProgress) -> None:
+    def stream(snapshot: SweepResult) -> None:
         nonlocal last_render
-        if not progress.done:
-            executed = sum(
-                1 for outcome in progress.outcomes if not outcome.from_cache
-            )
-            _write_json_summary(args.json_summary, {
-                "cells": progress.total,
-                "executed": executed,
-                "cached": progress.completed - executed,
-                "backend": progress.backend,
-                "wall_s": round(time.monotonic() - start, 3),
-                "in_progress": True,
-            })
-        if args.stream_interval_s > 0 and not progress.done:
-            now = time.monotonic()
-            if now - last_render >= args.stream_interval_s:
-                last_render = now
-                print(progress.aggregate().render(), file=sys.stderr)
+        if snapshot.done:
+            return
+        _write_json_summary(args.json_summary, snapshot.summary())
+        now = time.monotonic()
+        if args.stream_interval_s > 0 and now - last_render >= args.stream_interval_s:
+            last_render = now
+            print(aggregate_sweep(snapshot).render(), file=sys.stderr)
 
     return stream
-
-
-def _sweep_monitor_period(algorithms, sim_time):
-    """``(monitored, period)``: the swept algorithms that run a Network
-    Monitor and the ``monitor_period_s`` the sweep gives them -- a quarter of
-    a horizon under four of the monitor's default periods, else nobody.
-
-    A policy staged by a tick is adopted at each worker's next iteration, so
-    a cell whose only tick lands on the horizon (``--sim-time 60`` against
-    the 60 s default) would report NetMax on its uniform fallback.
-    """
-    from repro.algorithms.netmax import NetMaxTrainer
-    from repro.algorithms.registry import TRAINER_REGISTRY
-
-    default = inspect.signature(NetMaxTrainer).parameters["monitor_period_s"].default
-    if sim_time >= 4 * default:
-        return [], default
-    monitored = [
-        name for name in algorithms
-        if issubclass(TRAINER_REGISTRY[name.lower()], NetMaxTrainer)
-    ]
-    return monitored, sim_time / 4
 
 
 def _sweep_spec(
@@ -479,17 +445,12 @@ def _sweep_spec(
 ) -> SweepSpec:
     """The grid ``compare`` and ``sweep`` run, from the flags they share.
 
-    Raises ``ValueError`` for anything that cannot run -- an unknown
-    algorithm first, before a cell executes or ``--dry-run`` lists one.
-    Prints the monitor-period note once the spec has built (see
-    :func:`_sweep_monitor_period`).
+    Raises ``ValueError`` for anything that cannot run, before a cell
+    executes or ``--dry-run`` lists one. Prints the monitor-period note
+    once the spec has built (see
+    :func:`~repro.experiments.sweeps.monitor_period`).
     """
-    from repro.algorithms.registry import trainer_names
-
-    unknown = [a for a in args.algorithms if a.lower() not in trainer_names()]
-    if unknown:
-        raise ValueError(f"unknown algorithm(s) {unknown}; valid: {trainer_names()}")
-    monitored, period = _sweep_monitor_period(args.algorithms, args.sim_time)
+    monitored, period = monitor_period(args.algorithms, args.sim_time)
     spec = SweepSpec(
         algorithms=tuple(args.algorithms),
         seeds=tuple(seeds),
@@ -519,23 +480,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
     backend = args.backend
     if backend is None:
         backend = "process" if (args.parallel or 0) > 1 else "inline"
-    unread = [
-        "--" + flag.replace("_", "-")
-        for flag, reader in _BACKEND_FLAGS.items()
-        if getattr(args, flag) is not None and reader != backend
-        # Without --backend, --parallel is read: it picks the backend.
-        and not (flag == "parallel" and args.backend is None)
-    ]
-    if unread:
-        print(f"error: --backend {backend} does not read {', '.join(unread)}",
-              file=sys.stderr)
-        return 2
     if backend == "queue" and args.queue_dir is None:
         print("error: --backend queue requires --queue-dir", file=sys.stderr)
         return 2
     try:
         # Before the spec, so a dry run checks the executor settings too and
-        # an unrunnable setting prints its error line without the note.
+        # an unrunnable setting prints its error line without the note;
+        # before the unread flags, so an unknown backend is named as such.
         executor = make_executor(
             backend,
             parallel=args.parallel or 0,
@@ -546,6 +497,15 @@ def _run_sweep(args: argparse.Namespace) -> int:
             progress=lambda message: print(message, file=sys.stderr),
             lease_batch=args.lease_batch,
         )
+        unread = [
+            "--" + flag.replace("_", "-")
+            for flag, reader in _BACKEND_FLAGS.items()
+            if getattr(args, flag) is not None and reader != backend
+            # Without --backend, --parallel is read: it picks the backend.
+            and not (flag == "parallel" and args.backend is None)
+        ]
+        if unread:
+            raise ValueError(f"--backend {backend} does not read {', '.join(unread)}")
         spec = _sweep_spec(args, seeds=args.seeds, kinds=args.scenarios)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -558,10 +518,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
              for c in cells],
             title=f"sweep grid: {len(cells)} cell(s) (dry run)",
         ))
-        _write_json_summary(args.json_summary, {
-            "cells": len(cells), "executed": 0, "cached": 0,
-            "backend": "dry-run", "wall_s": 0.0,
-        })
+        _write_json_summary(args.json_summary,
+                            SweepResult(spec, [], backend="dry-run").summary())
         return 0
     stream = _make_stream(args) if (args.json_summary is not None
                                     or args.stream_interval_s > 0) else None

@@ -18,7 +18,9 @@ strategy so the same declarative grid can run
 All four are interchangeable: cells are deterministically seeded from
 their own spec and results land in the sha256-keyed
 :class:`~repro.experiments.cache.ResultCache`, so ``batched == queue ==
-process == inline`` bit-for-bit.
+process == inline`` bit-for-bit. Each hands every finished cell back as
+the :class:`CellOutcome` the sweep keeps, through the one callback
+``landed(index, outcome)``.
 
 The sweep service is four modules, imported strictly in this direction:
 :mod:`~repro.experiments.cache` (result storage, the atomic write) <-
@@ -65,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweeps -> executors)
 __all__ = [
     "MIN_LEASE_TIMEOUT_S",
     "BatchedExecutor",
-    "CellExecution",
+    "CellOutcome",
     "InlineExecutor",
     "ProcessExecutor",
     "QueueExecutor",
@@ -102,16 +104,23 @@ def _in_turn_or_pool(fn: Callable, items: Sequence, parallel: int) -> Iterator:
 
 
 @dataclass
-class CellExecution:
-    """Telemetry for one freshly executed cell."""
+class CellOutcome:
+    """One finished cell: executed by a backend, or loaded from the cache.
 
+    ``runtime_s`` is the wall clock its execution took (0.0 when loaded,
+    NaN when a queue worker left no telemetry); ``attempts`` counts queue
+    tries; ``worker`` names the process that executed it.
+    """
+
+    cell: SweepCell
     result: TrainingResult
+    from_cache: bool
     runtime_s: float
     attempts: int = 1
     worker: str | None = None
 
 
-def _execute_one(cell: SweepCell, cache_dir: str | None) -> CellExecution:
+def _execute_one(cell: SweepCell, cache_dir: str | None) -> CellOutcome:
     """Execute a cell and persist it immediately.
 
     The cache write happens here, per finished cell, so a sweep that dies
@@ -122,12 +131,12 @@ def _execute_one(cell: SweepCell, cache_dir: str | None) -> CellExecution:
     runtime = time.perf_counter() - start
     if cache_dir is not None:
         ResultCache(cache_dir).store(cell.cache_key(), result)
-    return CellExecution(result=result, runtime_s=runtime, worker=_worker_id())
+    return CellOutcome(cell, result, False, runtime, worker=_worker_id())
 
 
 #: The one path a finished cell takes out of :meth:`SweepExecutor.run`:
-#: ``landed(index, execution)``.
-Landed = Callable[[int, CellExecution], None]
+#: ``landed(index, outcome)``.
+Landed = Callable[[int, CellOutcome], None]
 
 
 def _execute_cells(
@@ -142,15 +151,15 @@ def _execute_cells(
     (:func:`_in_turn_or_pool`) -- handing each to ``landed`` as it lands."""
     # A partial of a top-level function pickles, as the pool needs.
     execute = partial(_execute_one, cache_dir=cache_dir)
-    for index, execution in zip(indexes, _in_turn_or_pool(
+    for index, outcome in zip(indexes, _in_turn_or_pool(
             execute, [cells[index] for index in indexes], parallel)):
-        landed(index, execution)
+        landed(index, outcome)
 
 
 class SweepExecutor(abc.ABC):
     """Strategy for executing the cells a sweep could not serve from cache.
 
-    :meth:`run` calls ``landed(index, execution)`` exactly once per input
+    :meth:`run` calls ``landed(index, outcome)`` exactly once per input
     cell, from the coordinating process, as that cell finishes, and writes
     finished results into ``cache_dir`` (when given) as they complete, so
     interrupted sweeps resume.
@@ -302,8 +311,8 @@ class BatchedExecutor(SweepExecutor):
             for index, result in zip(batch, results):
                 if cache is not None:
                     cache.store(cells[index].cache_key(), result)
-                landed(index, CellExecution(
-                    result=result, runtime_s=share, worker=_worker_id()
+                landed(index, CellOutcome(
+                    cells[index], result, False, share, worker=_worker_id()
                 ))
         _execute_cells(cells, cache_dir, singles, landed)
 
@@ -480,18 +489,18 @@ class QueueExecutor(SweepExecutor):
                     unreadable.append(key)
                     continue
                 meta = queue.read_meta(key) or {}
-                execution = CellExecution(
-                    result=result,
+                outcome = CellOutcome(
+                    cell_of[key], result, False,
                     # No telemetry record (worker died between result and
                     # meta writes) must read as "unmeasured" -- a
                     # fabricated 0.0 would deflate the cell_time columns;
                     # NaN is filtered out.
-                    runtime_s=float(meta.get("runtime_s", float("nan"))),
+                    float(meta.get("runtime_s", float("nan"))),
                     attempts=int(meta.get("attempt", 1)),
                     worker=meta.get("worker"),
                 )
                 for index in waiting.pop(key):
-                    landed(index, execution)
+                    landed(index, outcome)
             unreadable_rounds.update(unreadable)
             exhausted = [key for key in unreadable
                          if unreadable_rounds[key] >= self.max_attempts]

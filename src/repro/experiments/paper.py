@@ -42,6 +42,7 @@ from repro.experiments.sweeps import (
     SweepSpec,
     WorkloadSpec,
     aggregate_sweep,
+    monitor_period,
     run_sweep,
 )
 from repro.network.cluster import ClusterSpec
@@ -286,7 +287,11 @@ def _dynamics_grids(
     seed, *, algorithms, scenarios, max_sim_time, num_samples
 ) -> Panels:
     """The single two-seed panel of a beyond-paper figure: ``scenarios``
-    maps the horizon to its ``(family, params)`` grid on 8 workers."""
+    maps the horizon to its ``(family, params)`` grid on 8 workers. NetMax
+    re-plans within a short horizon (see
+    :func:`~repro.experiments.sweeps.monitor_period`), as ``repro sweep``'s
+    does."""
+    monitored, period = monitor_period(algorithms, max_sim_time)
     return [({}, SweepSpec(
         algorithms, (seed, seed + 1),
         tuple(
@@ -294,6 +299,7 @@ def _dynamics_grids(
             for kind, params in scenarios(max_sim_time)
         ),
         WorkloadSpec(num_samples=num_samples), RunSpec(max_sim_time),
+        tuple((name, (("monitor_period_s", period),)) for name in monitored),
     ))]
 
 

@@ -17,8 +17,13 @@ paper (:mod:`repro.experiments.paper`) is declared in its spec types:
 - :class:`~repro.experiments.executors.ResultCache` (re-exported here)
   stores finished cells on disk keyed by a hash of the cell spec, so
   re-running a sweep only pays for cells that changed;
-- :func:`aggregate_sweep` folds cell results into the tabular form the
-  reporting helpers render, including per-cell wall-clock telemetry.
+- a finished cell is one :class:`~repro.experiments.executors.CellOutcome`
+  (re-exported here), built by the backend that executed it or by the
+  cache load, and a sweep is one :class:`SweepResult` -- the same record
+  for a streamed snapshot (the cells finished so far) and the finished
+  sweep;
+- :func:`aggregate_sweep` folds a sweep's outcomes into the tabular form
+  the reporting helpers render, including per-cell wall-clock telemetry.
 
 The execution backends themselves live in
 :mod:`repro.experiments.executors`.
@@ -27,7 +32,9 @@ The execution backends themselves live in
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import numbers
 import os
 import time
 from collections.abc import Callable
@@ -35,11 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.base import TrainerConfig
+from repro.algorithms.base import DecentralizedTrainer, TrainerConfig
 from repro.datasets.synthetic import DATASET_REGISTRY
 from repro.experiments.common import ExperimentOutput
 from repro.experiments.executors import (
-    CellExecution,
+    CellOutcome,
     InlineExecutor,
     ProcessExecutor,
     ResultCache,
@@ -66,11 +73,10 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "CellOutcome",
-    "SweepProgress",
     "SweepResult",
     "ResultCache",
+    "monitor_period",
     "run_sweep",
-    "aggregate_outcomes",
     "aggregate_sweep",
 ]
 
@@ -96,6 +102,14 @@ CACHE_VERSION = 6
 
 
 # -- declarative grid specs ----------------------------------------------------
+
+
+def _real_as_float(value):
+    """A real number (a bool excluded) as the float it stands for, so that
+    ``60`` and ``60.0`` give one cell one key; anything else unchanged."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -168,6 +182,7 @@ class WorkloadSpec:
     test_fraction: float = 0.2
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "test_fraction", _real_as_float(self.test_fraction))
         # Fail at spec construction, not cell execution, on everything that
         # is knowable without a worker count (SweepSpec checks the rest per
         # scenario): a workload that cannot be built should never survive a
@@ -212,7 +227,8 @@ class RunSpec:
     ``lr`` names the schedule as a tuple so cache keys stay stable:
     ``("plateau", base)``, ``("constant", base)``,
     ``("step", base, milestone, ...)``, each mapping onto the corresponding
-    :mod:`repro.ml.optim` class.
+    :mod:`repro.ml.optim` class. The horizons and the schedule's numbers are
+    stored as floats, so an int spelling of the same run has the same key.
     """
 
     max_sim_time: float = 60.0
@@ -222,6 +238,10 @@ class RunSpec:
     lr: tuple = ("plateau", 0.1)
 
     def __post_init__(self) -> None:
+        for name in ("max_sim_time", "eval_interval_s", "max_epochs"):
+            object.__setattr__(self, name, _real_as_float(getattr(self, name)))
+        kind, *args = self.lr
+        object.__setattr__(self, "lr", (kind, *map(_real_as_float, args)))
         # Check by building: a config that cannot be built (a non-positive
         # horizon, an unknown lr kind, ...) fails here, not in every cell.
         self.build(0)
@@ -360,10 +380,11 @@ class SweepSpec:
     """The declarative grid: algorithms x seeds x scenarios.
 
     Construction builds every scenario of the grid at every seed of the grid
-    -- the same ``ScenarioSpec.build(seed)`` call each cell makes -- and
-    checks the workload's per-worker arguments against every scenario's
-    worker count, so a spec that constructs (and a ``--dry-run`` that lists
-    it) has cells that build.
+    -- the same ``ScenarioSpec.build(seed)`` call each cell makes -- checks
+    the workload's per-worker arguments against every scenario's worker
+    count, and checks every algorithm name and trainer keyword against the
+    trainer registry, so a spec that constructs (and a ``--dry-run`` that
+    lists it) has cells that build.
     """
 
     algorithms: tuple[str, ...]
@@ -390,6 +411,25 @@ class SweepSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"repeated {axis}(s) {repeated} in the sweep")
+        from repro.algorithms.registry import TRAINER_REGISTRY, trainer_names
+
+        unknown = [a for a in self.algorithms if a.lower() not in TRAINER_REGISTRY]
+        if unknown:
+            raise ValueError(
+                f"unknown algorithm(s) {unknown}; valid: {trainer_names()}"
+            )
+        keywords = {
+            name: _constructor_keywords(TRAINER_REGISTRY[name.lower()])
+            for name in self.algorithms
+        }
+        object.__setattr__(self, "trainer_kwargs", tuple(
+            (name, tuple(
+                (key, _real_as_float(value) if isinstance(
+                    keywords.get(name, {}).get(key), float) else value)
+                for key, value in kwargs
+            ))
+            for name, kwargs in self.trainer_kwargs
+        ))
         # Fail at spec construction, not cell execution: an edge_failures
         # cell paired with a trainer that has no per-edge gossip semantics
         # (the synchronous baselines) can never run, so it must never
@@ -398,12 +438,9 @@ class SweepSpec:
             spec.label() for spec in self.scenarios if spec.has_dynamic_edges()
         })
         if dynamic_labels:
-            from repro.algorithms.registry import TRAINER_REGISTRY
-
             incapable = sorted({
                 name for name in self.algorithms
-                if name.lower() in TRAINER_REGISTRY
-                and not TRAINER_REGISTRY[name.lower()].supports_dynamic_edges
+                if not TRAINER_REGISTRY[name.lower()].supports_dynamic_edges
             })
             if incapable:
                 raise ValueError(
@@ -437,6 +474,20 @@ class SweepSpec:
                     f"cell {cell.label()} holds a value its JSON form does "
                     "not carry exactly"
                 )
+        # A keyword its trainer does not take is a TypeError in every cell;
+        # one for an algorithm outside the sweep would be silently dropped.
+        for name, kwargs in self.trainer_kwargs:
+            if name not in keywords:
+                raise ValueError(
+                    f"trainer_kwargs name algorithm {name!r}, which is not "
+                    f"in the sweep {list(self.algorithms)}"
+                )
+            foreign = [key for key, _ in kwargs if key not in keywords[name]]
+            if foreign:
+                raise ValueError(
+                    f"algorithm {name!r} takes no keyword(s) {foreign}; "
+                    f"valid: {sorted(keywords[name])}"
+                )
 
     def cells(self) -> list[SweepCell]:
         """The full grid in deterministic (scenario, algorithm, seed) order."""
@@ -456,32 +507,70 @@ class SweepSpec:
         ]
 
 
+def _constructor_keywords(trainer_cls: type) -> dict[str, object]:
+    """``keyword -> default`` for every keyword ``trainer_cls`` adds to the
+    :class:`DecentralizedTrainer` constructor, down its ``__init__`` chain
+    (e.g. ``NetMaxTrainer`` then ``GossipTrainer``)."""
+    chain = trainer_cls.__mro__[:trainer_cls.__mro__.index(DecentralizedTrainer)]
+    return {
+        name: parameter.default
+        for klass in chain if "__init__" in vars(klass)
+        for name, parameter in inspect.signature(klass.__init__).parameters.items()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    }
+
+
+def monitor_period(algorithms, max_sim_time: float) -> tuple[list[str], float]:
+    """``(monitored, period)``: the ``algorithms`` that run a Network Monitor
+    and the ``monitor_period_s`` a grid gives them -- a quarter of a horizon
+    under four of the monitor's default periods, else nobody.
+
+    A policy staged by a tick is adopted at each worker's next iteration, so
+    a cell whose only tick lands on the horizon (a 60 s run against the
+    60 s default) would report NetMax on its uniform fallback. An unknown
+    name is not monitored; the :class:`SweepSpec` it reaches names it.
+    """
+    from repro.algorithms.netmax import NetMaxTrainer
+    from repro.algorithms.registry import TRAINER_REGISTRY
+
+    default = inspect.signature(NetMaxTrainer).parameters["monitor_period_s"].default
+    if max_sim_time >= 4 * default:
+        return [], default
+    monitored = [
+        name for name in algorithms
+        if issubclass(TRAINER_REGISTRY.get(name.lower(), object), NetMaxTrainer)
+    ]
+    return monitored, max_sim_time / 4
+
+
 # -- execution + caching -------------------------------------------------------
 
 
 @dataclass
-class CellOutcome:
-    """One executed (or cache-loaded) cell."""
-
-    cell: SweepCell
-    result: TrainingResult
-    from_cache: bool
-    runtime_s: float
-    attempts: int = 1
-    worker: str | None = None
-
-
-@dataclass
 class SweepResult:
-    """All outcomes of one sweep execution, in grid order."""
+    """One sweep's outcomes, in grid order.
+
+    While the sweep streams (``done`` false) ``outcomes`` holds the cells
+    finished so far: a subset of the finished sweep's, so any aggregation
+    over a snapshot equals the same aggregation over that subset of the
+    finished sweep. The final result (``done`` true) is also the last
+    snapshot a stream sees.
+    """
 
     spec: SweepSpec
     outcomes: list[CellOutcome]
     wall_time_s: float = 0.0
     backend: str = "inline"
+    done: bool = True
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+    @property
+    def total(self) -> int:
+        """The grid size: how many cells the finished sweep holds."""
+        spec = self.spec
+        return len(spec.algorithms) * len(spec.seeds) * len(spec.scenarios)
 
     @property
     def cells_from_cache(self) -> int:
@@ -492,43 +581,18 @@ class SweepResult:
         return len(self.outcomes) - self.cells_from_cache
 
     def summary(self) -> dict:
-        """Machine-readable sweep summary (the ``--json-summary`` payload)."""
-        return {
-            "cells": len(self.outcomes),
+        """Machine-readable sweep summary (the ``--json-summary`` payload);
+        a streamed snapshot's carries ``"in_progress": true``."""
+        summary = {
+            "cells": self.total,
             "executed": self.cells_executed,
             "cached": self.cells_from_cache,
             "backend": self.backend,
             "wall_s": round(self.wall_time_s, 3),
         }
-
-
-@dataclass
-class SweepProgress:
-    """A streaming snapshot of a sweep mid-drain.
-
-    ``outcomes`` holds every cell finished so far, in grid order (a prefix
-    filter of the final :class:`SweepResult`), so any aggregation over a
-    snapshot equals the same aggregation over that subset of the finished
-    sweep. ``done`` marks the final snapshot, whose outcomes are exactly
-    the SweepResult's -- the streamed end state is bit-identical to the
-    batch path by construction.
-    """
-
-    spec: SweepSpec
-    outcomes: list[CellOutcome]
-    completed: int
-    total: int
-    backend: str
-    done: bool = False
-
-    def aggregate(self) -> ExperimentOutput:
-        """The report table over the cells finished so far."""
-        suffix = "final" if self.done else "streaming"
-        return aggregate_outcomes(
-            self.spec,
-            self.outcomes,
-            notes=f"{self.completed}/{self.total} cell(s) done ({suffix}).",
-        )
+        if not self.done:
+            summary["in_progress"] = True
+        return summary
 
 
 def run_sweep(
@@ -537,7 +601,7 @@ def run_sweep(
     cache_dir: str | None = None,
     force: bool = False,
     executor: SweepExecutor | None = None,
-    stream: Callable[[SweepProgress], None] | None = None,
+    stream: Callable[[SweepResult], None] | None = None,
 ) -> SweepResult:
     """Execute every cell of the grid, reusing cached results where allowed.
 
@@ -555,11 +619,11 @@ def run_sweep(
         executor: the execution backend (see
             :mod:`repro.experiments.executors`); overrides ``parallel``.
             All backends produce bit-identical outcomes.
-        stream: incremental-aggregation hook: called with a
-            :class:`SweepProgress` as each executed cell lands and exactly
-            once more with ``done=True`` and the final outcomes, before
-            this function returns. Purely observational -- results and
-            their order are unaffected.
+        stream: incremental-aggregation hook: called with a snapshot (a
+            :class:`SweepResult` with ``done=False``) as each executed cell
+            lands and exactly once more with the final result, before this
+            function returns it. Purely observational -- results and their
+            order are unaffected.
     """
     start = time.perf_counter()
     if executor is None:
@@ -590,39 +654,24 @@ def run_sweep(
             except FileNotFoundError:
                 pass
 
-    def snapshot(done: bool = False) -> SweepProgress:
-        finished = [outcome for outcome in outcomes if outcome is not None]
-        return SweepProgress(
-            spec=spec,
-            outcomes=finished,
-            completed=len(finished),
-            total=len(cells),
+    def snapshot(done: bool) -> SweepResult:
+        return SweepResult(
+            spec,
+            [outcome for outcome in outcomes if outcome is not None],
+            wall_time_s=time.perf_counter() - start,
             backend=executor.name,
             done=done,
         )
 
-    def land(position: int, execution: CellExecution) -> None:
-        index = pending[position]
-        outcomes[index] = CellOutcome(
-            cells[index],
-            execution.result,
-            False,
-            execution.runtime_s,
-            attempts=execution.attempts,
-            worker=execution.worker,
-        )
+    def land(position: int, outcome: CellOutcome) -> None:
+        outcomes[pending[position]] = outcome
         if stream is not None:
-            stream(snapshot())
+            stream(snapshot(done=False))
 
     executor.run([cells[i] for i in pending], cache_dir, land)
-    result = SweepResult(
-        spec,
-        outcomes,
-        wall_time_s=time.perf_counter() - start,
-        backend=executor.name,
-    )
+    result = snapshot(done=True)
     if stream is not None:
-        stream(snapshot(done=True))
+        stream(result)
     return result
 
 
@@ -648,19 +697,35 @@ def _nan_sample_std(values: np.ndarray) -> float:
     return float(np.nanstd(values, ddof=1))
 
 
-def aggregate_outcomes(
-    spec: SweepSpec, outcomes: list[CellOutcome], notes: str = ""
-) -> ExperimentOutput:
-    """Mean +- std summary per (algorithm, scenario) over ``outcomes``.
+def aggregate_sweep(sweep: SweepResult) -> ExperimentOutput:
+    """Mean +- std summary per (algorithm, scenario) across seeds.
 
-    The incremental core of :func:`aggregate_sweep`: it accepts *any*
-    subset of a sweep's outcomes, so streaming snapshots mid-drain
-    aggregate through exactly the code path the finished sweep uses --
-    a partial table equals the full aggregation run on the same subset,
-    and the final streamed table equals the batch table.
+    Every summarized metric carries a variance band (its across-seed
+    sample standard deviation, ``ddof=1``, in the ``*_std`` column right
+    after its mean), so figure sweeps expose seed spread rather than just
+    point estimates. The
+    aggregation is order-independent within each group (results arrive in
+    grid order regardless of execution backend), so parallel, sequential,
+    queue-brokered, and cache-served sweeps aggregate to identical numbers
+    -- except the trailing ``cell_time_*`` telemetry columns, which report
+    the measured wall clock of each group's freshly executed cells (NaN
+    when every cell came from cache).
+
+    A streamed snapshot aggregates through the same code: its table is the
+    finished sweep's aggregation over the cells finished so far.
     """
+    if sweep.done:
+        notes = (
+            f"{sweep.cells_executed} cell(s) executed, "
+            f"{sweep.cells_from_cache} from cache, "
+            f"{sweep.wall_time_s:.1f}s wall time "
+            f"({sweep.backend} backend)."
+        )
+    else:
+        notes = f"{len(sweep)}/{sweep.total} cell(s) done (streaming)."
+    spec = sweep.spec
     groups: dict[tuple[str, str], list[CellOutcome]] = {}
-    for outcome in outcomes:
+    for outcome in sweep.outcomes:
         key = (outcome.cell.algorithm, outcome.cell.scenario.label())
         groups.setdefault(key, []).append(outcome)
 
@@ -714,28 +779,3 @@ def aggregate_outcomes(
         notes=notes,
     )
 
-
-def aggregate_sweep(sweep: SweepResult) -> ExperimentOutput:
-    """Mean +- std summary per (algorithm, scenario) across seeds.
-
-    Every summarized metric carries a variance band (its across-seed
-    sample standard deviation, ``ddof=1``, in the ``*_std`` column right
-    after its mean), so figure sweeps expose seed spread rather than just
-    point estimates. The
-    aggregation is order-independent within each group (results arrive in
-    grid order regardless of execution backend), so parallel, sequential,
-    queue-brokered, and cache-served sweeps aggregate to identical numbers
-    -- except the trailing ``cell_time_*`` telemetry columns, which report
-    the measured wall clock of each group's freshly executed cells (NaN
-    when every cell came from cache).
-    """
-    return aggregate_outcomes(
-        sweep.spec,
-        sweep.outcomes,
-        notes=(
-            f"{sweep.cells_executed} cell(s) executed, "
-            f"{sweep.cells_from_cache} from cache, "
-            f"{sweep.wall_time_s:.1f}s wall time "
-            f"({sweep.backend} backend)."
-        ),
-    )

@@ -333,7 +333,7 @@ class TestOneCopy:
 
     def test_one_cell_execution_from_a_meta_record(self):
         tree = ast.parse(inspect.getsource(executors.QueueExecutor))
-        assert len(self._calls(tree, "CellExecution")) == 1
+        assert len(self._calls(tree, "CellOutcome")) == 1
 
     def test_imports_point_one_way(self):
         def imported(module):

@@ -44,6 +44,7 @@ from repro.experiments.sweeps import (
 # package): the sweep tests own the tiny-spec helpers.
 from test_sweeps import (
     assert_results_identical,
+    fail_cells_of,
     metric_rows,
     tiny_spec,
 )
@@ -478,40 +479,45 @@ class TestStaleLeaseReclaim:
 
 
 class TestRetryExhaustion:
-    def test_exhausted_budget_surfaces_clear_error(self, tmp_path):
+    def test_exhausted_budget_surfaces_clear_error(self, tmp_path, monkeypatch):
         """A cell that fails every attempt fails the sweep with the cell
         label, the attempt count, and the underlying error text."""
-        spec = tiny_spec(algorithms=("nonexistent",), seeds=(0,))
+        spec = tiny_spec(algorithms=("allreduce",), seeds=(0,))
+        fail_cells_of(monkeypatch, "allreduce")
         with pytest.raises(QueueCellError) as error:
             run_sweep(
                 spec, executor=queue_executor(tmp_path, max_attempts=2)
             )
         message = str(error.value)
-        assert "nonexistent/s0" in message
-        assert "unknown algorithm" in message
+        assert "allreduce/s0" in message
+        assert "injected cell failure" in message
         assert "2 attempt(s)" in message
         failure = WorkQueue(str(tmp_path / "queue")).read_failure(
             spec.cells()[0].cache_key()
         )
         assert failure["attempts"] == 2
 
-    def test_rerun_after_failure_retries_the_cell(self, tmp_path):
+    def test_rerun_after_failure_retries_the_cell(self, tmp_path, monkeypatch):
         """A restarted sweep clears its cells' terminal-failure records, so
         a fixed environment can finish a previously failing grid."""
-        bad = tiny_spec(algorithms=("nonexistent",), seeds=(0,))
+        bad = tiny_spec(algorithms=("allreduce",), seeds=(0,))
+        fail_cells_of(monkeypatch, "allreduce")
         executor = queue_executor(tmp_path, max_attempts=1)
         with pytest.raises(QueueCellError):
             run_sweep(bad, executor=executor)
-        # The retry of the same grid fails again (the algorithm is still
-        # unknown) -- but it *re-attempts* rather than replaying the stale
-        # failure record instantly.
-        with pytest.raises(QueueCellError, match="unknown algorithm"):
+        # The retry of the same grid fails again (the cell still fails) --
+        # but it *re-attempts* rather than replaying the stale failure
+        # record instantly.
+        with pytest.raises(QueueCellError, match="injected cell failure"):
             run_sweep(bad, executor=queue_executor(tmp_path, max_attempts=1))
 
-    def test_good_cells_complete_despite_failing_sibling(self, tmp_path):
+    def test_good_cells_complete_despite_failing_sibling(
+        self, tmp_path, monkeypatch
+    ):
         """The failure is per-cell: completed siblings stay in the cache, so
         only the bad cell is missing afterwards."""
-        spec = tiny_spec(algorithms=("adpsgd", "nonexistent"), seeds=(0,))
+        spec = tiny_spec(algorithms=("adpsgd", "allreduce"), seeds=(0,))
+        fail_cells_of(monkeypatch, "allreduce")
         cells = spec.cells()
         with pytest.raises(QueueCellError):
             run_sweep(spec, executor=queue_executor(tmp_path, max_attempts=1))
@@ -941,7 +947,7 @@ def test_each_cell_takes_one_path_out_of_its_executor(
     cells = spec.cells()
     landings = []
     _BACKENDS[backend](tmp_path / "direct").run(
-        cells, None, lambda index, execution: landings.append(index))
+        cells, None, lambda index, outcome: landings.append(index))
     assert sorted(landings) == list(range(len(cells)))
 
     reads = []
@@ -957,7 +963,7 @@ def test_each_cell_takes_one_path_out_of_its_executor(
                       stream=snapshots.append)
     assert [snapshot.done for snapshot in snapshots] == [False] * len(cells) + [True]
     final = snapshots[-1]
-    assert final.completed == final.total == len(sweep.outcomes)
+    assert len(final) == final.total == len(sweep.outcomes)
     assert all(a is b for a, b in zip(final.outcomes, sweep.outcomes, strict=True))
     if backend == "queue":
         assert [read for read in reads if read[0] == "peek"] == []

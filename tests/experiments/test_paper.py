@@ -318,6 +318,20 @@ class TestRegistry:
                 regenerate(experiment_id, num_samples=512)
 
 
+@pytest.mark.parametrize("experiment_id", [
+    "dyn-traces", "dyn-churn", "dyn-topology", "dyn-edges", "compression",
+])
+def test_beyond_paper_netmax_adopts_a_policy(experiment_id):
+    """Regression: at the declared 60 s horizon NetMax's one default
+    monitor tick landed on the horizon, so it ran on its uniform fallback
+    throughout. The grid now scales the period as ``repro sweep`` does."""
+    ((_, spec),) = panels(experiment_id)
+    (cell,) = [cell for cell in spec.cells()
+               if cell.algorithm == "netmax" and cell.seed == 0
+               and cell.scenario == spec.scenarios[0]]
+    assert cell.execute().extras["policies_adopted"] >= 1
+
+
 class TestCacheAndBackends:
     """What the paper figures never had before they were sweep grids."""
 

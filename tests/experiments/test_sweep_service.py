@@ -44,8 +44,7 @@ from repro.experiments.worker import (
 )
 from repro.experiments.reporting import format_worker_health
 from repro.experiments.sweeps import (
-    SweepProgress,
-    aggregate_outcomes,
+    SweepResult,
     aggregate_sweep,
     run_sweep,
 )
@@ -1078,31 +1077,38 @@ class TestStatusSnapshot:
 class TestStreamingAggregation:
     def test_inline_stream_snapshots_match_batch_aggregation(self, tmp_path):
         spec = tiny_spec()
-        snapshots: list[SweepProgress] = []
+        snapshots: list[SweepResult] = []
         result = run_sweep(
             spec, executor=InlineExecutor(),
             cache_dir=str(tmp_path / "cache"), stream=snapshots.append,
         )
         total = len(spec.cells())
         # One snapshot per finished cell plus the final done=True snapshot.
-        assert [s.completed for s in snapshots] == list(range(1, total + 1)) + [total]
+        assert [len(s) for s in snapshots] == list(range(1, total + 1)) + [total]
         assert [s.done for s in snapshots] == [False] * total + [True]
+        assert {s.total for s in snapshots} == {total}
         for snapshot in snapshots:
             # A partial table equals the batch aggregation run on the same
             # subset of outcomes -- one code path, incremental or not.
             assert_rows_equal(
-                metric_rows(snapshot.aggregate()),
-                metric_rows(aggregate_outcomes(spec, snapshot.outcomes)),
+                metric_rows(aggregate_sweep(snapshot)),
+                metric_rows(aggregate_sweep(SweepResult(spec, snapshot.outcomes))),
             )
         # The final streamed table is the batch table, bit for bit.
         assert_rows_equal(
-            metric_rows(snapshots[-1].aggregate()),
+            metric_rows(aggregate_sweep(snapshots[-1])),
             metric_rows(aggregate_sweep(result)),
+        )
+        # The last snapshot is the result; only the snapshots before it
+        # summarize as in progress.
+        assert snapshots[-1] is result
+        assert [s.summary().get("in_progress") for s in snapshots] == (
+            [True] * total + [None]
         )
 
     def test_queue_stream_partial_tables_over_half_drained_queue(self, tmp_path):
         spec = tiny_spec()
-        snapshots: list[SweepProgress] = []
+        snapshots: list[SweepResult] = []
         result = run_sweep(
             spec,
             executor=QueueExecutor(str(tmp_path / "queue"), num_workers=1, **FAST),
@@ -1112,13 +1118,13 @@ class TestStreamingAggregation:
         partials = [s for s in snapshots if not s.done]
         assert partials, "queue backend streamed no mid-drain snapshots"
         for snapshot in partials:
-            assert 0 < snapshot.completed <= len(spec.cells())
+            assert 0 < len(snapshot) <= snapshot.total == len(spec.cells())
             assert_rows_equal(
-                metric_rows(snapshot.aggregate()),
-                metric_rows(aggregate_outcomes(spec, snapshot.outcomes)),
+                metric_rows(aggregate_sweep(snapshot)),
+                metric_rows(aggregate_sweep(SweepResult(spec, snapshot.outcomes))),
             )
         assert_rows_equal(
-            metric_rows(snapshots[-1].aggregate()),
+            metric_rows(aggregate_sweep(snapshots[-1])),
             metric_rows(aggregate_sweep(result)),
         )
         # Streaming is observational: the streamed sweep equals inline.
@@ -1130,13 +1136,13 @@ class TestStreamingAggregation:
         spec = tiny_spec(algorithms=("adpsgd",), seeds=(0,))
         cache_dir = str(tmp_path / "cache")
         run_sweep(spec, executor=InlineExecutor(), cache_dir=cache_dir)
-        snapshots: list[SweepProgress] = []
+        snapshots: list[SweepResult] = []
         run_sweep(
             spec, executor=InlineExecutor(), cache_dir=cache_dir,
             stream=snapshots.append,
         )
         (final,) = snapshots
-        assert final.done and final.completed == final.total == 1
+        assert final.done and len(final) == final.total == 1
 
 
 class TestConcurrentSweeps:

@@ -13,6 +13,7 @@ from repro.experiments.sweeps import (
     ResultCache,
     RunSpec,
     ScenarioSpec,
+    SweepCell,
     SweepSpec,
     WorkloadSpec,
     aggregate_sweep,
@@ -39,6 +40,21 @@ def tiny_spec(**overrides) -> SweepSpec:
     )
     defaults.update(overrides)
     return SweepSpec(**defaults)
+
+
+def fail_cells_of(monkeypatch, algorithm):
+    """Make every ``algorithm`` cell raise ``RuntimeError("injected cell
+    failure")`` when executed, here and in the queue workers this process
+    forks: a spec that constructs has cells that build, so a failing cell
+    is made, not declared."""
+    execute = SweepCell.execute
+
+    def failing(cell):
+        if cell.algorithm == algorithm:
+            raise RuntimeError("injected cell failure")
+        return execute(cell)
+
+    monkeypatch.setattr(SweepCell, "execute", failing)
 
 
 def assert_results_identical(a, b):
@@ -83,6 +99,64 @@ class TestSpecs:
         assert RunSpec(lr=("constant", 0.05)).build(0).lr_schedule.lr(10) == 0.05
         step = RunSpec(lr=("step", 0.1, 5.0)).build(0).lr_schedule
         assert step.lr(6.0) == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("spelled, meant", [
+        (dict(run=RunSpec(max_sim_time=60)), dict(run=RunSpec(max_sim_time=60.0))),
+        (dict(run=RunSpec(eval_interval_s=5, max_epochs=2)),
+         dict(run=RunSpec(eval_interval_s=5.0, max_epochs=2.0))),
+        (dict(run=RunSpec(lr=("constant", 1))),
+         dict(run=RunSpec(lr=("constant", 1.0)))),
+        (dict(run=RunSpec(lr=("step", 1, 40))),
+         dict(run=RunSpec(lr=("step", 1.0, 40.0)))),
+        (dict(workload=WorkloadSpec(num_samples=256, test_fraction=0)),
+         dict(workload=WorkloadSpec(num_samples=256, test_fraction=0.0))),
+        (dict(algorithms=("netmax",),
+              trainer_kwargs=(("netmax", (("monitor_period_s", 15),)),)),
+         dict(algorithms=("netmax",),
+              trainer_kwargs=(("netmax", (("monitor_period_s", 15.0),)),))),
+    ], ids=["max_sim_time", "eval_interval_and_epochs", "constant_lr",
+            "step_lr", "test_fraction", "float_trainer_kwarg"])
+    def test_an_int_spelling_shares_the_float_key(self, spelled, meant):
+        """Regression: 60 and 60.0 (or lr 1 and 1.0) built equal cells
+        under two cache keys."""
+        spelled, meant = tiny_spec(**spelled), tiny_spec(**meant)
+        assert spelled == meant
+        assert ([cell.cache_key() for cell in spelled.cells()]
+                == [cell.cache_key() for cell in meant.cells()])
+
+    def test_an_int_horizon_reaches_the_float_keyed_cache(self):
+        """``regenerate("fig5", max_sim_time=300)`` reads the cells the CLI
+        (whose --sim-time is a float) cached."""
+        from repro.experiments.paper import PAPER_EXPERIMENTS
+
+        fig5 = PAPER_EXPERIMENTS["fig5"]
+
+        def keys(horizon):
+            panels = fig5.grids(0, **{**fig5.scale, "max_sim_time": horizon})
+            return [cell.cache_key() for _, spec in panels for cell in spec.cells()]
+
+        assert keys(300) == keys(300.0)
+
+    @pytest.mark.parametrize("grid, match", [
+        (dict(algorithms=("nosuch",)), r"unknown algorithm\(s\) \['nosuch'\]"),
+        (dict(algorithms=("netmax",),
+              trainer_kwargs=(("netmax", (("nosuch", 1),)),)),
+         r"'netmax' takes no keyword\(s\) \['nosuch'\]"),
+        (dict(algorithms=("adpsgd",),
+              trainer_kwargs=(("adpsgd", (("monitor_period_s", 15.0),)),)),
+         r"'adpsgd' takes no keyword\(s\) \['monitor_period_s'\]"),
+        (dict(algorithms=("adpsgd",),
+              trainer_kwargs=(("netmax", (("monitor_period_s", 15.0),)),)),
+         "'netmax', which is not in the sweep"),
+    ], ids=["unknown_algorithm", "unknown_keyword",
+            "keyword_of_another_algorithm", "kwargs_for_an_absent_algorithm"])
+    def test_a_spec_whose_cells_cannot_build_does_not_construct(
+        self, grid, match
+    ):
+        """Regression: each constructed and then failed every cell with a
+        TypeError, or (the last) was silently dropped."""
+        with pytest.raises(ValueError, match=match):
+            tiny_spec(seeds=(0,), **grid)
 
     def test_cache_key_stable_and_sensitive(self):
         cell = tiny_spec().cells()[0]
@@ -202,10 +276,13 @@ class TestRunSweep:
         forced = run_sweep(spec, cache_dir=str(tmp_path), force=True)
         assert forced.cells_from_cache == 0
 
-    def test_completed_cells_cached_despite_later_failure(self, tmp_path):
+    def test_completed_cells_cached_despite_later_failure(
+        self, tmp_path, monkeypatch
+    ):
         """A crash partway through a sweep must not discard finished cells."""
-        spec = tiny_spec(algorithms=("adpsgd", "nonexistent"), seeds=(0,))
-        with pytest.raises(KeyError, match="unknown algorithm"):
+        spec = tiny_spec(algorithms=("adpsgd", "allreduce"), seeds=(0,))
+        fail_cells_of(monkeypatch, "allreduce")
+        with pytest.raises(RuntimeError, match="injected cell failure"):
             run_sweep(spec, cache_dir=str(tmp_path))
         # The adpsgd cell ran first (grid order) and must already be stored.
         assert len(ResultCache(str(tmp_path))) == 1

@@ -680,6 +680,19 @@ class TestSweepService:
         assert line.startswith("error: ") and name in line
         assert not (tmp_path / "q").exists()
 
+    def test_unknown_backend_is_named_before_the_flags_it_would_read(
+        self, capsys
+    ):
+        """Regression: --backend nosuch --parallel 2 exited 2 with
+        "--backend nosuch does not read --parallel", not naming the
+        unknown backend."""
+        assert main(["sweep", "--backend", "nosuch", "--parallel", "2",
+                     "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: unknown sweep backend 'nosuch'")
+
     @pytest.mark.parametrize("backend, flag, value", [
         *[(backend, "--parallel", "4") for backend in ("inline", "batched", "queue")],
         *[(backend, flag, value)
