@@ -19,7 +19,7 @@ not counted again, so the lines are disjoint and add up. A second,
 uninstrumented run gives the whole iteration, and what the named lines do
 not explain is the gossip loop's own time: the Python that dispatches an
 iteration (``_start_iteration``, ``_complete_iteration``, the progress
-hook, selection and transfer guards). Counting instead of assuming means a
+bookkeeping, selection and transfer guards). Counting instead of assuming means a
 line that a change removes from the step reads ``0.00`` calls.
 
 Only public names are counted and timed, so the same file measures any

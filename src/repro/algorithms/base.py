@@ -63,6 +63,12 @@ _COMPRESSION_STREAM = 0xC0B5
 class WorkerTask:
     """One worker's model replica and local data shard.
 
+    A task holds no reference to the trainer that owns it (a back-reference
+    would make a reference cycle, and keep every finished trainer alive until
+    the next cyclic garbage collection): a trainer draws through
+    :meth:`DecentralizedTrainer.sample_loss_and_grad`, which books the
+    draw's progress itself.
+
     Args:
         model: the replica ``x_i``. All workers should start from identical
             parameters (the analysis measures ``||x^0 - x* 1||``).
@@ -76,21 +82,14 @@ class WorkerTask:
         self.model = model
         self.sampler = sampler
         self.iterations = 0
-        # Set by the owning trainer so epoch-progress accounting stays O(1):
-        # called after every drawn sample, when progress has just advanced.
-        self.progress_hook = None
 
     def sample_loss_and_grad(self) -> tuple[float, np.ndarray]:
         """Draw a minibatch (if any) and return loss + flat gradient."""
         self.iterations += 1
         if self.sampler is None:
-            result = self.model.loss_and_grad()
-        else:
-            features, labels = self.sampler.next_batch()
-            result = self.model.loss_and_grad(features, labels)
-        if self.progress_hook is not None:
-            self.progress_hook()
-        return result
+            return self.model.loss_and_grad()
+        features, labels = self.sampler.next_batch()
+        return self.model.loss_and_grad(features, labels)
 
     @property
     def batch_size(self) -> int | None:
@@ -176,6 +175,13 @@ class DecentralizedTrainer(abc.ABC):
             model compression as a bytes effect alone). The ``none`` op is
             normalized away at construction, so it is bit-identical to
             passing no op: same bytes, zero RNG draws.
+
+    Nothing a trainer owns points back at it once :meth:`run` has
+    returned: its tasks draw through :meth:`sample_loss_and_grad`, and
+    :meth:`_finalize_result` drops the events still queued. A sweep that
+    runs trainers one after another in one process frees each by
+    reference counting as soon as its result is returned, not at the next
+    cyclic garbage collection.
     """
 
     name = "base"
@@ -262,8 +268,9 @@ class DecentralizedTrainer(abc.ABC):
         self._test_data = self._subsample_test(test_data)
         self._probes = [self._make_probe(task) for task in tasks]
         # O(1) per-event accounting: epoch progress and iteration totals are
-        # maintained incrementally through each task's progress hook instead
-        # of an O(M) pass over all workers before every simulator event.
+        # maintained incrementally, one draw at a time, by
+        # sample_loss_and_grad instead of an O(M) pass over all workers
+        # before every simulator event.
         self._epoch_hint = self.config.iterations_per_epoch_hint
         self._progress = [task.epoch_progress(self._epoch_hint) for task in tasks]
         self._progress_sum = float(sum(self._progress))
@@ -275,8 +282,6 @@ class DecentralizedTrainer(abc.ABC):
         self._lr_follows_epoch = (
             type(self.config.lr_schedule) not in EPOCH_FREE_SCHEDULES
         )
-        for index, task in enumerate(tasks):
-            task.progress_hook = partial(self._on_task_progress, index)
         self._worker_batches = [
             task.batch_size if task.batch_size is not None else profile.reference_batch
             for task in tasks
@@ -405,13 +410,15 @@ class DecentralizedTrainer(abc.ABC):
 
     # -- accounting --------------------------------------------------------------
 
-    def _on_task_progress(self, worker: int) -> None:
-        """Progress hook: one task just drew a sample (O(1) bookkeeping).
+    def sample_loss_and_grad(self, worker: int) -> tuple[float, np.ndarray]:
+        """``worker``'s task draws a minibatch: its loss and flat gradient.
 
-        :meth:`WorkerTask.epoch_progress`, written out: this runs once per
-        iteration.
+        Every trainer draws through here, and the draw's progress is booked
+        in the same call (O(1)): :meth:`WorkerTask.epoch_progress`, written
+        out, since this runs once per iteration.
         """
         task = self.tasks[worker]
+        result = task.sample_loss_and_grad()
         sampler = task.sampler
         if sampler is None:
             progress = task.iterations / self._epoch_hint
@@ -422,6 +429,7 @@ class DecentralizedTrainer(abc.ABC):
         self._iterations_total += 1
         if self._lr_follows_epoch:
             self._lr_dirty = True
+        return result
 
     def start_transfer(self, receiver: int, sender: int) -> float:
         """One model-sized transfer via the comm model, with churn and
@@ -569,7 +577,7 @@ class DecentralizedTrainer(abc.ABC):
     def record_iteration(self, worker: int, compute_time: float, duration: float) -> None:
         """Book one finished local iteration into the cost tracker."""
         self.costs.record_iteration(worker, compute_time, duration)
-        task = self.tasks[worker]  # whole epochs, as in the progress hook
+        task = self.tasks[worker]  # whole epochs, as in sample_loss_and_grad
         sampler = task.sampler
         if sampler is None:
             completed = task.iterations // self._epoch_hint
@@ -645,7 +653,11 @@ class DecentralizedTrainer(abc.ABC):
         Shared verbatim by :meth:`run` and the batched backend (which stops
         the lockstep engine, syncs trainer state, and calls this), so both
         paths produce the final evaluation, extras, and result through the
-        same code.
+        same code. Every event still pending (beyond the horizon, or past
+        an epoch or event cap) is dropped once the extras are read: each is
+        a callback bound to this trainer, and a queue kept past the run
+        would make the trainer a reference cycle, alive until the next
+        cyclic garbage collection instead of freed with its last reference.
         """
         # The run may have halted right after a scheduled evaluation (e.g. a
         # max_epochs or max_events stop); re-evaluating at the same virtual
@@ -658,6 +670,7 @@ class DecentralizedTrainer(abc.ABC):
             extras["churn_events"] = list(self.churn_log)
         if self._edges_dynamic:
             extras["edge_events"] = list(self.edge_log)
+        self.sim.discard_pending()
         return TrainingResult(
             algorithm=self.name,
             history=self.history,

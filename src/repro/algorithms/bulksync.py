@@ -63,7 +63,7 @@ class BulkSynchronousTrainer(DecentralizedTrainer):
                 # computing; without churn every replica already holds it
                 # (skipping the per-member parameter copy on the hot path).
                 self.tasks[i].model.set_params(self._global_params)
-            _, grad = self.tasks[i].sample_loss_and_grad()
+            _, grad = self.sample_loss_and_grad(i)
             grads.append(grad)
         mean_grad = np.mean(grads, axis=0)
         self._global_params = self._optimizer.step(self._global_params, mean_grad, lr)

@@ -175,7 +175,7 @@ class GossipTrainer(DecentralizedTrainer):
             # epoch) owns the one live loop.
             return
         lr = self.current_lr()
-        _, grad = self.tasks[worker].sample_loss_and_grad()
+        _, grad = self.sample_loss_and_grad(worker)
         if peer != worker and not self.reachable(worker, peer):
             # Peer departed -- or its edge failed -- while the transfer was
             # in the air: drop the pull and book the iteration as

@@ -108,7 +108,7 @@ class PSAsynTrainer(_ParameterServerMixin, DecentralizedTrainer):
     def _compute_done(self, worker: int, compute: float, epoch: int = 0) -> None:
         if epoch != self._churn_epoch[worker]:
             return  # departed during the computation: the loop parks
-        _, grad = self.tasks[worker].sample_loss_and_grad()
+        _, grad = self.sample_loss_and_grad(worker)
         self._in_flight += 1
         time = self.sim.now
         share = self.ps_bandwidth(worker, time) / self._in_flight

@@ -113,7 +113,7 @@ class PragueTrainer(DecentralizedTrainer):
     def _compute_done(self, worker: int, compute: float, epoch: int = 0) -> None:
         if epoch != self._churn_epoch[worker]:
             return  # departed during the computation: the loop parks
-        _, grad = self.tasks[worker].sample_loss_and_grad()
+        _, grad = self.sample_loss_and_grad(worker)
         # The pool holds no stale entries here: _on_worker_leave prunes at
         # the only moment an entry can go stale.
         self._pending.append((worker, grad, compute, epoch))

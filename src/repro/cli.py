@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import inspect
 import itertools
 import json
@@ -96,6 +95,7 @@ from repro.experiments.sweeps import (
     WorkloadSpec,
     aggregate_sweep,
     monitor_period,
+    never_replanned,
     run_sweep,
 )
 from repro.core.policy import PolicyGenerationError, generate_policy
@@ -371,15 +371,16 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    """``regenerate`` a registry id; Fig. 3 (analytic, reads no flag) is
-    the one figure that is a plain function. A flag the figure does not
-    read exits 2 before anything runs instead of being silently dropped."""
+    """Plan and run a registry id; Fig. 3 (analytic, reads no flag) is the
+    one figure that is a plain function. A flag the figure does not read
+    exits 2 before anything runs instead of being silently dropped. A grid
+    whose NetMax cells never re-plan (a horizon within one monitor period)
+    prints one ``note:`` line before it runs."""
+    experiment = experiments.PAPER_EXPERIMENTS.get(args.name)
     if args.name == "fig3":
-        function, reads = experiments.figure3_iteration_time, set()
+        reads = set()
     else:
-        function = functools.partial(experiments.regenerate, args.name)
-        experiment = experiments.PAPER_EXPERIMENTS.get(args.name)
-        # An unknown id reads every flag, so regenerate's error names it.
+        # An unknown id reads every flag, so plan_panels' error names it.
         reads = (set(_FIGURE_FLAGS.values()) if experiment is None
                  else {"seed", "parallel", *experiment.scale})
     kwargs = {
@@ -396,8 +397,21 @@ def _run_figure(args: argparse.Namespace) -> int:
         print(f"error: {args.name} does not read {', '.join(unread)}",
               file=sys.stderr)
         return 2
+    if args.name == "fig3":
+        print(experiments.figure3_iteration_time().render())
+        return 0
+    parallel = kwargs.pop("parallel", 0)
     try:
-        output = function(**kwargs)
+        scale, panels = paper.plan_panels(args.name, **kwargs)
+        idle = never_replanned(spec for _, spec in panels)
+        if idle:
+            print(
+                f"note: {args.name} runs {', '.join(idle)} with a monitor "
+                "period >= the horizon, so no policy is adopted: uniform "
+                "peer selection throughout",
+                file=sys.stderr,
+            )
+        output = paper.run_panels(args.name, scale, panels, parallel=parallel)
     except ValueError as error:
         # e.g. --samples below the dataset's class count: a figure's grids
         # are specs, and a spec that cannot run fails at construction.

@@ -89,6 +89,13 @@ class NetworkMonitor:
             )
         if local_hops < 1:
             raise ValueError(f"local_hops must be >= 1, got {local_hops}")
+        if outer_rounds < 1 or inner_rounds < 1:
+            # Checked here, not at the first tick's solve: a grid with no
+            # point would otherwise fail mid-run.
+            raise ValueError(
+                "outer_rounds and inner_rounds must be >= 1, got "
+                f"{outer_rounds} and {inner_rounds}"
+            )
         self.topology = topology
         self.outer_rounds = outer_rounds
         self.inner_rounds = inner_rounds

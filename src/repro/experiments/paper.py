@@ -54,7 +54,9 @@ __all__ = [
     "PAPER_EXPERIMENTS",
     "PaperExperiment",
     "figure3_iteration_time",
+    "plan_panels",
     "regenerate",
+    "run_panels",
 ]
 
 # The four approaches of Figs. 5-13 / 16-18 and Tables II-V, in the paper's
@@ -96,22 +98,14 @@ class PaperExperiment:
     requires: tuple[str, ...] = ()
 
 
-def regenerate(
-    experiment_id: str,
-    *,
-    seed: int = 0,
-    parallel: int = 0,
-    cache_dir: str | None = None,
-    **scale,
-) -> ExperimentOutput:
-    """Regenerate one paper artefact at the given scale.
+def plan_panels(experiment_id: str, *, seed: int = 0, **scale) -> tuple[dict, Panels]:
+    """``(scale, panels)`` of one paper artefact: the experiment's declared
+    scale overridden by ``scale`` (a key it does not declare is a
+    ``TypeError``), and its labelled panels, built and checked but not run.
 
-    ``scale`` overrides the experiment's declared defaults (a key it does
-    not declare is a ``TypeError``); ``parallel`` and ``cache_dir`` are
-    :func:`~repro.experiments.sweeps.run_sweep`'s. Everything that can be
-    wrong with the request -- an unbuildable spec, a missing required
-    algorithm, an unknown ``experiment_id`` -- raises ``ValueError``
-    before any cell runs.
+    Everything that can be wrong with the request -- an unbuildable spec, a
+    missing required algorithm, an unknown ``experiment_id`` -- raises
+    ``ValueError`` here.
     """
     if experiment_id not in PAPER_EXPERIMENTS:
         raise ValueError(
@@ -135,6 +129,21 @@ def regenerate(
                 f"{sorted(missing)}; include it in `algorithms` "
                 f"(got {spec.algorithms})"
             )
+    return scale, panels
+
+
+def run_panels(
+    experiment_id: str,
+    scale: dict,
+    panels: Panels,
+    *,
+    parallel: int = 0,
+    cache_dir: str | None = None,
+) -> ExperimentOutput:
+    """Run what :func:`plan_panels` returned and reduce it to the
+    artefact's output; ``parallel`` and ``cache_dir`` are
+    :func:`~repro.experiments.sweeps.run_sweep`'s."""
+    experiment = PAPER_EXPERIMENTS[experiment_id]
     sweeps = [
         (label, run_sweep(spec, parallel=parallel, cache_dir=cache_dir))
         for label, spec in panels
@@ -143,6 +152,22 @@ def regenerate(
     notes = experiment.notes + reduced.pop("notes", "")
     return ExperimentOutput(
         experiment_id, experiment.title.format(**scale), notes=notes, **reduced
+    )
+
+
+def regenerate(
+    experiment_id: str,
+    *,
+    seed: int = 0,
+    parallel: int = 0,
+    cache_dir: str | None = None,
+    **scale,
+) -> ExperimentOutput:
+    """Regenerate one paper artefact at the given scale: :func:`plan_panels`
+    (which raises before any cell runs), then :func:`run_panels`."""
+    scale, panels = plan_panels(experiment_id, seed=seed, **scale)
+    return run_panels(
+        experiment_id, scale, panels, parallel=parallel, cache_dir=cache_dir
     )
 
 

@@ -59,6 +59,7 @@ from repro.experiments.scenarios import (
     build_scenario,
     check_partition,
     get_scenario_family,
+    make_quadratic_workload,
     make_workload,
 )
 from repro.ml.optim import ConstantLR, LRSchedule, PlateauDecayLR, StepDecayLR
@@ -76,6 +77,7 @@ __all__ = [
     "SweepResult",
     "ResultCache",
     "monitor_period",
+    "never_replanned",
     "run_sweep",
     "aggregate_sweep",
 ]
@@ -382,9 +384,10 @@ class SweepSpec:
     Construction builds every scenario of the grid at every seed of the grid
     -- the same ``ScenarioSpec.build(seed)`` call each cell makes -- checks
     the workload's per-worker arguments against every scenario's worker
-    count, and checks every algorithm name and trainer keyword against the
-    trainer registry, so a spec that constructs (and a ``--dry-run`` that
-    lists it) has cells that build.
+    count, checks every algorithm name and trainer keyword against the
+    trainer registry, and builds (without running) the trainer of each
+    algorithm given keywords on the first cell's scenario, so a spec that
+    constructs (and a ``--dry-run`` that lists it) has cells that build.
     """
 
     algorithms: tuple[str, ...]
@@ -411,7 +414,11 @@ class SweepSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"repeated {axis}(s) {repeated} in the sweep")
-        from repro.algorithms.registry import TRAINER_REGISTRY, trainer_names
+        from repro.algorithms.registry import (
+            TRAINER_REGISTRY,
+            create_trainer,
+            trainer_names,
+        )
 
         unknown = [a for a in self.algorithms if a.lower() not in TRAINER_REGISTRY]
         if unknown:
@@ -488,6 +495,33 @@ class SweepSpec:
                     f"algorithm {name!r} takes no keyword(s) {foreign}; "
                     f"valid: {sorted(keywords[name])}"
                 )
+        # A keyword value its trainer refuses (a negative monitor period, an
+        # unknown policy scope) would fail every cell of that algorithm, some
+        # only at their first monitor tick: check by building the trainer of
+        # each algorithm given keywords as its first cell does -- that cell's
+        # scenario, config and keywords -- on data-free stand-in tasks, since
+        # no trainer argument depends on the data (WorkloadSpec checks the
+        # workload). An algorithm without keywords takes the defaults every
+        # trainer is tested with. Nothing runs; each probe is freed at once.
+        if self.trainer_kwargs:
+            scenario, seed = self.scenarios[0], self.seeds[0]
+            built = scenario.build(seed)
+            config = self.run.build(seed)
+            for name, kwargs in self.trainer_kwargs:
+                tasks, _, profile = make_quadratic_workload(
+                    built.num_workers, model=self.workload.model, seed=seed
+                )
+                try:
+                    create_trainer(
+                        name, tasks, built.topology, built.links, profile, config,
+                        **{"churn": built.churn, "compression": built.compression,
+                           **dict(kwargs)},
+                    )
+                except ValueError as error:
+                    raise ValueError(
+                        f"algorithm {name!r} does not build on {scenario.label()} "
+                        f"at seed {seed}: {error}"
+                    ) from error
 
     def cells(self) -> list[SweepCell]:
         """The full grid in deterministic (scenario, algorithm, seed) order."""
@@ -541,6 +575,28 @@ def monitor_period(algorithms, max_sim_time: float) -> tuple[list[str], float]:
         if issubclass(TRAINER_REGISTRY.get(name.lower(), object), NetMaxTrainer)
     ]
     return monitored, max_sim_time / 4
+
+
+def never_replanned(specs) -> list[str]:
+    """The algorithms of ``specs`` with a cell whose Network Monitor never
+    re-plans: its period (set, or the default) is at least the cell's
+    horizon, so no tick's policy is adopted before the run ends and the
+    cell reports NetMax on its uniform fallback. Cache keys and results are
+    untouched; :func:`monitor_period` is the rule that avoids the case."""
+    from repro.algorithms.netmax import NetMaxTrainer
+    from repro.algorithms.registry import TRAINER_REGISTRY
+
+    default = inspect.signature(NetMaxTrainer).parameters["monitor_period_s"].default
+    idle = {}
+    for spec in specs:
+        extras = dict(spec.trainer_kwargs)
+        for name in spec.algorithms:
+            if not issubclass(TRAINER_REGISTRY[name.lower()], NetMaxTrainer):
+                continue
+            period = dict(extras.get(name, ())).get("monitor_period_s", default)
+            if period >= spec.run.max_sim_time:
+                idle[name] = None
+    return list(idle)
 
 
 # -- execution + caching -------------------------------------------------------

@@ -595,7 +595,8 @@ class BatchedSimulator:
                         0.0, model.noise_std, size=grad[i].shape
                     )
 
-        # The task progress hook (iterations, epoch progress, totals).
+        # The draw's progress bookkeeping (iterations, epoch progress,
+        # totals), as DecentralizedTrainer.sample_loss_and_grad books it.
         st.task_iters[rows, widx] += 1
         iters = st.task_iters[rows, widx]
         new_progress = iters / st.hint[rows]

@@ -95,6 +95,16 @@ class Simulator:
         self._now = float(time)
         self._events_processed += events
 
+    def discard_pending(self) -> None:
+        """Drop every event still queued; :attr:`now` and
+        :attr:`events_processed` keep their values.
+
+        For a finished run: the callbacks beyond its horizon are bound to
+        the objects that scheduled them, so a queue kept past the run keeps
+        those alive.
+        """
+        self._queue.clear()
+
     def step(self) -> bool:
         """Execute the earliest event. Returns False if the queue is empty."""
         if not self._queue:

@@ -76,15 +76,17 @@ class TestTrainerConfig:
 
 class TestWorkerTask:
     def test_sampler_epochs(self):
-        task = make_tasks(1)[0]
+        trainer = make_trainer()
+        task = trainer.tasks[0]
         for _ in range(4):  # 16 samples / batch 4 = one epoch
-            task.sample_loss_and_grad()
+            trainer.sample_loss_and_grad(0)
         assert task.epoch_progress(50) == pytest.approx(1.0)
 
     def test_samplerless_epochs_use_hint(self):
-        task = make_tasks(1, with_data=False)[0]
+        trainer = make_trainer(make_tasks(4, with_data=False))
+        task = trainer.tasks[0]
         for _ in range(10):
-            task.sample_loss_and_grad()
+            trainer.sample_loss_and_grad(0)
         assert task.epoch_progress(5) == pytest.approx(2.0)
 
     def test_batch_size(self):
@@ -174,9 +176,8 @@ class TestTrainerQueries:
         trainer = make_trainer(
             make_tasks(4, with_data=with_data), iterations_per_epoch_hint=4
         )
-        task = trainer.tasks[0]
         for step in range(1, 10):
-            task.sample_loss_and_grad()
+            trainer.sample_loss_and_grad(0)
             trainer.record_iteration(0, 0.1, 0.2)
             assert trainer.costs.epochs_completed[0] == step // 4
             assert trainer.mean_epoch() == pytest.approx(step / 4 / 4)

@@ -103,6 +103,12 @@ class TestTick:
         with pytest.raises(ValueError, match="min_coverage"):
             NetworkMonitor(full5, min_coverage=0.0)
 
+    @pytest.mark.parametrize("rounds", [{"outer_rounds": 0}, {"inner_rounds": 0}])
+    def test_a_grid_without_points_rejected(self, full5, rounds):
+        """Regression: it constructed and raised at the first tick's solve."""
+        with pytest.raises(ValueError, match="must be >= 1"):
+            NetworkMonitor(full5, **rounds)
+
 
 class TestTickActiveSubset:
     def test_all_active_mask_equals_no_mask(self, full5, hetero_times5):

@@ -158,6 +158,25 @@ class TestSpecs:
         with pytest.raises(ValueError, match=match):
             tiny_spec(seeds=(0,), **grid)
 
+    @pytest.mark.parametrize("keyword, value, match", [
+        ("monitor_period_s", -1.0, "monitor_period_s must be positive"),
+        ("policy_scope", "nosuch", "policy_scope must be"),
+        ("ema_beta", 1.5, r"beta must be in \[0, 1\)"),
+        ("monitor_min_coverage", 0.0, r"min_coverage must be in \(0, 1\]"),
+        ("policy_outer_rounds", 0, "outer_rounds and inner_rounds must be >= 1"),
+        ("policy_inner_rounds", 0, "outer_rounds and inner_rounds must be >= 1"),
+    ])
+    def test_a_keyword_value_no_trainer_takes_does_not_construct(
+        self, keyword, value, match
+    ):
+        """Regression: each constructed and then failed every NetMax cell,
+        the last two only at the cell's first monitor tick."""
+        with pytest.raises(
+            ValueError, match=f"algorithm 'netmax' does not build.*{match}"
+        ):
+            tiny_spec(seeds=(0,), algorithms=("adpsgd", "netmax"),
+                      trainer_kwargs=(("netmax", ((keyword, value),)),))
+
     def test_cache_key_stable_and_sensitive(self):
         cell = tiny_spec().cells()[0]
         same = tiny_spec().cells()[0]

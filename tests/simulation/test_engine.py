@@ -119,6 +119,20 @@ class TestAdvanceTo:
             sim.advance_to(3.0, events=-1)
 
 
+class TestDiscardPending:
+    def test_drops_the_queue_and_keeps_clock_and_counter(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(1))
+        sim.schedule_at(100.0, lambda: fired.append(2))
+        sim.run(until_time=50.0)
+        sim.discard_pending()
+        assert sim.pending == 0
+        assert (sim.now, sim.events_processed) == (50.0, 1)
+        assert not sim.step()
+        assert fired == [1]
+
+
 class TestRun:
     def test_until_time_excludes_later_events(self):
         sim = Simulator()

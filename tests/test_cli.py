@@ -93,6 +93,28 @@ class TestCommands:
         assert code == 0
         assert "[table6]" in captured.out
 
+    @pytest.mark.parametrize("sim_time, noted", [
+        ("30", True), ("60", True), ("61", False),
+    ])
+    def test_figure_notes_a_netmax_that_never_replans(
+        self, capsys, monkeypatch, sim_time, noted
+    ):
+        """Regression: within one 60 s monitor period fig5 reported NetMax
+        on its uniform fallback without a word. Only the note is checked:
+        the panels are planned, not run."""
+        monkeypatch.setattr(
+            experiments.paper, "run_panels",
+            lambda *args, **kwargs: experiments.ExperimentOutput("fig5", "ran", (), []),
+        )
+        assert main(["figure", "fig5", "--sim-time", sim_time,
+                     "--samples", "512"]) == 0
+        captured = capsys.readouterr()
+        assert "[fig5] ran" in captured.out
+        expected = ["note: fig5 runs netmax with a monitor period >= the "
+                    "horizon, so no policy is adopted: uniform peer "
+                    "selection throughout"]
+        assert captured.err.splitlines() == (expected if noted else [])
+
     @pytest.mark.parametrize("argv, flag", [
         (["fig3", "--sim-time", "10"], "--sim-time"),
         (["fig3", "--parallel", "2"], "--parallel"),
