@@ -2,71 +2,44 @@
 
 Runs the scaling cells from ``repro.experiments.figures_scaling`` (adpsgd
 over the full range, netmax with neighborhood-local policy solves up to its
-O(M^2)-state cap) and records per-n ``events_per_s`` and peak-RSS metrics
-into ``BENCH_simulator.json``. The CI floors in ``baselines.json`` cover
-n <= 256 (the smoke range CI actually runs, via ``BENCH_SCALABILITY_MAX_N``);
-larger n are recorded informationally on full local runs.
-
-A separate tracemalloc test pins the sparse-layer memory contract at
-n=4096: structured construction and the trainer's event loop never
-materialize an O(N^2) array (a dense bool adjacency alone would be ~16 MB,
-a dense float64 policy ~134 MB; the asserted peaks sit far below both).
+O(M^2)-state cap) and prints per-n events/s, build time, wall time and
+peak RSS -- the numbers ``docs/scaling.md`` quotes. No ledger workload
+varies n, so this sweep is the one place that curve is measured; it is
+not gated. The n=4096 no-dense-arrays memory probe is a tier-1 test
+(``tests/algorithms/test_base.py::TestScalabilityMemory``).
 
 Run the full range locally with:
 
     pytest benchmarks/bench_scalability.py --benchmark-only
-
-and the CI smoke range with ``BENCH_SCALABILITY_MAX_N=256``.
 """
-
-import os
-import tracemalloc
 
 from repro.experiments.figures_scaling import (
     NETMAX_LOCAL_MAX_WORKERS,
     SCALABILITY_WORKER_COUNTS,
     netmax_local_kwargs,
     run_scalability_cell,
-    scalability_scenario,
     _sim_time_for,
 )
 
 BASE_SIM_TIME = 30.0
 
-_max_n = int(os.environ.get("BENCH_SCALABILITY_MAX_N", "0")) or max(
-    SCALABILITY_WORKER_COUNTS
-)
-WORKER_COUNTS = tuple(n for n in SCALABILITY_WORKER_COUNTS if n <= _max_n)
 
-
-def _run_sweep(algorithm: str, counts, bench_record, label: str, **extra):
+def _run_sweep(algorithm: str, counts):
     for num_workers in counts:
         sim_time = _sim_time_for(num_workers, BASE_SIM_TIME)
-        kwargs = netmax_local_kwargs(sim_time) if label == "netmax_local" else {}
-        kwargs.update(extra)
+        kwargs = netmax_local_kwargs(sim_time) if algorithm == "netmax" else {}
         cell = run_scalability_cell(algorithm, num_workers, sim_time, **kwargs)
         assert cell["events"] > 0
-        bench_record(
-            "simulator",
-            f"scal_{label}_n{num_workers}_events_per_s",
-            cell["events_per_s"],
-            keep="max",
-        )
-        bench_record(
-            "simulator",
-            f"scal_{label}_n{num_workers}_peak_rss_mb",
-            cell["peak_rss_mb"],
-            keep="last",
-        )
         yield num_workers, cell
 
 
-def test_scalability_adpsgd(benchmark, capsys, bench_record):
-    """AD-PSGD across the full worker range: throughput must stay flat --
-    the sparse graph/link layer keeps per-event cost independent of n."""
+def test_scalability_adpsgd(benchmark, capsys):
+    """AD-PSGD across the full worker range: the sparse graph/link layer
+    keeps per-event cost from growing with n the way dense O(n^2) state
+    would (it still falls to ~0.6x between n=16 and n=4096)."""
 
     def sweep():
-        results = list(_run_sweep("adpsgd", WORKER_COUNTS, bench_record, "adpsgd"))
+        results = list(_run_sweep("adpsgd", SCALABILITY_WORKER_COUNTS))
         with capsys.disabled():
             for num_workers, cell in results:
                 print(
@@ -77,58 +50,28 @@ def test_scalability_adpsgd(benchmark, capsys, bench_record):
         return results
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert len(results) == len(WORKER_COUNTS)
+    assert len(results) == len(SCALABILITY_WORKER_COUNTS)
 
 
-def test_scalability_netmax_local(benchmark, capsys, bench_record):
+def test_scalability_netmax_local(benchmark, capsys):
     """NetMax with policy_scope="local": per-tick cost is n ego solves of
     O(deg) size each, so the sweep stays tractable where a full-graph LP
     per tick would not."""
-    counts = tuple(n for n in WORKER_COUNTS if n <= NETMAX_LOCAL_MAX_WORKERS)
+    counts = tuple(
+        n for n in SCALABILITY_WORKER_COUNTS if n <= NETMAX_LOCAL_MAX_WORKERS
+    )
 
     def sweep():
-        results = list(
-            _run_sweep("netmax", counts, bench_record, "netmax_local")
-        )
+        results = list(_run_sweep("netmax", counts))
         with capsys.disabled():
             for num_workers, cell in results:
                 print(
                     f"\nnetmax-local n={num_workers}: "
                     f"{cell['events_per_s']:,.0f} events/s, "
-                    f"wall {cell['wall_s']:.1f}s"
+                    f"wall {cell['wall_s']:.1f}s, "
+                    f"peak RSS {cell['peak_rss_mb']:.0f} MB"
                 )
         return results
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert len(results) == len(counts)
-
-
-def test_no_dense_arrays_at_4096(benchmark):
-    """The memory half of the acceptance criteria, pinned by tracemalloc.
-
-    At n=4096: (a) building the expander topology + implicit cluster links
-    allocates a few MB (CSR + placement), nowhere near the 16 MB a dense
-    bool adjacency would cost, and the lazy dense cache stays
-    unmaterialized; (b) a short adpsgd run -- construction, peer selection,
-    gossip -- peaks far below any O(N^2) float array (~134 MB), and still
-    never materializes the dense adjacency."""
-    n = 4096
-
-    def probe():
-        tracemalloc.start()
-        topology, links = scalability_scenario(n)
-        build_current, build_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert topology._dense is None, "construction materialized the dense matrix"
-        del build_current
-
-        tracemalloc.start()
-        cell = run_scalability_cell("adpsgd", n, 2.0)
-        _, run_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert cell["events"] > 0
-        return build_peak / 1e6, run_peak / 1e6
-
-    build_mb, run_mb = benchmark.pedantic(probe, rounds=1, iterations=1)
-    assert build_mb < 10.0, f"topology+links construction peaked at {build_mb:.1f} MB"
-    assert run_mb < 80.0, f"adpsgd short run peaked at {run_mb:.1f} MB"

@@ -6,7 +6,8 @@ Tables II-VI, or a beyond-paper figure (``"dyn-traces"``, ``"dyn-churn"``,
 scale and returns structured rows (:mod:`repro.experiments.paper`);
 ``benchmarks/bench_paper.py`` calls it at small scale and asserts the
 paper-shaped output. Fig. 3 (analytic) is the one plain function; the
-worker-axis scalability cells are ``benchmarks/bench_scalability.py``'s.
+worker-axis scalability cells (:mod:`repro.experiments.figures_scaling`)
+are swept by ``benchmarks/bench_scalability.py``, outside any gate.
 """
 
 from repro.experiments.scenarios import (

@@ -7,9 +7,10 @@ neighborhood-local policy solves (``policy_scope="local"``) are what make
 that measure it: one cell = one trainer on an expander graph over a
 placement-implied cluster, timed end to end, reporting events/second and
 the process's peak RSS. ``benchmarks/bench_scalability.py`` runs them
-along :data:`SCALABILITY_WORKER_COUNTS` and records them into
-``BENCH_simulator.json`` for the CI perf gate; a wall-clock table is a
-measurement, not a figure, so it has no ``repro figure`` id.
+along :data:`SCALABILITY_WORKER_COUNTS` and prints them (locally, ungated),
+and ``tests/algorithms/test_base.py`` probes the n=4096 cell's memory; a
+wall-clock table is a measurement, not a figure, so it has no
+``repro figure`` id.
 
 The workload is the sampler-less quadratic consensus problem, so the cell
 measures framework cost (event queue, peer selection, transfer bookkeeping,

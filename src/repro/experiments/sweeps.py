@@ -205,6 +205,10 @@ class WorkloadSpec:
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(
+                f"test_fraction must be in (0, 1), got {self.test_fraction}"
+            )
         check_partition(self.partition, self.segments_per_worker, self.lost_labels, None)
 
     def build(self, num_workers: int, seed: int) -> Workload:

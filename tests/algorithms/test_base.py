@@ -7,7 +7,10 @@ import pytest
 
 from repro.algorithms.base import DecentralizedTrainer, TrainerConfig, WorkerTask
 from repro.algorithms.registry import create_trainer
-from repro.experiments.figures_scaling import scalability_scenario
+from repro.experiments.figures_scaling import (
+    run_scalability_cell,
+    scalability_scenario,
+)
 from repro.experiments.scenarios import make_quadratic_workload
 from repro.graph import DynamicTopology, EdgeSchedule, Topology
 from repro.ml.data import BatchSampler, Dataset
@@ -210,3 +213,34 @@ class TestEdgeFlipCost:
             assert trainer.reachable(a, b) == (event.kind == "repair")
         assert max(peaks) < n * n
         assert trainer.edge_log == [(2.0, a, b, "fail"), (4.0, a, b, "repair")]
+
+
+@pytest.mark.slow
+class TestScalabilityMemory:
+    def test_no_dense_arrays_at_4096(self):
+        """At n=4096: (a) building the expander topology + implicit cluster
+        links allocates a few MB (CSR + placement), nowhere near the 16 MB a
+        dense bool adjacency would cost, and the lazy dense cache stays
+        unmaterialized; (b) a short adpsgd run -- construction, peer
+        selection, gossip -- peaks far below any O(N^2) float array
+        (~134 MB)."""
+        n = 4096
+        tracemalloc.start()
+        try:
+            topology, _ = scalability_scenario(n)
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert topology._dense is None, "construction materialized the dense matrix"
+
+        tracemalloc.start()
+        try:
+            cell = run_scalability_cell("adpsgd", n, 2.0)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cell["events"] > 0
+        assert build_peak / 1e6 < 10.0, (
+            f"topology+links construction peaked at {build_peak / 1e6:.1f} MB")
+        assert run_peak / 1e6 < 80.0, (
+            f"adpsgd short run peaked at {run_peak / 1e6:.1f} MB")

@@ -594,6 +594,31 @@ class TestWorkQueuePrimitives:
         assert queue.claim_batch(1) == []  # second claimant loses
         assert not queue.enqueue(cell, run="t")  # leased: still dedup
 
+    @pytest.mark.parametrize("lease_batch", [1, 16])
+    def test_a_batch_claim_lists_tasks_once(self, tmp_path, monkeypatch,
+                                            lease_batch):
+        """Batch leases amortize the ``tasks/`` scan: a drain of N cells
+        lists the directory once per ``claim_batch`` call (ceil(N/k) calls
+        that claim, one that finds it empty), never once per claim."""
+        cells = tiny_spec(algorithms=("adpsgd",), seeds=tuple(range(40))).cells()
+        queue = WorkQueue(str(tmp_path / "queue"))
+        present = queue.present_keys("t")
+        for cell in cells:
+            assert queue.enqueue(cell, present=present, run="t")
+        listings = Counter()
+        listdir = os.listdir
+
+        def counting_listdir(path):
+            listings[path] += 1
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        claimed = []
+        while claims := queue.claim_batch(lease_batch):
+            claimed += [claim.name.key for claim in claims]
+        assert sorted(claimed) == sorted(cell.cache_key() for cell in cells)
+        assert listings[queue.tasks_dir] == math.ceil(len(cells) / lease_batch) + 1
+
     def test_unreadable_task_spec_fails_terminally_not_the_worker(self, tmp_path):
         """Garbage bytes in tasks/ must become a failed/ record -- never an
         uncaught exception that serially crashes the worker fleet."""

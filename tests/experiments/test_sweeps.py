@@ -108,14 +108,12 @@ class TestSpecs:
          dict(run=RunSpec(lr=("constant", 1.0)))),
         (dict(run=RunSpec(lr=("step", 1, 40))),
          dict(run=RunSpec(lr=("step", 1.0, 40.0)))),
-        (dict(workload=WorkloadSpec(num_samples=256, test_fraction=0)),
-         dict(workload=WorkloadSpec(num_samples=256, test_fraction=0.0))),
         (dict(algorithms=("netmax",),
               trainer_kwargs=(("netmax", (("monitor_period_s", 15),)),)),
          dict(algorithms=("netmax",),
               trainer_kwargs=(("netmax", (("monitor_period_s", 15.0),)),))),
     ], ids=["max_sim_time", "eval_interval_and_epochs", "constant_lr",
-            "step_lr", "test_fraction", "float_trainer_kwarg"])
+            "step_lr", "float_trainer_kwarg"])
     def test_an_int_spelling_shares_the_float_key(self, spelled, meant):
         """Regression: 60 and 60.0 (or lr 1 and 1.0) built equal cells
         under two cache keys."""
@@ -210,6 +208,9 @@ class TestSpecs:
         (dict(partition="shards"), "unknown partition"),
         (dict(partition="segments"), "needs segments_per_worker"),
         (dict(partition="drop-labels"), "needs lost_labels"),
+        (dict(num_samples=256, test_fraction=0),
+         r"test_fraction must be in \(0, 1\), got 0.0"),
+        (dict(test_fraction=1.0), r"test_fraction must be in \(0, 1\), got 1.0"),
     ])
     def test_a_workload_that_cannot_execute_does_not_construct(
         self, workload, message
